@@ -17,6 +17,7 @@ from .errors import (
     VerificationError,
 )
 from .fields import Field
+from .identities import _bilinear
 from .poly import Poly, PolyRing
 
 
@@ -139,21 +140,7 @@ class Algebra:
         return self.element([self.ring.zero] * self.dim)
 
     def mul_coords(self, x, y):
-        ring = self.ring
-        out = [ring.zero] * self.dim
-        for i, xi in enumerate(x):
-            if ring.is_zero(xi):
-                continue
-            row = self.sc[i]
-            for j, yj in enumerate(y):
-                if ring.is_zero(yj):
-                    continue
-                f = ring.mul(xi, yj)
-                cell = row[j]
-                for k in range(self.dim):
-                    if not ring.is_zero(cell[k]):
-                        out[k] = ring.add(out[k], ring.mul(f, cell[k]))
-        return out
+        return _bilinear(self.ring, self.sc, x, y, self.dim)
 
     def mul(self, x: "Element", y: "Element") -> "Element":
         if x.algebra is not self or y.algebra is not self:
@@ -386,12 +373,22 @@ def hom_check(f: LinearMap, A: Algebra, B: Algebra) -> bool:
         raise JalgError("hom_check handles scalar algebras only")
     if f.source_dim != A.dim or f.target_dim != B.dim:
         raise DimensionError("map shape does not match the algebras")
-    images = [f.cols[i] for i in range(A.dim)]
+    return _hom_ok(A, B, f.cols)
+
+
+def _hom_ok(A: Algebra, B: Algebra, images) -> bool:
+    """hom_check on raw images (images[i] = B-coordinates of the image of
+    e_i), without building a LinearMap; search loops call this directly."""
+    f = A.field
     for i in range(A.dim):
         for j in range(i, A.dim):
-            lhs = f.apply(A.sc[i][j])
-            rhs = B.mul_coords(images[i], images[j])
-            if lhs != rhs:
+            lhs = [f.zero] * B.dim
+            for k, c in enumerate(A.sc[i][j]):
+                if f.is_zero(c):
+                    continue
+                for d in range(B.dim):
+                    lhs[d] = f.add(lhs[d], f.mul(c, images[k][d]))
+            if lhs != _bilinear(f, B.sc, images[i], images[j], B.dim):
                 return False
     return True
 
@@ -609,27 +606,13 @@ def jordanize(field: Field, basis, assoc, params=(), name=None) -> Algebra:
     ring = PolyRing(field, tuple(params)) if params else field
     m = [[[ring.coerce(c) for c in cell] for cell in row] for row in assoc]
 
-    def bimul(x, y):
-        out = [ring.zero] * n
-        for i, xi in enumerate(x):
-            if ring.is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                if ring.is_zero(yj):
-                    continue
-                f = ring.mul(xi, yj)
-                for k in range(n):
-                    c = m[i][j][k]
-                    if not ring.is_zero(c):
-                        out[k] = ring.add(out[k], ring.mul(f, c))
-        return out
-
     unit = lambda i: [ring.one if t == i else ring.zero for t in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = bimul(bimul(unit(i), unit(j)), unit(k))
-                rhs = bimul(unit(i), bimul(unit(j), unit(k)))
+                # (e_i e_j) e_k against e_i (e_j e_k)
+                lhs = _bilinear(ring, m, m[i][j], unit(k), n)
+                rhs = _bilinear(ring, m, unit(i), m[j][k], n)
                 if lhs != rhs:
                     raise VerificationError(
                         f"input multiplication is not associative at basis triple "

@@ -22,7 +22,7 @@ from .deformation import (
     r_deform,
 )
 from .errors import BudgetError, JalgError, ParseError, VerificationError
-from .fields import Field, QQ
+from .fields import Field
 from .matched_pair import (
     Factorization,
     MatchedPair,
@@ -33,18 +33,6 @@ from .matched_pair import (
     semidirect_right,
 )
 from .morphism import classify_dim2, iso_search
-from .poly import PolyRing
-
-
-def _parse_field_flag(text: str) -> Field:
-    if text == "Q":
-        return QQ
-    if text.startswith("F"):
-        try:
-            return Field(int(text[1:]))
-        except (ValueError, JalgError) as exc:
-            raise ParseError(f"bad --field {text!r}: {exc}") from None
-    raise ParseError(f"bad --field {text!r} (expected Q or F<p>)")
 
 
 def _load(spec: str, field: Field | None):
@@ -329,8 +317,6 @@ def _cmd_classify2(args) -> int:
 
 def _parse_map_flag(mp: MatchedPair, spec: str, params: tuple[str, ...]) -> DeformationMap:
     """--map 'u: a + b; v: alpha b' with optional parameter names."""
-    f = mp.A.field
-    ring = PolyRing(f, params) if params else f
     images = {}
     for chunk in spec.split(";"):
         chunk = chunk.strip()
@@ -342,42 +328,13 @@ def _parse_map_flag(mp: MatchedPair, spec: str, params: tuple[str, ...]) -> Defo
         lab = lab.strip()
         if lab not in mp.V.basis:
             raise ParseError(f"unknown complement label {lab!r}")
-        tokens = combo.split()
-        coords = {}
-        if tokens == ["0"] or not tokens:
-            images[lab] = {}
-            continue
-        index = {t: k for k, t in enumerate(mp.A.basis)}
-        negate = False
-        pending = None
-        for tok in tokens:
-            if tok in ("+", "-"):
-                if pending is not None:
-                    raise ParseError(f"dangling scalar before {tok!r} in {chunk!r}")
-                negate = tok == "-"
-                continue
-            if tok in index:
-                coeff = ring.one if pending is None else pending
-                if negate:
-                    coeff = ring.neg(coeff)
-                prev = coords.get(tok, ring.zero)
-                coords[tok] = ring.add(prev, coeff)
-                pending = None
-                negate = False
-                continue
-            if tok in params:
-                val = ring.var(tok)
-            else:
-                try:
-                    val = ring.coerce(f.parse(tok))
-                except JalgError:
-                    raise ParseError(
-                        f"unknown token {tok!r} in map entry {chunk!r}"
-                    ) from None
-            pending = val if pending is None else ring.mul(pending, val)
-        if pending is not None:
-            raise ParseError(f"map entry {chunk!r} ends with a scalar")
-        images[lab] = coords
+        if lab in images:
+            raise ParseError(f"map entry for {lab!r} given twice")
+        try:
+            coords = fileio._parse_combination(mp.A.field, combo, mp.A.basis, params=params)
+        except ParseError as exc:
+            raise ParseError(f"map entry {chunk!r}: {exc}") from None
+        images[lab] = dict(zip(mp.A.basis, coords))
     return DeformationMap.from_images(mp, images, params=params)
 
 
@@ -548,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("second_input", help="second algebra")
         p.add_argument(
             "--field",
-            type=_parse_field_flag,
             default=None,
             help="transport the input to this field (Q or F<p>)",
         )
@@ -586,12 +542,12 @@ def build_parser() -> argparse.ArgumentParser:
     add("complements", _cmd_complements, "classify complements and compute the index")
     p = sub.add_parser("catalog", help="list or show built-in examples")
     p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--field", type=_parse_field_flag, default=None)
+    p.add_argument("--field", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_catalog)
     p = sub.add_parser("abelian-pairs", help="census of abelian pairs with a line complement")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--field", type=_parse_field_flag, default=None)
+    p.add_argument("--field", default=None)
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_abelian_pairs)
@@ -602,6 +558,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.field is not None:
+            args.field = fileio._parse_field(args.field)
+        if getattr(args, "budget", None) is not None and args.budget < 1:
+            raise ParseError(f"--budget must be positive, got {args.budget}")
         return args.handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ from .algebra import (
 )
 from .errors import BudgetError, DimensionError, JalgError, VerificationError
 from .fields import Field
+from .identities import _bilinear, _embed2
 from .matched_pair import (
     BicrossedProduct,
     Factorization,
@@ -153,51 +154,50 @@ class DeformationVerdict:
         return "\n".join(lines)
 
 
-def _mixed_mul(ring, base_field, sc, u, v, out_dim):
-    """Product with structure constants over base_field, coords over ring."""
-    out = [ring.zero] * out_dim
-    for i, ui in enumerate(u):
-        if ring.is_zero(ui):
-            continue
-        for j, vj in enumerate(v):
-            if ring.is_zero(vj):
-                continue
-            w = ring.mul(ui, vj)
-            cell = sc[i][j]
-            for k in range(out_dim):
-                c = cell[k]
-                if base_field.is_zero(c):
-                    continue
-                out[k] = ring.add(out[k], ring.mul(w, ring.coerce(c)))
-    return out
+def _lift(R, *tensors):
+    """The pair's field-valued tensors with entries in R, lifted once per call."""
+    if isinstance(R, PolyRing):
+        return [_embed2(R, t) for t in tensors]
+    return list(tensors)
 
 
-def _act_basis(ring, base_field, tensor, idx, a_vec, out_dim):
-    """Action of the idx-th basis vector on a ring-valued A vector."""
-    out = [ring.zero] * out_dim
-    row = tensor[idx]
-    for a, c in enumerate(a_vec):
-        if ring.is_zero(c):
-            continue
-        cell = row[a]
-        for k in range(out_dim):
-            e = cell[k]
-            if base_field.is_zero(e):
-                continue
-            out[k] = ring.add(out[k], ring.mul(c, ring.coerce(e)))
-    return out
+def _units(R, n: int):
+    return [[R.one if k == i else R.zero for k in range(n)] for i in range(n)]
 
 
-def _act_vec(ring, base_field, tensor, x_vec, a_vec, out_dim):
-    out = [ring.zero] * out_dim
-    for x, cx in enumerate(x_vec):
-        if ring.is_zero(cx):
-            continue
-        part = _act_basis(ring, base_field, tensor, x, a_vec, out_dim)
-        for k in range(out_dim):
-            if not ring.is_zero(part[k]):
-                out[k] = ring.add(out[k], ring.mul(cx, part[k]))
-    return out
+def _vadd(R, u, v):
+    return [R.add(a, b) for a, b in zip(u, v)]
+
+
+def _vsub(R, u, v):
+    return [R.sub(a, b) for a, b in zip(u, v)]
+
+
+def _cross(R, tensor, r: DeformationMap, units, i: int, j: int, out_dim: int):
+    """x . r(y) + y . r(x) at x = e_i, y = e_j, for an action tensor."""
+    return _vadd(
+        R,
+        _bilinear(R, tensor, units[i], r.cols[j], out_dim),
+        _bilinear(R, tensor, units[j], r.cols[i], out_dim),
+    )
+
+
+def _residuals(mp: MatchedPair, r: DeformationMap):
+    """Yield (i, j, residual) for every basis pair i <= j of V, where the
+    residual is the A-vector
+        r(xy) - r(x)r(y) - x |> r(y) - y |> r(x) + r(x <| r(y) + y <| r(x))
+    at x = e_i, y = e_j.  The deformation identity holds iff all vanish."""
+    A, V = mp.A, mp.V
+    R = r.ring
+    nA, nV = A.dim, V.dim
+    mul_a, left, right = _lift(R, A.sc, mp.left.tensor, mp.right.tensor)
+    units = _units(R, nV)
+    for i in range(nV):
+        for j in range(i, nV):
+            lhs = _vsub(R, r.apply(V.sc[i][j]), _bilinear(R, mul_a, r.cols[i], r.cols[j], nA))
+            inner = _cross(R, right, r, units, i, j, nV)
+            rhs = _vsub(R, _cross(R, left, r, units, i, j, nA), r.apply(inner))
+            yield i, j, _vsub(R, lhs, rhs)
 
 
 def deformation_check(mp: MatchedPair, r: DeformationMap) -> DeformationVerdict:
@@ -208,31 +208,14 @@ def deformation_check(mp: MatchedPair, r: DeformationMap) -> DeformationVerdict:
     """
     if r.mp is not mp and r.mp != mp:
         raise JalgError("deformation map belongs to a different matched pair")
-    A, V = mp.A, mp.V
-    f = A.field
     R = r.ring
-    nA, nV = A.dim, V.dim
-    failures = []
-    for i in range(nV):
-        for j in range(i, nV):
-            ri, rj = r.cols[i], r.cols[j]
-            lhs = r.apply(V.sc[i][j])
-            rr = _mixed_mul(R, f, A.sc, ri, rj, nA)
-            lhs = [R.sub(lhs[k], rr[k]) for k in range(nA)]
-            rhs = _act_basis(R, f, mp.left.tensor, i, rj, nA)
-            part = _act_basis(R, f, mp.left.tensor, j, ri, nA)
-            rhs = [R.add(rhs[k], part[k]) for k in range(nA)]
-            inner = _act_basis(R, f, mp.right.tensor, i, rj, nV)
-            part = _act_basis(R, f, mp.right.tensor, j, ri, nV)
-            inner = [R.add(inner[k], part[k]) for k in range(nV)]
-            ri_inner = r.apply(inner)
-            rhs = [R.sub(rhs[k], ri_inner[k]) for k in range(nA)]
-            res = [R.sub(lhs[k], rhs[k]) for k in range(nA)]
-            if any(not R.is_zero(c) for c in res):
-                failures.append(
-                    (V.basis[i], V.basis[j], tuple(R.format(c) for c in res))
-                )
-    return DeformationVerdict(not failures, tuple(failures))
+    basis = mp.V.basis
+    failures = tuple(
+        (basis[i], basis[j], tuple(R.format(c) for c in res))
+        for i, j, res in _residuals(mp, r)
+        if not all(R.is_zero(c) for c in res)
+    )
+    return DeformationVerdict(not failures, failures)
 
 
 def r_deform(mp: MatchedPair, r: DeformationMap, name=None) -> Algebra:
@@ -246,14 +229,13 @@ def r_deform(mp: MatchedPair, r: DeformationMap, name=None) -> Algebra:
     f = A.field
     R = r.ring
     nV = V.dim
+    right = _lift(R, mp.right.tensor)[0]
+    units = _units(R, nV)
     table = [[None] * nV for _ in range(nV)]
     for i in range(nV):
         for j in range(i, nV):
             cell = [R.coerce(c) for c in V.sc[i][j]]
-            part = _act_basis(R, f, mp.right.tensor, i, r.cols[j], nV)
-            cell = [R.add(cell[k], part[k]) for k in range(nV)]
-            part = _act_basis(R, f, mp.right.tensor, j, r.cols[i], nV)
-            cell = [R.add(cell[k], part[k]) for k in range(nV)]
+            cell = _vadd(R, cell, _cross(R, right, r, units, i, j, nV))
             table[i][j] = table[j][i] = tuple(cell)
     out = Algebra(f, V.basis, table, params=r.params, name=name)
     if not out.jordan_check().ok:
@@ -308,7 +290,6 @@ def equiv_check(
     Holds exactly when sigma : V_r -> V_s is an algebra isomorphism.
     """
     V = mp.V
-    f = mp.A.field
     if sigma.source_dim != V.dim or sigma.target_dim != V.dim:
         raise DimensionError("sigma must be an endomorphism of V")
     if not sigma.is_invertible():
@@ -317,40 +298,30 @@ def equiv_check(
         raise JalgError("maps must share the same parameter list")
     R = r.ring
     nV = V.dim
+    mul_v, right = _lift(R, V.sc, mp.right.tensor)
+    units = _units(R, nV)
+    sig_cols = [[R.coerce(c) for c in col] for col in sigma.cols]
 
-    def lin(map_cols, vec, out_dim):
-        out = [R.zero] * out_dim
-        for j, c in enumerate(vec):
-            if R.is_zero(c):
-                continue
-            col = map_cols[j]
-            for k in range(out_dim):
-                e = col[k]
-                if f.is_zero(e):
-                    continue
-                out[k] = R.add(out[k], R.mul(c, R.coerce(e)))
+    def sig(vec):  # sigma on an R-valued vector
+        out = [R.zero] * nV
+        for c, col in zip(vec, sig_cols):
+            if not R.is_zero(c):
+                out = [R.add(o, R.mul(c, e)) for o, e in zip(out, col)]
         return out
 
-    sig_cols = [[R.coerce(c) for c in col] for col in sigma.cols]
     for i in range(nV):
         for j in range(i, nV):
-            si = sig_cols[i]
-            sj = sig_cols[j]
-            lhs = [R.coerce(c) for c in sigma.apply(V.sc[i][j])]
-            prod = _mixed_mul(R, f, V.sc, si, sj, nV)
-            lhs = [R.sub(lhs[k], prod[k]) for k in range(nV)]
-            rhs = _act_vec(R, f, mp.right.tensor, si, s.apply(sj), nV)
-            part = _act_vec(R, f, mp.right.tensor, sj, s.apply(si), nV)
-            rhs = [R.add(rhs[k], part[k]) for k in range(nV)]
-            inner = _act_basis(R, f, mp.right.tensor, i, r.cols[j], nV)
-            part = lin(sigma.cols, inner, nV)
-            rhs = [R.sub(rhs[k], part[k]) for k in range(nV)]
-            inner = _act_basis(R, f, mp.right.tensor, j, r.cols[i], nV)
-            part = lin(sigma.cols, inner, nV)
-            rhs = [R.sub(rhs[k], part[k]) for k in range(nV)]
-            for k in range(nV):
-                if not R.is_zero(R.sub(lhs[k], rhs[k])):
-                    return False
+            si, sj = sig_cols[i], sig_cols[j]
+            # sigma(xy + x <| r(y) + y <| r(x)) against
+            # sigma(x)sigma(y) + sigma(x) <| s(sigma(y)) + sigma(y) <| s(sigma(x))
+            lhs = _vadd(R, mul_v[i][j], _cross(R, right, r, units, i, j, nV))
+            rhs = _vadd(
+                R,
+                _bilinear(R, right, si, s.apply(sj), nV),
+                _bilinear(R, right, sj, s.apply(si), nV),
+            )
+            if sig(lhs) != _vadd(R, _bilinear(R, mul_v, si, sj, nV), rhs):
+                return False
     return True
 
 
@@ -364,36 +335,14 @@ def _deformation_conditions(mp: MatchedPair):
         [ring.var(f"r{j}_{k}") for k in range(nA)] for j in range(nV)
     ]
     generic = DeformationMap(mp, cols, params)
-    return params, _raw_conditions(mp, generic)
-
-
-def _raw_conditions(mp: MatchedPair, generic: DeformationMap):
-    A, V = mp.A, mp.V
-    f = A.field
-    R = generic.ring
-    nA, nV = A.dim, V.dim
     out = []
     seen = set()
-    for i in range(nV):
-        for j in range(i, nV):
-            ri, rj = generic.cols[i], generic.cols[j]
-            lhs = generic.apply(V.sc[i][j])
-            rr = _mixed_mul(R, f, A.sc, ri, rj, nA)
-            lhs = [R.sub(lhs[k], rr[k]) for k in range(nA)]
-            rhs = _act_basis(R, f, mp.left.tensor, i, rj, nA)
-            part = _act_basis(R, f, mp.left.tensor, j, ri, nA)
-            rhs = [R.add(rhs[k], part[k]) for k in range(nA)]
-            inner = _act_basis(R, f, mp.right.tensor, i, rj, nV)
-            part = _act_basis(R, f, mp.right.tensor, j, ri, nV)
-            inner = [R.add(inner[k], part[k]) for k in range(nV)]
-            ri_inner = generic.apply(inner)
-            rhs = [R.sub(rhs[k], ri_inner[k]) for k in range(nA)]
-            for k in range(nA):
-                res = R.sub(lhs[k], rhs[k])
-                if not R.is_zero(res) and res not in seen:
-                    seen.add(res)
-                    out.append(res)
-    return out
+    for _, _, res in _residuals(mp, generic):
+        for c in res:
+            if not c.is_zero and c not in seen:
+                seen.add(c)
+                out.append(c)
+    return params, out
 
 
 def enumerate_deformations(

@@ -121,6 +121,11 @@ class Field:
         if isinstance(value, Fraction):
             num = value.numerator % self.characteristic
             den = value.denominator % self.characteristic
+            if den == 0:
+                raise JalgError(
+                    f"cannot coerce {value} into F{self.characteristic}: "
+                    f"its denominator is divisible by {self.characteristic}"
+                )
             return self.mul(num, self.inv(den))
         raise JalgError(f"cannot coerce {value!r} into F{self.characteristic}")
 

@@ -20,17 +20,20 @@ section is the subalgebra factor, the second the complement factor:
     right u . a = u       # u <| a, a combination in the second basis
 
 '#' starts a comment; blank lines and indentation are ignored.  Scalars
-are integers or fractions n/d (reduced mod p over a finite field).
+are integers or fractions n/d (reduced mod p over a finite field).  The
+right-hand sides are scalar combinations; their one grammar, shared with
+the command line's --map, is in README.md under "Scalar combinations".
 """
 
 from __future__ import annotations
 
 import os
 
-from .algebra import Algebra
+from .algebra import Algebra, format_combination
 from .errors import JalgError, ParseError
 from .fields import Field, QQ
 from .matched_pair import LeftAction, MatchedPair, RightAction
+from .poly import PolyRing
 
 
 def _strip(line: str) -> str:
@@ -49,7 +52,7 @@ def _numbered(text: str):
     return out
 
 
-def _parse_field(token: str, lineno: int) -> Field:
+def _parse_field(token: str, lineno: int | None = None) -> Field:
     if token == "Q":
         return QQ
     if token.startswith("F"):
@@ -61,41 +64,49 @@ def _parse_field(token: str, lineno: int) -> Field:
     raise ParseError(f"bad field {token!r} (expected Q or F<p>)", line=lineno)
 
 
-def _parse_combination(field: Field, text: str, labels, lineno: int):
-    """-> coordinate list over `labels`.  Grammar: 0 | [scalar] label ((+|-) [scalar] label)*"""
-    coords = [field.zero] * len(labels)
+def _parse_combination(field: Field, text: str, labels, lineno=None, params=()):
+    """-> coordinate list over `labels`, in field[params] when params are given.
+
+    Grammar (README, "Scalar combinations"):
+        0 | [+|-] coeff label ((+|-) coeff label)*     coeff = [number] param*
+    """
+    ring = PolyRing(field, params) if params else field
+    coords = [ring.zero] * len(labels)
     tokens = text.split()
     if not tokens:
         raise ParseError("empty combination", line=lineno)
     if tokens == ["0"]:
         return coords
     index = {lab: k for k, lab in enumerate(labels)}
-    negate = False
-    pending = None  # scalar waiting for its label
-    for tok in tokens:
-        if tok in ("+", "-"):
-            if pending is not None:
-                raise ParseError(f"scalar with no label before {tok!r}", line=lineno)
-            negate = tok == "-"
-            continue
-        if tok in index:
-            coeff = field.one if pending is None else pending
-            if negate:
-                coeff = field.neg(coeff)
-            k = index[tok]
-            coords[k] = field.add(coords[k], coeff)
-            pending = None
-            negate = False
-            continue
-        if pending is not None:
-            raise ParseError(f"unknown label {tok!r}", line=lineno)
-        try:
-            pending = field.parse(tok)
-        except JalgError:
-            raise ParseError(f"unknown label or bad scalar {tok!r}", line=lineno) from None
-    if pending is not None:
-        raise ParseError("combination ends with a scalar and no label", line=lineno)
-    return coords
+    pos = 0
+    while True:
+        coeff = ring.one
+        if tokens[pos] in ("+", "-"):
+            if tokens[pos] == "-":
+                coeff = ring.neg(coeff)
+            pos += 1
+        elif pos:
+            raise ParseError(f"expected + or - before {tokens[pos]!r}", line=lineno)
+        if pos < len(tokens) and tokens[pos] not in index and tokens[pos] not in params:
+            try:
+                coeff = ring.mul(coeff, ring.coerce(field.parse(tokens[pos])))
+            except JalgError:
+                raise ParseError(
+                    f"unknown label or bad scalar {tokens[pos]!r}", line=lineno
+                ) from None
+            pos += 1
+        while pos < len(tokens) and tokens[pos] in params and tokens[pos] not in index:
+            coeff = ring.mul(coeff, ring.var(tokens[pos]))
+            pos += 1
+        if pos == len(tokens):
+            raise ParseError("combination ends with no label", line=lineno)
+        if tokens[pos] not in index:
+            raise ParseError(f"expected a label, got {tokens[pos]!r}", line=lineno)
+        k = index[tokens[pos]]
+        coords[k] = ring.add(coords[k], coeff)
+        pos += 1
+        if pos == len(tokens):
+            return coords
 
 
 def _parse_algebra_lines(lines, name=None) -> Algebra:
@@ -184,17 +195,9 @@ def write_algebra(A: Algebra) -> str:
     for i in range(A.dim):
         for j in range(i, A.dim):
             cell = A.sc[i][j]
-            if all(f.is_zero(c) for c in cell):
-                continue
-            terms = []
-            for k, c in enumerate(cell):
-                if f.is_zero(c):
-                    continue
-                if f.eq(c, f.one):
-                    terms.append(A.basis[k])
-                else:
-                    terms.append(f"{f.format(c)} {A.basis[k]}")
-            lines.append(f"mult {A.basis[i]} {A.basis[j]} = " + " + ".join(terms))
+            if any(not f.is_zero(c) for c in cell):
+                combo = format_combination(f, cell, A.basis)
+                lines.append(f"mult {A.basis[i]} {A.basis[j]} = {combo}")
     return "\n".join(lines) + "\n"
 
 
@@ -317,27 +320,15 @@ def write_pair(mp: MatchedPair) -> str:
         for a in range(mp.A.dim):
             cell = mp.left.tensor[x][a]
             if any(not f.is_zero(c) for c in cell):
-                combo = _format_terms(f, cell, mp.A.basis)
+                combo = format_combination(f, cell, mp.A.basis)
                 lines.append(f"left {mp.V.basis[x]} . {mp.A.basis[a]} = {combo}")
     for x in range(mp.V.dim):
         for a in range(mp.A.dim):
             cell = mp.right.tensor[x][a]
             if any(not f.is_zero(c) for c in cell):
-                combo = _format_terms(f, cell, mp.V.basis)
+                combo = format_combination(f, cell, mp.V.basis)
                 lines.append(f"right {mp.V.basis[x]} . {mp.A.basis[a]} = {combo}")
     return "\n".join(chunks + lines) + "\n"
-
-
-def _format_terms(f: Field, cell, labels) -> str:
-    terms = []
-    for k, c in enumerate(cell):
-        if f.is_zero(c):
-            continue
-        if f.eq(c, f.one):
-            terms.append(labels[k])
-        else:
-            terms.append(f"{f.format(c)} {labels[k]}")
-    return " + ".join(terms) if terms else "0"
 
 
 def load_algebra(path: str) -> Algebra:

@@ -115,22 +115,25 @@ def _embed2(ring: PolyRing, table) -> list[list[list[Poly]]]:
     return [[[ring.coerce(c) for c in cell] for cell in row] for row in table]
 
 
-def _bilinear(ring: PolyRing, tensor, u, v, out_dim: int) -> list[Poly]:
-    """Expand the bilinear map given by tensor on coordinate vectors u, v."""
+def _bilinear(ring, tensor, u, v, out_dim: int) -> list:
+    """sum over i, j of u_i v_j tensor[i][j]: the one bilinear contraction.
+
+    Works through the ring protocol that Field and PolyRing share; the
+    tensor's entries and the coordinates must already live in `ring`.
+    """
     out = [ring.zero] * out_dim
     for i, ui in enumerate(u):
-        if ui.is_zero:
+        if ring.is_zero(ui):
             continue
         row = tensor[i]
         for j, vj in enumerate(v):
-            if vj.is_zero:
+            if ring.is_zero(vj):
                 continue
+            prod = ring.mul(ui, vj)
             cell = row[j]
-            prod = ui * vj
             for k in range(out_dim):
-                c = cell[k]
-                if c.terms:
-                    out[k] = out[k] + prod * c
+                if not ring.is_zero(cell[k]):
+                    out[k] = ring.add(out[k], ring.mul(prod, cell[k]))
     return out
 
 
@@ -160,20 +163,6 @@ def _collect(failures, axiom, space, residual_vec, stop_early) -> bool:
 
 # ---------------------------------------------------------------------------
 # single-algebra axioms
-
-
-def symmetry_failures(mul, is_zero) -> list[tuple[int, int, int]]:
-    """Commutativity is a property of the stored tensor, not a polynomial."""
-    bad = []
-    n = len(mul)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if not is_zero(mul[i][j][k]) or not is_zero(mul[j][i][k]):
-                    diff_ok = mul[i][j][k] == mul[j][i][k]
-                    if not diff_ok:
-                        bad.append((i, j, k))
-    return bad
 
 
 def jordan_verdict(field: Field, mul, params=(), stop_early: bool = False) -> Verdict:

@@ -20,92 +20,98 @@ from .algebra import (
 )
 from .errors import DimensionError, FieldMismatchError, JalgError, VerificationError
 from .fields import Field
-from .identities import Verdict
+from .identities import Verdict, _bilinear
 from .poly import PolyRing
 
 
-def _coerce_action(V: Algebra, A: Algebra, tensor, out_dim: int):
-    if V.field is not A.field:
-        raise FieldMismatchError(f"{V.field} vs {A.field}")
-    if V.params != A.params:
-        raise JalgError("factors must share their parameter set")
-    ring = A.ring
-    if len(tensor) != V.dim:
-        raise DimensionError("action tensor must have one row per V basis vector")
-    rows = []
-    for row in tensor:
-        if len(row) != A.dim:
-            raise DimensionError("action row length must equal dim A")
-        cells = []
-        for cell in row:
-            if len(cell) != out_dim:
-                raise DimensionError("action value has the wrong dimension")
-            cells.append(tuple(ring.coerce(c) for c in cell))
-        rows.append(tuple(cells))
-    return tuple(rows)
+class _Action:
+    """tensor[x][a] = coordinates of the action of e_x (in V) with e_a (in A).
 
+    The body shared by RightAction and LeftAction; each subclass declares
+    its side, and the side fixes which algebra acts and which factor holds
+    the values.
+    """
 
-class RightAction:
-    """tensor[x][a] = coordinates in V of e_x <| e_a."""
+    _side = ""
+
+    @classmethod
+    def _roles(cls, V: Algebra, A: Algebra):
+        """(the acting algebra, the factor holding the values)."""
+        return (A, V) if cls._side == "right" else (V, A)
 
     def __init__(self, V: Algebra, A: Algebra, tensor):
+        if V.field is not A.field:
+            raise FieldMismatchError(f"{V.field} vs {A.field}")
+        if V.params != A.params:
+            raise JalgError("factors must share their parameter set")
         self.V = V
         self.A = A
-        self.tensor = _coerce_action(V, A, tensor, V.dim)
+        self._acting, self._values = self._roles(V, A)
+        out_dim = self._values.dim
+        ring = A.ring
+        if len(tensor) != V.dim:
+            raise DimensionError("action tensor must have one row per V basis vector")
+        rows = []
+        for row in tensor:
+            if len(row) != A.dim:
+                raise DimensionError("action row length must equal dim A")
+            cells = []
+            for cell in row:
+                if len(cell) != out_dim:
+                    raise DimensionError("action value has the wrong dimension")
+                cells.append(tuple(ring.coerce(c) for c in cell))
+            rows.append(tuple(cells))
+        self.tensor = tuple(rows)
 
     @classmethod
-    def zero(cls, V: Algebra, A: Algebra) -> "RightAction":
+    def zero(cls, V: Algebra, A: Algebra):
         z = A.ring.zero
-        return cls(V, A, [[[z] * V.dim for _ in range(A.dim)] for _ in range(V.dim)])
+        out_dim = cls._roles(V, A)[1].dim
+        return cls(V, A, [[[z] * out_dim for _ in range(A.dim)] for _ in range(V.dim)])
 
     @classmethod
-    def from_images(cls, V: Algebra, A: Algebra, images: dict) -> "RightAction":
-        """images: {(x label, a label): {V label: coeff}}."""
+    def from_images(cls, V: Algebra, A: Algebra, images: dict):
+        """images: {(x label, a label): {label of the value factor: coeff}}."""
+        out = cls._roles(V, A)[1]
         vidx = {lab: i for i, lab in enumerate(V.basis)}
         aidx = {lab: i for i, lab in enumerate(A.basis)}
+        oidx = {lab: i for i, lab in enumerate(out.basis)}
         z = A.ring.zero
-        tensor = [[[z] * V.dim for _ in range(A.dim)] for _ in range(V.dim)]
+        tensor = [[[z] * out.dim for _ in range(A.dim)] for _ in range(V.dim)]
         for (x, a), combo in images.items():
             if x not in vidx or a not in aidx:
                 raise JalgError(f"unknown basis label in action pair ({x!r}, {a!r})")
-            vec = [z] * V.dim
+            vec = [z] * out.dim
             for lab, c in combo.items():
-                if lab not in vidx:
+                if lab not in oidx:
                     raise JalgError(f"unknown basis label {lab!r}")
-                vec[vidx[lab]] = c
+                vec[oidx[lab]] = c
             tensor[vidx[x]][aidx[a]] = vec
         return cls(V, A, tensor)
 
     def check(self) -> Verdict:
-        # A acts on the space of V: transpose to acting-first indexing
-        act = [
-            [self.tensor[x][a] for x in range(self.V.dim)] for a in range(self.A.dim)
-        ]
+        acting = self._acting
+        if self._side == "right":
+            # A acts on the space of V: transpose to acting-first indexing
+            act = [
+                [self.tensor[x][a] for x in range(self.V.dim)]
+                for a in range(self.A.dim)
+            ]
+            prefixes = ("a", "x")
+        else:
+            act, prefixes = self.tensor, ("x", "a")
         return identities.action_law_verdict(
-            self.A.field,
-            self.A.sc,
+            acting.field,
+            acting.sc,
             act,
-            self.A.params,
-            acting_prefix="a",
-            module_prefix="x",
-            axiom="right-action",
+            acting.params,
+            acting_prefix=prefixes[0],
+            module_prefix=prefixes[1],
+            axiom=f"{self._side}-action",
         )
 
     def apply(self, x_coords, a_coords):
-        ring = self.A.ring
-        out = [ring.zero] * self.V.dim
-        for i, xi in enumerate(x_coords):
-            if ring.is_zero(xi):
-                continue
-            for j, aj in enumerate(a_coords):
-                if ring.is_zero(aj):
-                    continue
-                f = ring.mul(xi, aj)
-                cell = self.tensor[i][j]
-                for k in range(self.V.dim):
-                    if not ring.is_zero(cell[k]):
-                        out[k] = ring.add(out[k], ring.mul(f, cell[k]))
-        return out
+        return _bilinear(self.A.ring, self.tensor, x_coords, a_coords, self._values.dim)
 
     def is_zero(self) -> bool:
         ring = self.A.ring
@@ -114,8 +120,9 @@ class RightAction:
         )
 
     def __eq__(self, other):
+        # a right and a left action with equal tensors are different actions
         return (
-            isinstance(other, RightAction)
+            type(other) is type(self)
             and self.V == other.V
             and self.A == other.A
             and self.tensor == other.tensor
@@ -125,81 +132,16 @@ class RightAction:
         return hash(self.tensor)
 
 
-class LeftAction:
-    """tensor[x][a] = coordinates in A of e_x |> e_a."""
+class RightAction(_Action):
+    """tensor[x][a] = coordinates in V of e_x <| e_a (A acts on V)."""
 
-    def __init__(self, V: Algebra, A: Algebra, tensor):
-        self.V = V
-        self.A = A
-        self.tensor = _coerce_action(V, A, tensor, A.dim)
+    _side = "right"
 
-    @classmethod
-    def zero(cls, V: Algebra, A: Algebra) -> "LeftAction":
-        z = A.ring.zero
-        return cls(V, A, [[[z] * A.dim for _ in range(A.dim)] for _ in range(V.dim)])
 
-    @classmethod
-    def from_images(cls, V: Algebra, A: Algebra, images: dict) -> "LeftAction":
-        """images: {(x label, a label): {A label: coeff}}."""
-        vidx = {lab: i for i, lab in enumerate(V.basis)}
-        aidx = {lab: i for i, lab in enumerate(A.basis)}
-        z = A.ring.zero
-        tensor = [[[z] * A.dim for _ in range(A.dim)] for _ in range(V.dim)]
-        for (x, a), combo in images.items():
-            if x not in vidx or a not in aidx:
-                raise JalgError(f"unknown basis label in action pair ({x!r}, {a!r})")
-            vec = [z] * A.dim
-            for lab, c in combo.items():
-                if lab not in aidx:
-                    raise JalgError(f"unknown basis label {lab!r}")
-                vec[aidx[lab]] = c
-            tensor[vidx[x]][aidx[a]] = vec
-        return cls(V, A, tensor)
+class LeftAction(_Action):
+    """tensor[x][a] = coordinates in A of e_x |> e_a (V acts on A)."""
 
-    def check(self) -> Verdict:
-        # V is the acting algebra; tensor is already acting-first
-        return identities.action_law_verdict(
-            self.V.field,
-            self.V.sc,
-            self.tensor,
-            self.V.params,
-            acting_prefix="x",
-            module_prefix="a",
-            axiom="left-action",
-        )
-
-    def apply(self, x_coords, a_coords):
-        ring = self.A.ring
-        out = [ring.zero] * self.A.dim
-        for i, xi in enumerate(x_coords):
-            if ring.is_zero(xi):
-                continue
-            for j, aj in enumerate(a_coords):
-                if ring.is_zero(aj):
-                    continue
-                f = ring.mul(xi, aj)
-                cell = self.tensor[i][j]
-                for k in range(self.A.dim):
-                    if not ring.is_zero(cell[k]):
-                        out[k] = ring.add(out[k], ring.mul(f, cell[k]))
-        return out
-
-    def is_zero(self) -> bool:
-        ring = self.A.ring
-        return all(
-            ring.is_zero(c) for row in self.tensor for cell in row for c in cell
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LeftAction)
-            and self.V == other.V
-            and self.A == other.A
-            and self.tensor == other.tensor
-        )
-
-    def __hash__(self):
-        return hash(self.tensor)
+    _side = "left"
 
 
 class MatchedPair:
@@ -226,21 +168,14 @@ class MatchedPair:
             raise JalgError("cannot transport a parametric pair")
         if target is self.A.field:
             return self
-        src = self.A.field
         A2 = self.A.to_field(target)
         V2 = self.V.to_field(target)
-
-        def move(tensor):
-            return [
-                [[src.transport(c, target) for c in cell] for cell in row]
-                for row in tensor
-            ]
-
+        # the action constructors coerce each Q entry into the target field
         return MatchedPair(
             A2,
             V2,
-            RightAction(V2, A2, move(self.right.tensor)),
-            LeftAction(V2, A2, move(self.left.tensor)),
+            RightAction(V2, A2, self.right.tensor),
+            LeftAction(V2, A2, self.left.tensor),
             name=self.name,
         )
 

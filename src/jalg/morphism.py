@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import Algebra, LinearMap
+from .algebra import Algebra, LinearMap, _hom_ok
 from .errors import DimensionError, JalgError
 from .matched_pair import MatchedPair
 
@@ -273,24 +273,6 @@ def classify_dim2(A: Algebra) -> Dim2Signature:
     return Dim2Signature(span, r1, r2, idem, sqz)
 
 
-def _hom_images_ok(A: Algebra, B: Algebra, images) -> bool:
-    f = A.field
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            src = A.sc[i][j]
-            lhs = [f.zero] * B.dim
-            for k in range(A.dim):
-                c = src[k]
-                if f.is_zero(c):
-                    continue
-                img = images[k]
-                for d in range(B.dim):
-                    lhs[d] = f.add(lhs[d], f.mul(c, img[d]))
-            if lhs != B.mul_coords(images[i], images[j]):
-                return False
-    return True
-
-
 def _exhaustive_fp(A: Algebra, B: Algebra, budget: int | None) -> IsoVerdict:
     f = A.field
     p = f.characteristic
@@ -306,7 +288,7 @@ def _exhaustive_fp(A: Algebra, B: Algebra, budget: int | None) -> IsoVerdict:
             )
         rows = [flat[i * n : (i + 1) * n] for i in range(n)]
         images = [[rows[k][i] for k in range(n)] for i in range(n)]
-        if not _hom_images_ok(A, B, images):
+        if not _hom_ok(A, B, images):
             continue
         if linalg.rank(f, rows) != n:
             continue
@@ -330,7 +312,7 @@ def _bounded_q_search(A: Algebra, B: Algebra, budget: int) -> LinearMap | None:
     for flat in itertools.product(values, repeat=n * n):
         rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
         images = [[rows[k][i] for k in range(n)] for i in range(n)]
-        if not _hom_images_ok(A, B, images):
+        if not _hom_ok(A, B, images):
             continue
         if linalg.rank(f, rows) != n:
             continue

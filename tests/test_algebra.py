@@ -1,5 +1,6 @@
 """Algebra construction, the commutative cube law, subspaces, extensions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,10 @@ from jalg import (
     DimensionError,
     Field,
     JalgError,
+    LeftAction,
+    PolyRing,
     QQ,
+    RightAction,
     Subspace,
     bimodule_check,
     dual_action,
@@ -20,8 +24,10 @@ from jalg import (
     subalgebra_check,
     subalgebra_witness,
 )
+from jalg.identities import _bilinear
 
 F5 = Field(5)
+F7 = Field(7)
 half = Fraction(1, 2)
 
 
@@ -246,8 +252,31 @@ def test_induced_subalgebra_rejects_open_span(j17):
         induced_subalgebra(j17, U)
 
 
+def _naive_contraction(ring, tensor, u, v, out_dim):
+    """sum_ijk u_i v_j tensor[i][j][k] e_k with no zero skipping."""
+    out = [ring.zero] * out_dim
+    for i in range(len(u)):
+        for j in range(len(v)):
+            for k in range(out_dim):
+                term = ring.mul(ring.mul(u[i], v[j]), tensor[i][j][k])
+                out[k] = ring.add(out[k], term)
+    return out
+
+
+def _random_scalar(ring, rng):
+    """A sparse random entry: zero half the time."""
+    if rng.random() < 0.5:
+        return ring.zero
+    value = ring.coerce(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    if isinstance(ring, PolyRing):
+        value = ring.add(value, ring.mul(ring.var("t"), ring.coerce(rng.randint(-2, 2))))
+    return value
+
+
 def test_mul_coords_against_direct_contraction(j17):
-    """Cross-check the table contraction on fixed numeric vectors."""
+    """Cross-check the table contraction on fixed numeric vectors, then the
+    one bilinear kernel and every product routed through it against a naive
+    triple sum on random tables over Q, F7 and Q[t]."""
     x = [Fraction(k) for k in (0, 1, 2, 3, 1)]
     y = [Fraction(k) for k in (1, 0, 1, 2, 0)]
     expect = [QQ.zero] * j17.dim
@@ -259,6 +288,39 @@ def test_mul_coords_against_direct_contraction(j17):
             for k in range(j17.dim):
                 expect[k] = QQ.add(expect[k], QQ.mul(c, j17.sc[i][j][k]))
     assert list(j17.mul_coords(x, y)) == expect
+    assert _naive_contraction(QQ, j17.sc, x, y, j17.dim) == expect
+
+    rng = random.Random(20220211)
+    for field, params in ((QQ, ()), (F7, ()), (QQ, ("t",))):
+        ring = PolyRing(field, params) if params else field
+
+        def rand_vec(dim):
+            return [_random_scalar(ring, rng) for _ in range(dim)]
+
+        def rand_tensor(rows, cols, out):
+            return [[rand_vec(out) for _ in range(cols)] for _ in range(rows)]
+
+        for _ in range(15):
+            n, m, out = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            tensor = rand_tensor(n, m, out)
+            u, v = rand_vec(n), rand_vec(m)
+            assert _bilinear(ring, tensor, u, v, out) == _naive_contraction(
+                ring, tensor, u, v, out
+            )
+            # Algebra.mul_coords on a random symmetric table
+            sym = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    sym[i][j] = sym[j][i] = rand_vec(n)
+            V = Algebra(field, [f"x{i}" for i in range(n)], sym, params=params)
+            w = rand_vec(n)
+            assert V.mul_coords(u, w) == _naive_contraction(ring, sym, u, w, n)
+            # both action classes: values in V (right) and in A (left)
+            zero_table = [[[ring.zero] * m] * m] * m
+            A = Algebra(field, [f"a{j}" for j in range(m)], zero_table, params=params)
+            right, left = rand_tensor(n, m, n), rand_tensor(n, m, m)
+            assert RightAction(V, A, right).apply(u, v) == _naive_contraction(ring, right, u, v, n)
+            assert LeftAction(V, A, left).apply(u, v) == _naive_contraction(ring, left, u, v, m)
 
 
 def test_format_table_roundtrip_text(j5):

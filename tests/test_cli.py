@@ -346,3 +346,81 @@ def test_abelian_pairs_census(capsys):
 def test_abelian_pairs_large_guard(capsys):
     code, _, err = run(capsys, "abelian-pairs", "--dim", "3")
     assert code == 2
+
+
+# -- bad input: exit 2 with a one-line message, never a traceback --------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "catalog:J5"],
+        ["mp-check", "catalog:J5-pair"],
+        ["bicross", "catalog:J5-pair"],
+        ["semidirect", "catalog:J7-pair", "--side", "left"],
+        ["factorize", "catalog:J5", "--first", "a,b", "--second", "u,v"],
+        ["canonical-pair", "catalog:J5", "--first", "a,b", "--second", "u,v"],
+        ["iso", "catalog:V1", "catalog:V3"],
+        ["classify2", "catalog:V1"],
+        ["deform-check", "catalog:defmap-pair", "--map", "u: a"],
+        ["deform-enum", "catalog:defmap-pair"],
+        ["complements", "catalog:defmap-pair"],
+        ["catalog", "J5"],
+        ["abelian-pairs", "--dim", "1"],
+    ],
+)
+@pytest.mark.parametrize("field", ["F4", "G7"])
+def test_bad_field_exit_two(capsys, argv, field):
+    code, out, err = run(capsys, *argv, "--field", field)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad field") and err.count("\n") == 1
+
+
+def test_transport_with_vanishing_denominator_exit_two(capsys, tmp_path):
+    path = tmp_path / "f.jalg"
+    path.write_text("field Q\ndim 1\nbasis u\nmult u u = 1/5 u\n")
+    code, _, err = run(capsys, "check", str(path), "--field", "F5")
+    assert code == 2
+    assert "1/5" in err and err.count("\n") == 1
+
+
+def test_map_repeated_label_exit_two(capsys):
+    code, _, err = run(
+        capsys, "deform-check", "catalog:defmap-pair", "--map", "u: a; u: b"
+    )
+    assert code == 2
+    assert "'u'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["iso", "catalog:V1", "catalog:V3", "--field", "F5"],
+        ["deform-enum", "catalog:defmap-pair", "--field", "F5"],
+    ],
+)
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_nonpositive_budget_exit_two(capsys, argv, budget):
+    code, out, err = run(capsys, *argv, "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
+
+
+@pytest.mark.parametrize(
+    "spec, code",
+    [
+        ("u: a + b; v: 2 alpha b", 0),
+        ("u: a + b; v: -1 alpha b", 0),
+        ("u: 2 3 b", 2),  # one number per coefficient
+        ("u: alpha 2 b", 2),  # the number comes before the parameters
+        ("u: a; v:", 2),  # an empty image is written 0
+        ("u: a b", 2),  # terms are joined by + or -
+    ],
+)
+def test_map_uses_the_combination_grammar(capsys, spec, code):
+    got, _, _ = run(
+        capsys, "deform-check", "catalog:defmap-pair", "--map", spec, "--params", "alpha"
+    )
+    assert got == code

@@ -92,6 +92,14 @@ def test_coerce():
     assert F5.coerce(Fraction(1, 2)) == 3  # 1/2 = 3 mod 5
 
 
+def test_coerce_vanishing_denominator_names_the_value():
+    with pytest.raises(JalgError) as exc:
+        F5.coerce(Fraction(3, 10))
+    assert "3/10" in str(exc.value)
+    with pytest.raises(JalgError):
+        QQ.transport(Fraction(1, 5), F5)
+
+
 def test_parse_and_format_q():
     assert QQ.parse("1/2") == Fraction(1, 2)
     assert QQ.parse("-3") == Fraction(-3)

@@ -3,11 +3,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jalg import (
+    Algebra,
     Field,
+    LeftAction,
+    MatchedPair,
     ParseError,
+    PolyRing,
     QQ,
+    RightAction,
     catalog,
     catalog_names,
     load_algebra,
@@ -17,6 +24,8 @@ from jalg import (
     write_algebra,
     write_pair,
 )
+from jalg.cli import _parse_map_flag
+from jalg.fileio import _parse_combination
 
 F5 = Field(5)
 
@@ -293,3 +302,90 @@ def test_load_helpers_name_from_path(tmp_path):
     )
     mp = load_pair(str(pair_path))
     assert mp.A.basis == ("a",)
+
+
+# -- the one combination grammar: fuzzing and round trips --------------------------
+
+COMBO_TOKENS = ["a", "b", "c", "alpha", "0", "1", "-1", "2", "1/2", "-3/4", "1/0",
+                "+", "-", "x", "2.5", "", ";", ":", "=", "#", "mult", "u"]
+combo_text = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(COMBO_TOKENS), max_size=8).map(" ".join),
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(combo_text)
+def test_parse_algebra_fuzz_raises_only_parse_error(text):
+    for body in (text, f"field F5\ndim 3\nbasis a b c\nmult a b = {text}"):
+        try:
+            parse_algebra(body)
+        except ParseError:
+            pass
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(combo_text, st.sampled_from(["u: ", "v:", "u: a; v: ", ""]))
+def test_map_flag_fuzz_raises_only_parse_error(text, prefix):
+    mp = catalog("defmap-pair")
+    try:
+        _parse_map_flag(mp, prefix + text, ("alpha",))
+    except ParseError:
+        pass
+
+
+def test_combination_grammar_edges():
+    ring = PolyRing(QQ, ("alpha",))
+    labels = ("a", "b")
+    alpha = ring.var("alpha")
+    assert _parse_combination(QQ, "0", labels) == [0, 0]
+    assert _parse_combination(QQ, "+ a - 2 b", labels) == [1, -2]
+    assert _parse_combination(QQ, "-1/2 a + 0 b", labels) == [Fraction(-1, 2), 0]
+    got = _parse_combination(QQ, "2 alpha alpha a - alpha b", labels, params=("alpha",))
+    assert got == [alpha * alpha * 2, -alpha]
+    for bad in ("", "a b", "a +", "- - a", "2 3 a", "alpha 2 a", "2", "a + + b", "q"):
+        with pytest.raises(ParseError):
+            _parse_combination(QQ, bad, labels, params=("alpha",))
+
+
+def _scalars(p):
+    if p:
+        return st.integers(0, p - 1)
+    return st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def tables(draw, dim, p):
+    vec = st.lists(_scalars(p), min_size=dim, max_size=dim)
+    table = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            table[i][j] = table[j][i] = draw(vec)
+    return table
+
+
+@st.composite
+def random_pairs(draw):
+    p = draw(st.sampled_from([0, 5, 7, 11]))
+    field = Field(p) if p else QQ
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    A = Algebra(field, [f"a{i}" for i in range(n)], draw(tables(n, p)), name="A")
+    V = Algebra(field, [f"x{i}" for i in range(m)], draw(tables(m, p)), name="V")
+
+    def tensor(out):
+        cell = st.lists(_scalars(p), min_size=out, max_size=out)
+        return draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+
+    return MatchedPair(A, V, RightAction(V, A, tensor(m)), LeftAction(V, A, tensor(n)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(random_pairs())
+def test_write_parse_roundtrip_random_tables(mp):
+    for alg in (mp.A, mp.V):
+        again = parse_algebra(write_algebra(alg))
+        assert again.table_key() == alg.table_key()
+    text = write_pair(mp)
+    again = parse_pair(text)
+    assert again == mp
+    assert write_pair(again) == text
