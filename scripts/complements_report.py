@@ -17,8 +17,9 @@ import sys
 import time
 from dataclasses import dataclass
 
-from jalg import Field, QQ, catalog, factorization_index, iso_search, load_pair, r_deform
+from jalg import JalgError, VerificationError, catalog, factorization_index, iso_search, load_pair, r_deform
 from jalg.catalog import names as catalog_names
+from jalg.fileio import _parse_field
 
 
 @dataclass(frozen=True)
@@ -28,12 +29,8 @@ class ReportConfig:
     as_json: bool = False
 
 
-def parse_field(text: str) -> Field:
-    return QQ if text == "Q" else Field(int(text.lstrip("F")))
-
-
 def load(config: ReportConfig):
-    field = parse_field(config.field)
+    field = _parse_field(config.field)
     if config.pair in catalog_names():
         return catalog(config.pair, field=field)
     return load_pair(config.pair).to_field(field)
@@ -95,7 +92,14 @@ def main(argv=None) -> int:
     parser.add_argument("--field", default="F5", help="base field, e.g. F5, F7")
     parser.add_argument("--json", action="store_true", dest="as_json")
     args = parser.parse_args(argv)
-    return run(ReportConfig(args.pair, args.field, args.as_json))
+    try:
+        return run(ReportConfig(args.pair, args.field, args.as_json))
+    except VerificationError as exc:
+        print(f"failed: {exc}", file=sys.stderr)
+        return 1
+    except (JalgError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

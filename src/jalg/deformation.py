@@ -32,7 +32,7 @@ from .matched_pair import (
     bicross,
     canonical_pair,
 )
-from .morphism import iso_search
+from .morphism import _cap_gl_search, iso_search
 from .poly import PolyRing
 
 
@@ -203,8 +203,10 @@ def _residuals(mp: MatchedPair, r: DeformationMap):
 def deformation_check(mp: MatchedPair, r: DeformationMap) -> DeformationVerdict:
     """r(xy) - r(x)r(y) = x |> r(y) + y |> r(x) - r(x <| r(y) + y <| r(x)).
 
-    Bilinear in (x, y), so checking basis pairs is exact; with parameters
-    the verdict covers every specialization at once.
+    Bilinear in (x, y), so checking basis pairs is exact.  With parameters
+    a PASS holds at every specialization; a FAIL means the identity fails
+    as a polynomial identity in the parameters, which over F_p need not
+    fail at any specialization (alpha^p - alpha vanishes on all of F_p).
     """
     if r.mp is not mp and r.mp != mp:
         raise JalgError("deformation map belongs to a different matched pair")
@@ -413,47 +415,86 @@ class ComplementReport:
 
 
 def _general_linear(f: Field, n: int):
+    """(columns of sigma, rows of sigma^-1) for every invertible n x n
+    matrix sigma, in lexicographic order of its row-major entries."""
     p = f.characteristic
     out = []
     for flat in itertools.product(range(p), repeat=n * n):
         rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-        if linalg.rank(f, [list(r) for r in rows]) != n:
+        inv = linalg.invert(f, rows)
+        if inv is None:
             continue
-        cols = [[rows[k][j] for k in range(n)] for j in range(n)]
-        out.append(LinearMap(f, n, n, cols))
+        out.append((tuple(zip(*rows)), inv))
     return out
+
+
+def _table_key(sc) -> tuple:
+    """The cells (i <= j) of a symmetric multiplication table."""
+    n = len(sc)
+    return tuple(tuple(sc[i][j]) for i in range(n) for j in range(i, n))
+
+
+def _pullback_key(f: Field, sc, sigma, sigma_inv) -> tuple:
+    """Table key of the product x . y = sigma^-1(sigma(x) sigma(y)) that
+    sigma pulls back from the table sc; sigma is then an isomorphism from
+    that product onto sc."""
+    n = len(sc)
+    return tuple(
+        tuple(linalg.mat_vec(f, sigma_inv, _bilinear(f, sc, sigma[i], sigma[j], n)))
+        for i in range(n)
+        for j in range(i, n)
+    )
 
 
 def factorization_index(mp: MatchedPair) -> ComplementReport:
     """Count complements of A in the bicrossed product up to equivalence.
 
-    Every deformation map is enumerated, maps are grouped by the sigma
-    relation, and the grouping is cross-checked against isomorphism of
-    the deformed algebras (the two partitions must coincide).
+    r ~ s through sigma exactly when sigma : V_r -> V_s is an algebra
+    isomorphism, i.e. when sigma pulls the table of V_s back to the table
+    of V_r.  So each new class representative s pulls its table back along
+    every sigma in GL(V), in lexicographic order, once; every later map is
+    placed by a lookup of its own table, with the first such sigma as its
+    witness.  Each witness is re-checked with equiv_check, and the
+    partition is cross-checked against isomorphism of the deformed
+    algebras (the two partitions must coincide).
     """
     f = mp.A.field
     if not f.characteristic:
         raise JalgError("index computation needs a finite field")
+    n = mp.V.dim
+    _cap_gl_search(n, "the sigma search over GL(V)")
     maps = enumerate_deformations(mp)
     deformed = tuple(r_deform(mp, r) for r in maps)
-    gl = _general_linear(f, mp.V.dim)
+    keys = [_table_key(B.sc) for B in deformed]
+    wanted = set(keys)
+    gl = _general_linear(f, n)
     classes: list[list[int]] = []
     witnesses = {}
-    for idx, r in enumerate(maps):
-        placed = False
-        for cls in classes:
-            rep = maps[cls[0]]
-            for sigma in gl:
-                if equiv_check(mp, r, rep, sigma):
-                    cls.append(idx)
-                    witnesses[idx] = sigma
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
-            classes.append([idx])
-            witnesses[idx] = LinearMap.identity(f, mp.V.dim)
+    placed = {}  # table key -> (class number, first sigma pulling the rep back to it)
+    for idx, key in enumerate(keys):
+        hit = placed.get(key)
+        if hit is not None:
+            c, sigma = hit
+            classes[c].append(idx)
+            witnesses[idx] = LinearMap(f, n, n, sigma)
+            continue
+        c = len(classes)
+        classes.append([idx])
+        witnesses[idx] = LinearMap.identity(f, n)
+        rep_sc = deformed[idx].sc
+        for sigma, sigma_inv in gl:
+            pulled = _pullback_key(f, rep_sc, sigma, sigma_inv)
+            if pulled in wanted and pulled not in placed:
+                placed[pulled] = (c, sigma)
+                if len(placed) == len(wanted):
+                    break  # every map's table has its first sigma
+    for cls in classes:
+        rep = maps[cls[0]]
+        for idx in cls:
+            if not equiv_check(mp, maps[idx], rep, witnesses[idx]):
+                raise VerificationError(
+                    "orbit table gave a witness that fails equiv_check"
+                )
     # oracle redundancy: sigma classes must match isomorphism classes
     for cls in classes:
         rep_table = deformed[cls[0]]

@@ -9,9 +9,14 @@ polarizations in characteristic 3.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import FieldMismatchError, JalgError
+
+
+# the README's number syntax: an optionally signed integer or quotient
+_NUMBER = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _is_prime(n: int) -> bool:
@@ -130,8 +135,13 @@ class Field:
         raise JalgError(f"cannot coerce {value!r} into F{self.characteristic}")
 
     def parse(self, text: str):
-        """Parse 'n' or 'n/d' (optionally signed) into a raw value."""
+        """Parse 'n' or 'n/d' (optionally signed) into a raw value.
+
+        Other forms that Fraction would take (0.5, 1e3, 1_000) are rejected
+        before conversion, so no exponent can build a huge integer."""
         text = text.strip()
+        if not _NUMBER.fullmatch(text):
+            raise JalgError(f"bad scalar {text!r} over {self}: expected n or n/d")
         try:
             return self.coerce(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:

@@ -7,6 +7,12 @@ every coordinate of the difference is the zero polynomial.  Over Q this
 is exactly the functional identity; over F_p it is equivalent because
 every axiom here has per-indeterminate degree <= 3 < p.
 
+With declared parameters the parameters stay indeterminates too.  A PASS
+then holds at every specialization; a FAIL means the identity fails as a
+polynomial identity in the parameters.  Over Q some specialization then
+fails, but over F_p it need not: a residual with the factor alpha^p - alpha
+vanishes at every point of F_p.
+
 Tensor conventions (entries are raw field values, or Poly in declared
 parameters for one-parameter families):
 

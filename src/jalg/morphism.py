@@ -10,7 +10,8 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import Algebra, LinearMap, _hom_ok
-from .errors import DimensionError, JalgError
+from .errors import BudgetError, DimensionError, JalgError
+from .identities import _bilinear
 from .matched_pair import MatchedPair
 
 
@@ -273,26 +274,96 @@ def classify_dim2(A: Algebra) -> Dim2Signature:
     return Dim2Signature(span, r1, r2, idem, sqz)
 
 
+# The searches over GL(n, F_p) walk up to p^(n*n) matrices; n = 4 is
+# already 5^16 at the smallest supported field.
+GL_SEARCH_MAX_DIM = 3
+
+
+def _cap_gl_search(n: int, what: str) -> None:
+    """Raise BudgetError, before any enumeration, when a search would walk
+    GL(n, F_p) for n above GL_SEARCH_MAX_DIM."""
+    if n > GL_SEARCH_MAX_DIM:
+        raise BudgetError(f"{what} is capped at dimension {GL_SEARCH_MAX_DIM}")
+
+
+def _element_key(A: Algebra, x) -> tuple:
+    """(tr L_x^k for k = 1..n, rank L_x, x^2 == 0, x^2 == x).
+
+    An isomorphism phi has L_{phi(x)} = phi L_x phi^-1, so phi(x) has the
+    key of x."""
+    f = A.field
+    n = A.dim
+    # column j of L_x is x e_j
+    op = list(zip(*(_bilinear(f, A.sc, x, e, n) for e in linalg.identity(f, n))))
+    traces = []
+    power = op
+    for _ in range(n):
+        traces.append(sum(power[d][d] for d in range(n)) % f.characteristic)
+        power = linalg.mat_mul(f, op, power)
+    sq = _bilinear(f, A.sc, x, x, n)
+    zero = all(f.is_zero(c) for c in sq)
+    return tuple(traces), linalg.rank(f, op), zero, sq == list(x)
+
+
+def _column_tuples(columns, n: int):
+    """Every tuple (c_0, ..., c_{n-1}) with c_i drawn from columns[i] (each
+    sorted lexicographically), in the row-major lexicographic order of the
+    matrix whose columns they are."""
+    # extend[i][prefix]: the values that continue prefix within columns[i]
+    extend = []
+    for cands in columns:
+        table = {}
+        for vec in cands:
+            for k in range(n):
+                vals = table.setdefault(vec[:k], [])
+                if not vals or vals[-1] != vec[k]:
+                    vals.append(vec[k])
+        extend.append(table)
+
+    def rows_from(k, prefixes):
+        if k == n:
+            yield prefixes
+            return
+        choices = [table.get(pre, ()) for table, pre in zip(extend, prefixes)]
+        for row in itertools.product(*choices):
+            yield from rows_from(k + 1, tuple(pre + (v,) for pre, v in zip(prefixes, row)))
+
+    return rows_from(0, ((),) * n)
+
+
 def _exhaustive_fp(A: Algebra, B: Algebra, budget: int | None) -> IsoVerdict:
+    """Scan GL(n, F_p) in row-major lexicographic order for an isomorphism.
+
+    Only matrices whose i-th column shares e_i's element key are tried;
+    the skipped ones cannot be isomorphisms.  The budget counts candidates
+    in the full p^(n*n) order, as if every matrix had been tried."""
     f = A.field
     p = f.characteristic
     n = A.dim
-    if n > 3:
-        raise JalgError("exhaustive search is capped at dimension 3")
-    seen = 0
-    for flat in itertools.product(range(p), repeat=n * n):
-        seen += 1
-        if budget is not None and seen > budget:
-            return IsoVerdict(
-                "unknown", note=f"budget exhausted after {budget} of {p ** (n * n)} candidates"
-            )
-        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-        images = [[rows[k][i] for k in range(n)] for i in range(n)]
+    _cap_gl_search(n, "exhaustive search")
+    total = p ** (n * n)
+    unknown = IsoVerdict(
+        "unknown", note=f"budget exhausted after {budget} of {total} candidates"
+    )
+    buckets: dict[tuple, list] = {}
+    for x in itertools.product(range(p), repeat=n):
+        buckets.setdefault(_element_key(B, x), []).append(x)
+    columns = [buckets.get(_element_key(A, e), []) for e in linalg.identity(f, n)]
+    for images in _column_tuples(columns, n):
+        if budget is not None:
+            index = 0
+            for k in range(n):
+                for col in images:
+                    index = index * p + col[k]
+            if index >= budget:
+                return unknown
         if not _hom_ok(A, B, images):
             continue
-        if linalg.rank(f, rows) != n:
+        if linalg.rank(f, list(zip(*images))) != n:
             continue
         return IsoVerdict("isomorphic", witness=LinearMap(f, n, n, images))
+    if budget is not None and budget < total:
+        return unknown
     return IsoVerdict("non-isomorphic", certificate="exhausted GL over the field")
 
 

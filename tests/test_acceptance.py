@@ -39,6 +39,7 @@ from jalg import (
     r_deform,
     subalgebra_check,
 )
+from slow_oracles import unfiltered_iso_scan
 
 F5 = Field(5)
 
@@ -220,12 +221,13 @@ def test_criterion_08_factorization_index():
     assert matched_targets == set(targets)
 
     # the equivalence partition equals the isomorphism partition, computed
-    # here independently by pairwise iso of the deformed products
+    # here independently by pairwise iso of the deformed products, with the
+    # unfiltered scan of all p^4 matrices rather than the library's search
     deformed = [r_deform(mp, r) for r in report.maps]
     iso_classes: list[list[int]] = []
     for i, B in enumerate(deformed):
         for group in iso_classes:
-            if iso_search(B, deformed[group[0]]).is_isomorphic:
+            if unfiltered_iso_scan(B, deformed[group[0]]).is_isomorphic:
                 group.append(i)
                 break
         else:

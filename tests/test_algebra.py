@@ -340,3 +340,21 @@ def test_dim_zero_algebra_allowed():
     assert Z.dim == 0
     assert Z.is_jordan
     assert Z.zero.coords == ()
+
+
+def test_parametric_fail_is_a_polynomial_identity_failure():
+    """A parametric FAIL means the identity fails as a polynomial in the
+    parameters.  Over F5 the non-Jordan table u u = v, u v = u scaled by
+    alpha^5 - alpha FAILs, though each of the 5 specializations is the
+    zero algebra, which is Jordan."""
+    base = Algebra.from_products(F5, ("u", "v"), {("u", "u"): {"v": 1}, ("u", "v"): {"u": 1}})
+    assert not base.is_jordan
+    alpha = PolyRing(F5, ("alpha",)).var("alpha")
+    c = alpha**5 - alpha
+    A = Algebra.from_products(
+        F5, ("u", "v"), {("u", "u"): {"v": c}, ("u", "v"): {"u": c}}, params=("alpha",)
+    )
+    assert not A.jordan_check().ok
+    for t in range(5):
+        specialized = A.substitute_params({"alpha": t})
+        assert specialized.is_abelian and specialized.is_jordan

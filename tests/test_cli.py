@@ -424,3 +424,23 @@ def test_map_uses_the_combination_grammar(capsys, spec, code):
         capsys, "deform-check", "catalog:defmap-pair", "--map", spec, "--params", "alpha"
     )
     assert got == code
+
+
+@pytest.mark.parametrize("number", ["0.5", "1e3", "1_000", "1e999999999"])
+def test_map_rejects_non_readme_numbers(capsys, number):
+    code, out, err = run(
+        capsys, "deform-check", "catalog:defmap-pair", "--map", f"u: {number} a"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and number in err
+
+
+@pytest.mark.parametrize("number", ["0.5", "1e3", "1_000"])
+def test_file_rejects_non_readme_numbers(capsys, tmp_path, number):
+    path = tmp_path / "bad.jalg"
+    path.write_text(f"field Q\ndim 1\nbasis u\nmult u u = {number} u\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "line 4" in err

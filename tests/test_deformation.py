@@ -5,12 +5,16 @@ from fractions import Fraction
 import pytest
 
 from jalg import (
+    Algebra,
     BudgetError,
     DeformationMap,
     Field,
     JalgError,
+    LeftAction,
     LinearMap,
+    MatchedPair,
     QQ,
+    RightAction,
     Subspace,
     VerificationError,
     bicross,
@@ -266,3 +270,32 @@ def test_representative_tables_match_weighted_catalog():
             if iso_search(B, target).is_isomorphic:
                 matched.add(name)
     assert matched == {"V", "V1", "V2", "V3"}
+
+
+def test_factorization_index_over_f11():
+    """44 maps in four classes over F11, every witness certified."""
+    mp = catalog("defmap-pair", field=Field(11))
+    report = factorization_index(mp)
+    assert report.index == 4
+    assert len(report.maps) == 44
+    assert sorted(len(c) for c in report.classes) == [1, 1, 2, 40]
+    for ci, cls in enumerate(report.classes):
+        rep = report.maps[report.representatives[ci]]
+        for i in cls:
+            assert equiv_check(mp, report.maps[i], rep, report.witnesses[i])
+
+
+def test_factorization_index_caps_gl_dimension_before_enumerating(monkeypatch):
+    """A (1, 4) pair has only 4 map cells, but its sigma search would walk
+    5^16 matrices: BudgetError, raised before any map is enumerated."""
+    A = Algebra.abelian(F5, ("a",))
+    V = Algebra.abelian(F5, ("w", "x", "y", "z"))
+    mp = MatchedPair(A, V, RightAction.zero(V, A), LeftAction.zero(V, A))
+    assert len(enumerate_deformations(mp)) == 5**4
+
+    def fail(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("jalg.deformation.enumerate_deformations", fail)
+    with pytest.raises(BudgetError, match="capped at dimension 3"):
+        factorization_index(mp)

@@ -139,3 +139,12 @@ def test_transport_out_of_prime_field_rejected():
 def test_str_forms():
     assert str(QQ) == "Q"
     assert str(F5) == "F5"
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", "1_000", "1e999999999", ".5", "1/2/3", "1 / 2", "inf", "nan"])
+def test_parse_accepts_only_integers_and_quotients(text):
+    """README: a number is n or n/d, optionally signed; nothing else."""
+    for field in (QQ, F5):
+        with pytest.raises(JalgError, match="expected n or n/d"):
+            field.parse(text)
+    assert QQ.parse("+3/4") == Fraction(3, 4)

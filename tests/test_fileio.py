@@ -389,3 +389,13 @@ def test_write_parse_roundtrip_random_tables(mp):
     again = parse_pair(text)
     assert again == mp
     assert write_pair(again) == text
+
+
+@pytest.mark.parametrize("number", ["0.5", "1e3", "1_000", "1e999999999"])
+def test_parse_rejects_non_readme_numbers(number):
+    """Decimals, exponents and digit separators are not numbers in files."""
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(f"field Q\ndim 1\nbasis u\nmult u u = {number} u")
+    assert exc.value.line == 4
+    with pytest.raises(ParseError):
+        _parse_map_flag(catalog("defmap-pair", field=F5), f"u: {number} a", ())

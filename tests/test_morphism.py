@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from jalg import (
     Algebra,
+    BudgetError,
     Field,
     JalgError,
     LinearMap,
@@ -22,6 +23,8 @@ from jalg import (
     quadruple_check,
     quadruple_to_map,
 )
+from jalg.cli import main
+from jalg.morphism import GL_SEARCH_MAX_DIM
 
 F5 = Field(5)
 
@@ -236,6 +239,19 @@ def test_iso_exhaustive_dim_cap():
     A = Algebra.abelian(F5, ["a", "b", "c", "d"])
     with pytest.raises(JalgError):
         iso_search(A, A, mode="exhaustive-Fp")
+
+
+def test_iso_dim_cap_is_a_budget_error(capsys):
+    """Dimension 4 would scan 5^16 matrices: BudgetError, exit 2 in the CLI."""
+    assert GL_SEARCH_MAX_DIM == 3
+    A = catalog("J5", field=F5)
+    assert A.dim == 4
+    with pytest.raises(BudgetError, match="capped at dimension 3"):
+        iso_search(A, A)
+    assert main(["iso", "catalog:J5", "catalog:J5", "--field", "F5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exhaustive search is capped at dimension 3\n"
 
 
 def test_iso_mode_validation(j5):

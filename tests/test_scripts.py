@@ -1,0 +1,41 @@
+"""Smoke tests of the standalone programs in scripts/, run as subprocesses."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_complements_report_over_f7():
+    done = run_script("complements_report.py", "--field", "F7", "--json")
+    assert done.returncode == 0, done.stderr
+    data = json.loads(done.stdout)
+    assert data["field"] == "F7"
+    assert data["maps"] == 28
+    assert data["index"] == 4
+    assert sorted(c["size"] for c in data["classes"]) == [1, 1, 2, 24]
+
+
+@pytest.mark.parametrize("field", ["F4", "G7", "F7x", "Q"])
+def test_complements_report_bad_field_exits_two(field):
+    done = run_script("complements_report.py", "--field", field)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
