@@ -3,8 +3,9 @@
 
 Enumerates every deformation map over the (finite) base field, groups the
 deformed products into equivalence classes, prints one block per class with
-its representative multiplication table, and cross-checks the partition
-against pairwise isomorphism of the deformed algebras.
+its representative multiplication table.  factorization_index itself
+cross-checks the partition against pairwise isomorphism of the deformed
+algebras; a mismatch raises VerificationError and exits 1.
 
     python3 scripts/complements_report.py
     python3 scripts/complements_report.py --pair J17-pair --field F5
@@ -17,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from jalg import JalgError, VerificationError, catalog, factorization_index, iso_search, load_pair, r_deform
+from jalg import JalgError, VerificationError, catalog, factorization_index, load_pair
 from jalg.catalog import names as catalog_names
 from jalg.fileio import _parse_field
 
@@ -42,15 +43,7 @@ def run(config: ReportConfig) -> int:
     report = factorization_index(mp)
     elapsed = time.perf_counter() - t0
 
-    # independent cross-check: equivalence classes must agree with plain
-    # isomorphism classes of the deformed products
-    deformed = [r_deform(mp, r) for r in report.maps]
-    for cls in report.classes:
-        rep = deformed[cls[0]]
-        for i in cls[1:]:
-            if not iso_search(deformed[i], rep).is_isomorphic:
-                print(f"PARTITION MISMATCH inside class of map {cls[0]}", file=sys.stderr)
-                return 1
+    deformed = report.deformed
 
     if config.as_json:
         payload = {

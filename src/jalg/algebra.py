@@ -81,6 +81,7 @@ class Algebra:
                         f"({self.basis[i]}, {self.basis[j]})"
                     )
         self._jordan: identities.Verdict | None = None
+        self._element_buckets: dict | None = None  # morphism._element_buckets
 
     # -- construction helpers ------------------------------------------------
 

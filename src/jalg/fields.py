@@ -142,10 +142,9 @@ class Field:
         text = text.strip()
         if not _NUMBER.fullmatch(text):
             raise JalgError(f"bad scalar {text!r} over {self}: expected n or n/d")
-        try:
-            return self.coerce(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise JalgError(f"bad scalar {text!r} over {self}: {exc}") from None
+        if "/" in text and int(text.partition("/")[2]) == 0:
+            raise JalgError(f"bad scalar {text!r} over {self}: the denominator is zero")
+        return self.coerce(Fraction(text))
 
     def format(self, a) -> str:
         if self.characteristic == 0:

@@ -1,11 +1,18 @@
 """Symbolic verification of algebra and matched-pair axioms.
 
-Every "for all elements" axiom is decided by generic-element expansion:
-substitute vectors of fresh indeterminates for the quantified elements,
-expand both sides through the structure-constant tensors, and test that
-every coordinate of the difference is the zero polynomial.  Over Q this
-is exactly the functional identity; over F_p it is equivalent because
-every axiom here has per-indeterminate degree <= 3 < p.
+Every "for all elements" axiom is decided on its generic-element
+expansion: substitute vectors of fresh indeterminates for the quantified
+elements, expand both sides through the structure-constant tensors, and
+test that every coordinate of the difference is the zero polynomial.
+Over Q this is exactly the functional identity; over F_p it is equivalent
+because every axiom here has per-indeterminate degree <= 3 < p.
+
+The Jordan identity, the action laws and the bimodule square law are one
+cube law, w (w^2 m) = w^2 (w m).  _cube_law computes each coefficient of
+its expansion directly, one basis triple of w at a time, in plain
+integers, and builds residual polynomials only on a FAIL; it is still a
+proof, as every coefficient is checked.  MP1-MP6 and the linearized
+bimodule law are expanded as polynomials.
 
 With declared parameters the parameters stay indeterminates too.  A PASS
 then holds at every specialization; a FAIL means the identity fails as a
@@ -24,7 +31,9 @@ parameters for one-parameter families):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import JalgError
 from .fields import Field
@@ -50,9 +59,8 @@ class AxiomFailure:
     residual: Poly
 
     def witness(self) -> str:
-        """One offending monomial with its coefficient."""
-        exp = next(iter(self.residual.terms))
-        coeff = self.residual.terms[exp]
+        """The residual's leading monomial, as printed first, with its coefficient."""
+        exp, coeff = self.residual.leading_term()
         ring = self.residual.ring
         mono = Poly(ring, {exp: ring.field.one})
         return f"coefficient {ring.field.format(coeff)} at {mono}"
@@ -93,26 +101,31 @@ def _verdict(failures: list[AxiomFailure], checked) -> Verdict:
 # working ring construction
 
 
+def _generic_names(params, groups) -> tuple[str, ...]:
+    """The parameters plus one name per generic coordinate, checked for clashes."""
+    names = list(params)
+    taken = set(names)
+    if len(taken) != len(names):
+        raise JalgError(f"duplicate parameter names in {params}")
+    for prefix, dim in groups:
+        for i in range(dim):
+            name = f"{prefix}{i}"
+            if name in taken:
+                raise JalgError(f"parameter {name!r} collides with a generic coordinate")
+            taken.add(name)
+            names.append(name)
+    return tuple(names)
+
+
 def generic_ring(field: Field, params, groups):
     """Ring in the parameters plus one indeterminate per generic coordinate.
 
     groups: sequence of (prefix, dim).  Returns (ring, {prefix: vector}).
     """
-    names = list(params)
-    taken = set(names)
-    if len(taken) != len(names):
-        raise JalgError(f"duplicate parameter names in {params}")
-    specs: list[tuple[str, list[str]]] = []
-    for prefix, dim in groups:
-        group = [f"{prefix}{i}" for i in range(dim)]
-        for name in group:
-            if name in taken:
-                raise JalgError(f"parameter {name!r} collides with a generic coordinate")
-            taken.add(name)
-        names.extend(group)
-        specs.append((prefix, group))
-    ring = PolyRing(field, tuple(names))
-    vectors = {prefix: [ring.var(n) for n in group] for prefix, group in specs}
+    ring = PolyRing(field, _generic_names(params, groups))
+    vectors = {
+        prefix: [ring.var(f"{prefix}{i}") for i in range(dim)] for prefix, dim in groups
+    }
     return ring, vectors
 
 
@@ -168,24 +181,166 @@ def _collect(failures, axiom, space, residual_vec, stop_early) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the cube law, coefficient by coefficient
+
+
+def _lift(field: Field, params, mul, act):
+    """mul and act in the cube-law loops' arithmetic, as sparse tensors
+    t[r][l] = [(o, entry), ...] over the nonzero entries.
+
+    Returns (mul, act, nonzero, decode).  Over F_p entries stay ints and are
+    reduced only by nonzero and decode.  Over Q both tensors are scaled by
+    D, the lcm of all denominators, so the loops run in ints; the cube law
+    is cubic in the entries, so an accumulated coefficient is D^3 times the
+    true one.  With parameters the entries are Poly in them.
+    """
+    if params:
+        ring = PolyRing(field, params)
+        coerce, nonzero, decode = ring.coerce, (lambda v: v.terms), (lambda v: v)
+    elif field.characteristic:
+        p = field.characteristic
+        coerce, nonzero, decode = field.coerce, (lambda v: v % p), (lambda v: v % p)
+    else:  # Q: decode is set once the scale is known
+        coerce, nonzero = field.coerce, bool
+
+    def sparse_cell(cell):
+        out = []
+        for o, c in enumerate(cell):
+            if c != 0:  # most entries are zero: coerce only the others
+                v = coerce(c)
+                if nonzero(v):
+                    out.append((o, v))
+        return out
+
+    tensors = [mul] if act is mul else [mul, act]
+    sparse = [[[sparse_cell(cell) for cell in row] for row in t] for t in tensors]
+    if not params and not field.characteristic:
+        scale = math.lcm(*(c.denominator for t in sparse for row in t for cell in row for _, c in cell))
+        sparse = [
+            [[[(o, c.numerator * (scale // c.denominator)) for o, c in cell] for cell in row] for row in t]
+            for t in sparse
+        ]
+        cube = scale**3
+
+        def decode(v):
+            return Fraction(v, cube)
+
+    return sparse[0], sparse[-1], nonzero, decode
+
+
+def _operator(cols, m: int):
+    """An m x m operator as its sparse columns [(row, entry), ...] and the
+    flat list (l * m, row, entry) of its entries, column by column."""
+    return cols, [(l * m, o, v) for l, col in enumerate(cols) for o, v in col]
+
+
+def _cube_law(field: Field, mul, act, params, groups, axiom: str, space: str, stop_early=False):
+    """Failures of the cube law w (w^2 m) = w^2 (w m), one coefficient at a time.
+
+    mul is the (symmetric) table of the acting algebra and act[r][l] the
+    coordinates of e_r acting on m_l; the Jordan identity is act = mul.
+    The first of groups names the generic acting element w, the last the
+    generic module element m (see generic_ring).
+
+    Write S_r for the operator of e_r and U_pq = sum_t mul[p][q][t] S_t for
+    that of e_p e_q.  The coefficient of w_i w_j w_k m_l in coordinate o is
+    entry (o, l) of the sum, over the distinct r in {i, j, k}, of
+    [S_r, U_pq] with {p, q} the other two indices, weighted 2 when p != q.
+    That is term for term the generic expansion's polynomial, so the law
+    holds iff every coefficient is 0, over Q and F_p alike.  Each
+    commutator belongs to one monomial: it is computed and dropped.  Only
+    on a FAIL are the residual polynomials built, in the ring of
+    generic_ring(field, params, groups).
+    """
+    names = _generic_names(params, groups)
+    n = len(mul)
+    m = len(act[0]) if n else 0
+    mul_s, act_s, nonzero, decode = _lift(field, params, mul, act)
+    S = [_operator(cols, m) for cols in act_s]
+    U = {}
+    for p in range(n):
+        for q in range(p, n):
+            terms = [(S[t][0], c) for t, c in mul_s[p][q]]
+            if not terms:
+                continue
+            cols = []
+            for l in range(m):
+                col: dict = {}
+                for St, c in terms:
+                    for o, v in St[l]:
+                        col[o] = col.get(o, 0) + c * v
+                cols.append([(o, v) for o, v in col.items() if nonzero(v)])
+            op = _operator(cols, m)
+            if op[1]:
+                U[p, q] = op
+    bad: dict[int, dict] = {}  # coordinate -> {(i, j, k, l): accumulated value}
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                if i == k:
+                    parts = ((i, i, i, 1),)
+                elif i == j:
+                    parts = ((i, i, k, 2), (k, i, i, 1))
+                elif j == k:
+                    parts = ((i, j, j, 1), (j, i, j, 2))
+                else:
+                    parts = ((i, j, k, 2), (j, i, k, 2), (k, i, j, 2))
+                acc: dict = {}
+                for r, p, q, w in parts:
+                    op = U.get((p, q))
+                    if op is None:
+                        continue
+                    s_cols, s_flat = S[r]
+                    u_cols, u_flat = op
+                    for lm, s, u in u_flat:  # + S_r U_pq
+                        wu = w * u
+                        for o, v in s_cols[s]:
+                            acc[lm + o] = acc.get(lm + o, 0) + wu * v
+                    for lm, s, v in s_flat:  # - U_pq S_r
+                        wv = w * v
+                        for o, u in u_cols[s]:
+                            acc[lm + o] = acc.get(lm + o, 0) - wv * u
+                if any(map(nonzero, acc.values())):
+                    for key, c in acc.items():
+                        if nonzero(c):
+                            l, o = divmod(key, m)
+                            bad.setdefault(o, {})[i, j, k, l] = c
+    if not bad:
+        return []
+    ring = PolyRing(field, names)
+    acting, module = groups[0][0], groups[-1][0]
+    wpos = [ring._index[f"{acting}{i}"] for i in range(n)]
+    mpos = [ring._index[f"{module}{l}"] for l in range(m)]
+    failures = []
+    for o in sorted(bad):
+        terms = {}
+        for (i, j, k, l), c in bad[o].items():
+            exp = [0] * len(names)
+            for t in (i, j, k):
+                exp[wpos[t]] += 1
+            exp[mpos[l]] = 1
+            if params:
+                for pexp, pc in decode(c).embed(ring).terms.items():
+                    terms[tuple(a + b for a, b in zip(exp, pexp))] = pc
+            else:
+                terms[tuple(exp)] = decode(c)
+        failures.append(AxiomFailure(axiom, space, o, Poly(ring, terms)))
+        if stop_early:
+            break
+    return failures
+
+
+# ---------------------------------------------------------------------------
 # single-algebra axioms
 
 
 def jordan_verdict(field: Field, mul, params=(), stop_early: bool = False) -> Verdict:
-    """(a^2 b) a = a^2 (b a) with generic a, b."""
+    """(a^2 b) a = a^2 (b a) with generic a, b: the cube law of A acting on itself."""
     dim = len(mul)
-    ring, gen = generic_ring(field, params, [("a", dim), ("b", dim)])
-    t = _embed2(ring, mul)
-    a, b = gen["a"], gen["b"]
-
-    def M(u, v):
-        return _bilinear(ring, t, u, v, dim)
-
-    a2 = M(a, a)
-    residual = _vsub(M(M(a2, b), a), M(a2, M(b, a)))
-    failures: list[AxiomFailure] = []
-    _collect(failures, "jordan", "A", residual, stop_early)
-    return _verdict(failures, ["jordan"])
+    groups = [("a", dim), ("b", dim)]
+    return _verdict(
+        _cube_law(field, mul, mul, params, groups, "jordan", "A", stop_early), ["jordan"]
+    )
 
 
 def action_law_verdict(
@@ -206,21 +361,8 @@ def action_law_verdict(
     """
     dim_w = len(mul_acting)
     dim_m = len(act[0]) if dim_w else 0
-    ring, gen = generic_ring(
-        field, params, [(acting_prefix, dim_w), (module_prefix, dim_m)]
-    )
-    mul_t = _embed2(ring, mul_acting)
-    act_t = _embed2(ring, act)
-    w, m = gen[acting_prefix], gen[module_prefix]
-
-    def S(u, v):
-        return _bilinear(ring, act_t, u, v, dim_m)
-
-    w2 = _bilinear(ring, mul_t, w, w, dim_w)
-    residual = _vsub(S(w, S(w2, m)), S(w2, S(w, m)))
-    failures: list[AxiomFailure] = []
-    _collect(failures, axiom, "M", residual, False)
-    return _verdict(failures, [axiom])
+    groups = [(acting_prefix, dim_w), (module_prefix, dim_m)]
+    return _verdict(_cube_law(field, mul_acting, act, params, groups, axiom, "M"), [axiom])
 
 
 def bimodule_verdict(field: Field, mul, act, params=()) -> Verdict:
@@ -230,10 +372,13 @@ def bimodule_verdict(field: Field, mul, act, params=()) -> Verdict:
     stored).  Checked here:
       square law   a (a^2 m) = a^2 (a m)
       linearized   (a^2 b) m - a^2 (b m) = 2 [ (ab)(am) - a (b (am)) ]
+    The square law is the cube law; the linearized law is expanded.
     """
     dim = len(mul)
     dim_m = len(act[0]) if dim else 0
-    ring, gen = generic_ring(field, params, [("a", dim), ("b", dim), ("m", dim_m)])
+    groups = [("a", dim), ("b", dim), ("m", dim_m)]
+    failures = _cube_law(field, mul, act, params, groups, "bim-square", "M")
+    ring, gen = generic_ring(field, params, groups)
     mul_t = _embed2(ring, mul)
     act_t = _embed2(ring, act)
     a, b, m = gen["a"], gen["b"], gen["m"]
@@ -245,10 +390,7 @@ def bimodule_verdict(field: Field, mul, act, params=()) -> Verdict:
     def S(u, v):
         return _bilinear(ring, act_t, u, v, dim_m)
 
-    failures: list[AxiomFailure] = []
     a2 = M(a, a)
-    square = _vsub(S(a, S(a2, m)), S(a2, S(a, m)))
-    _collect(failures, "bim-square", "M", square, False)
     am = S(a, m)
     lhs = _vsub(S(M(a2, b), m), S(a2, S(b, m)))
     rhs = _vscale(_vsub(S(M(a, b), am), S(a, S(b, am))), two)

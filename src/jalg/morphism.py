@@ -305,6 +305,17 @@ def _element_key(A: Algebra, x) -> tuple:
     return tuple(traces), linalg.rank(f, op), zero, sq == list(x)
 
 
+def _element_buckets(B: Algebra) -> dict:
+    """B's p^n elements grouped by _element_key, in lexicographic order
+    within each group; computed once per Algebra instance."""
+    if B._element_buckets is None:
+        buckets: dict[tuple, list] = {}
+        for x in itertools.product(range(B.field.characteristic), repeat=B.dim):
+            buckets.setdefault(_element_key(B, x), []).append(x)
+        B._element_buckets = buckets
+    return B._element_buckets
+
+
 def _column_tuples(columns, n: int):
     """Every tuple (c_0, ..., c_{n-1}) with c_i drawn from columns[i] (each
     sorted lexicographically), in the row-major lexicographic order of the
@@ -345,9 +356,7 @@ def _exhaustive_fp(A: Algebra, B: Algebra, budget: int | None) -> IsoVerdict:
     unknown = IsoVerdict(
         "unknown", note=f"budget exhausted after {budget} of {total} candidates"
     )
-    buckets: dict[tuple, list] = {}
-    for x in itertools.product(range(p), repeat=n):
-        buckets.setdefault(_element_key(B, x), []).append(x)
+    buckets = _element_buckets(B)
     columns = [buckets.get(_element_key(A, e), []) for e in linalg.identity(f, n)]
     for images in _column_tuples(columns, n):
         if budget is not None:

@@ -2,9 +2,10 @@
 
 Used in two roles:
 
-* generic-element verification: algebra axioms are checked by expanding
+* generic-element verification: the pair axioms are checked by expanding
   products of generic elements (coordinates become indeterminates) and
   testing that every coefficient of the resulting polynomial vanishes;
+  the cube law builds such polynomials only to report a failure;
 * parametric structure constants: one-parameter families of algebras and
   deformation maps keep symbolic entries like ``alpha`` or ``1 - 2*alpha``.
 
@@ -16,6 +17,12 @@ from __future__ import annotations
 
 from .errors import FieldMismatchError, JalgError
 from .fields import Field
+
+
+def _display_key(exp: tuple) -> tuple:
+    """Term order of Poly.__str__: higher total degree first, then larger
+    exponents earlier in the ring's name order."""
+    return (-sum(exp), tuple(-x for x in exp))
 
 
 class PolyRing:
@@ -203,6 +210,11 @@ class Poly:
                 return c
         raise JalgError(f"{self} is not constant")
 
+    def leading_term(self) -> tuple:
+        """(exponent tuple, raw coefficient) of the term __str__ prints first."""
+        exp = min(self.terms, key=_display_key)
+        return exp, self.terms[exp]
+
     def coefficient(self, assignment: dict[str, int]):
         """Raw coefficient of the monomial given as {name: exponent}."""
         exp = [0] * len(self.ring.names)
@@ -266,7 +278,7 @@ class Poly:
         f = self.ring.field
         names = self.ring.names
         parts = []
-        for exp in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
+        for exp in sorted(self.terms, key=_display_key):
             c = self.terms[exp]
             mono = "*".join(
                 name if e == 1 else f"{name}^{e}"

@@ -1,9 +1,11 @@
-"""Slow, independent oracles for the fast search paths.
+"""Slow, independent oracles for the fast paths.
 
-Each is the plain brute-force procedure: a sigma loop over GL(V) for the
+Each is the plain procedure the fast path replaced: generic-element
+expansion of the cube law (the Jordan identity, the action laws and the
+bimodule square law) as polynomials, a sigma loop over GL(V) for the
 factorization index, and an unfiltered scan of all p^(n*n) matrices for
-`iso_search` over F_p.  The tests compare the library's searches with
-them, so neither fast path is its own judge.
+`iso_search` over F_p.  The tests compare the library with them, so no
+fast path is its own judge.
 """
 
 import itertools
@@ -11,7 +13,81 @@ import itertools
 from jalg import LinearMap, equiv_check
 from jalg import linalg
 from jalg.algebra import _hom_ok
+from jalg.identities import (
+    _bilinear,
+    _collect,
+    _embed2,
+    _verdict,
+    _vscale,
+    _vsub,
+    generic_ring,
+)
 from jalg.morphism import IsoVerdict
+
+
+def jordan_verdict(field, mul, params=(), stop_early=False):
+    """(a^2 b) a = a^2 (b a), expanded with generic a, b."""
+    dim = len(mul)
+    ring, gen = generic_ring(field, params, [("a", dim), ("b", dim)])
+    t = _embed2(ring, mul)
+    a, b = gen["a"], gen["b"]
+
+    def M(u, v):
+        return _bilinear(ring, t, u, v, dim)
+
+    a2 = M(a, a)
+    residual = _vsub(M(M(a2, b), a), M(a2, M(b, a)))
+    failures = []
+    _collect(failures, "jordan", "A", residual, stop_early)
+    return _verdict(failures, ["jordan"])
+
+
+def action_law_verdict(
+    field, mul_acting, act, params=(), acting_prefix="x", module_prefix="m", axiom="action-law"
+):
+    """w (w^2 m) = w^2 (w m), expanded with generic w and m."""
+    dim_w = len(mul_acting)
+    dim_m = len(act[0]) if dim_w else 0
+    ring, gen = generic_ring(field, params, [(acting_prefix, dim_w), (module_prefix, dim_m)])
+    mul_t = _embed2(ring, mul_acting)
+    act_t = _embed2(ring, act)
+    w, m = gen[acting_prefix], gen[module_prefix]
+
+    def S(u, v):
+        return _bilinear(ring, act_t, u, v, dim_m)
+
+    w2 = _bilinear(ring, mul_t, w, w, dim_w)
+    residual = _vsub(S(w, S(w2, m)), S(w2, S(w, m)))
+    failures = []
+    _collect(failures, axiom, "M", residual, False)
+    return _verdict(failures, [axiom])
+
+
+def bimodule_verdict(field, mul, act, params=()):
+    """The bimodule square and linearized laws, both expanded."""
+    dim = len(mul)
+    dim_m = len(act[0]) if dim else 0
+    ring, gen = generic_ring(field, params, [("a", dim), ("b", dim), ("m", dim_m)])
+    mul_t = _embed2(ring, mul)
+    act_t = _embed2(ring, act)
+    a, b, m = gen["a"], gen["b"], gen["m"]
+    two = field.coerce(2)
+
+    def M(u, v):
+        return _bilinear(ring, mul_t, u, v, dim)
+
+    def S(u, v):
+        return _bilinear(ring, act_t, u, v, dim_m)
+
+    failures = []
+    a2 = M(a, a)
+    square = _vsub(S(a, S(a2, m)), S(a2, S(a, m)))
+    _collect(failures, "bim-square", "M", square, False)
+    am = S(a, m)
+    lhs = _vsub(S(M(a2, b), m), S(a2, S(b, m)))
+    rhs = _vscale(_vsub(S(M(a, b), am), S(a, S(b, am))), two)
+    _collect(failures, "bim-linear", "M", _vsub(lhs, rhs), False)
+    return _verdict(failures, ["bim-square", "bim-linear"])
 
 
 def general_linear(f, n):

@@ -385,6 +385,16 @@ def test_transport_with_vanishing_denominator_exit_two(capsys, tmp_path):
     assert "1/5" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field", ["Q", "F7"])
+def test_zero_denominator_exit_two(capsys, tmp_path, field):
+    path = tmp_path / "f.jalg"
+    path.write_text(f"field {field}\ndim 1\nbasis u\nmult u u = 1/0 u\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert "'1/0'" in err and err.count("\n") == 1
+
+
 def test_map_repeated_label_exit_two(capsys):
     code, _, err = run(
         capsys, "deform-check", "catalog:defmap-pair", "--map", "u: a; u: b"

@@ -1,0 +1,259 @@
+"""The cube-law kernel against generic-element expansion (tests/slow_oracles.py).
+
+jordan_verdict, action_law_verdict and the square law of bimodule_verdict
+decide the cube law coefficient by coefficient.  The oracles expand the
+same identities as polynomials in generic coordinates.  Both must give
+equal Verdicts, equal describe() text and equal witnesses, PASS or FAIL,
+over Q, F_p and with a parameter.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from jalg import (
+    Algebra,
+    Bimodule,
+    Field,
+    JalgError,
+    LeftAction,
+    LinearMap,
+    MatchedPair,
+    PolyRing,
+    QQ,
+    RightAction,
+    catalog,
+    identities,
+)
+import slow_oracles as oracle
+
+FIELDS = {"Q": QQ, "F5": Field(5), "F7": Field(7), "F11": Field(11)}
+
+
+def _same(fast, slow):
+    assert fast == slow
+    assert fast.describe() == slow.describe()
+    assert [f.witness() for f in fast.failures] == [f.witness() for f in slow.failures]
+
+
+def _scalar(rng, f):
+    if f.characteristic:
+        return rng.randrange(f.characteristic)
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _random_table(rng, f, n, zero_probability):
+    """A symmetric n-dim table with random entries: almost never Jordan."""
+    sc = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            cell = [f.zero if rng.random() < zero_probability else f.coerce(_scalar(rng, f)) for _ in range(n)]
+            sc[i][j] = sc[j][i] = cell
+    return sc
+
+
+def _symmetric(sc):
+    n = len(sc)
+    return [[sc[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def _direct_sum(f, tables):
+    n = sum(len(t) for t in tables)
+    sc = [[[f.zero] * n for _ in range(n)] for _ in range(n)]
+    off = 0
+    for t in tables:
+        d = len(t)
+        for i in range(d):
+            for j in range(d):
+                sc[off + i][off + j][off : off + d] = list(t[i][j])
+        off += d
+    return sc
+
+
+def _jordan_table(rng, f, n):
+    """A Jordan table of dimension n, from the catalog or built up."""
+    if n == 1:
+        return [[[f.coerce(_scalar(rng, f))]]]
+    by_dim = {2: ("V1", "V2", "V3", "A2"), 4: ("J5", "defmap-J"), 5: ("J7", "J17")}
+    if n in by_dim:
+        return [list(row) for row in catalog(rng.choice(by_dim[n]), field=f).sc]
+    return _direct_sum(f, [_jordan_table(rng, f, 2), _jordan_table(rng, f, n - 2)])
+
+
+def _basis_change(rng, f, n, dense):
+    """An invertible matrix: dense, or a scaled permutation (keeps sparsity)."""
+    while True:
+        if dense:
+            cols = [[f.coerce(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        else:
+            perm = rng.sample(range(n), n)
+            cols = [[f.coerce(rng.randint(1, 3)) if k == perm[i] else f.zero for k in range(n)] for i in range(n)]
+        P = LinearMap(f, n, n, cols)
+        if P.is_invertible():
+            return P
+
+
+def _rebase(f, sc, P):
+    """The table of the same algebra on the basis given by P's columns."""
+    A = Algebra(f, tuple(f"e{i}" for i in range(len(sc))), sc)
+    back = P.inverse()
+    n = A.dim
+    return [[back.apply(A.mul_coords(list(P.cols[i]), list(P.cols[j]))) for j in range(n)] for i in range(n)]
+
+
+def _perturbed(rng, f, sc):
+    n = len(sc)
+    out = [[list(cell) for cell in row] for row in sc]
+    i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    out[i][j][k] = out[j][i][k] = f.add(out[i][j][k], f.one)
+    return out
+
+
+def _cases(name):
+    """(label, table) over one field: for each dim 1-5, a sparse and a dense
+    rebasing of a Jordan table, a perturbed copy of the dense one, and a
+    sparse and a dense random table."""
+    f = FIELDS[name]
+    rng = random.Random(name)
+    out = []
+    for n in range(1, 6):
+        base = _jordan_table(rng, f, n)
+        sparse = _rebase(f, base, _basis_change(rng, f, n, dense=False))
+        dense = _rebase(f, base, _basis_change(rng, f, n, dense=True))
+        out += [
+            (f"{n}-sparse-jordan", sparse),
+            (f"{n}-dense-jordan", dense),
+            (f"{n}-dense-perturbed", _perturbed(rng, f, dense)),
+            (f"{n}-sparse-random", _random_table(rng, f, n, 0.7)),
+            (f"{n}-dense-random", _random_table(rng, f, n, 0.0)),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_jordan_matches_expansion(name):
+    f = FIELDS[name]
+    outcomes = set()
+    for label, sc in _cases(name):
+        fast = identities.jordan_verdict(f, sc)
+        _same(fast, oracle.jordan_verdict(f, sc))
+        if label.endswith("jordan"):
+            assert fast.ok, label
+        outcomes.add(fast.ok)
+        if not fast.ok:
+            early = identities.jordan_verdict(f, sc, stop_early=True)
+            _same(early, oracle.jordan_verdict(f, sc, stop_early=True))
+            assert early.failures == fast.failures[:1]
+    assert outcomes == {True, False}
+
+
+def _action_verdicts(action):
+    """The action law of one side, through the kernel (action.check) and
+    the oracle, with the tensors and prefixes that action.check uses."""
+    mp_acting = action._acting
+    if action._side == "right":
+        act = [[action.tensor[x][a] for x in range(action.V.dim)] for a in range(action.A.dim)]
+        prefixes = ("a", "x")
+    else:
+        act, prefixes = action.tensor, ("x", "a")
+    slow = oracle.action_law_verdict(
+        mp_acting.field,
+        mp_acting.sc,
+        act,
+        mp_acting.params,
+        acting_prefix=prefixes[0],
+        module_prefix=prefixes[1],
+        axiom=f"{action._side}-action",
+    )
+    return action.check(), slow
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_action_laws_match_expansion_on_both_sides(name):
+    f = FIELDS[name]
+    rng = random.Random("actions-" + name)
+    pairs = [catalog(n, field=f) for n in ("defmap-pair", "J5-pair", "J7-pair", "J17-pair")]
+    for na, nv in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3)):
+        A = Algebra(f, tuple(f"a{i}" for i in range(na)), _jordan_table(rng, f, na))
+        V = Algebra(f, tuple(f"x{i}" for i in range(nv)), _jordan_table(rng, f, nv))
+        right = [[[f.coerce(_scalar(rng, f)) for _ in range(nv)] for _ in range(na)] for _ in range(nv)]
+        left = [[[f.coerce(_scalar(rng, f)) for _ in range(na)] for _ in range(na)] for _ in range(nv)]
+        pairs.append(MatchedPair(A, V, RightAction(V, A, right), LeftAction(V, A, left)))
+    outcomes = set()
+    for mp in pairs:
+        for action in (mp.right, mp.left):
+            fast, slow = _action_verdicts(action)
+            _same(fast, slow)
+            outcomes.add(fast.ok)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", ("Q", "F7"))
+def test_bimodule_matches_expansion(name):
+    f = FIELDS[name]
+    rng = random.Random("bimodule-" + name)
+    outcomes = set()
+    for n in (1, 2, 3, 4):
+        A = Algebra(f, tuple(f"e{i}" for i in range(n)), _jordan_table(rng, f, n))
+        m = rng.randint(1, 3)
+        random_act = [[[f.coerce(_scalar(rng, f)) for _ in range(m)] for _ in range(m)] for _ in range(n)]
+        for M in (Bimodule.regular(A), Bimodule(A, m, random_act)):
+            fast = identities.bimodule_verdict(f, A.sc, M.act)
+            _same(fast, oracle.bimodule_verdict(f, A.sc, M.act))
+            outcomes.add("bim-square" in fast.failed_axioms())
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", ("Q", "F5"))
+def test_parametric_tables_match_expansion(name):
+    """Entries in Q[alpha] and F5[alpha]: a Jordan table scaled by a
+    polynomial stays Jordan (the law is cubic in the entries); random
+    polynomial entries fail; over F5, alpha^5 - alpha times a non-Jordan
+    table fails as a polynomial identity."""
+    f = FIELDS[name]
+    ring = PolyRing(f, ("alpha",))
+    alpha = ring.var("alpha")
+    rng = random.Random("param-" + name)
+    scales = [alpha, 1 - 2 * alpha, alpha * alpha + 3]
+    if f.characteristic == 5:
+        scales.append(alpha**5 - alpha)
+    tables = []
+    for n in (1, 2, 3):
+        base = _jordan_table(rng, f, n)
+        bad = _random_table(rng, f, n, 0.3)
+        for c in scales:
+            tables.append([[[c * e for e in cell] for cell in row] for row in base])
+            tables.append([[[c * e for e in cell] for cell in row] for row in bad])
+        tables.append(
+            _symmetric([[[alpha * e + _scalar(rng, f) for e in cell] for cell in row] for row in bad])
+        )
+    outcomes = set()
+    for sc in tables:
+        fast = identities.jordan_verdict(f, sc, ("alpha",))
+        _same(fast, oracle.jordan_verdict(f, sc, ("alpha",)))
+        outcomes.add(fast.ok)
+        act = [[[c * alpha for c in cell] for cell in row] for row in _random_table(rng, f, len(sc), 0.5)]
+        _same(
+            identities.action_law_verdict(f, sc, act, ("alpha",)),
+            oracle.action_law_verdict(f, sc, act, ("alpha",)),
+        )
+    assert outcomes == {True, False}
+
+
+def test_witness_is_the_first_printed_term():
+    """witness() does not depend on the order the residual was built in."""
+    ring = PolyRing(QQ, ("a0", "b0"))
+    a, b = ring.var("a0"), ring.var("b0")
+    low_first = b + 3 * a * a * b
+    high_first = 3 * a * a * b + b
+    assert list(low_first.terms) != list(high_first.terms)
+    for residual in (low_first, high_first):
+        failure = identities.AxiomFailure("jordan", "A", 0, residual)
+        assert failure.witness() == "coefficient 3 at a0^2*b0"
+        assert str(residual).startswith("3*a0^2*b0")
+
+
+def test_parameter_clash_is_still_an_error():
+    with pytest.raises(JalgError):
+        identities.jordan_verdict(QQ, [[[QQ.one]]], ("a0",))

@@ -119,6 +119,14 @@ def test_parse_and_format_f5():
         F5.parse("1/5")  # denominator vanishes mod 5
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/00"])
+def test_parse_zero_denominator_says_so(text):
+    for field in (QQ, F5, F7):
+        with pytest.raises(JalgError) as exc:
+            field.parse(text)
+        assert str(exc.value) == f"bad scalar {text!r} over {field}: the denominator is zero"
+
+
 def test_transport_q_to_fp():
     assert QQ.transport(Fraction(1, 2), F5) == 3
     assert QQ.transport(Fraction(1, 2), F7) == 4

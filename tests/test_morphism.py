@@ -254,6 +254,21 @@ def test_iso_dim_cap_is_a_budget_error(capsys):
     assert captured.err == "error: exhaustive search is capped at dimension 3\n"
 
 
+def test_element_buckets_are_computed_once_per_algebra():
+    """The target's p^n elements are bucketed on its first search and the
+    buckets are kept on that Algebra instance, not shared between tables."""
+    B = Algebra.from_products(F5, ("u", "v"), {("u", "u"): {"u": 1}})
+    assert B._element_buckets is None
+    first = iso_search(catalog("V1", field=F5), B, "exhaustive-Fp")
+    buckets = B._element_buckets
+    assert sum(len(xs) for xs in buckets.values()) == 25
+    again = iso_search(catalog("V1", field=F5), B, "exhaustive-Fp")
+    assert B._element_buckets is buckets
+    assert again == first
+    same_table = Algebra(F5, B.basis, B.sc)
+    assert same_table._element_buckets is None
+
+
 def test_iso_mode_validation(j5):
     with pytest.raises(JalgError):
         iso_search(j5, j5, mode="guess")
