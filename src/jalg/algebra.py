@@ -380,18 +380,25 @@ def hom_check(f: LinearMap, A: Algebra, B: Algebra) -> bool:
 def _hom_ok(A: Algebra, B: Algebra, images) -> bool:
     """hom_check on raw images (images[i] = B-coordinates of the image of
     e_i), without building a LinearMap; search loops call this directly."""
-    f = A.field
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            lhs = [f.zero] * B.dim
-            for k, c in enumerate(A.sc[i][j]):
+    return next(_hom_mismatches(A.field, A.sc, B.sc, images), None) is None
+
+
+def _hom_mismatches(f: Field, sc, sc2, images):
+    """The one homomorphism residual: yield (i, j, lhs, rhs) for each basis
+    pair i <= j of the table `sc` where lhs = image of e_i e_j differs from
+    rhs = (image of e_i)(image of e_j) in the table `sc2`."""
+    out_dim = len(sc2)
+    for i in range(len(sc)):
+        for j in range(i, len(sc)):
+            lhs = [f.zero] * out_dim
+            for k, c in enumerate(sc[i][j]):
                 if f.is_zero(c):
                     continue
-                for d in range(B.dim):
+                for d in range(out_dim):
                     lhs[d] = f.add(lhs[d], f.mul(c, images[k][d]))
-            if lhs != _bilinear(f, B.sc, images[i], images[j], B.dim):
-                return False
-    return True
+            rhs = _bilinear(f, sc2, images[i], images[j], out_dim)
+            if lhs != rhs:
+                yield i, j, lhs, rhs
 
 
 class Subspace:
@@ -405,8 +412,9 @@ class Subspace:
         for r in rows:
             if len(r) != ambient.dim:
                 raise DimensionError("vector length does not match ambient dimension")
-        reduced, _ = linalg.rref(ambient.field, rows)
+        reduced, pivots = linalg.rref(ambient.field, rows)
         self.rows = tuple(tuple(r) for r in reduced)
+        self._pivots = tuple(pivots)
 
     @classmethod
     def span_of_labels(cls, ambient: Algebra, labels) -> "Subspace":
@@ -423,10 +431,26 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, coords) -> bool:
-        return linalg.express(self.ambient.field, list(self.rows), list(coords)) is not None
+        return self.coordinates(coords) is not None
 
     def coordinates(self, coords):
-        return linalg.express(self.ambient.field, list(self.rows), list(coords))
+        """Coefficients of coords on the rows, or None if outside the span.
+
+        Row k of the RREF is 1 at its pivot and 0 at the other pivots, so
+        the k-th coefficient is the pivot entry of coords; coords lies in
+        the span iff nothing remains after subtracting the combination."""
+        f = self.ambient.field
+        if len(coords) != self.ambient.dim:
+            raise DimensionError("vector length does not match ambient dimension")
+        rest = [f.coerce(c) for c in coords]
+        coeffs = [rest[p] for p in self._pivots]
+        for c, row in zip(coeffs, self.rows):
+            if f.is_zero(c):
+                continue
+            for t, x in enumerate(row):
+                if not f.is_zero(x):
+                    rest[t] = f.sub(rest[t], f.mul(c, x))
+        return coeffs if all(f.is_zero(x) for x in rest) else None
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)

@@ -31,7 +31,7 @@ import os
 
 from .algebra import Algebra, format_combination
 from .errors import JalgError, ParseError
-from .fields import Field, QQ
+from .fields import _NUMBER, Field, QQ
 from .matched_pair import LeftAction, MatchedPair, RightAction
 from .poly import PolyRing
 
@@ -90,10 +90,12 @@ def _parse_combination(field: Field, text: str, labels, lineno=None, params=()):
         if pos < len(tokens) and tokens[pos] not in index and tokens[pos] not in params:
             try:
                 coeff = ring.mul(coeff, ring.coerce(field.parse(tokens[pos])))
-            except JalgError:
-                raise ParseError(
-                    f"unknown label or bad scalar {tokens[pos]!r}", line=lineno
-                ) from None
+            except JalgError as exc:
+                # a well-formed number keeps the field's reason for refusing it
+                reason = str(exc) if _NUMBER.fullmatch(tokens[pos]) else (
+                    f"unknown label or bad scalar {tokens[pos]!r}"
+                )
+                raise ParseError(reason, line=lineno) from None
             pos += 1
         while pos < len(tokens) and tokens[pos] in params and tokens[pos] not in index:
             coeff = ring.mul(coeff, ring.var(tokens[pos]))

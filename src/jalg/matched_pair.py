@@ -157,6 +157,7 @@ class MatchedPair:
         self.left = left
         self.name = name
         self._verdict: Verdict | None = None
+        self._product_sc: tuple | None = None
 
     @classmethod
     def with_zero_actions(cls, A: Algebra, V: Algebra) -> "MatchedPair":
@@ -219,6 +220,29 @@ class MatchedPair:
             self._verdict = verdict
         return verdict
 
+    def product_sc(self) -> tuple:
+        """Raw structure constants of the candidate product on A x V, built
+        once per pair: the A basis, then the V basis, and cell (a, x) =
+        (x |> a, x <| a).  (a,x)(b,y) = (ab + x|>b + y|>a, x<|b + y<|a + xy).
+        """
+        if self._product_sc is None:
+            A, V = self.A, self.V
+            n, m = A.dim, V.dim
+            z = A.ring.zero
+            sc = [[None] * (n + m) for _ in range(n + m)]
+            for i in range(n):
+                for j in range(n):
+                    sc[i][j] = A.sc[i][j] + (z,) * m
+            for x in range(m):
+                for y in range(m):
+                    sc[n + x][n + y] = (z,) * n + V.sc[x][y]
+            for i in range(n):
+                for x in range(m):
+                    cell = self.left.tensor[x][i] + self.right.tensor[x][i]
+                    sc[i][n + x] = sc[n + x][i] = cell
+            self._product_sc = tuple(map(tuple, sc))
+        return self._product_sc
+
     @property
     def is_matched(self) -> bool:
         return self.verify().ok
@@ -251,31 +275,13 @@ def _product_labels(A: Algebra, V: Algebra):
 
 
 def bicross_table(mp: MatchedPair) -> Algebra:
-    """The candidate product algebra on A x V, built without verification.
-
-    (a,x)(b,y) = (ab + x|>b + y|>a, x<|b + y<|a + xy).  Used both by the
-    verified constructor and by equivalence scans that need the table for
-    pairs that may fail the axioms.
+    """The candidate product algebra on A x V, built without verification
+    from `mp.product_sc()`.  Used both by the verified constructor and by
+    equivalence scans that need the table for pairs that may fail the axioms.
     """
     A, V = mp.A, mp.V
-    n, m = A.dim, V.dim
-    dim = n + m
-    ring = A.ring
-    z = ring.zero
-    sc = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            sc[i][j] = list(A.sc[i][j]) + [z] * m
-    for x in range(m):
-        for y in range(m):
-            sc[n + x][n + y] = [z] * n + list(V.sc[x][y])
-    for i in range(n):
-        for x in range(m):
-            cell = list(mp.left.tensor[x][i]) + list(mp.right.tensor[x][i])
-            sc[i][n + x] = cell
-            sc[n + x][i] = cell
     name = f"{A.name}|x|{V.name}" if A.name and V.name else None
-    return Algebra(A.field, _product_labels(A, V), sc, params=A.params, name=name)
+    return Algebra(A.field, _product_labels(A, V), mp.product_sc(), params=A.params, name=name)
 
 
 @dataclass

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import Algebra, LinearMap, _hom_ok
+from .algebra import Algebra, LinearMap, _hom_mismatches, _hom_ok
 from .errors import BudgetError, DimensionError, JalgError
 from .identities import _bilinear
 from .matched_pair import MatchedPair
@@ -48,85 +48,31 @@ class MorphismQuadruple:
 
 
 def quadruple_check(qd: MorphismQuadruple) -> QuadrupleVerdict:
-    """The six compatibilities; each is bilinear, so basis pairs are exact."""
+    """The six compatibilities C1-C6 of psi = (r, s, t, q).
+
+    They are the blocks of the homomorphism residual psi(e_i e_j) -
+    psi(e_i) psi(e_j) on the two pairs' product tables: A x A basis pairs
+    give C1 (A'-coordinates) and C2 (V'-coordinates), V x V pairs C3 and
+    C4, mixed pairs C5 and C6.  Each is bilinear, so basis pairs are exact.
+    """
     if not qd.shapes_ok():
         raise DimensionError("quadruple shapes do not match the matched pairs")
     src, tgt = qd.source, qd.target
     if src.A.params or tgt.A.params:
         raise JalgError("quadruple_check handles scalar pairs only")
-    A, V = src.A, src.V
-    A2, V2 = tgt.A, tgt.V
-    f = A.field
-    r, s, t, q = qd.r, qd.s, qd.t, qd.q
-
-    def vsub(u, v):
-        return [f.sub(a, b) for a, b in zip(u, v)]
-
-    def vadd(u, v):
-        return [f.add(a, b) for a, b in zip(u, v)]
-
-    violated = []
-
-    def run(name, residuals):
-        if any(any(not f.is_zero(c) for c in res) for res in residuals):
-            violated.append(name)
-
-    # C1/C2 on A-basis pairs
-    res1, res2 = [], []
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            ab = A.sc[i][j]
-            ri, rj = r.cols[i], r.cols[j]
-            si, sj = s.cols[i], s.cols[j]
-            lhs1 = vsub(r.apply(ab), A2.mul_coords(ri, rj))
-            rhs1 = vadd(tgt.left.apply(si, rj), tgt.left.apply(sj, ri))
-            res1.append(vsub(lhs1, rhs1))
-            lhs2 = vsub(s.apply(ab), V2.mul_coords(si, sj))
-            rhs2 = vadd(tgt.right.apply(si, rj), tgt.right.apply(sj, ri))
-            res2.append(vsub(lhs2, rhs2))
-    run("C1", res1)
-    run("C2", res2)
-
-    # C3/C4 on V-basis pairs
-    res3, res4 = [], []
-    for i in range(V.dim):
-        for j in range(i, V.dim):
-            xy = V.sc[i][j]
-            ti, tj = t.cols[i], t.cols[j]
-            qi, qj = q.cols[i], q.cols[j]
-            lhs3 = vsub(t.apply(xy), A2.mul_coords(ti, tj))
-            rhs3 = vadd(tgt.left.apply(qi, tj), tgt.left.apply(qj, ti))
-            res3.append(vsub(lhs3, rhs3))
-            lhs4 = vsub(q.apply(xy), V2.mul_coords(qi, qj))
-            rhs4 = vadd(tgt.right.apply(qi, tj), tgt.right.apply(qj, ti))
-            res4.append(vsub(lhs4, rhs4))
-    run("C3", res3)
-    run("C4", res4)
-
-    # C5/C6 on mixed pairs
-    res5, res6 = [], []
-    for x in range(V.dim):
-        for a in range(A.dim):
-            xa_left = src.left.tensor[x][a]
-            xa_right = src.right.tensor[x][a]
-            ra, sa = r.cols[a], s.cols[a]
-            tx, qx = t.cols[x], q.cols[x]
-            lhs5 = vadd(r.apply(xa_left), t.apply(xa_right))
-            rhs5 = vadd(
-                vadd(A2.mul_coords(ra, tx), tgt.left.apply(sa, tx)),
-                tgt.left.apply(qx, ra),
-            )
-            res5.append(vsub(lhs5, rhs5))
-            lhs6 = vadd(s.apply(xa_left), q.apply(xa_right))
-            rhs6 = vadd(
-                vadd(V2.mul_coords(sa, qx), tgt.right.apply(sa, tx)),
-                tgt.right.apply(qx, ra),
-            )
-            res6.append(vsub(lhs6, rhs6))
-    run("C5", res5)
-    run("C6", res6)
-
-    return QuadrupleVerdict(not violated, tuple(violated))
+    n, m = src.A.dim, tgt.A.dim
+    images = [a + v for a, v in zip(qd.r.cols, qd.s.cols)]
+    images += [a + v for a, v in zip(qd.t.cols, qd.q.cols)]
+    violated = set()
+    for i, j, lhs, rhs in _hom_mismatches(
+        src.A.field, src.product_sc(), tgt.product_sc(), images
+    ):
+        names = ("C1", "C2") if j < n else ("C3", "C4") if i >= n else ("C5", "C6")
+        if lhs[:m] != rhs[:m]:
+            violated.add(names[0])
+        if lhs[m:] != rhs[m:]:
+            violated.add(names[1])
+    return QuadrupleVerdict(not violated, tuple(sorted(violated)))
 
 
 def quadruple_to_map(qd: MorphismQuadruple) -> LinearMap:

@@ -3,8 +3,9 @@
 Each is the plain procedure the fast path replaced: generic-element
 expansion of the cube law (the Jordan identity, the action laws and the
 bimodule square law) as polynomials, a sigma loop over GL(V) for the
-factorization index, and an unfiltered scan of all p^(n*n) matrices for
-`iso_search` over F_p.  The tests compare the library with them, so no
+factorization index, an unfiltered scan of all p^(n*n) matrices for
+`iso_search` over F_p, and the six block conditions C1-C6 of a morphism
+quadruple written out one by one.  The tests compare the library with them, so no
 fast path is its own judge.
 """
 
@@ -22,7 +23,7 @@ from jalg.identities import (
     _vsub,
     generic_ring,
 )
-from jalg.morphism import IsoVerdict
+from jalg.morphism import IsoVerdict, QuadrupleVerdict
 
 
 def jordan_verdict(field, mul, params=(), stop_early=False):
@@ -158,3 +159,83 @@ def scan_index(verdict, p):
         for c in row:
             index = index * p + c
     return index
+
+
+def blockwise_quadruple_check(qd):
+    """C1-C6 of psi = (r, s, t, q), each written out from the product rule
+    (a,x)(b,y) = (ab + x|>b + y|>a, x<|b + y<|a + xy); returns the
+    QuadrupleVerdict that `quadruple_check` must give."""
+    src, tgt = qd.source, qd.target
+    A, V = src.A, src.V
+    A2, V2 = tgt.A, tgt.V
+    f = A.field
+    r, s, t, q = qd.r, qd.s, qd.t, qd.q
+
+    def vsub(u, v):
+        return [f.sub(a, b) for a, b in zip(u, v)]
+
+    def vadd(u, v):
+        return [f.add(a, b) for a, b in zip(u, v)]
+
+    violated = []
+
+    def run(name, residuals):
+        if any(any(not f.is_zero(c) for c in res) for res in residuals):
+            violated.append(name)
+
+    # C1/C2 on A-basis pairs
+    res1, res2 = [], []
+    for i in range(A.dim):
+        for j in range(i, A.dim):
+            ab = A.sc[i][j]
+            ri, rj = r.cols[i], r.cols[j]
+            si, sj = s.cols[i], s.cols[j]
+            lhs1 = vsub(r.apply(ab), A2.mul_coords(ri, rj))
+            rhs1 = vadd(tgt.left.apply(si, rj), tgt.left.apply(sj, ri))
+            res1.append(vsub(lhs1, rhs1))
+            lhs2 = vsub(s.apply(ab), V2.mul_coords(si, sj))
+            rhs2 = vadd(tgt.right.apply(si, rj), tgt.right.apply(sj, ri))
+            res2.append(vsub(lhs2, rhs2))
+    run("C1", res1)
+    run("C2", res2)
+
+    # C3/C4 on V-basis pairs
+    res3, res4 = [], []
+    for i in range(V.dim):
+        for j in range(i, V.dim):
+            xy = V.sc[i][j]
+            ti, tj = t.cols[i], t.cols[j]
+            qi, qj = q.cols[i], q.cols[j]
+            lhs3 = vsub(t.apply(xy), A2.mul_coords(ti, tj))
+            rhs3 = vadd(tgt.left.apply(qi, tj), tgt.left.apply(qj, ti))
+            res3.append(vsub(lhs3, rhs3))
+            lhs4 = vsub(q.apply(xy), V2.mul_coords(qi, qj))
+            rhs4 = vadd(tgt.right.apply(qi, tj), tgt.right.apply(qj, ti))
+            res4.append(vsub(lhs4, rhs4))
+    run("C3", res3)
+    run("C4", res4)
+
+    # C5/C6 on mixed pairs
+    res5, res6 = [], []
+    for x in range(V.dim):
+        for a in range(A.dim):
+            xa_left = src.left.tensor[x][a]
+            xa_right = src.right.tensor[x][a]
+            ra, sa = r.cols[a], s.cols[a]
+            tx, qx = t.cols[x], q.cols[x]
+            lhs5 = vadd(r.apply(xa_left), t.apply(xa_right))
+            rhs5 = vadd(
+                vadd(A2.mul_coords(ra, tx), tgt.left.apply(sa, tx)),
+                tgt.left.apply(qx, ra),
+            )
+            res5.append(vsub(lhs5, rhs5))
+            lhs6 = vadd(s.apply(xa_left), q.apply(xa_right))
+            rhs6 = vadd(
+                vadd(V2.mul_coords(sa, qx), tgt.right.apply(sa, tx)),
+                tgt.right.apply(qx, ra),
+            )
+            res6.append(vsub(lhs6, rhs6))
+    run("C5", res5)
+    run("C6", res6)
+
+    return QuadrupleVerdict(not violated, tuple(violated))

@@ -39,7 +39,7 @@ from jalg import (
     r_deform,
     subalgebra_check,
 )
-from slow_oracles import unfiltered_iso_scan
+from slow_oracles import blockwise_quadruple_check, unfiltered_iso_scan
 
 F5 = Field(5)
 
@@ -249,8 +249,9 @@ def test_criterion_08_factorization_index():
 
 def test_criterion_09_morphism_correspondence():
     """For every matched pair with two 1-dim factors over F5 and every one of
-    the 625 linear self-maps of the product, the block-map conditions agree
-    with the direct homomorphism check."""
+    the 625 linear self-maps of the product, the block-map conditions
+    (written out one by one in the oracle) agree with the direct
+    homomorphism check, and quadruple_check names the same violations."""
     t0 = time.perf_counter()
     pairs = []
     for s, t, wr, wl in itertools.product(range(5), repeat=4):
@@ -268,9 +269,11 @@ def test_criterion_09_morphism_correspondence():
         E = bicross(mp).product
         for flat in itertools.product(range(5), repeat=4):
             psi = LinearMap(F5, 2, 2, [[flat[0], flat[1]], [flat[2], flat[3]]])
+            qd = map_to_quadruple(psi, mp, mp)
             direct = hom_check(psi, E, E)
-            blockwise = quadruple_check(map_to_quadruple(psi, mp, mp)).ok
-            assert direct == blockwise, (mp, flat)
+            oracle = blockwise_quadruple_check(qd)
+            assert direct == oracle.ok, (mp, flat)
+            assert quadruple_check(qd).violated == oracle.violated, (mp, flat)
             checked += 1
     elapsed = time.perf_counter() - t0
     assert checked == 89 * 625

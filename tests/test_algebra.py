@@ -25,6 +25,7 @@ from jalg import (
     subalgebra_witness,
 )
 from jalg.identities import _bilinear
+from jalg.linalg import express
 
 F5 = Field(5)
 F7 = Field(7)
@@ -212,6 +213,46 @@ def test_subspace_basics(j17):
     # spanning vectors may be redundant; the reduced dimension rules
     R = Subspace(j17, [[1, 0, 0, 0, 0], [2, 0, 0, 0, 0]])
     assert R.dim == 1
+
+
+def _unreduced_scalar(rng, f):
+    if f.characteristic:
+        # unreduced on purpose: coordinates must coerce its input
+        return rng.randrange(-f.characteristic, 3 * f.characteristic)
+    return Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+
+
+@pytest.mark.parametrize("f", [QQ, F5, F7])
+def test_subspace_coordinates_match_express(f):
+    """Pivot read-off against linalg.express on random subspaces, with
+    vectors in the span and vectors that are mostly outside it."""
+    rng = random.Random(20 + f.characteristic)
+    outside = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        gens = [
+            [_unreduced_scalar(rng, f) if rng.random() < 0.6 else 0 for _ in range(n)]
+            for _ in range(rng.randint(0, n))
+        ]
+        U = Subspace(Algebra.abelian(f, [f"e{k}" for k in range(n)]), gens)
+        inside = [0] * n
+        for g in gens:
+            c = _unreduced_scalar(rng, f)
+            inside = [x + c * y for x, y in zip(inside, g)]
+        stray = [_unreduced_scalar(rng, f) for _ in range(n)]
+        for v in (inside, stray):
+            got = U.coordinates(v)
+            want = express(f, [list(r) for r in U.rows], [f.coerce(c) for c in v])
+            assert got == want, (gens, v)
+            assert U.contains(v) == (want is not None)
+            if got is None:
+                outside += 1
+                continue
+            assert all(type(c) is type(f.zero) for c in got)
+            if f.characteristic:
+                assert all(0 <= c < f.characteristic for c in got)
+        assert U.contains(inside)
+    assert outside > 10
 
 
 def test_j17_two_label_subalgebras(j17):

@@ -393,6 +393,25 @@ def test_zero_denominator_exit_two(capsys, tmp_path, field):
     assert code == 2
     assert out == ""
     assert "'1/0'" in err and err.count("\n") == 1
+    assert err == f"error: line 4: bad scalar '1/0' over {field}: the denominator is zero\n"
+
+
+def test_denominator_divisible_by_p_exit_two(capsys, tmp_path):
+    path = tmp_path / "f.jalg"
+    path.write_text("field F5\ndim 1\nbasis u\nmult u u = 1/5 u\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 4: cannot coerce 1/5 into F5: its denominator is divisible by 5\n"
+
+
+def test_unknown_label_exit_two(capsys, tmp_path):
+    path = tmp_path / "f.jalg"
+    path.write_text("field Q\ndim 1\nbasis u\nmult u u = w\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 4: unknown label or bad scalar 'w'\n"
 
 
 def test_map_repeated_label_exit_two(capsys):

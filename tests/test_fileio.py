@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jalg import (
     Algebra,
     Field,
+    JalgError,
     LeftAction,
     MatchedPair,
     ParseError,
@@ -399,3 +400,57 @@ def test_parse_rejects_non_readme_numbers(number):
     assert exc.value.line == 4
     with pytest.raises(ParseError):
         _parse_map_flag(catalog("defmap-pair", field=F5), f"u: {number} a", ())
+
+
+# -- whole pair files: fuzzing --------------------------------------------------------
+
+PAIR_LINES = [
+    "algebra A", "algebra V", "algebra A B", "algebra V @include missing.jalg",
+    "algebra A @include", "end", "field Q", "field F5", "field F4", "dim 1", "dim 2",
+    "dim -1", "dim x", "basis a b", "basis u v", "basis a", "basis u u",
+    "mult a a = a", "mult a b = 1/2 b", "mult u u = 1/0 u", "mult b b = 1/5 b",
+    "mult u v = w", "mult a", "left u . a = a + b", "left v . b = 2 a",
+    "right u . a = 1/2 v", "right v . b = - u", "right v . q = u", "left u a = a",
+    "left u . a =", "right . . = .", "", "# comment", "param alpha",
+]
+PAIR_TEXT = write_pair(catalog("defmap-pair"))
+
+
+@st.composite
+def pair_texts(draw):
+    """Line soup from pair-file vocabulary, a valid file with lines
+    dropped, repeated or replaced, or arbitrary text."""
+    kind = draw(st.sampled_from(["soup", "edit", "text"]))
+    if kind == "soup":
+        return "\n".join(draw(st.lists(st.sampled_from(PAIR_LINES), max_size=14)))
+    if kind == "text":
+        return draw(st.text(max_size=120))
+    lines = PAIR_TEXT.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "repeat", "replace", "token"]))
+        if op == "drop":
+            del lines[k]
+        elif op == "repeat":
+            lines.insert(k, lines[k])
+        elif op == "replace":
+            lines[k] = draw(st.sampled_from(PAIR_LINES))
+        else:
+            words = lines[k].split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(
+                st.sampled_from(COMBO_TOKENS + ["algebra", "end", "left", "right", "."])
+            )
+            lines[k] = " ".join(words)
+        if not lines:
+            break
+    return "\n".join(lines)
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(pair_texts())
+def test_parse_pair_fuzz_raises_only_jalg_errors(text):
+    """A pair file either parses or raises ParseError/JalgError."""
+    try:
+        parse_pair(text)
+    except JalgError:
+        pass
