@@ -17,7 +17,7 @@ from .errors import (
     VerificationError,
 )
 from .fields import Field
-from .identities import _bilinear
+from .identities import _bilinear, _linear, _vadd, _vscale, _vsub
 from .poly import Poly, PolyRing
 
 
@@ -125,9 +125,7 @@ class Algebra:
             i = self.basis.index(i)
         if not 0 <= i < self.dim:
             raise DimensionError(f"basis index {i} out of range for dim {self.dim}")
-        return self.element(
-            [self.ring.one if j == i else self.ring.zero for j in range(self.dim)]
-        )
+        return self.element(linalg.identity(self.ring, self.dim)[i])
 
     def from_combination(self, combo: dict) -> "Element":
         index = {lab: i for i, lab in enumerate(self.basis)}
@@ -226,25 +224,18 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         ring = self.algebra.ring
-        return Element(
-            self.algebra,
-            tuple(ring.add(a, b) for a, b in zip(self.coords, other.coords)),
-        )
+        return Element(self.algebra, tuple(_vadd(ring, self.coords, other.coords)))
 
     def __sub__(self, other: "Element") -> "Element":
         ring = self.algebra.ring
-        return Element(
-            self.algebra,
-            tuple(ring.sub(a, b) for a, b in zip(self.coords, other.coords)),
-        )
+        return Element(self.algebra, tuple(_vsub(ring, self.coords, other.coords)))
 
     def __mul__(self, other: "Element") -> "Element":
         return self.algebra.mul(self, other)
 
     def scale(self, c) -> "Element":
         ring = self.algebra.ring
-        c = ring.coerce(c)
-        return Element(self.algebra, tuple(ring.mul(c, a) for a in self.coords))
+        return Element(self.algebra, tuple(_vscale(ring, ring.coerce(c), self.coords)))
 
     @property
     def is_zero(self) -> bool:
@@ -268,23 +259,34 @@ class LinearMap:
     """cols[j] = coordinates of the image of source basis vector j."""
 
     def __init__(self, field: Field, source_dim: int, target_dim: int, cols):
+        cols = [[field.coerce(c) for c in col] for col in cols]
+        self._set(field, source_dim, target_dim, cols)
+
+    @classmethod
+    def _of(cls, field: Field, source_dim: int, target_dim: int, cols) -> "LinearMap":
+        """A map on columns that already hold field values: the constructor's
+        shape checks without its coercion."""
+        self = cls.__new__(cls)
+        self._set(field, source_dim, target_dim, cols)
+        return self
+
+    def _set(self, field: Field, source_dim: int, target_dim: int, cols):
         self.field = field
         self.source_dim = source_dim
         self.target_dim = target_dim
-        cols = tuple(tuple(field.coerce(c) for c in col) for col in cols)
-        if len(cols) != source_dim or any(len(c) != target_dim for c in cols):
+        self.cols = tuple(map(tuple, cols))
+        if len(self.cols) != source_dim or any(len(c) != target_dim for c in self.cols):
             raise DimensionError(
                 f"expected {source_dim} columns of length {target_dim}"
             )
-        self.cols = cols
 
     @classmethod
     def identity(cls, field: Field, dim: int) -> "LinearMap":
-        return cls(field, dim, dim, linalg.identity(field, dim))
+        return cls._of(field, dim, dim, linalg.identity(field, dim))
 
     @classmethod
     def zero(cls, field: Field, source_dim: int, target_dim: int) -> "LinearMap":
-        return cls(
+        return cls._of(
             field, source_dim, target_dim, [[field.zero] * target_dim] * source_dim
         )
 
@@ -300,37 +302,27 @@ class LinearMap:
             for tlab, c in images.get(lab, {}).items():
                 vec[tindex[tlab]] = target.field.coerce(c)
             cols.append(vec)
-        return cls(source.field, source.dim, target.dim, cols)
+        return cls._of(source.field, source.dim, target.dim, cols)
 
     def apply(self, coords):
         if len(coords) != self.source_dim:
             raise DimensionError(f"expected {self.source_dim} coordinates")
-        out = [self.field.zero] * self.target_dim
-        for j, xj in enumerate(coords):
-            if self.field.is_zero(xj):
-                continue
-            col = self.cols[j]
-            for k in range(self.target_dim):
-                out[k] = self.field.add(out[k], self.field.mul(xj, col[k]))
-        return out
+        return _linear(self.field, self.cols, coords, self.target_dim)
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
         """self after inner."""
         if inner.target_dim != self.source_dim:
             raise DimensionError("composition dimension mismatch")
         cols = [self.apply(col) for col in inner.cols]
-        return LinearMap(self.field, inner.source_dim, self.target_dim, cols)
+        return LinearMap._of(self.field, inner.source_dim, self.target_dim, cols)
 
     def add(self, other: "LinearMap") -> "LinearMap":
-        cols = [
-            [self.field.add(a, b) for a, b in zip(c1, c2)]
-            for c1, c2 in zip(self.cols, other.cols)
-        ]
-        return LinearMap(self.field, self.source_dim, self.target_dim, cols)
+        cols = [_vadd(self.field, c1, c2) for c1, c2 in zip(self.cols, other.cols)]
+        return LinearMap._of(self.field, self.source_dim, self.target_dim, cols)
 
     def neg(self) -> "LinearMap":
         cols = [[self.field.neg(a) for a in col] for col in self.cols]
-        return LinearMap(self.field, self.source_dim, self.target_dim, cols)
+        return LinearMap._of(self.field, self.source_dim, self.target_dim, cols)
 
     def rows(self) -> list[list]:
         return [
@@ -351,7 +343,7 @@ class LinearMap:
             [inv_rows[k][j] for k in range(self.source_dim)]
             for j in range(self.target_dim)
         ]
-        return LinearMap(self.field, self.target_dim, self.source_dim, cols)
+        return LinearMap._of(self.field, self.target_dim, self.source_dim, cols)
 
     def __eq__(self, other):
         return (
@@ -390,12 +382,7 @@ def _hom_mismatches(f: Field, sc, sc2, images):
     out_dim = len(sc2)
     for i in range(len(sc)):
         for j in range(i, len(sc)):
-            lhs = [f.zero] * out_dim
-            for k, c in enumerate(sc[i][j]):
-                if f.is_zero(c):
-                    continue
-                for d in range(out_dim):
-                    lhs[d] = f.add(lhs[d], f.mul(c, images[k][d]))
+            lhs = _linear(f, images, sc[i][j], out_dim)
             rhs = _bilinear(f, sc2, images[i], images[j], out_dim)
             if lhs != rhs:
                 yield i, j, lhs, rhs
@@ -418,13 +405,8 @@ class Subspace:
 
     @classmethod
     def span_of_labels(cls, ambient: Algebra, labels) -> "Subspace":
-        index = {lab: i for i, lab in enumerate(ambient.basis)}
-        vecs = []
-        for lab in labels:
-            v = [ambient.field.zero] * ambient.dim
-            v[index[lab]] = ambient.field.one
-            vecs.append(v)
-        return cls(ambient, vecs)
+        units = dict(zip(ambient.basis, linalg.identity(ambient.field, ambient.dim)))
+        return cls(ambient, [units[lab] for lab in labels])
 
     @property
     def dim(self) -> int:
@@ -442,14 +424,9 @@ class Subspace:
         f = self.ambient.field
         if len(coords) != self.ambient.dim:
             raise DimensionError("vector length does not match ambient dimension")
-        rest = [f.coerce(c) for c in coords]
-        coeffs = [rest[p] for p in self._pivots]
-        for c, row in zip(coeffs, self.rows):
-            if f.is_zero(c):
-                continue
-            for t, x in enumerate(row):
-                if not f.is_zero(x):
-                    rest[t] = f.sub(rest[t], f.mul(c, x))
+        coords = [f.coerce(c) for c in coords]
+        coeffs = [coords[p] for p in self._pivots]
+        rest = _vsub(f, coords, _linear(f, self.rows, coeffs, len(coords)))
         return coeffs if all(f.is_zero(x) for x in rest) else None
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -466,13 +443,10 @@ class Subspace:
             row = [self.rows[i][k] for i in range(self.dim)]
             row += [field.neg(other.rows[j][k]) for j in range(other.dim)]
             stacked.append(row)
-        vectors = []
-        for sol in linalg.nullspace(field, stacked):
-            combo = [field.zero] * n
-            for i in range(self.dim):
-                for k in range(n):
-                    combo[k] = field.add(combo[k], field.mul(sol[i], self.rows[i][k]))
-            vectors.append(combo)
+        vectors = [
+            _linear(field, self.rows, sol[: self.dim], n)
+            for sol in linalg.nullspace(field, stacked)
+        ]
         return Subspace(self.ambient, vectors)
 
     def _same_ambient(self, other: "Subspace"):
@@ -539,7 +513,7 @@ def induced_subalgebra(E: Algebra, U: Subspace):
             row.append(U.coordinates(prod))
         sc.append(row)
     sub = Algebra(E.field, labels, sc)
-    incl = LinearMap(E.field, n, E.dim, [list(r) for r in U.rows])
+    incl = LinearMap._of(E.field, n, E.dim, U.rows)
     return sub, incl
 
 
@@ -631,13 +605,13 @@ def jordanize(field: Field, basis, assoc, params=(), name=None) -> Algebra:
     ring = PolyRing(field, tuple(params)) if params else field
     m = [[[ring.coerce(c) for c in cell] for cell in row] for row in assoc]
 
-    unit = lambda i: [ring.one if t == i else ring.zero for t in range(n)]
+    units = linalg.identity(ring, n)
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 # (e_i e_j) e_k against e_i (e_j e_k)
-                lhs = _bilinear(ring, m, m[i][j], unit(k), n)
-                rhs = _bilinear(ring, m, unit(i), m[j][k], n)
+                lhs = _bilinear(ring, m, m[i][j], units[k], n)
+                rhs = _bilinear(ring, m, units[i], m[j][k], n)
                 if lhs != rhs:
                     raise VerificationError(
                         f"input multiplication is not associative at basis triple "

@@ -2,7 +2,8 @@
 
 Inputs are .jalg / .jpair paths or catalog:<name> pseudo-paths.  Exit codes:
 0 success, 1 mathematical failure (axiom violated, not isomorphic), 2 usage
-or parse error.  --json swaps the text report for a structured one.
+or parse error, 3 an iso query left undecided ("unknown").  --json swaps the
+text report for a structured one.
 """
 
 from __future__ import annotations
@@ -280,7 +281,7 @@ def _cmd_iso(args) -> int:
         },
         "\n".join(lines),
     )
-    return 0 if verdict.is_isomorphic else 1
+    return {"isomorphic": 0, "non-isomorphic": 1, "unknown": 3}[verdict.kind]
 
 
 def _cmd_classify2(args) -> int:

@@ -24,7 +24,7 @@ from .algebra import (
 )
 from .errors import BudgetError, DimensionError, JalgError, VerificationError
 from .fields import Field
-from .identities import _bilinear, _embed2
+from .identities import _bilinear, _embed2, _linear, _vadd, _vsub
 from .matched_pair import (
     BicrossedProduct,
     Factorization,
@@ -81,16 +81,7 @@ class DeformationMap:
 
     def apply(self, x_coords):
         R = self.ring
-        out = [R.zero] * self.mp.A.dim
-        for j, c in enumerate(x_coords):
-            c = R.coerce(c)
-            if R.is_zero(c):
-                continue
-            col = self.cols[j]
-            for k in range(len(out)):
-                if not R.is_zero(col[k]):
-                    out[k] = R.add(out[k], R.mul(c, col[k]))
-        return out
+        return _linear(R, self.cols, [R.coerce(c) for c in x_coords], self.mp.A.dim)
 
     @property
     def is_zero(self) -> bool:
@@ -161,18 +152,6 @@ def _lift(R, *tensors):
     return list(tensors)
 
 
-def _units(R, n: int):
-    return [[R.one if k == i else R.zero for k in range(n)] for i in range(n)]
-
-
-def _vadd(R, u, v):
-    return [R.add(a, b) for a, b in zip(u, v)]
-
-
-def _vsub(R, u, v):
-    return [R.sub(a, b) for a, b in zip(u, v)]
-
-
 def _cross(R, tensor, r: DeformationMap, units, i: int, j: int, out_dim: int):
     """x . r(y) + y . r(x) at x = e_i, y = e_j, for an action tensor."""
     return _vadd(
@@ -191,7 +170,7 @@ def _residuals(mp: MatchedPair, r: DeformationMap):
     R = r.ring
     nA, nV = A.dim, V.dim
     mul_a, left, right = _lift(R, A.sc, mp.left.tensor, mp.right.tensor)
-    units = _units(R, nV)
+    units = linalg.identity(R, nV)
     for i in range(nV):
         for j in range(i, nV):
             lhs = _vsub(R, r.apply(V.sc[i][j]), _bilinear(R, mul_a, r.cols[i], r.cols[j], nA))
@@ -232,7 +211,7 @@ def r_deform(mp: MatchedPair, r: DeformationMap, name=None) -> Algebra:
     R = r.ring
     nV = V.dim
     right = _lift(R, mp.right.tensor)[0]
-    units = _units(R, nV)
+    units = linalg.identity(R, nV)
     table = [[None] * nV for _ in range(nV)]
     for i in range(nV):
         for j in range(i, nV):
@@ -261,11 +240,8 @@ def graph_complement(mp: MatchedPair, r: DeformationMap) -> GraphComplement:
     deformed = r_deform(mp, r)
     f = mp.A.field
     nA, nV = mp.A.dim, mp.V.dim
-    cols = []
-    for j in range(nV):
-        tail = [f.one if k == j else f.zero for k in range(nV)]
-        cols.append(list(r.cols[j]) + tail)
-    witness = LinearMap(f, nV, nA + nV, cols)
+    cols = [list(col) + unit for col, unit in zip(r.cols, linalg.identity(f, nV))]
+    witness = LinearMap._of(f, nV, nA + nV, cols)
     sub = Subspace(E, cols)
     if sub.dim != nV:
         raise VerificationError("graph collapsed; this should not happen")
@@ -301,15 +277,8 @@ def equiv_check(
     R = r.ring
     nV = V.dim
     mul_v, right = _lift(R, V.sc, mp.right.tensor)
-    units = _units(R, nV)
+    units = linalg.identity(R, nV)
     sig_cols = [[R.coerce(c) for c in col] for col in sigma.cols]
-
-    def sig(vec):  # sigma on an R-valued vector
-        out = [R.zero] * nV
-        for c, col in zip(vec, sig_cols):
-            if not R.is_zero(c):
-                out = [R.add(o, R.mul(c, e)) for o, e in zip(out, col)]
-        return out
 
     for i in range(nV):
         for j in range(i, nV):
@@ -322,7 +291,8 @@ def equiv_check(
                 _bilinear(R, right, si, s.apply(sj), nV),
                 _bilinear(R, right, sj, s.apply(si), nV),
             )
-            if sig(lhs) != _vadd(R, _bilinear(R, mul_v, si, sj, nV), rhs):
+            rhs = _vadd(R, _bilinear(R, mul_v, si, sj, nV), rhs)
+            if _linear(R, sig_cols, lhs, nV) != rhs:
                 return False
     return True
 
@@ -476,7 +446,7 @@ def factorization_index(mp: MatchedPair) -> ComplementReport:
         if hit is not None:
             c, sigma = hit
             classes[c].append(idx)
-            witnesses[idx] = LinearMap(f, n, n, sigma)
+            witnesses[idx] = LinearMap._of(f, n, n, sigma)
             continue
         c = len(classes)
         classes.append([idx])
@@ -558,7 +528,7 @@ def complement_recover(
         )
     deformed = r_deform(mp, r)
     bbar_alg, _ = induced_subalgebra(E, bbar_sub)
-    v_map = LinearMap(f, nb, bbar_sub.dim, v_cols)
+    v_map = LinearMap._of(f, nb, bbar_sub.dim, v_cols)
     if not v_map.is_invertible() or not hom_check(v_map, deformed, bbar_alg):
         raise VerificationError("bbar component is not an isomorphism from V_r")
     return r

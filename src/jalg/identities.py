@@ -156,16 +156,30 @@ def _bilinear(ring, tensor, u, v, out_dim: int) -> list:
     return out
 
 
-def _vadd(u, v):
-    return [a + b for a, b in zip(u, v)]
+def _linear(ring, cols, x, out_dim: int) -> list:
+    """sum over j of x_j cols[j]: the one linear contraction, through the
+    same ring protocol as _bilinear."""
+    out = [ring.zero] * out_dim
+    for j, xj in enumerate(x):
+        if ring.is_zero(xj):
+            continue
+        col = cols[j]
+        for k in range(out_dim):
+            if not ring.is_zero(col[k]):
+                out[k] = ring.add(out[k], ring.mul(xj, col[k]))
+    return out
 
 
-def _vsub(u, v):
-    return [a - b for a, b in zip(u, v)]
+def _vadd(ring, u, v):
+    return [ring.add(a, b) for a, b in zip(u, v)]
 
 
-def _vscale(u, raw):
-    return [a.scale(raw) for a in u]
+def _vsub(ring, u, v):
+    return [ring.sub(a, b) for a, b in zip(u, v)]
+
+
+def _vscale(ring, c, u):
+    return [ring.mul(c, a) for a in u]
 
 
 def _collect(failures, axiom, space, residual_vec, stop_early) -> bool:
@@ -382,7 +396,7 @@ def bimodule_verdict(field: Field, mul, act, params=()) -> Verdict:
     mul_t = _embed2(ring, mul)
     act_t = _embed2(ring, act)
     a, b, m = gen["a"], gen["b"], gen["m"]
-    two = field.coerce(2)
+    two = ring.coerce(2)
 
     def M(u, v):
         return _bilinear(ring, mul_t, u, v, dim)
@@ -392,9 +406,9 @@ def bimodule_verdict(field: Field, mul, act, params=()) -> Verdict:
 
     a2 = M(a, a)
     am = S(a, m)
-    lhs = _vsub(S(M(a2, b), m), S(a2, S(b, m)))
-    rhs = _vscale(_vsub(S(M(a, b), am), S(a, S(b, am))), two)
-    _collect(failures, "bim-linear", "M", _vsub(lhs, rhs), False)
+    lhs = _vsub(ring, S(M(a2, b), m), S(a2, S(b, m)))
+    rhs = _vscale(ring, two, _vsub(ring, S(M(a, b), am), S(a, S(b, am))))
+    _collect(failures, "bim-linear", "M", _vsub(ring, lhs, rhs), False)
     return _verdict(failures, ["bim-square", "bim-linear"])
 
 
@@ -428,7 +442,7 @@ def matched_pair_verdict(
     rt = _embed2(ring, right)
     lt = _embed2(ring, left)
     a, b, x, y = gen["a"], gen["b"], gen["x"], gen["y"]
-    two = field.coerce(2)
+    two = ring.coerce(2)
 
     def M(u, v):
         return _bilinear(ring, mt, u, v, dim_a)
@@ -446,44 +460,56 @@ def matched_pair_verdict(
     x2 = N(x, x)
 
     def mp1():
-        lhs = _vadd(M(a, L(x, a2)), L(R(x, a2), a))
-        rhs = _vadd(M(a2, L(x, a)), L(R(x, a), a2))
-        return "A", _vsub(lhs, rhs)
+        lhs = _vadd(ring, M(a, L(x, a2)), L(R(x, a2), a))
+        rhs = _vadd(ring, M(a2, L(x, a)), L(R(x, a), a2))
+        return "A", _vsub(ring, lhs, rhs)
 
     def mp2():
-        lhs = _vadd(R(x, L(x2, a)), N(R(x2, a), x))
-        rhs = _vadd(R(x2, L(x, a)), N(x2, R(x, a)))
-        return "V", _vsub(lhs, rhs)
+        lhs = _vadd(ring, R(x, L(x2, a)), N(R(x2, a), x))
+        rhs = _vadd(ring, R(x2, L(x, a)), N(x2, R(x, a)))
+        return "V", _vsub(ring, lhs, rhs)
 
     def mp3():
         xa = R(x, a)
         xb = R(x, b)
         big = _vadd(
-            _vadd(R(R(xa, b), a), R(x, M(L(x, a), b))),
-            _vadd(R(x, L(xa, b)), N(R(xa, b), x)),
+            ring,
+            _vadd(ring, R(R(xa, b), a), R(x, M(L(x, a), b))),
+            _vadd(ring, R(x, L(xa, b)), N(R(xa, b), x)),
         )
-        lhs = _vadd(_vscale(big, two), _vadd(R(R(x2, b), a), R(x, M(b, a2))))
+        lhs = _vadd(
+            ring, _vscale(ring, two, big), _vadd(ring, R(R(x2, b), a), R(x, M(b, a2)))
+        )
         big2 = _vadd(
-            _vadd(R(xa, M(b, a)), R(xa, L(x, b))),
-            _vadd(R(xb, L(x, a)), N(xa, xb)),
+            ring,
+            _vadd(ring, R(xa, M(b, a)), R(xa, L(x, b))),
+            _vadd(ring, R(xb, L(x, a)), N(xa, xb)),
         )
-        rhs = _vadd(_vscale(big2, two), _vadd(R(x2, M(b, a)), R(xb, a2)))
-        return "V", _vsub(lhs, rhs)
+        rhs = _vadd(
+            ring, _vscale(ring, two, big2), _vadd(ring, R(x2, M(b, a)), R(xb, a2))
+        )
+        return "V", _vsub(ring, lhs, rhs)
 
     def mp4():
         lxa = L(x, a)
         ylxa = L(y, lxa)
         big = _vadd(
-            _vadd(M(ylxa, a), L(x, ylxa)),
-            _vadd(L(R(y, lxa), a), L(N(R(x, a), y), a)),
+            ring,
+            _vadd(ring, M(ylxa, a), L(x, ylxa)),
+            _vadd(ring, L(R(y, lxa), a), L(N(R(x, a), y), a)),
         )
-        lhs = _vadd(_vscale(big, two), _vadd(L(N(x2, y), a), L(x, L(y, a2))))
+        lhs = _vadd(
+            ring, _vscale(ring, two, big), _vadd(ring, L(N(x2, y), a), L(x, L(y, a2)))
+        )
         big2 = _vadd(
-            _vadd(M(L(y, a), lxa), L(N(x, y), lxa)),
-            _vadd(L(R(y, a), lxa), L(R(x, a), L(y, a))),
+            ring,
+            _vadd(ring, M(L(y, a), lxa), L(N(x, y), lxa)),
+            _vadd(ring, L(R(y, a), lxa), L(R(x, a), L(y, a))),
         )
-        rhs = _vadd(_vscale(big2, two), _vadd(L(x2, L(y, a)), L(N(x, y), a2)))
-        return "A", _vsub(lhs, rhs)
+        rhs = _vadd(
+            ring, _vscale(ring, two, big2), _vadd(ring, L(x2, L(y, a)), L(N(x, y), a2))
+        )
+        return "A", _vsub(ring, lhs, rhs)
 
     def mp5():
         lxa = L(x, a)
@@ -491,43 +517,51 @@ def matched_pair_verdict(
         ylxa = R(y, lxa)
         xay = N(xa, y)
         big = _vadd(
-            _vadd(_vadd(R(ylxa, a), R(xay, a)), R(x, L(y, lxa))),
-            _vadd(N(ylxa, x), N(xay, x)),
+            ring,
+            _vadd(ring, _vadd(ring, R(ylxa, a), R(xay, a)), R(x, L(y, lxa))),
+            _vadd(ring, N(ylxa, x), N(xay, x)),
         )
         lhs = _vadd(
-            _vscale(big, two),
-            _vadd(_vadd(R(N(x2, y), a), R(x, L(y, a2))), N(R(y, a2), x)),
+            ring,
+            _vscale(ring, two, big),
+            _vadd(ring, _vadd(ring, R(N(x2, y), a), R(x, L(y, a2))), N(R(y, a2), x)),
         )
         big2 = _vadd(
-            _vadd(_vadd(R(xa, L(y, a)), R(R(y, a), lxa)), R(N(x, y), lxa)),
-            _vadd(N(xa, N(x, y)), N(xa, R(y, a))),
+            ring,
+            _vadd(ring, _vadd(ring, R(xa, L(y, a)), R(R(y, a), lxa)), R(N(x, y), lxa)),
+            _vadd(ring, N(xa, N(x, y)), N(xa, R(y, a))),
         )
         rhs = _vadd(
-            _vscale(big2, two),
-            _vadd(_vadd(R(x2, L(y, a)), R(N(x, y), a2)), N(x2, R(y, a))),
+            ring,
+            _vscale(ring, two, big2),
+            _vadd(ring, _vadd(ring, R(x2, L(y, a)), R(N(x, y), a2)), N(x2, R(y, a))),
         )
-        return "V", _vsub(lhs, rhs)
+        return "V", _vsub(ring, lhs, rhs)
 
     def mp6():
         lxa = L(x, a)
         xa = R(x, a)
         big = _vadd(
-            _vadd(_vadd(M(M(lxa, b), a), M(L(xa, b), a)), L(R(xa, b), a)),
-            _vadd(L(x, M(lxa, b)), L(x, L(xa, b))),
+            ring,
+            _vadd(ring, _vadd(ring, M(M(lxa, b), a), M(L(xa, b), a)), L(R(xa, b), a)),
+            _vadd(ring, L(x, M(lxa, b)), L(x, L(xa, b))),
         )
         lhs = _vadd(
-            _vscale(big, two),
-            _vadd(_vadd(M(L(x2, b), a), L(R(x2, b), a)), L(x, M(a2, b))),
+            ring,
+            _vscale(ring, two, big),
+            _vadd(ring, _vadd(ring, M(L(x2, b), a), L(R(x2, b), a)), L(x, M(a2, b))),
         )
         big2 = _vadd(
-            _vadd(_vadd(M(lxa, M(a, b)), L(xa, M(b, a))), M(lxa, L(x, b))),
-            _vadd(L(R(x, b), lxa), L(xa, L(x, b))),
+            ring,
+            _vadd(ring, _vadd(ring, M(lxa, M(a, b)), L(xa, M(b, a))), M(lxa, L(x, b))),
+            _vadd(ring, L(R(x, b), lxa), L(xa, L(x, b))),
         )
         rhs = _vadd(
-            _vscale(big2, two),
-            _vadd(_vadd(L(x2, M(b, a)), L(R(x, b), a2)), M(a2, L(x, b))),
+            ring,
+            _vscale(ring, two, big2),
+            _vadd(ring, _vadd(ring, L(x2, M(b, a)), L(R(x, b), a2)), M(a2, L(x, b))),
         )
-        return "A", _vsub(lhs, rhs)
+        return "A", _vsub(ring, lhs, rhs)
 
     table = {"MP1": mp1, "MP2": mp2, "MP3": mp3, "MP4": mp4, "MP5": mp5, "MP6": mp6}
     failures: list[AxiomFailure] = []

@@ -20,7 +20,7 @@ from .algebra import (
 )
 from .errors import DimensionError, FieldMismatchError, JalgError, VerificationError
 from .fields import Field
-from .identities import Verdict, _bilinear
+from .identities import Verdict, _bilinear, _linear, _vsub
 from .poly import PolyRing
 
 
@@ -292,12 +292,12 @@ class BicrossedProduct:
     v_embedding: Subspace
 
     def include_a(self) -> LinearMap:
-        cols = [list(r) for r in self.a_embedding.rows]
-        return LinearMap(self.product.field, self.pair.A.dim, self.product.dim, cols)
+        rows = self.a_embedding.rows
+        return LinearMap._of(self.product.field, self.pair.A.dim, self.product.dim, rows)
 
     def include_v(self) -> LinearMap:
-        cols = [list(r) for r in self.v_embedding.rows]
-        return LinearMap(self.product.field, self.pair.V.dim, self.product.dim, cols)
+        rows = self.v_embedding.rows
+        return LinearMap._of(self.product.field, self.pair.V.dim, self.product.dim, rows)
 
 
 def bicross(mp: MatchedPair) -> BicrossedProduct:
@@ -313,10 +313,9 @@ def bicross(mp: MatchedPair) -> BicrossedProduct:
     n, dim = mp.A.dim, product.dim
     if mp.A.params:
         return BicrossedProduct(product, mp, None, None)
-    f = product.field
-    unit = lambda i: [f.one if k == i else f.zero for k in range(dim)]
-    a_emb = Subspace(product, [unit(i) for i in range(n)])
-    v_emb = Subspace(product, [unit(n + x) for x in range(dim - n)])
+    units = linalg.identity(product.field, dim)
+    a_emb = Subspace(product, units[:n])
+    v_emb = Subspace(product, units[n:])
     if not subalgebra_check(product, a_emb) or not subalgebra_check(product, v_emb):
         raise VerificationError("bicrossed embeddings are not subalgebras")
     if not complement_check(product, a_emb, v_emb):
@@ -378,21 +377,17 @@ class Factorization:
 
 
 def _projection(E: Algebra, A_sub: Subspace, B_sub: Subspace) -> LinearMap:
-    """E -> E with image A, kernel B."""
+    """E -> E with image A, kernel B.
+
+    Row k of the inverse of the stacked basis (A rows, then B rows) holds
+    the coordinates of e_k on that basis; its A part, recombined, is the
+    image of e_k."""
     f = E.field
-    basis = list(A_sub.rows) + list(B_sub.rows)
-    cols = []
-    for k in range(E.dim):
-        unit = [f.one if t == k else f.zero for t in range(E.dim)]
-        coeffs = linalg.express(f, basis, unit)
-        if coeffs is None:
-            raise VerificationError("decomposition failed; not complementary")
-        image = [f.zero] * E.dim
-        for i in range(A_sub.dim):
-            for t in range(E.dim):
-                image[t] = f.add(image[t], f.mul(coeffs[i], A_sub.rows[i][t]))
-        cols.append(image)
-    return LinearMap(f, E.dim, E.dim, cols)
+    inv = linalg.invert(f, list(A_sub.rows) + list(B_sub.rows))
+    if inv is None:
+        raise VerificationError("decomposition failed; not complementary")
+    cols = [_linear(f, A_sub.rows, coeffs[: A_sub.dim], E.dim) for coeffs in inv]
+    return LinearMap._of(f, E.dim, E.dim, cols)
 
 
 def canonical_pair(fact: Factorization) -> MatchedPair:
@@ -413,7 +408,7 @@ def canonical_pair(fact: Factorization) -> MatchedPair:
         for a in range(A_alg.dim):
             prod = E.mul_coords(fact.B_sub.rows[x], fact.A_sub.rows[a])
             proj = fact.pi_A.apply(prod)
-            rest = [f.sub(p, q) for p, q in zip(prod, proj)]
+            rest = _vsub(f, prod, proj)
             la = fact.A_sub.coordinates(proj)
             rv = fact.B_sub.coordinates(rest)
             if la is None or rv is None:
@@ -434,8 +429,7 @@ def canonical_pair(fact: Factorization) -> MatchedPair:
             "canonical actions fail the matched-pair axioms:\n" + verdict.describe()
         )
     product = bicross_table(mp)
-    cols = [list(r) for r in fact.A_sub.rows] + [list(r) for r in fact.B_sub.rows]
-    phi = LinearMap(f, product.dim, E.dim, cols)
+    phi = LinearMap._of(f, product.dim, E.dim, fact.A_sub.rows + fact.B_sub.rows)
     if not phi.is_invertible() or not hom_check(phi, product, E):
         raise VerificationError("(a, x) -> a + x is not an isomorphism onto E")
     return mp
@@ -469,8 +463,7 @@ def split_mono_decompose(E: Algebra, p: LinearMap):
         rows.append(row)
     ra = RightAction(V_alg, A_alg, rows)
     product = semidirect_right(A_alg, V_alg, ra)
-    cols = [list(r) for r in image.rows] + [list(r) for r in kernel.rows]
-    psi = LinearMap(f, product.dim, E.dim, cols)
+    psi = LinearMap._of(f, product.dim, E.dim, image.rows + kernel.rows)
     if not psi.is_invertible() or not hom_check(psi, product, E):
         raise VerificationError("(a, x) -> a + x is not an isomorphism onto E")
     return product, psi

@@ -11,7 +11,6 @@ from fractions import Fraction
 from . import linalg
 from .algebra import Algebra, LinearMap, _hom_mismatches, _hom_ok
 from .errors import BudgetError, DimensionError, JalgError
-from .identities import _bilinear
 from .matched_pair import MatchedPair
 
 
@@ -61,11 +60,9 @@ def quadruple_check(qd: MorphismQuadruple) -> QuadrupleVerdict:
     if src.A.params or tgt.A.params:
         raise JalgError("quadruple_check handles scalar pairs only")
     n, m = src.A.dim, tgt.A.dim
-    images = [a + v for a, v in zip(qd.r.cols, qd.s.cols)]
-    images += [a + v for a, v in zip(qd.t.cols, qd.q.cols)]
     violated = set()
     for i, j, lhs, rhs in _hom_mismatches(
-        src.A.field, src.product_sc(), tgt.product_sc(), images
+        src.A.field, src.product_sc(), tgt.product_sc(), quadruple_to_map(qd).cols
     ):
         names = ("C1", "C2") if j < n else ("C3", "C4") if i >= n else ("C5", "C6")
         if lhs[:m] != rhs[:m]:
@@ -78,13 +75,9 @@ def quadruple_check(qd: MorphismQuadruple) -> QuadrupleVerdict:
 def quadruple_to_map(qd: MorphismQuadruple) -> LinearMap:
     """psi(a, x) = (r(a) + t(x), s(a) + q(x)) as one block matrix."""
     src, tgt = qd.source, qd.target
-    f = src.A.field
-    cols = []
-    for j in range(src.A.dim):
-        cols.append(list(qd.r.cols[j]) + list(qd.s.cols[j]))
-    for j in range(src.V.dim):
-        cols.append(list(qd.t.cols[j]) + list(qd.q.cols[j]))
-    return LinearMap(f, src.A.dim + src.V.dim, tgt.A.dim + tgt.V.dim, cols)
+    cols = [a + v for a, v in zip(qd.r.cols, qd.s.cols)]
+    cols += [a + v for a, v in zip(qd.t.cols, qd.q.cols)]
+    return LinearMap._of(src.A.field, src.A.dim + src.V.dim, tgt.A.dim + tgt.V.dim, cols)
 
 
 def map_to_quadruple(
@@ -102,10 +95,10 @@ def map_to_quadruple(
     return MorphismQuadruple(
         source,
         target,
-        LinearMap(f, na, ma, r_cols),
-        LinearMap(f, na, mv, s_cols),
-        LinearMap(f, nv, ma, t_cols),
-        LinearMap(f, nv, mv, q_cols),
+        LinearMap._of(f, na, ma, r_cols),
+        LinearMap._of(f, na, mv, s_cols),
+        LinearMap._of(f, nv, ma, t_cols),
+        LinearMap._of(f, nv, mv, q_cols),
     )
 
 
@@ -129,38 +122,26 @@ class IsoVerdict:
         return f"IsoVerdict({self.kind}{', ' + detail if detail else ''})"
 
 
+def _mult_operator(A: Algebra, x) -> list:
+    """The rows of L_x, the operator y -> x y; column j is x e_j."""
+    return list(zip(*(A.mul_coords(x, e) for e in linalg.identity(A.field, A.dim))))
+
+
+def _trace(f, M):
+    tr = f.zero
+    for d in range(len(M)):
+        tr = f.add(tr, M[d][d])
+    return tr
+
+
 def _trace_form_ranks(A: Algebra):
     """(rank of (x,y) -> tr L_{xy},  rank of (x,y) -> tr(L_x L_y))."""
     f = A.field
-    n = A.dim
-    ops = []
-    for i in range(n):
-        ops.append([[A.sc[i][j][k] for j in range(n)] for k in range(n)])
-    traces = []
-    for k in range(n):
-        tr = f.zero
-        for d in range(n):
-            tr = f.add(tr, ops[k][d][d])
-        traces.append(tr)
+    ops = [_mult_operator(A, e) for e in linalg.identity(f, A.dim)]
+    traces = [_trace(f, L) for L in ops]
     # tr L_{e_i e_j} = sum_k (e_i e_j)_k tr L_{e_k}
-    t1 = [[f.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = f.zero
-            prod = A.sc[i][j]
-            for k in range(n):
-                if not f.is_zero(prod[k]):
-                    acc = f.add(acc, f.mul(prod[k], traces[k]))
-            t1[i][j] = acc
-    # tr(L_{e_i} L_{e_j})
-    t2 = [[f.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            comp = linalg.mat_mul(f, ops[i], ops[j])
-            tr = f.zero
-            for d in range(n):
-                tr = f.add(tr, comp[d][d])
-            t2[i][j] = tr
+    t1 = [linalg.mat_vec(f, row, traces) for row in A.sc]
+    t2 = [[_trace(f, linalg.mat_mul(f, Li, Lj)) for Lj in ops] for Li in ops]
     return linalg.rank(f, t1), linalg.rank(f, t2)
 
 
@@ -206,23 +187,19 @@ def classify_dim2(A: Algebra) -> Dim2Signature:
         raise JalgError("classifier expects a Jordan algebra")
     span, r1, r2 = invariant_signature(A)
     idem = sqz = None
-    f = A.field
-    if f.characteristic:
-        idem = 0
-        sqz = 0
-        for x0 in f.elements():
-            for x1 in f.elements():
-                sq = A.mul_coords([x0, x1], [x0, x1])
-                if sq == [x0, x1]:
-                    idem += 1
-                if all(f.is_zero(c) for c in sq) and not (x0 == 0 and x1 == 0):
-                    sqz += 1
+    if A.field.characteristic:
+        buckets = _element_buckets(A).items()
+        idem = sum(len(xs) for key, xs in buckets if key[3])
+        sqz = sum(len(xs) for key, xs in buckets if key[2]) - 1  # not the zero vector
     return Dim2Signature(span, r1, r2, idem, sqz)
 
 
 # The searches over GL(n, F_p) walk up to p^(n*n) matrices; n = 4 is
 # already 5^16 at the smallest supported field.
 GL_SEARCH_MAX_DIM = 3
+# The witness height of iso_search over Q when no budget is given: entries
+# n/d with |n|, d <= ISO_Q_HEIGHT.
+ISO_Q_HEIGHT = 2
 
 
 def _cap_gl_search(n: int, what: str) -> None:
@@ -239,14 +216,13 @@ def _element_key(A: Algebra, x) -> tuple:
     key of x."""
     f = A.field
     n = A.dim
-    # column j of L_x is x e_j
-    op = list(zip(*(_bilinear(f, A.sc, x, e, n) for e in linalg.identity(f, n))))
+    op = _mult_operator(A, x)
     traces = []
     power = op
     for _ in range(n):
         traces.append(sum(power[d][d] for d in range(n)) % f.characteristic)
         power = linalg.mat_mul(f, op, power)
-    sq = _bilinear(f, A.sc, x, x, n)
+    sq = A.mul_coords(x, x)
     zero = all(f.is_zero(c) for c in sq)
     return tuple(traces), linalg.rank(f, op), zero, sq == list(x)
 
@@ -316,7 +292,7 @@ def _exhaustive_fp(A: Algebra, B: Algebra, budget: int | None) -> IsoVerdict:
             continue
         if linalg.rank(f, list(zip(*images))) != n:
             continue
-        return IsoVerdict("isomorphic", witness=LinearMap(f, n, n, images))
+        return IsoVerdict("isomorphic", witness=LinearMap._of(f, n, n, images))
     if budget is not None and budget < total:
         return unknown
     return IsoVerdict("non-isomorphic", certificate="exhausted GL over the field")
@@ -342,7 +318,7 @@ def _bounded_q_search(A: Algebra, B: Algebra, budget: int) -> LinearMap | None:
             continue
         if linalg.rank(f, rows) != n:
             continue
-        return LinearMap(f, n, n, images)
+        return LinearMap._of(f, n, n, images)
     return None
 
 
@@ -386,7 +362,7 @@ def iso_search(
                 "non-isomorphic",
                 certificate=f"dim-2 signatures differ: {sig2_a.as_tuple()} vs {sig2_b.as_tuple()}",
             )
-    height = 2 if budget is None else budget
+    height = ISO_Q_HEIGHT if budget is None else budget
     if A.dim <= 2 and not A.field.characteristic:
         witness = _bounded_q_search(A, B, height)
         if witness is not None:

@@ -4,9 +4,10 @@ Each is the plain procedure the fast path replaced: generic-element
 expansion of the cube law (the Jordan identity, the action laws and the
 bimodule square law) as polynomials, a sigma loop over GL(V) for the
 factorization index, an unfiltered scan of all p^(n*n) matrices for
-`iso_search` over F_p, and the six block conditions C1-C6 of a morphism
-quadruple written out one by one.  The tests compare the library with them, so no
-fast path is its own judge.
+`iso_search` over F_p, the six block conditions C1-C6 of a morphism
+quadruple written out one by one, and the projection of a factorization
+from one linalg.express per unit vector.  The tests compare the library
+with them, so no fast path is its own judge.
 """
 
 import itertools
@@ -37,7 +38,7 @@ def jordan_verdict(field, mul, params=(), stop_early=False):
         return _bilinear(ring, t, u, v, dim)
 
     a2 = M(a, a)
-    residual = _vsub(M(M(a2, b), a), M(a2, M(b, a)))
+    residual = _vsub(ring, M(M(a2, b), a), M(a2, M(b, a)))
     failures = []
     _collect(failures, "jordan", "A", residual, stop_early)
     return _verdict(failures, ["jordan"])
@@ -58,7 +59,7 @@ def action_law_verdict(
         return _bilinear(ring, act_t, u, v, dim_m)
 
     w2 = _bilinear(ring, mul_t, w, w, dim_w)
-    residual = _vsub(S(w, S(w2, m)), S(w2, S(w, m)))
+    residual = _vsub(ring, S(w, S(w2, m)), S(w2, S(w, m)))
     failures = []
     _collect(failures, axiom, "M", residual, False)
     return _verdict(failures, [axiom])
@@ -72,7 +73,7 @@ def bimodule_verdict(field, mul, act, params=()):
     mul_t = _embed2(ring, mul)
     act_t = _embed2(ring, act)
     a, b, m = gen["a"], gen["b"], gen["m"]
-    two = field.coerce(2)
+    two = ring.coerce(2)
 
     def M(u, v):
         return _bilinear(ring, mul_t, u, v, dim)
@@ -82,13 +83,27 @@ def bimodule_verdict(field, mul, act, params=()):
 
     failures = []
     a2 = M(a, a)
-    square = _vsub(S(a, S(a2, m)), S(a2, S(a, m)))
+    square = _vsub(ring, S(a, S(a2, m)), S(a2, S(a, m)))
     _collect(failures, "bim-square", "M", square, False)
     am = S(a, m)
-    lhs = _vsub(S(M(a2, b), m), S(a2, S(b, m)))
-    rhs = _vscale(_vsub(S(M(a, b), am), S(a, S(b, am))), two)
-    _collect(failures, "bim-linear", "M", _vsub(lhs, rhs), False)
+    lhs = _vsub(ring, S(M(a2, b), m), S(a2, S(b, m)))
+    rhs = _vscale(ring, two, _vsub(ring, S(M(a, b), am), S(a, S(b, am))))
+    _collect(failures, "bim-linear", "M", _vsub(ring, lhs, rhs), False)
     return _verdict(failures, ["bim-square", "bim-linear"])
+
+
+def express_projection(E, A_sub, B_sub):
+    """E -> E onto A along B, one linalg.express per unit vector."""
+    f = E.field
+    basis = list(A_sub.rows) + list(B_sub.rows)
+    cols = []
+    for unit in linalg.identity(f, E.dim):
+        coeffs = linalg.express(f, basis, unit)
+        image = [f.zero] * E.dim
+        for i in range(A_sub.dim):
+            image = [f.add(t, f.mul(coeffs[i], a)) for t, a in zip(image, A_sub.rows[i])]
+        cols.append(image)
+    return LinearMap(f, E.dim, E.dim, cols)
 
 
 def general_linear(f, n):

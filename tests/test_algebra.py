@@ -8,10 +8,13 @@ import pytest
 from jalg import (
     Algebra,
     Bimodule,
+    DeformationMap,
     DimensionError,
     Field,
     JalgError,
     LeftAction,
+    LinearMap,
+    MatchedPair,
     PolyRing,
     QQ,
     RightAction,
@@ -24,7 +27,7 @@ from jalg import (
     subalgebra_check,
     subalgebra_witness,
 )
-from jalg.identities import _bilinear
+from jalg.identities import _bilinear, _linear
 from jalg.linalg import express
 
 F5 = Field(5)
@@ -304,6 +307,15 @@ def _naive_contraction(ring, tensor, u, v, out_dim):
     return out
 
 
+def _naive_linear(ring, cols, x, out_dim):
+    """sum_jk x_j cols[j][k] e_k with no zero skipping."""
+    out = [ring.zero] * out_dim
+    for j in range(len(x)):
+        for k in range(out_dim):
+            out[k] = ring.add(out[k], ring.mul(x[j], cols[j][k]))
+    return out
+
+
 def _random_scalar(ring, rng):
     """A sparse random entry: zero half the time."""
     if rng.random() < 0.5:
@@ -317,7 +329,8 @@ def _random_scalar(ring, rng):
 def test_mul_coords_against_direct_contraction(j17):
     """Cross-check the table contraction on fixed numeric vectors, then the
     one bilinear kernel and every product routed through it against a naive
-    triple sum on random tables over Q, F7 and Q[t]."""
+    triple sum on random tables over Q, F7 and Q[t]; likewise the linear
+    kernel and the maps routed through it against a naive double sum."""
     x = [Fraction(k) for k in (0, 1, 2, 3, 1)]
     y = [Fraction(k) for k in (1, 0, 1, 2, 0)]
     expect = [QQ.zero] * j17.dim
@@ -362,6 +375,20 @@ def test_mul_coords_against_direct_contraction(j17):
             right, left = rand_tensor(n, m, n), rand_tensor(n, m, m)
             assert RightAction(V, A, right).apply(u, v) == _naive_contraction(ring, right, u, v, n)
             assert LeftAction(V, A, left).apply(u, v) == _naive_contraction(ring, left, u, v, m)
+            # the linear kernel: m columns of length out
+            cols, x = [rand_vec(out) for _ in range(m)], rand_vec(m)
+            expect = _naive_linear(ring, cols, x, out)
+            assert _linear(ring, cols, x, out) == expect
+            B = Algebra.abelian(field, [f"b{k}" for k in range(out)])
+            Y = Algebra.abelian(field, [f"y{j}" for j in range(m)])
+            r = DeformationMap(MatchedPair.with_zero_actions(B, Y), cols, params)
+            assert r.apply(x) == expect
+            if params:
+                continue  # linear maps and subspaces are scalar only
+            assert LinearMap(field, m, out, cols).apply(x) == expect
+            U = Subspace(B, cols)
+            c = rand_vec(U.dim)
+            assert U.coordinates(_naive_linear(ring, U.rows, c, out)) == c
 
 
 def test_format_table_roundtrip_text(j5):

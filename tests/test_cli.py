@@ -204,13 +204,14 @@ def test_iso_non_isomorphic_exit_one(capsys):
     assert "non-isomorphic" in out
 
 
-def test_iso_unknown_exit_one(capsys, tmp_path):
+def test_iso_unknown_exit_three(capsys, tmp_path):
+    """An undecided iso query exits 3, apart from 1 (a certified non-isomorphism)."""
     a = tmp_path / "a.jalg"
     b = tmp_path / "b.jalg"
     a.write_text("field Q\ndim 2\nbasis u v\nmult u u = u\nmult u v = 1/2 v\n")
     b.write_text("field Q\ndim 2\nbasis u v\nmult u u = u\nmult u v = 1/3 v\n")
     code, out, _ = run(capsys, "iso", str(a), str(b))
-    assert code == 1
+    assert code == 3
     assert "unknown" in out
 
 

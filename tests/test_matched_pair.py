@@ -1,6 +1,8 @@
 """Action laws, pair axioms, the two-sided product, factorizations."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,8 @@ from jalg import (
     semidirect_right,
     split_mono_decompose,
 )
+from jalg import linalg
+from slow_oracles import express_projection
 
 F5 = Field(5)
 
@@ -363,3 +367,25 @@ def test_pair_axioms_iff_product_jordan(s, t, wr, wl):
         A, V, RightAction(V, A, [[[wr]]]), LeftAction(V, A, [[[wl]]])
     )
     assert mp.verify().ok == bicross_table(mp).jordan_check().ok
+
+
+@pytest.mark.parametrize("p", [0, 5, 7])
+def test_projection_matches_express_oracle(p):
+    """pi_A of a factorization, read off one inverse of the stacked basis,
+    against one linalg.express per unit vector, on seeded random
+    complementary subspaces of an abelian algebra (all are subalgebras)."""
+    f = Field(p)
+    rng = random.Random(60 + p)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        while True:
+            rows = [
+                [f.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(n)]
+                for _ in range(n)
+            ]
+            if linalg.rank(f, rows) == n:
+                break
+        k = rng.randint(0, n)
+        E = Algebra.abelian(f, [f"e{i}" for i in range(n)])
+        A_sub, B_sub = Subspace(E, rows[:k]), Subspace(E, rows[k:])
+        assert Factorization(E, A_sub, B_sub).pi_A == express_projection(E, A_sub, B_sub)

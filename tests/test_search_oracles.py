@@ -124,7 +124,7 @@ def test_cli_budget_note_matches_unfiltered_scan(tmp_path, capsys):
         path = tmp_path / f"{name}.jalg"
         path.write_text(write_algebra(alg))
         paths.append(str(path))
-    assert main(["iso", *paths, "--budget", str(rank - 1)]) == 1
+    assert main(["iso", *paths, "--budget", str(rank - 1)]) == 3
     assert capsys.readouterr().out == (
         f"verdict: unknown\nbudget exhausted after {rank - 1} of 28561 candidates\n"
     )
