@@ -464,7 +464,7 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_abelian_pairs(args) -> int:
     field = args.field if args.field is not None else Field(5)
-    census = enumerate_abelian_pairs(args.dim, field, allow_large=args.allow_large)
+    census = enumerate_abelian_pairs(args.dim, field)
     lines = [
         f"abelian matched pairs with a 1-dim abelian complement over {field}",
         f"dimension: {args.dim}",
@@ -549,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abelian-pairs", help="census of abelian pairs with a line complement")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--field", default=None)
-    p.add_argument("--allow-large", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_abelian_pairs)
     return parser

@@ -33,7 +33,7 @@ from .matched_pair import (
     canonical_pair,
 )
 from .morphism import _cap_gl_search, iso_search
-from .poly import PolyRing
+from .poly import PolyRing, solve_fp
 
 
 class DeformationMap:
@@ -307,50 +307,35 @@ def _deformation_conditions(mp: MatchedPair):
         [ring.var(f"r{j}_{k}") for k in range(nA)] for j in range(nV)
     ]
     generic = DeformationMap(mp, cols, params)
-    out = []
-    seen = set()
-    for _, _, res in _residuals(mp, generic):
-        for c in res:
-            if not c.is_zero and c not in seen:
-                seen.add(c)
-                out.append(c)
-    return params, out
+    return params, [c for _, _, res in _residuals(mp, generic) for c in res]
 
 
 def enumerate_deformations(
     mp: MatchedPair, max_candidates: int | None = None
 ) -> tuple[DeformationMap, ...]:
     """All deformation maps over a finite field, in lexicographic order of
-    the flattened coefficient tuple (images of V basis vectors, A coords)."""
+    the flattened coefficient tuple (images of V basis vectors, A coords).
+
+    One `solve_fp` search finds them within its node budget; max_candidates
+    refuses a larger map space up front.  Each must pass `deformation_check`.
+    """
     f = mp.A.field
-    p = f.characteristic
-    if not p:
-        raise JalgError("enumeration needs a finite field")
     nA, nV = mp.A.dim, mp.V.dim
-    cells = nA * nV
-    if cells > 9:
-        raise BudgetError(
-            f"{p}^{cells} candidate maps exceed the enumeration budget"
-        )
-    total = p**cells
+    total = f.characteristic ** (nA * nV)
     if max_candidates is not None and total > max_candidates:
         raise BudgetError(
             f"{total} candidate maps exceed the requested cap {max_candidates}"
         )
     params, conditions = _deformation_conditions(mp)
     found = []
-    for flat in itertools.product(f.elements(), repeat=cells):
-        vals = dict(zip(params, flat))
-        if any(c.eval(vals) != 0 for c in conditions):
-            continue
-        cols = [flat[j * nA : (j + 1) * nA] for j in range(nV)]
-        found.append(DeformationMap(mp, cols))
-    # the symbolic filter must agree with the direct check
-    for r in found:
+    for flat in solve_fp(f, params, conditions):
+        r = DeformationMap(mp, [flat[j * nA : (j + 1) * nA] for j in range(nV)])
+        # the symbolic filter must agree with the direct check
         if not deformation_check(mp, r).ok:
             raise VerificationError(
                 "condition filter admitted a non-deformation; this should not happen"
             )
+        found.append(r)
     return tuple(found)
 
 

@@ -396,7 +396,6 @@ def bimodule_verdict(field: Field, mul, act, params=()) -> Verdict:
     mul_t = _embed2(ring, mul)
     act_t = _embed2(ring, act)
     a, b, m = gen["a"], gen["b"], gen["m"]
-    two = ring.coerce(2)
 
     def M(u, v):
         return _bilinear(ring, mul_t, u, v, dim)
@@ -407,8 +406,8 @@ def bimodule_verdict(field: Field, mul, act, params=()) -> Verdict:
     a2 = M(a, a)
     am = S(a, m)
     lhs = _vsub(ring, S(M(a2, b), m), S(a2, S(b, m)))
-    rhs = _vscale(ring, two, _vsub(ring, S(M(a, b), am), S(a, S(b, am))))
-    _collect(failures, "bim-linear", "M", _vsub(ring, lhs, rhs), False)
+    half = _vsub(ring, S(M(a, b), am), S(a, S(b, am)))
+    _collect(failures, "bim-linear", "M", _vsub(ring, lhs, _vadd(ring, half, half)), False)
     return _verdict(failures, ["bim-square", "bim-linear"])
 
 
@@ -442,7 +441,6 @@ def matched_pair_verdict(
     rt = _embed2(ring, right)
     lt = _embed2(ring, left)
     a, b, x, y = gen["a"], gen["b"], gen["x"], gen["y"]
-    two = ring.coerce(2)
 
     def M(u, v):
         return _bilinear(ring, mt, u, v, dim_a)
@@ -478,7 +476,7 @@ def matched_pair_verdict(
             _vadd(ring, R(x, L(xa, b)), N(R(xa, b), x)),
         )
         lhs = _vadd(
-            ring, _vscale(ring, two, big), _vadd(ring, R(R(x2, b), a), R(x, M(b, a2)))
+            ring, _vadd(ring, big, big), _vadd(ring, R(R(x2, b), a), R(x, M(b, a2)))
         )
         big2 = _vadd(
             ring,
@@ -486,7 +484,7 @@ def matched_pair_verdict(
             _vadd(ring, R(xb, L(x, a)), N(xa, xb)),
         )
         rhs = _vadd(
-            ring, _vscale(ring, two, big2), _vadd(ring, R(x2, M(b, a)), R(xb, a2))
+            ring, _vadd(ring, big2, big2), _vadd(ring, R(x2, M(b, a)), R(xb, a2))
         )
         return "V", _vsub(ring, lhs, rhs)
 
@@ -499,7 +497,7 @@ def matched_pair_verdict(
             _vadd(ring, L(R(y, lxa), a), L(N(R(x, a), y), a)),
         )
         lhs = _vadd(
-            ring, _vscale(ring, two, big), _vadd(ring, L(N(x2, y), a), L(x, L(y, a2)))
+            ring, _vadd(ring, big, big), _vadd(ring, L(N(x2, y), a), L(x, L(y, a2)))
         )
         big2 = _vadd(
             ring,
@@ -507,7 +505,7 @@ def matched_pair_verdict(
             _vadd(ring, L(R(y, a), lxa), L(R(x, a), L(y, a))),
         )
         rhs = _vadd(
-            ring, _vscale(ring, two, big2), _vadd(ring, L(x2, L(y, a)), L(N(x, y), a2))
+            ring, _vadd(ring, big2, big2), _vadd(ring, L(x2, L(y, a)), L(N(x, y), a2))
         )
         return "A", _vsub(ring, lhs, rhs)
 
@@ -523,7 +521,7 @@ def matched_pair_verdict(
         )
         lhs = _vadd(
             ring,
-            _vscale(ring, two, big),
+            _vadd(ring, big, big),
             _vadd(ring, _vadd(ring, R(N(x2, y), a), R(x, L(y, a2))), N(R(y, a2), x)),
         )
         big2 = _vadd(
@@ -533,7 +531,7 @@ def matched_pair_verdict(
         )
         rhs = _vadd(
             ring,
-            _vscale(ring, two, big2),
+            _vadd(ring, big2, big2),
             _vadd(ring, _vadd(ring, R(x2, L(y, a)), R(N(x, y), a2)), N(x2, R(y, a))),
         )
         return "V", _vsub(ring, lhs, rhs)
@@ -548,7 +546,7 @@ def matched_pair_verdict(
         )
         lhs = _vadd(
             ring,
-            _vscale(ring, two, big),
+            _vadd(ring, big, big),
             _vadd(ring, _vadd(ring, M(L(x2, b), a), L(R(x2, b), a)), L(x, M(a2, b))),
         )
         big2 = _vadd(
@@ -558,7 +556,7 @@ def matched_pair_verdict(
         )
         rhs = _vadd(
             ring,
-            _vscale(ring, two, big2),
+            _vadd(ring, big2, big2),
             _vadd(ring, _vadd(ring, L(x2, M(b, a)), L(R(x, b), a2)), M(a2, L(x, b))),
         )
         return "A", _vsub(ring, lhs, rhs)

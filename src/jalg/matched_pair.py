@@ -5,7 +5,6 @@ factorization, split monomorphisms, and the abelian-pair classification.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import identities, linalg
@@ -21,7 +20,7 @@ from .algebra import (
 from .errors import DimensionError, FieldMismatchError, JalgError, VerificationError
 from .fields import Field
 from .identities import Verdict, _bilinear, _linear, _vsub
-from .poly import PolyRing
+from .poly import PolyRing, solve_fp
 
 
 class _Action:
@@ -518,76 +517,36 @@ def _abelian_pair_conditions(field: Field, n: int):
     verdict = identities.matched_pair_verdict(
         field, mul_a, mul_v, right, left, params=params
     )
-    conditions = []
-    seen = set()
-    for failure in verdict.failures:
-        for poly in identities.coefficients_by_generics(failure.residual, params):
-            if poly not in seen:
-                seen.add(poly)
-                conditions.append(poly)
-    return params, conditions
+    return params, [
+        poly
+        for failure in verdict.failures
+        for poly in identities.coefficients_by_generics(failure.residual, params)
+    ]
 
 
-def enumerate_abelian_pairs(
-    n: int, field: Field, allow_large: bool = False
-) -> AbelianPairCensus:
+def enumerate_abelian_pairs(n: int, field: Field) -> AbelianPairCensus:
     """All matched pairs (abelian n-dim, abelian 1-dim) over a finite field.
 
-    Scans every (lambda, D) in F^n x F^(n x n) against the exact MP
-    conditions; each surviving candidate is re-verified with the full
-    symbolic check before being admitted.  n = 3 means 5^12 candidates and
-    runs for hours; it is refused unless allow_large is set.
+    One `solve_fp` search over (lambda, D) in F^n x F^(n x n) finds the
+    candidates that meet the exact MP conditions, within its node budget.
+    Each must also have the closed form lambda = 0, D^3 = 0 and pass the
+    full symbolic check before it is admitted.
     """
-    if field.characteristic == 0:
-        raise JalgError("enumeration needs a finite field")
-    if n > 3 or (n == 3 and not allow_large):
-        raise JalgError(f"n = {n} enumeration is too large (pass allow_large for n = 3)")
+    if n < 0:
+        raise JalgError(f"base dimension must be at least 0, got {n}")
     params, conditions = _abelian_pair_conditions(field, n)
     A0 = Algebra.abelian(field, [f"e{i}" for i in range(n)], name=f"A0({n})")
     census = AbelianPairCensus(field, n, field.characteristic ** (n + n * n))
-    elems = list(field.elements())
-    for lam in itertools.product(elems, repeat=n):
-        for dvals in itertools.product(elems, repeat=n * n):
-            assignment = dict(zip(params, lam + dvals))
-            if any(not field.is_zero(c.eval(assignment)) for c in conditions):
-                continue
-            # D entries are listed row-major: dvals[i*n + j] = d_ij
-            cols = [[dvals[i * n + j] for i in range(n)] for j in range(n)]
-            D = LinearMap(field, n, n, cols)
-            mp = pair_from_nilpotent(A0, D)
-            if not lam == (field.zero,) * n:
-                right = RightAction(mp.V, A0, [[[lj] for lj in lam]])
-                mp = MatchedPair(A0, mp.V, right, mp.left)
-            verdict = mp.verify()
-            if not verdict.ok:
-                raise VerificationError(
-                    "condition scan admitted a candidate the full check rejects"
-                )
-            census.pairs.append((lam, tuple(map(tuple, cols)), mp))
-    _assert_nilpotent_bijection(census, field, n)
+    for flat in solve_fp(field, params, conditions):
+        lam, dvals = flat[:n], flat[n:]
+        # D entries are listed row-major: dvals[i*n + j] = d_ij
+        cols = tuple(tuple(dvals[i * n + j] for i in range(n)) for j in range(n))
+        D = LinearMap._of(field, n, n, cols)
+        mp = pair_from_nilpotent(A0, D)
+        if any(lam) or any(map(any, D.compose(D).compose(D).cols)) or not mp.verify().ok:
+            raise VerificationError(
+                "condition scan admitted a candidate that the closed form "
+                "(lambda = 0, D^3 = 0) or the full check rejects"
+            )
+        census.pairs.append((lam, cols, mp))
     return census
-
-
-def _matrix_cube_is_zero(field: Field, cols, n: int) -> bool:
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    sq = linalg.mat_mul(field, rows, rows)
-    cb = linalg.mat_mul(field, sq, rows)
-    return all(field.is_zero(c) for row in cb for c in row)
-
-
-def _assert_nilpotent_bijection(census: AbelianPairCensus, field: Field, n: int):
-    """The valid set must be exactly {(lambda = 0, D) : D^3 = 0}."""
-    found = {(lam, cols) for lam, cols, _ in census.pairs}
-    zero_lam = (field.zero,) * n
-    expected = set()
-    for dvals in itertools.product(list(field.elements()), repeat=n * n):
-        cols = tuple(
-            tuple(dvals[i * n + j] for i in range(n)) for j in range(n)
-        )
-        if _matrix_cube_is_zero(field, cols, n):
-            expected.add((zero_lam, cols))
-    if found != expected:
-        raise VerificationError(
-            f"abelian census mismatch: scan found {len(found)} pairs, "
-            f"nilpotency predicts {len(expected)}"
-        )

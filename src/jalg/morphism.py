@@ -152,6 +152,8 @@ def _product_span_dim(A: Algebra) -> int:
 
 def invariant_signature(A: Algebra):
     """Cheap exact isomorphism invariants valid over any field."""
+    if A.params:
+        raise JalgError("invariant_signature handles scalar algebras only")
     r1, r2 = _trace_form_ranks(A)
     return (_product_span_dim(A), r1, r2)
 

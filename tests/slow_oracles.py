@@ -5,16 +5,18 @@ expansion of the cube law (the Jordan identity, the action laws and the
 bimodule square law) as polynomials, a sigma loop over GL(V) for the
 factorization index, an unfiltered scan of all p^(n*n) matrices for
 `iso_search` over F_p, the six block conditions C1-C6 of a morphism
-quadruple written out one by one, and the projection of a factorization
-from one linalg.express per unit vector.  The tests compare the library
-with them, so no fast path is its own judge.
+quadruple written out one by one, the projection of a factorization
+from one linalg.express per unit vector, and the F_p enumerations as a
+`Poly.eval` of every condition at each of the p^k candidates.  The tests
+compare the library with them, so no fast path is its own judge.
 """
 
 import itertools
 
-from jalg import LinearMap, equiv_check
+from jalg import DeformationMap, LinearMap, equiv_check
 from jalg import linalg
 from jalg.algebra import _hom_ok
+from jalg.deformation import _deformation_conditions
 from jalg.identities import (
     _bilinear,
     _collect,
@@ -24,6 +26,7 @@ from jalg.identities import (
     _vsub,
     generic_ring,
 )
+from jalg.matched_pair import _abelian_pair_conditions
 from jalg.morphism import IsoVerdict, QuadrupleVerdict
 
 
@@ -254,3 +257,47 @@ def blockwise_quadruple_check(qd):
     run("C6", res6)
 
     return QuadrupleVerdict(not violated, tuple(violated))
+
+
+def scan_solutions(field, names, conditions):
+    """solve_fp by brute force: every point of F_p^k, in itertools.product
+    order, at which each condition evaluates to zero."""
+    out = []
+    for flat in itertools.product(field.elements(), repeat=len(names)):
+        vals = dict(zip(names, flat))
+        if all(field.is_zero(c.eval(vals)) for c in conditions):
+            out.append(flat)
+    return out
+
+
+def scan_deformations(mp):
+    """enumerate_deformations as a scan of all p^(nA*nV) candidate maps."""
+    nA, nV = mp.A.dim, mp.V.dim
+    params, conditions = _deformation_conditions(mp)
+    return tuple(
+        DeformationMap(mp, [flat[j * nA : (j + 1) * nA] for j in range(nV)])
+        for flat in scan_solutions(mp.A.field, params, conditions)
+    )
+
+
+def scan_abelian_pairs(field, n):
+    """The (lambda, D columns) that enumerate_abelian_pairs admits, as a
+    scan of all p^(n + n*n) candidates."""
+    params, conditions = _abelian_pair_conditions(field, n)
+    return [
+        (flat[:n], tuple(tuple(flat[n + i * n + j] for i in range(n)) for j in range(n)))
+        for flat in scan_solutions(field, params, conditions)
+    ]
+
+
+def cube_zero_pairs(field, n):
+    """The closed form: (lambda = 0, D) for every n x n matrix D with
+    D^3 = 0, in row-major lexicographic order of D."""
+    out = []
+    for flat in itertools.product(field.elements(), repeat=n * n):
+        rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
+        cube = linalg.mat_mul(field, linalg.mat_mul(field, rows, rows), rows)
+        if all(field.is_zero(c) for row in cube for c in row):
+            cols = tuple(tuple(rows[i][j] for i in range(n)) for j in range(n))
+            out.append(((field.zero,) * n, cols))
+    return out

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from jalg import poly
 from jalg.cli import main
 
 
@@ -344,9 +345,20 @@ def test_abelian_pairs_census(capsys):
     assert "25" in out and "1" in out
 
 
-def test_abelian_pairs_large_guard(capsys):
-    code, _, err = run(capsys, "abelian-pairs", "--dim", "3")
+def test_abelian_pairs_large_guard(capsys, monkeypatch):
+    monkeypatch.setattr(poly, "SOLVE_NODE_BUDGET", 100)
+    for dim in ("2", "4"):
+        code, out, err = run(capsys, "abelian-pairs", "--dim", dim)
+        assert code == 2
+        assert out == ""
+        assert "100 nodes" in err and err.count("\n") == 1
+
+
+def test_abelian_pairs_negative_dim_exit_two(capsys):
+    code, out, err = run(capsys, "abelian-pairs", "--dim", "-1")
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- bad input: exit 2 with a one-line message, never a traceback --------------------

@@ -32,6 +32,7 @@ from jalg import (
     r_deform,
     subalgebra_check,
 )
+from jalg import poly
 
 F5 = Field(5)
 
@@ -228,6 +229,17 @@ def test_enumeration_budget():
     mp = catalog("defmap-pair", field=F5)
     with pytest.raises(BudgetError):
         enumerate_deformations(mp, max_candidates=100)
+
+
+def test_enumeration_node_budget(monkeypatch):
+    """Every map of a zero (3, 4) pair is a deformation: 5^12 of them, so
+    the solver's node budget stops the search."""
+    A = Algebra.abelian(F5, ("a", "b", "c"))
+    V = Algebra.abelian(F5, ("w", "x", "y", "z"))
+    mp = MatchedPair(A, V, RightAction.zero(V, A), LeftAction.zero(V, A))
+    monkeypatch.setattr(poly, "SOLVE_NODE_BUDGET", 1000)
+    with pytest.raises(BudgetError, match="1000 nodes"):
+        enumerate_deformations(mp)
 
 
 def test_factorization_index_report():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from jalg import (
     Algebra,
+    BudgetError,
     Field,
     JalgError,
     LeftAction,
@@ -29,7 +30,7 @@ from jalg import (
     semidirect_right,
     split_mono_decompose,
 )
-from jalg import linalg
+from jalg import linalg, poly
 from slow_oracles import express_projection
 
 F5 = Field(5)
@@ -341,11 +342,17 @@ def test_abelian_census_needs_finite_field():
         enumerate_abelian_pairs(1, QQ)
 
 
-def test_abelian_census_large_guard():
+def test_abelian_census_large_guard(monkeypatch):
+    """The solver's node budget is the one bound on the census."""
+    monkeypatch.setattr(poly, "SOLVE_NODE_BUDGET", 100)
+    for n in (2, 4):
+        with pytest.raises(BudgetError):
+            enumerate_abelian_pairs(n, F5)
+
+
+def test_abelian_census_rejects_negative_dimension():
     with pytest.raises(JalgError):
-        enumerate_abelian_pairs(3, F5)
-    with pytest.raises(JalgError):
-        enumerate_abelian_pairs(4, F5, allow_large=True)
+        enumerate_abelian_pairs(-1, F5)
 
 
 # -- the pair/product equivalence as a property ---------------------------------

@@ -12,6 +12,7 @@ from jalg import (
     Field,
     JalgError,
     LinearMap,
+    PolyRing,
     QQ,
     bicross,
     catalog,
@@ -108,6 +109,15 @@ def test_invariant_signature_values():
     D = Algebra.from_products(QQ, ("u", "v"), {("u", "u"): {"u": 1, "v": 1}})
     assert invariant_signature(C) == (1, 0, 0)
     assert invariant_signature(D) == (1, 1, 1)
+
+
+def test_invariant_signature_rejects_parametric():
+    alpha = PolyRing(QQ, ("alpha",)).var("alpha")
+    P = Algebra.from_products(
+        QQ, ("u", "v"), {("u", "u"): {"u": 1}, ("u", "v"): {"v": alpha}}, params=("alpha",)
+    )
+    with pytest.raises(JalgError, match="scalar algebras only"):
+        invariant_signature(P)
 
 
 def test_dim2_signatures_separate_the_catalog_tables():
@@ -225,8 +235,6 @@ def test_iso_field_mismatch(j5):
 
 
 def test_iso_rejects_parametric():
-    from jalg import PolyRing
-
     R = PolyRing(QQ, ("alpha",))
     P = Algebra.from_products(
         QQ, ("u",), {("u", "u"): {"u": R.var("alpha")}}, params=("alpha",)

@@ -39,3 +39,9 @@ def test_complements_report_bad_field_exits_two(field):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_abelian_census_over_f7():
+    done = run_script("abelian_census.py", "--dim", "2", "--p", "7")
+    assert done.returncode == 0, done.stderr
+    assert "closed form confirmed" in done.stdout
