@@ -375,15 +375,16 @@ def _hom_ok(A: Algebra, B: Algebra, images) -> bool:
     return next(_hom_mismatches(A.field, A.sc, B.sc, images), None) is None
 
 
-def _hom_mismatches(f: Field, sc, sc2, images):
+def _hom_mismatches(ring, sc, sc2, images):
     """The one homomorphism residual: yield (i, j, lhs, rhs) for each basis
     pair i <= j of the table `sc` where lhs = image of e_i e_j differs from
-    rhs = (image of e_i)(image of e_j) in the table `sc2`."""
+    rhs = (image of e_i)(image of e_j) in the table `sc2`.  The tables and
+    images live in `ring`: a Field, or a PolyRing for parametric maps."""
     out_dim = len(sc2)
     for i in range(len(sc)):
         for j in range(i, len(sc)):
-            lhs = _linear(f, images, sc[i][j], out_dim)
-            rhs = _bilinear(f, sc2, images[i], images[j], out_dim)
+            lhs = _linear(ring, images, sc[i][j], out_dim)
+            rhs = _bilinear(ring, sc2, images[i], images[j], out_dim)
             if lhs != rhs:
                 yield i, j, lhs, rhs
 

@@ -16,6 +16,7 @@ from .algebra import (
     Algebra,
     LinearMap,
     Subspace,
+    _hom_mismatches,
     complement_check,
     format_combination,
     hom_check,
@@ -24,7 +25,7 @@ from .algebra import (
 )
 from .errors import BudgetError, DimensionError, JalgError, VerificationError
 from .fields import Field
-from .identities import _bilinear, _embed2, _linear, _vadd, _vsub
+from .identities import _bilinear, _embed2, _linear, _vsub
 from .matched_pair import (
     BicrossedProduct,
     Factorization,
@@ -145,20 +146,30 @@ class DeformationVerdict:
         return "\n".join(lines)
 
 
-def _lift(R, *tensors):
-    """The pair's field-valued tensors with entries in R, lifted once per call."""
+def _graph(R, r: DeformationMap):
+    """The graph columns (r(e_j), e_j) in the coordinates of A x V, over R."""
+    units = linalg.identity(R, r.mp.V.dim)
+    return [list(col) + unit for col, unit in zip(r.cols, units)]
+
+
+def _graph_products(mp: MatchedPair, r: DeformationMap):
+    """Yield (i, j, a_part, v_part) for every basis pair i <= j of V: the
+    A and V components of (r(x), x)(r(y), y) at x = e_i, y = e_j, read off
+    the pair's product table,
+        a_part = r(x)r(y) + x |> r(y) + y |> r(x),
+        v_part = xy + x <| r(y) + y <| r(x).
+    The v_parts are the table of V_r; r is a deformation map iff the graph
+    is closed, i.e. iff r(v_part) = a_part everywhere."""
+    R = r.ring
+    nA, nV = mp.A.dim, mp.V.dim
+    sc = mp.product_sc()
     if isinstance(R, PolyRing):
-        return [_embed2(R, t) for t in tensors]
-    return list(tensors)
-
-
-def _cross(R, tensor, r: DeformationMap, units, i: int, j: int, out_dim: int):
-    """x . r(y) + y . r(x) at x = e_i, y = e_j, for an action tensor."""
-    return _vadd(
-        R,
-        _bilinear(R, tensor, units[i], r.cols[j], out_dim),
-        _bilinear(R, tensor, units[j], r.cols[i], out_dim),
-    )
+        sc = _embed2(R, sc)
+    graph = _graph(R, r)
+    for i in range(nV):
+        for j in range(i, nV):
+            prod = _bilinear(R, sc, graph[i], graph[j], nA + nV)
+            yield i, j, prod[:nA], prod[nA:]
 
 
 def _residuals(mp: MatchedPair, r: DeformationMap):
@@ -166,17 +177,18 @@ def _residuals(mp: MatchedPair, r: DeformationMap):
     residual is the A-vector
         r(xy) - r(x)r(y) - x |> r(y) - y |> r(x) + r(x <| r(y) + y <| r(x))
     at x = e_i, y = e_j.  The deformation identity holds iff all vanish."""
-    A, V = mp.A, mp.V
     R = r.ring
-    nA, nV = A.dim, V.dim
-    mul_a, left, right = _lift(R, A.sc, mp.left.tensor, mp.right.tensor)
-    units = linalg.identity(R, nV)
-    for i in range(nV):
-        for j in range(i, nV):
-            lhs = _vsub(R, r.apply(V.sc[i][j]), _bilinear(R, mul_a, r.cols[i], r.cols[j], nA))
-            inner = _cross(R, right, r, units, i, j, nV)
-            rhs = _vsub(R, _cross(R, left, r, units, i, j, nA), r.apply(inner))
-            yield i, j, _vsub(R, lhs, rhs)
+    for i, j, a_part, v_part in _graph_products(mp, r):
+        yield i, j, _vsub(R, _linear(R, r.cols, v_part, mp.A.dim), a_part)
+
+
+def _deformed_table(mp: MatchedPair, r: DeformationMap):
+    """The symmetric table of V_r, x . y = xy + x <| r(y) + y <| r(x)."""
+    nV = mp.V.dim
+    table = [[None] * nV for _ in range(nV)]
+    for i, j, _, v_part in _graph_products(mp, r):
+        table[i][j] = table[j][i] = tuple(v_part)
+    return table
 
 
 def deformation_check(mp: MatchedPair, r: DeformationMap) -> DeformationVerdict:
@@ -206,19 +218,8 @@ def r_deform(mp: MatchedPair, r: DeformationMap, name=None) -> Algebra:
         raise VerificationError(
             "map does not satisfy the deformation identity:\n" + verdict.describe()
         )
-    A, V = mp.A, mp.V
-    f = A.field
-    R = r.ring
-    nV = V.dim
-    right = _lift(R, mp.right.tensor)[0]
-    units = linalg.identity(R, nV)
-    table = [[None] * nV for _ in range(nV)]
-    for i in range(nV):
-        for j in range(i, nV):
-            cell = [R.coerce(c) for c in V.sc[i][j]]
-            cell = _vadd(R, cell, _cross(R, right, r, units, i, j, nV))
-            table[i][j] = table[j][i] = tuple(cell)
-    out = Algebra(f, V.basis, table, params=r.params, name=name)
+    table = _deformed_table(mp, r)
+    out = Algebra(mp.A.field, mp.V.basis, table, params=r.params, name=name)
     if not out.jordan_check().ok:
         raise VerificationError("deformed table is not Jordan; this should not happen")
     return out
@@ -240,7 +241,7 @@ def graph_complement(mp: MatchedPair, r: DeformationMap) -> GraphComplement:
     deformed = r_deform(mp, r)
     f = mp.A.field
     nA, nV = mp.A.dim, mp.V.dim
-    cols = [list(col) + unit for col, unit in zip(r.cols, linalg.identity(f, nV))]
+    cols = _graph(f, r)
     witness = LinearMap._of(f, nV, nA + nV, cols)
     sub = Subspace(E, cols)
     if sub.dim != nV:
@@ -259,13 +260,12 @@ def graph_complement(mp: MatchedPair, r: DeformationMap) -> GraphComplement:
 def equiv_check(
     mp: MatchedPair, r: DeformationMap, s: DeformationMap, sigma: LinearMap
 ) -> bool:
-    """Whether sigma intertwines the deformations of r and s.
+    """Whether sigma : V_r -> V_s is an algebra isomorphism, i.e. whether
 
-    sigma(xy) - sigma(x)sigma(y)
-        = sigma(x) <| s(sigma(y)) - sigma(x <| r(y))
-        + sigma(y) <| s(sigma(x)) - sigma(y <| r(x))
+        sigma(x . y) = sigma(x) . sigma(y),  x . y = xy + x <| r(y) + y <| r(x)
 
-    Holds exactly when sigma : V_r -> V_s is an algebra isomorphism.
+    on the left and the same with s on the right: the one homomorphism
+    residual between the two deformed tables, over the maps' ring.
     """
     V = mp.V
     if sigma.source_dim != V.dim or sigma.target_dim != V.dim:
@@ -275,26 +275,9 @@ def equiv_check(
     if r.params != s.params:
         raise JalgError("maps must share the same parameter list")
     R = r.ring
-    nV = V.dim
-    mul_v, right = _lift(R, V.sc, mp.right.tensor)
-    units = linalg.identity(R, nV)
-    sig_cols = [[R.coerce(c) for c in col] for col in sigma.cols]
-
-    for i in range(nV):
-        for j in range(i, nV):
-            si, sj = sig_cols[i], sig_cols[j]
-            # sigma(xy + x <| r(y) + y <| r(x)) against
-            # sigma(x)sigma(y) + sigma(x) <| s(sigma(y)) + sigma(y) <| s(sigma(x))
-            lhs = _vadd(R, mul_v[i][j], _cross(R, right, r, units, i, j, nV))
-            rhs = _vadd(
-                R,
-                _bilinear(R, right, si, s.apply(sj), nV),
-                _bilinear(R, right, sj, s.apply(si), nV),
-            )
-            rhs = _vadd(R, _bilinear(R, mul_v, si, sj, nV), rhs)
-            if _linear(R, sig_cols, lhs, nV) != rhs:
-                return False
-    return True
+    images = [[R.coerce(c) for c in col] for col in sigma.cols]
+    table_r, table_s = _deformed_table(mp, r), _deformed_table(mp, s)
+    return next(_hom_mismatches(R, table_r, table_s, images), None) is None
 
 
 def _deformation_conditions(mp: MatchedPair):

@@ -8,11 +8,13 @@ Over Q this is exactly the functional identity; over F_p it is equivalent
 because every axiom here has per-indeterminate degree <= 3 < p.
 
 The Jordan identity, the action laws and the bimodule square law are one
-cube law, w (w^2 m) = w^2 (w m).  _cube_law computes each coefficient of
-its expansion directly, one basis triple of w at a time, in plain
-integers, and builds residual polynomials only on a FAIL; it is still a
-proof, as every coefficient is checked.  MP1-MP6 and the linearized
-bimodule law are expanded as polynomials.
+cube law, w (w^2 m) = w^2 (w m).  _cube_coefficients computes each
+coefficient of its expansion directly, one basis triple of w at a time, in
+plain integers, and _cube_law builds residual polynomials from them only on
+a FAIL; it is still a proof, as every coefficient is checked.  With
+indeterminate table entries the coefficients are polynomial conditions on
+them (the abelian-pair census).  MP1-MP6 and the linearized bimodule law
+are expanded as polynomials.
 
 With declared parameters the parameters stay indeterminates too.  A PASS
 then holds at every specialization; a FAIL means the identity fails as a
@@ -40,8 +42,6 @@ from .fields import Field
 from .poly import Poly, PolyRing
 
 MP_AXIOMS = ("MP1", "MP2", "MP3", "MP4", "MP5", "MP6")
-LEFT_AXIOMS = ("L1", "L2", "L3")
-RIGHT_AXIOMS = ("R1", "R2", "R3")
 
 # With one action zero the other three MP axioms hold for degree reasons;
 # the surviving three specialize to the semidirect compatibilities.
@@ -248,25 +248,24 @@ def _operator(cols, m: int):
     return cols, [(l * m, o, v) for l, col in enumerate(cols) for o, v in col]
 
 
-def _cube_law(field: Field, mul, act, params, groups, axiom: str, space: str, stop_early=False):
-    """Failures of the cube law w (w^2 m) = w^2 (w m), one coefficient at a time.
+def _cube_coefficients(field: Field, mul, act, params):
+    """The nonzero coefficients of the cube law w (w^2 m) = w^2 (w m).
 
     mul is the (symmetric) table of the acting algebra and act[r][l] the
     coordinates of e_r acting on m_l; the Jordan identity is act = mul.
-    The first of groups names the generic acting element w, the last the
-    generic module element m (see generic_ring).
+    Returns ({o: {(i, j, k, l): c}}, decode), with c the coefficient of
+    w_i w_j w_k m_l in coordinate o (i <= j <= k) in the loops' arithmetic
+    (see _lift) and decode(c) its value: a field element, or a Poly in the
+    parameters.
 
     Write S_r for the operator of e_r and U_pq = sum_t mul[p][q][t] S_t for
-    that of e_p e_q.  The coefficient of w_i w_j w_k m_l in coordinate o is
-    entry (o, l) of the sum, over the distinct r in {i, j, k}, of
-    [S_r, U_pq] with {p, q} the other two indices, weighted 2 when p != q.
-    That is term for term the generic expansion's polynomial, so the law
-    holds iff every coefficient is 0, over Q and F_p alike.  Each
-    commutator belongs to one monomial: it is computed and dropped.  Only
-    on a FAIL are the residual polynomials built, in the ring of
-    generic_ring(field, params, groups).
+    that of e_p e_q.  The coefficient is entry (o, l) of the sum, over the
+    distinct r in {i, j, k}, of [S_r, U_pq] with {p, q} the other two
+    indices, weighted 2 when p != q.  That is term for term the generic
+    expansion's polynomial, so the law holds iff there is no coefficient,
+    over Q and F_p alike.  Each commutator belongs to one monomial: it is
+    computed and dropped.
     """
-    names = _generic_names(params, groups)
     n = len(mul)
     m = len(act[0]) if n else 0
     mul_s, act_s, nonzero, decode = _lift(field, params, mul, act)
@@ -319,12 +318,25 @@ def _cube_law(field: Field, mul, act, params, groups, axiom: str, space: str, st
                         if nonzero(c):
                             l, o = divmod(key, m)
                             bad.setdefault(o, {})[i, j, k, l] = c
+    return bad, decode
+
+
+def _cube_law(field: Field, mul, act, params, groups, axiom: str, space: str, stop_early=False):
+    """Failures of the cube law w (w^2 m) = w^2 (w m), from _cube_coefficients.
+
+    The first of groups names the generic acting element w, the last the
+    generic module element m (see generic_ring).  Only on a FAIL are the
+    residual polynomials built, in the ring of generic_ring(field, params,
+    groups).
+    """
+    names = _generic_names(params, groups)
+    bad, decode = _cube_coefficients(field, mul, act, params)
     if not bad:
         return []
     ring = PolyRing(field, names)
     acting, module = groups[0][0], groups[-1][0]
-    wpos = [ring._index[f"{acting}{i}"] for i in range(n)]
-    mpos = [ring._index[f"{module}{l}"] for l in range(m)]
+    wpos = [ring._index[f"{acting}{i}"] for i in range(len(mul))]
+    mpos = [ring._index[f"{module}{l}"] for l in range(len(act[0]))]
     failures = []
     for o in sorted(bad):
         terms = {}
@@ -572,41 +584,6 @@ def matched_pair_verdict(
     return _verdict(failures, checked)
 
 
-def _zero_action(field: Field, dim_v: int, dim_a: int, out_dim: int):
-    zero = field.zero
-    return [[[zero] * out_dim for _ in range(dim_a)] for _ in range(dim_v)]
-
-
-def left_semidirect_verdict(field, mul_a, mul_v, left, params=()) -> Verdict:
-    """L1-L3: the matched-pair conditions surviving when the right action is 0."""
-    dim_a, dim_v = len(mul_a), len(mul_v)
-    inner = matched_pair_verdict(
-        field,
-        mul_a,
-        mul_v,
-        _zero_action(field, dim_v, dim_a, dim_v),
-        left,
-        params=params,
-        axioms=tuple(_LEFT_FROM_MP),
-    )
-    return _rename(inner, _LEFT_FROM_MP)
-
-
-def right_semidirect_verdict(field, mul_a, mul_v, right, params=()) -> Verdict:
-    """R1-R3: the matched-pair conditions surviving when the left action is 0."""
-    dim_a, dim_v = len(mul_a), len(mul_v)
-    inner = matched_pair_verdict(
-        field,
-        mul_a,
-        mul_v,
-        right,
-        _zero_action(field, dim_v, dim_a, dim_a),
-        params=params,
-        axioms=tuple(_RIGHT_FROM_MP),
-    )
-    return _rename(inner, _RIGHT_FROM_MP)
-
-
 def _rename(verdict: Verdict, mapping) -> Verdict:
     failures = tuple(
         AxiomFailure(mapping[f.axiom], f.space, f.index, f.residual)
@@ -614,32 +591,3 @@ def _rename(verdict: Verdict, mapping) -> Verdict:
     )
     checked = tuple(mapping[name] for name in verdict.checked)
     return Verdict(verdict.ok, failures, checked)
-
-
-# ---------------------------------------------------------------------------
-# parametric condition extraction
-
-
-def coefficients_by_generics(residual: Poly, params: tuple[str, ...]) -> list[Poly]:
-    """Split a residual into its generic-monomial coefficients.
-
-    The residual lives in k[params + generics]; the identity holds for a
-    concrete parameter assignment iff every returned polynomial (living in
-    k[params]) vanishes there.  Used to turn one symbolic verification run
-    into a fast membership test for tensor scans.
-    """
-    ring = residual.ring
-    param_ring = PolyRing(ring.field, params)
-    param_pos = [ring._index[p] for p in params]
-    param_set = set(param_pos)
-    generic_pos = [i for i in range(len(ring.names)) if i not in param_set]
-    grouped: dict[tuple, dict] = {}
-    for exp, c in residual.terms.items():
-        g = tuple(exp[i] for i in generic_pos)
-        pe = tuple(exp[i] for i in param_pos)
-        # exponents follow param_ring's own sorted name order
-        pe_sorted = tuple(
-            pe[params.index(name)] for name in param_ring.names
-        )
-        grouped.setdefault(g, {})[pe_sorted] = c
-    return [Poly(param_ring, terms) for terms in grouped.values()]

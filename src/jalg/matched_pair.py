@@ -322,40 +322,36 @@ def bicross(mp: MatchedPair) -> BicrossedProduct:
     return BicrossedProduct(product, mp, a_emb, v_emb)
 
 
-def semidirect_left(A: Algebra, V: Algebra, la: LeftAction) -> Algebra:
-    """A |x V: multiplication (ab + x|>b + y|>a, xy); needs L1-L3."""
+def _semidirect(mp: MatchedPair, action: _Action, names) -> Algebra:
+    """The product of a pair whose other action is zero, once both factors,
+    the law of `action` and the three MP axioms that survive (the keys of
+    `names`, reported under its values: L1-L3 or R1-R3) pass."""
+    A, V = mp.A, mp.V
     for alg in (A, V):
         if not alg.is_jordan:
             raise VerificationError(f"{alg!r} fails the Jordan identity")
-    law = la.check()
+    law = action.check()
     if not law.ok:
-        raise VerificationError("left action law fails:\n" + law.describe())
-    verdict = identities.left_semidirect_verdict(
-        A.field, A.sc, V.sc,
-        [list(map(list, row)) for row in la.tensor], A.params,
+        raise VerificationError(f"{action._side} action law fails:\n" + law.describe())
+    verdict = identities._rename(
+        identities.matched_pair_verdict(
+            A.field, A.sc, V.sc, mp.right.tensor, mp.left.tensor, A.params, axioms=tuple(names)
+        ),
+        names,
     )
     if not verdict.ok:
         raise VerificationError("semidirect axioms fail:\n" + verdict.describe())
-    mp = MatchedPair(A, V, RightAction.zero(V, A), la)
     return bicross_table(mp)
+
+
+def semidirect_left(A: Algebra, V: Algebra, la: LeftAction) -> Algebra:
+    """A |x V: multiplication (ab + x|>b + y|>a, xy); needs L1-L3."""
+    return _semidirect(MatchedPair(A, V, RightAction.zero(V, A), la), la, identities._LEFT_FROM_MP)
 
 
 def semidirect_right(A: Algebra, V: Algebra, ra: RightAction) -> Algebra:
     """A x| V: multiplication (ab, x<|b + y<|a + xy); needs R1-R3."""
-    for alg in (A, V):
-        if not alg.is_jordan:
-            raise VerificationError(f"{alg!r} fails the Jordan identity")
-    law = ra.check()
-    if not law.ok:
-        raise VerificationError("right action law fails:\n" + law.describe())
-    verdict = identities.right_semidirect_verdict(
-        A.field, A.sc, V.sc,
-        [list(map(list, row)) for row in ra.tensor], A.params,
-    )
-    if not verdict.ok:
-        raise VerificationError("semidirect axioms fail:\n" + verdict.describe())
-    mp = MatchedPair(A, V, ra, LeftAction.zero(V, A))
-    return bicross_table(mp)
+    return _semidirect(MatchedPair(A, V, ra, LeftAction.zero(V, A)), ra, identities._RIGHT_FROM_MP)
 
 
 class Factorization:
@@ -499,29 +495,26 @@ class AbelianPairCensus:
 
 
 def _abelian_pair_conditions(field: Field, n: int):
-    """MP residual coefficients as polynomials in the action entries.
+    """The product's cube-law coefficients as polynomials in the action entries.
 
-    One symbolic verification with indeterminate entries; a candidate
-    (lambda, D) is a matched pair iff every returned polynomial vanishes
-    at it.  Action laws are automatic here (both factors are abelian).
+    The (n+1)-dim product of the abelian base (e_0 .. e_{n-1}) and the
+    abelian complement t, with indeterminate lambda and D: the only nonzero
+    cells are (e_j, t) = (D e_j, lambda_j t).  The product is Jordan, and so
+    the pair matched, exactly at the common zeros of the distinct
+    coefficients of its cube law.
     """
     lam_names = tuple(f"l{i}" for i in range(n))
     d_names = tuple(f"d{i}{j}" for i in range(n) for j in range(n))
     params = lam_names + d_names
     ring = PolyRing(field, params)
-    z = [[field.zero] * n for _ in range(n)]
-    mul_a = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
-    mul_v = [[[field.zero]]]
-    right = [[[ring.var(f"l{j}")] for j in range(n)]]
-    left = [[[ring.var(f"d{i}{j}") for i in range(n)] for j in range(n)]]
-    verdict = identities.matched_pair_verdict(
-        field, mul_a, mul_v, right, left, params=params
-    )
-    return params, [
-        poly
-        for failure in verdict.failures
-        for poly in identities.coefficients_by_generics(failure.residual, params)
-    ]
+    zero = (field.zero,) * (n + 1)
+    table = [[zero] * (n + 1) for _ in range(n + 1)]
+    for j in range(n):
+        cell = tuple(ring.var(f"d{i}{j}") for i in range(n)) + (ring.var(f"l{j}"),)
+        table[j][n] = table[n][j] = cell
+    bad, decode = identities._cube_coefficients(field, table, table, params)
+    conditions = (decode(c) for coeffs in bad.values() for c in coeffs.values())
+    return params, list(dict.fromkeys(conditions))
 
 
 def enumerate_abelian_pairs(n: int, field: Field) -> AbelianPairCensus:

@@ -6,9 +6,11 @@ bimodule square law) as polynomials, a sigma loop over GL(V) for the
 factorization index, an unfiltered scan of all p^(n*n) matrices for
 `iso_search` over F_p, the six block conditions C1-C6 of a morphism
 quadruple written out one by one, the projection of a factorization
-from one linalg.express per unit vector, and the F_p enumerations as a
-`Poly.eval` of every condition at each of the p^k candidates.  The tests
-compare the library with them, so no fast path is its own judge.
+from one linalg.express per unit vector, the F_p enumerations as a
+`Poly.eval` of every condition at each of the p^k candidates, and the
+deformation identity, the deformed table and the equivalence of two maps
+written out term by term instead of read off the product table.  The
+tests compare the library with them, so no fast path is its own judge.
 """
 
 import itertools
@@ -21,6 +23,8 @@ from jalg.identities import (
     _bilinear,
     _collect,
     _embed2,
+    _linear,
+    _vadd,
     _verdict,
     _vscale,
     _vsub,
@@ -28,6 +32,7 @@ from jalg.identities import (
 )
 from jalg.matched_pair import _abelian_pair_conditions
 from jalg.morphism import IsoVerdict, QuadrupleVerdict
+from jalg.poly import PolyRing
 
 
 def jordan_verdict(field, mul, params=(), stop_early=False):
@@ -301,3 +306,72 @@ def cube_zero_pairs(field, n):
             cols = tuple(tuple(rows[i][j] for i in range(n)) for j in range(n))
             out.append(((field.zero,) * n, cols))
     return out
+
+
+def _lifted(R, *tensors):
+    """The pair's field-valued tensors with entries in R."""
+    if isinstance(R, PolyRing):
+        return [_embed2(R, t) for t in tensors]
+    return list(tensors)
+
+
+def _cross(R, tensor, r, i, j, out_dim):
+    """x . r(y) + y . r(x) at x = e_i, y = e_j, for an action tensor."""
+    units = linalg.identity(R, len(r.cols))
+    return _vadd(
+        R,
+        _bilinear(R, tensor, units[i], r.cols[j], out_dim),
+        _bilinear(R, tensor, units[j], r.cols[i], out_dim),
+    )
+
+
+def deformation_residuals(mp, r):
+    """(i, j, residual) for every basis pair i <= j of V, the residual being
+        r(xy) - r(x)r(y) - x |> r(y) - y |> r(x) + r(x <| r(y) + y <| r(x))
+    at x = e_i, y = e_j, term by term."""
+    R = r.ring
+    nA, nV = mp.A.dim, mp.V.dim
+    mul_a, left, right = _lifted(R, mp.A.sc, mp.left.tensor, mp.right.tensor)
+    out = []
+    for i in range(nV):
+        for j in range(i, nV):
+            lhs = _vsub(R, r.apply(mp.V.sc[i][j]), _bilinear(R, mul_a, r.cols[i], r.cols[j], nA))
+            rhs = _vsub(R, _cross(R, left, r, i, j, nA), r.apply(_cross(R, right, r, i, j, nV)))
+            out.append((i, j, _vsub(R, lhs, rhs)))
+    return out
+
+
+def deformed_table(mp, r):
+    """The table of V_r, xy + x <| r(y) + y <| r(x), term by term."""
+    R = r.ring
+    nV = mp.V.dim
+    right = _lifted(R, mp.right.tensor)[0]
+    table = [[None] * nV for _ in range(nV)]
+    for i in range(nV):
+        for j in range(i, nV):
+            cell = _vadd(R, [R.coerce(c) for c in mp.V.sc[i][j]], _cross(R, right, r, i, j, nV))
+            table[i][j] = table[j][i] = tuple(cell)
+    return tuple(map(tuple, table))
+
+
+def equiv_holds(mp, r, s, sigma):
+    """Whether, for every basis pair,
+        sigma(xy + x <| r(y) + y <| r(x))
+            = sigma(x)sigma(y) + sigma(x) <| s(sigma(y)) + sigma(y) <| s(sigma(x))."""
+    R = r.ring
+    nV = mp.V.dim
+    mul_v, right = _lifted(R, mp.V.sc, mp.right.tensor)
+    sig = [[R.coerce(c) for c in col] for col in sigma.cols]
+    for i in range(nV):
+        for j in range(i, nV):
+            si, sj = sig[i], sig[j]
+            lhs = _vadd(R, mul_v[i][j], _cross(R, right, r, i, j, nV))
+            rhs = _vadd(
+                R,
+                _bilinear(R, right, si, s.apply(sj), nV),
+                _bilinear(R, right, sj, s.apply(si), nV),
+            )
+            rhs = _vadd(R, _bilinear(R, mul_v, si, sj, nV), rhs)
+            if _linear(R, sig, lhs, nV) != rhs:
+                return False
+    return True

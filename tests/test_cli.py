@@ -113,6 +113,28 @@ def test_semidirect(capsys):
     assert "v v" not in out  # v squares to zero in the semidirect product
 
 
+_LINE_PAIR = (
+    "algebra A\n  field Q\n  dim 1\n  basis a\n  mult a a = a\nend\n\n"
+    "algebra V\n  field Q\n  dim 1\n  basis x\nend\n\n"
+)
+
+
+@pytest.mark.parametrize(
+    "side,action,residual",
+    [
+        ("left", "left x . a = a", "L2[A:0] residual a0^2*x0*y0 + 2*a0*x0^2*y0"),
+        ("right", "right x . a = 2 x", "R2[V:0] residual 6*a0^2*b0*x0"),
+    ],
+)
+def test_semidirect_fail_exit_one(capsys, tmp_path, side, action, residual):
+    path = tmp_path / "line.jpair"
+    path.write_text(_LINE_PAIR + action + "\n")
+    code, out, err = run(capsys, "semidirect", str(path), "--side", side)
+    assert code == 1
+    assert out == ""
+    assert err == f"failed: semidirect axioms fail:\nfail\n  {residual}\n"
+
+
 def test_semidirect_wrong_side_errors(capsys):
     # J17's left action is nonzero, so a right-only product must refuse
     code, _, err = run(

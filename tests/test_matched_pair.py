@@ -19,6 +19,7 @@ from jalg import (
     QQ,
     RightAction,
     Subspace,
+    VerificationError,
     bicross,
     bicross_table,
     canonical_pair,
@@ -191,8 +192,6 @@ def test_bicross_rejects_unmatched():
     V = Algebra.from_products(QQ, ("u",), {("u", "u"): {"u": 1}})
     ra = RightAction.from_images(V, A, {("u", "a"): {"u": 1}, ("u", "b"): {"u": 1}})
     mp = MatchedPair(A, V, ra, LeftAction.zero(V, A))
-    from jalg import VerificationError
-
     with pytest.raises(VerificationError):
         bicross(mp)
 
@@ -214,8 +213,32 @@ def test_semidirect_left():
         E = semidirect_left(mp.A, mp.V, mp.left)
         assert E.table_key() == bicross(zp).product.table_key()
     else:
-        with pytest.raises(Exception):
+        with pytest.raises(VerificationError, match="semidirect axioms fail"):
             semidirect_left(mp.A, mp.V, mp.left)
+
+
+def _idempotent_and_line():
+    """A = (a a = a) and a 1-dim abelian V, over Q."""
+    A = Algebra.from_products(QQ, ("a",), {("a", "a"): {"a": 1}})
+    return A, Algebra.abelian(QQ, ("x",))
+
+
+def test_semidirect_left_fail_names_the_axiom():
+    A, V = _idempotent_and_line()
+    la = LeftAction.from_images(V, A, {("x", "a"): {"a": 1}})
+    with pytest.raises(VerificationError) as info:
+        semidirect_left(A, V, la)
+    assert str(info.value) == (
+        "semidirect axioms fail:\nfail\n  L2[A:0] residual a0^2*x0*y0 + 2*a0*x0^2*y0"
+    )
+
+
+def test_semidirect_right_fail_names_the_axiom():
+    A, V = _idempotent_and_line()
+    ra = RightAction.from_images(V, A, {("x", "a"): {"x": 2}})
+    with pytest.raises(VerificationError) as info:
+        semidirect_right(A, V, ra)
+    assert str(info.value) == "semidirect axioms fail:\nfail\n  R2[V:0] residual 6*a0^2*b0*x0"
 
 
 def test_with_zero_actions_gives_direct_sum():
