@@ -12,10 +12,11 @@ The nilpotency cross-check is recomputed here directly on the matrices.
 """
 
 import argparse
+import sys
 import time
 from dataclasses import dataclass
 
-from jalg import Field, enumerate_abelian_pairs
+from jalg import Field, JalgError, enumerate_abelian_pairs
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,11 @@ def main(argv=None) -> int:
     parser.add_argument("--dim", type=int, default=2, help="base dimension (default 2)")
     parser.add_argument("--p", type=int, default=5, help="field characteristic (default 5)")
     args = parser.parse_args(argv)
-    return run(CensusConfig(args.dim, args.p))
+    try:
+        return run(CensusConfig(args.dim, args.p))
+    except JalgError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,11 +13,20 @@ matched count and a breakdown by factor shape.
 
 import argparse
 import itertools
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
 
-from jalg import Algebra, Field, LeftAction, MatchedPair, RightAction, bicross_table
+from jalg import (
+    Algebra,
+    Field,
+    JalgError,
+    LeftAction,
+    MatchedPair,
+    RightAction,
+    bicross_table,
+)
 
 
 @dataclass(frozen=True)
@@ -28,6 +37,8 @@ class ScanConfig:
 def run(config: ScanConfig) -> int:
     f = Field(config.p)
     p = config.p
+    if not p:
+        raise JalgError("the scan needs a finite field: give a prime p >= 5")
     t0 = time.perf_counter()
     matched = 0
     disagreements = 0
@@ -60,7 +71,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--p", type=int, default=5, help="field characteristic (default 5)")
     args = parser.parse_args(argv)
-    return run(ScanConfig(args.p))
+    try:
+        return run(ScanConfig(args.p))
+    except JalgError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,9 +3,10 @@
 
 Enumerates every deformation map over the (finite) base field, groups the
 deformed products into equivalence classes, prints one block per class with
-its representative multiplication table.  factorization_index itself
-cross-checks the partition against pairwise isomorphism of the deformed
-algebras; a mismatch raises VerificationError and exits 1.
+its representative multiplication table.  factorization_index places each
+map by iso_search, re-checks every witness with equiv_check and confirms
+the representatives pairwise non-isomorphic; a failed check raises
+VerificationError and exits 1.
 
     python3 scripts/complements_report.py
     python3 scripts/complements_report.py --pair J17-pair --field F5
@@ -18,7 +19,15 @@ import sys
 import time
 from dataclasses import dataclass
 
-from jalg import JalgError, VerificationError, catalog, factorization_index, load_pair
+from jalg import (
+    JalgError,
+    MatchedPair,
+    ParseError,
+    VerificationError,
+    catalog,
+    factorization_index,
+    load_pair,
+)
 from jalg.catalog import names as catalog_names
 from jalg.fileio import _parse_field
 
@@ -32,9 +41,12 @@ class ReportConfig:
 
 def load(config: ReportConfig):
     field = _parse_field(config.field)
-    if config.pair in catalog_names():
-        return catalog(config.pair, field=field)
-    return load_pair(config.pair).to_field(field)
+    if config.pair not in catalog_names():
+        return load_pair(config.pair).to_field(field)
+    mp = catalog(config.pair, field=field)
+    if not isinstance(mp, MatchedPair):
+        raise ParseError(f"{config.pair} holds an algebra; a matched pair is needed")
+    return mp
 
 
 def run(config: ReportConfig) -> int:

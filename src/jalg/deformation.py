@@ -8,7 +8,6 @@ grouping them by equivalence computes the factorization index.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import linalg
@@ -352,49 +351,16 @@ class ComplementReport:
         return "\n".join(lines)
 
 
-def _general_linear(f: Field, n: int):
-    """(columns of sigma, rows of sigma^-1) for every invertible n x n
-    matrix sigma, in lexicographic order of its row-major entries."""
-    p = f.characteristic
-    out = []
-    for flat in itertools.product(range(p), repeat=n * n):
-        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-        inv = linalg.invert(f, rows)
-        if inv is None:
-            continue
-        out.append((tuple(zip(*rows)), inv))
-    return out
-
-
-def _table_key(sc) -> tuple:
-    """The cells (i <= j) of a symmetric multiplication table."""
-    n = len(sc)
-    return tuple(tuple(sc[i][j]) for i in range(n) for j in range(i, n))
-
-
-def _pullback_key(f: Field, sc, sigma, sigma_inv) -> tuple:
-    """Table key of the product x . y = sigma^-1(sigma(x) sigma(y)) that
-    sigma pulls back from the table sc; sigma is then an isomorphism from
-    that product onto sc."""
-    n = len(sc)
-    return tuple(
-        tuple(linalg.mat_vec(f, sigma_inv, _bilinear(f, sc, sigma[i], sigma[j], n)))
-        for i in range(n)
-        for j in range(i, n)
-    )
-
-
 def factorization_index(mp: MatchedPair) -> ComplementReport:
     """Count complements of A in the bicrossed product up to equivalence.
 
     r ~ s through sigma exactly when sigma : V_r -> V_s is an algebra
-    isomorphism, i.e. when sigma pulls the table of V_s back to the table
-    of V_r.  So each new class representative s pulls its table back along
-    every sigma in GL(V), in lexicographic order, once; every later map is
-    placed by a lookup of its own table, with the first such sigma as its
-    witness.  Each witness is re-checked with equiv_check, and the
-    partition is cross-checked against isomorphism of the deformed
-    algebras (the two partitions must coincide).
+    isomorphism.  So each map, in enumeration order, joins the first class
+    whose representative iso_search finds V_r isomorphic to, with the
+    first isomorphism in row-major lexicographic order as its witness;
+    otherwise it opens a class, witnessed by the identity.  Each witness
+    is re-checked with equiv_check, and the representatives are confirmed
+    pairwise non-isomorphic by searches from the other side.
     """
     f = mp.A.field
     if not f.characteristic:
@@ -403,43 +369,24 @@ def factorization_index(mp: MatchedPair) -> ComplementReport:
     _cap_gl_search(n, "the sigma search over GL(V)")
     maps = enumerate_deformations(mp)
     deformed = tuple(r_deform(mp, r) for r in maps)
-    keys = [_table_key(B.sc) for B in deformed]
-    wanted = set(keys)
-    gl = _general_linear(f, n)
     classes: list[list[int]] = []
     witnesses = {}
-    placed = {}  # table key -> (class number, first sigma pulling the rep back to it)
-    for idx, key in enumerate(keys):
-        hit = placed.get(key)
-        if hit is not None:
-            c, sigma = hit
-            classes[c].append(idx)
-            witnesses[idx] = LinearMap._of(f, n, n, sigma)
-            continue
-        c = len(classes)
-        classes.append([idx])
-        witnesses[idx] = LinearMap.identity(f, n)
-        rep_sc = deformed[idx].sc
-        for sigma, sigma_inv in gl:
-            pulled = _pullback_key(f, rep_sc, sigma, sigma_inv)
-            if pulled in wanted and pulled not in placed:
-                placed[pulled] = (c, sigma)
-                if len(placed) == len(wanted):
-                    break  # every map's table has its first sigma
+    for idx, table in enumerate(deformed):
+        for cls in classes:
+            verdict = iso_search(table, deformed[cls[0]], "exhaustive-Fp")
+            if verdict.is_isomorphic:
+                cls.append(idx)
+                witnesses[idx] = verdict.witness
+                break
+        else:
+            classes.append([idx])
+            witnesses[idx] = LinearMap.identity(f, n)
     for cls in classes:
         rep = maps[cls[0]]
         for idx in cls:
             if not equiv_check(mp, maps[idx], rep, witnesses[idx]):
                 raise VerificationError(
-                    "orbit table gave a witness that fails equiv_check"
-                )
-    # oracle redundancy: sigma classes must match isomorphism classes
-    for cls in classes:
-        rep_table = deformed[cls[0]]
-        for idx in cls[1:]:
-            if not iso_search(deformed[idx], rep_table, "exhaustive-Fp").is_isomorphic:
-                raise VerificationError(
-                    "equivalent maps produced non-isomorphic complements"
+                    "iso_search gave a witness that fails equiv_check"
                 )
     for a in range(len(classes)):
         for b in range(a + 1, len(classes)):

@@ -1,5 +1,7 @@
 """Complement-deformation maps, deformed products, graphs, equivalence."""
 
+import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,11 +30,14 @@ from jalg import (
     factorization_index,
     graph_complement,
     hom_check,
+    invariant_signature,
     iso_search,
+    parse_pair,
     r_deform,
     subalgebra_check,
 )
 from jalg import poly
+from jalg.cli import main
 
 F5 = Field(5)
 
@@ -311,3 +316,56 @@ def test_factorization_index_caps_gl_dimension_before_enumerating(monkeypatch):
     monkeypatch.setattr("jalg.deformation.enumerate_deformations", fail)
     with pytest.raises(BudgetError, match="capped at dimension 3"):
         factorization_index(mp)
+
+
+# The canonical pair of the 4-dim E = <e1, e2, e3 idempotent; e1 e4 = 3 e4>
+# split along A = span(e1 + e2 + e3) and V = span(e1, e2, e4).
+_E4_PAIR = """\
+algebra A
+  field F5
+  dim 1
+  basis s0
+  mult s0 s0 = s0
+end
+
+algebra V
+  field F5
+  dim 3
+  basis e1 e2 e4
+  mult e1 e1 = e1
+  mult e1 e4 = 3 e4
+  mult e2 e2 = e2
+end
+
+right e1 . s0 = e1
+right e2 . s0 = e2
+right e4 . s0 = 3 e4
+"""
+
+
+def test_factorization_index_with_a_three_dim_complement():
+    """Seven maps in three classes over F5, every witness certified and
+    the representatives told apart by an independent invariant; a walk of
+    GL(3, F5) would take minutes, placement by iso_search under ten
+    seconds."""
+    t0 = time.perf_counter()
+    mp = parse_pair(_E4_PAIR)
+    report = factorization_index(mp)
+    elapsed = time.perf_counter() - t0
+    assert len(report.maps) == 7
+    assert report.index == 3
+    assert report.classes == ((0, 1), (2,), (3, 4, 5, 6))
+    for ci, cls in enumerate(report.classes):
+        rep = report.maps[report.representatives[ci]]
+        for i in cls:
+            assert equiv_check(mp, report.maps[i], rep, report.witnesses[i])
+    signatures = [invariant_signature(report.deformed[i]) for i in report.representatives]
+    assert signatures == [(3, 2, 1), (2, 2, 2), (3, 3, 3)]
+    assert elapsed < 10.0, f"classification took {elapsed:.3f}s"
+
+
+def test_complements_cli_with_a_three_dim_complement(tmp_path, capsys):
+    path = tmp_path / "e4.jpair"
+    path.write_text(_E4_PAIR)
+    assert main(["complements", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["index"] == 3

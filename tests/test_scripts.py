@@ -45,3 +45,28 @@ def test_abelian_census_over_f7():
     done = run_script("abelian_census.py", "--dim", "2", "--p", "7")
     assert done.returncode == 0, done.stderr
     assert "closed form confirmed" in done.stdout
+
+
+def test_bicross_scan_over_f5():
+    done = run_script("bicross_scan.py", "--p", "5")
+    assert done.returncode == 0, done.stderr
+    assert "89 matched pairs of 625" in done.stdout
+    assert "verdict disagreements: 0" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("bicross_scan.py", ["--p", "4"], "characteristic 4 is not prime"),
+        ("bicross_scan.py", ["--p", "0"], "the scan needs a finite field: give a prime p >= 5"),
+        ("abelian_census.py", ["--p", "4"], "characteristic 4 is not prime"),
+        ("abelian_census.py", ["--p", "0"], "enumeration needs a finite field"),
+        ("abelian_census.py", ["--dim", "-1"], "base dimension must be at least 0, got -1"),
+        ("complements_report.py", ["--pair", "J7"], "J7 holds an algebra; a matched pair is needed"),
+    ],
+)
+def test_scripts_bad_input_exits_two(script, args, message):
+    done = run_script(script, *args)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: {message}\n"

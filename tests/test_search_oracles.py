@@ -1,10 +1,10 @@
 """The fast searches against their slow oracles (tests/slow_oracles.py).
 
-factorization_index places maps by an orbit table of pulled-back tables,
-and iso_search over F_p scans only the matrices whose columns share the
-element keys of the basis.  Both must give exactly what the brute-force
-procedures give: the same classes and witnesses, the same verdicts,
-witnesses, certificates and budget notes.
+factorization_index places each map with iso_search against the class
+representatives, and iso_search over F_p scans only the matrices whose
+columns share the element keys of the basis.  Both must give exactly what
+the brute-force procedures give: the same classes and witnesses, the same
+verdicts, witnesses, certificates and budget notes.
 """
 
 import itertools
@@ -62,15 +62,18 @@ def _same(A, B, budget=None):
     return slow
 
 
-@pytest.mark.parametrize("p", [5, 7])
-def test_index_matches_sigma_loop(p):
-    mp = catalog("defmap-pair", field=Field(p))
+@pytest.mark.parametrize(
+    "name, p", [("defmap-pair", 5), ("defmap-pair", 7), ("J5-pair", 5), ("J17-pair", 5)]
+)
+def test_index_matches_sigma_loop(name, p):
+    mp = catalog(name, field=Field(p))
     report = factorization_index(mp)
     classes, witnesses = sigma_loop_classes(mp, report.maps)
     assert [list(c) for c in report.classes] == classes
     assert report.witnesses == witnesses
 
-    # the iso verdicts the index cross-checks with, against the full scan
+    # the iso verdicts that place each member and separate the
+    # representatives, against the full scan
     for cls in report.classes:
         for idx in cls[1:]:
             assert _same(report.deformed[idx], report.deformed[cls[0]]).is_isomorphic
