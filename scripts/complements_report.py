@@ -24,11 +24,10 @@ from jalg import (
     MatchedPair,
     ParseError,
     VerificationError,
-    catalog,
     factorization_index,
-    load_pair,
 )
 from jalg.catalog import names as catalog_names
+from jalg.cli import _load
 from jalg.fileio import _parse_field
 
 
@@ -40,10 +39,9 @@ class ReportConfig:
 
 
 def load(config: ReportConfig):
-    field = _parse_field(config.field)
-    if config.pair not in catalog_names():
-        return load_pair(config.pair).to_field(field)
-    mp = catalog(config.pair, field=field)
+    """The pair as the CLI loads it: a catalog name, or a .jpair path."""
+    spec = f"catalog:{config.pair}" if config.pair in catalog_names() else config.pair
+    mp = _load(spec, _parse_field(config.field))
     if not isinstance(mp, MatchedPair):
         raise ParseError(f"{config.pair} holds an algebra; a matched pair is needed")
     return mp

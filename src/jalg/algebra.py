@@ -469,13 +469,11 @@ class Subspace:
 
 
 def complement_check(E: Algebra, U: Subspace, W: Subspace) -> bool:
+    """Whether E = U + W directly.  With dim U + dim W = dim E, U + W is all
+    of E exactly when U and W meet only in 0, so one rank decides it."""
     if U.ambient is not E or W.ambient is not E:
         raise JalgError("subspaces do not live in the given algebra")
-    if U.dim + W.dim != E.dim:
-        return False
-    if U.intersect(W).dim != 0:
-        return False
-    return U.sum(W).dim == E.dim
+    return U.dim + W.dim == E.dim and U.sum(W).dim == E.dim
 
 
 def subalgebra_check(E: Algebra, U: Subspace) -> bool:

@@ -22,7 +22,7 @@ from .deformation import (
     factorization_index,
     r_deform,
 )
-from .errors import BudgetError, JalgError, ParseError, VerificationError
+from .errors import JalgError, ParseError, VerificationError
 from .fields import Field
 from .matched_pair import (
     Factorization,
@@ -563,19 +563,10 @@ def main(argv=None) -> int:
         if getattr(args, "budget", None) is not None and args.budget < 1:
             raise ParseError(f"--budget must be positive, got {args.budget}")
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except VerificationError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
-    except JalgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (JalgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

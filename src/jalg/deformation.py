@@ -413,37 +413,24 @@ def complement_recover(
 ) -> DeformationMap:
     """Recover the deformation map whose graph is the complement bbar.
 
-    Decomposes each basis vector of B over A + bbar and returns r = -u,
-    where u is the A component; checks the result against the identity
-    and verifies the bbar component is an isomorphism from V_r.
+    Splits each basis vector of B along E = A + bbar with one
+    `Factorization(E, a_sub, bbar_sub)` and returns r = -u, where u is the
+    A part; `r_deform` checks r against the identity, and the bbar part
+    must be an isomorphism from V_r onto bbar.
     """
-    fact = Factorization(E, a_sub, b_sub)
-    mp = canonical_pair(fact)
+    mp = canonical_pair(Factorization(E, a_sub, b_sub))
     wit = subalgebra_witness(E, bbar_sub)
     if wit is not None:
         raise VerificationError(f"bbar is not a subalgebra: {wit}")
     if not complement_check(E, a_sub, bbar_sub):
         raise VerificationError("bbar is not a complement of A")
     f = E.field
-    na, nb = a_sub.dim, b_sub.dim
-    stacked = [list(row) for row in a_sub.rows] + [list(row) for row in bbar_sub.rows]
-    r_cols = []
-    v_cols = []
-    for row in b_sub.rows:
-        coords = linalg.express(f, stacked, list(row))
-        if coords is None:
-            raise VerificationError("decomposition over A + bbar failed")
-        r_cols.append([f.neg(c) for c in coords[:na]])
-        v_cols.append(list(coords[na:]))
-    r = DeformationMap(mp, r_cols)
-    verdict = deformation_check(mp, r)
-    if not verdict.ok:
-        raise VerificationError(
-            "recovered map fails the deformation identity:\n" + verdict.describe()
-        )
+    split = Factorization(E, a_sub, bbar_sub).split
+    parts = [split(row) for row in b_sub.rows]
+    r = DeformationMap(mp, [[f.neg(c) for c in u] for u, _ in parts])
     deformed = r_deform(mp, r)
     bbar_alg, _ = induced_subalgebra(E, bbar_sub)
-    v_map = LinearMap._of(f, nb, bbar_sub.dim, v_cols)
+    v_map = LinearMap._of(f, b_sub.dim, bbar_sub.dim, [w for _, w in parts])
     if not v_map.is_invertible() or not hom_check(v_map, deformed, bbar_alg):
         raise VerificationError("bbar component is not an isomorphism from V_r")
     return r

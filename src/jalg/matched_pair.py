@@ -19,7 +19,7 @@ from .algebra import (
 )
 from .errors import DimensionError, FieldMismatchError, JalgError, VerificationError
 from .fields import Field
-from .identities import Verdict, _bilinear, _linear, _vsub
+from .identities import Verdict, _bilinear, _linear
 from .poly import PolyRing, solve_fp
 
 
@@ -355,38 +355,43 @@ def semidirect_right(A: Algebra, V: Algebra, ra: RightAction) -> Algebra:
 
 
 class Factorization:
-    """E together with complementary subalgebras A and B, and the projection
-    onto A along B."""
+    """E together with complementary subalgebras A and B.
+
+    One inverse of the stacked basis (A's rows, then B's rows) decides that
+    A and B are complementary and splits every vector along E = A + B:
+    `split` gives its coordinates on both factors, and `pi_A` is the
+    projection onto A along B."""
 
     def __init__(self, E: Algebra, A_sub: Subspace, B_sub: Subspace):
         if not subalgebra_check(E, A_sub):
             raise VerificationError("first subspace is not a subalgebra")
         if not subalgebra_check(E, B_sub):
             raise VerificationError("second subspace is not a subalgebra")
-        if not complement_check(E, A_sub, B_sub):
+        f = E.field
+        stacked = list(A_sub.rows) + list(B_sub.rows)
+        inv = linalg.invert(f, stacked) if len(stacked) == E.dim else None
+        if inv is None:
             raise VerificationError("subspaces are not complementary")
         self.E = E
         self.A_sub = A_sub
         self.B_sub = B_sub
-        self.pi_A = _projection(E, A_sub, B_sub)
+        # row k of the inverse holds the coordinates of e_k on the stacked basis
+        self._inv = inv
+        cols = [_linear(f, A_sub.rows, row[: A_sub.dim], E.dim) for row in inv]
+        self.pi_A = LinearMap._of(f, E.dim, E.dim, cols)
 
-
-def _projection(E: Algebra, A_sub: Subspace, B_sub: Subspace) -> LinearMap:
-    """E -> E with image A, kernel B.
-
-    Row k of the inverse of the stacked basis (A rows, then B rows) holds
-    the coordinates of e_k on that basis; its A part, recombined, is the
-    image of e_k."""
-    f = E.field
-    inv = linalg.invert(f, list(A_sub.rows) + list(B_sub.rows))
-    if inv is None:
-        raise VerificationError("decomposition failed; not complementary")
-    cols = [_linear(f, A_sub.rows, coeffs[: A_sub.dim], E.dim) for coeffs in inv]
-    return LinearMap._of(f, E.dim, E.dim, cols)
+    def split(self, v):
+        """(coordinates of v on A_sub.rows, coordinates of v on B_sub.rows)."""
+        f = self.E.field
+        if len(v) != self.E.dim:
+            raise DimensionError("vector length does not match ambient dimension")
+        coords = _linear(f, self._inv, [f.coerce(c) for c in v], self.E.dim)
+        return coords[: self.A_sub.dim], coords[self.A_sub.dim :]
 
 
 def canonical_pair(fact: Factorization) -> MatchedPair:
-    """Actions x |> a := pi_A(xa), x <| a := xa - pi_A(xa) on the factors.
+    """Actions x |> a and x <| a on the factors: the A and B parts of
+    `fact.split(xa)`, so that xa = x |> a + x <| a.
 
     Also rebuilds the bicrossed product of the result and checks that
     (a, x) -> a + x is an isomorphism onto E.
@@ -397,21 +402,10 @@ def canonical_pair(fact: Factorization) -> MatchedPair:
     B_alg, _ = induced_subalgebra(E, fact.B_sub)
     left_rows = []
     right_rows = []
-    for x in range(B_alg.dim):
-        lrow = []
-        rrow = []
-        for a in range(A_alg.dim):
-            prod = E.mul_coords(fact.B_sub.rows[x], fact.A_sub.rows[a])
-            proj = fact.pi_A.apply(prod)
-            rest = _vsub(f, prod, proj)
-            la = fact.A_sub.coordinates(proj)
-            rv = fact.B_sub.coordinates(rest)
-            if la is None or rv is None:
-                raise VerificationError("projection left the factorization")
-            lrow.append(la)
-            rrow.append(rv)
-        left_rows.append(lrow)
-        right_rows.append(rrow)
+    for x in fact.B_sub.rows:
+        parts = [fact.split(E.mul_coords(x, a)) for a in fact.A_sub.rows]
+        left_rows.append([la for la, _ in parts])
+        right_rows.append([rv for _, rv in parts])
     mp = MatchedPair(
         A_alg,
         B_alg,
@@ -434,6 +428,10 @@ def split_mono_decompose(E: Algebra, p: LinearMap):
     """Decompose E along an idempotent algebra projection p.
 
     Returns (right semidirect product on im p x ker p, iso (a,x) -> a+x).
+    The pair is `canonical_pair` of the factorization (im p, ker p); its
+    left action is zero because p(xa) = p(x)p(a) = 0 for x in ker p, and
+    canonical_pair has already checked that (a, x) -> a + x is an
+    isomorphism from its product onto E.
     """
     if p.source_dim != E.dim or p.target_dim != E.dim:
         raise DimensionError("projection must be an endomorphism of E")
@@ -444,24 +442,9 @@ def split_mono_decompose(E: Algebra, p: LinearMap):
     f = E.field
     image = Subspace(E, [list(col) for col in p.cols])
     kernel = Subspace(E, linalg.nullspace(f, p.rows()))
-    A_alg, _ = induced_subalgebra(E, image)
-    V_alg, _ = induced_subalgebra(E, kernel)
-    rows = []
-    for x in range(V_alg.dim):
-        row = []
-        for a in range(A_alg.dim):
-            prod = E.mul_coords(kernel.rows[x], image.rows[a])
-            coords = kernel.coordinates(prod)
-            if coords is None:
-                raise VerificationError("kernel is not stable under the action")
-            row.append(coords)
-        rows.append(row)
-    ra = RightAction(V_alg, A_alg, rows)
-    product = semidirect_right(A_alg, V_alg, ra)
-    psi = LinearMap._of(f, product.dim, E.dim, image.rows + kernel.rows)
-    if not psi.is_invertible() or not hom_check(psi, product, E):
-        raise VerificationError("(a, x) -> a + x is not an isomorphism onto E")
-    return product, psi
+    mp = canonical_pair(Factorization(E, image, kernel))
+    product = semidirect_right(mp.A, mp.V, mp.right)
+    return product, LinearMap._of(f, product.dim, E.dim, image.rows + kernel.rows)
 
 
 # ---------------------------------------------------------------------------

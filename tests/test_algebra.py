@@ -20,6 +20,7 @@ from jalg import (
     RightAction,
     Subspace,
     bimodule_check,
+    complement_check,
     dual_action,
     induced_subalgebra,
     jordanize,
@@ -256,6 +257,31 @@ def test_subspace_coordinates_match_express(f):
                 assert all(0 <= c < f.characteristic for c in got)
         assert U.contains(inside)
     assert outside > 10
+
+
+@pytest.mark.parametrize("f", [QQ, F5, F7])
+def test_complement_check_matches_intersection(f):
+    """complement_check's dimension and rank test against a zero
+    intersection and a full sum, on random subspace pairs.  Some W's reuse
+    a vector of U, so pairs whose dimensions add up but which meet in a
+    nonzero vector come up too."""
+    rng = random.Random(40 + f.characteristic)
+    meeting = complementary = 0
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        E = Algebra.abelian(f, [f"e{k}" for k in range(n)])
+        k = rng.randint(0, n)
+        u_gens = [[_unreduced_scalar(rng, f) for _ in range(n)] for _ in range(k)]
+        w_gens = [[_unreduced_scalar(rng, f) for _ in range(n)] for _ in range(n - k)]
+        if u_gens and w_gens and rng.random() < 0.4:
+            w_gens[0] = list(rng.choice(u_gens))
+        U, W = Subspace(E, u_gens), Subspace(E, w_gens)
+        meet = U.intersect(W).dim
+        want = meet == 0 and U.sum(W).dim == E.dim
+        assert complement_check(E, U, W) == want, (u_gens, w_gens)
+        complementary += want
+        meeting += U.dim + W.dim == n and meet > 0
+    assert complementary > 20 and meeting > 5
 
 
 def test_j17_two_label_subalgebras(j17):

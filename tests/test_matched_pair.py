@@ -288,6 +288,8 @@ def test_factorization_requires_closed_complements(j5):
         Subspace.span_of_labels(j5, ["u", "v"]),
     )
     assert fact.E is j5
+    with pytest.raises(JalgError, match="vector length"):
+        fact.split([1, 0, 0])
 
 
 def test_alternate_factorization_of_j5(j5):
@@ -325,11 +327,32 @@ def test_split_mono_dim_zero_kernel():
 
 
 def test_split_mono_rejects_non_projection(j5):
+    # swapping the idempotents and killing u, v respects every product
     p = LinearMap.from_images(
         j5, j5, {"a": {"b": 1}, "b": {"a": 1}, "u": {}, "v": {}}
     )
-    with pytest.raises(JalgError):
+    with pytest.raises(VerificationError, match="^projection is not idempotent$"):
         split_mono_decompose(j5, p)
+    # doubling sends a = aa to 2a, not to (2a)(2a) = 4a
+    one = LinearMap.identity(j5.field, j5.dim)
+    double = one.add(one)
+    with pytest.raises(VerificationError, match="^projection is not an algebra map$"):
+        split_mono_decompose(j5, double)
+
+
+def test_split_mono_of_a_product_with_zero_left_action():
+    """Projecting the defmap-pair product onto A along V (an algebra map,
+    since the left action is zero) gives back the product's own table,
+    with psi the identity."""
+    mp = catalog("defmap-pair")
+    assert mp.left.is_zero()
+    bp = bicross(mp)
+    E = bp.product
+    p = Factorization(E, bp.a_embedding, bp.v_embedding).pi_A
+    product, psi = split_mono_decompose(E, p)
+    assert product.basis == E.basis
+    assert product.sc == E.sc
+    assert psi == LinearMap.identity(E.field, E.dim)
 
 
 # -- nilpotent family and census ----------------------------------------------
@@ -401,11 +424,13 @@ def test_pair_axioms_iff_product_jordan(s, t, wr, wl):
 
 @pytest.mark.parametrize("p", [0, 5, 7])
 def test_projection_matches_express_oracle(p):
-    """pi_A of a factorization, read off one inverse of the stacked basis,
-    against one linalg.express per unit vector, on seeded random
-    complementary subspaces of an abelian algebra (all are subalgebras)."""
+    """pi_A and split of a factorization, read off one inverse of the
+    stacked basis, against linalg.express (per unit vector, and on random
+    vectors), on seeded random complementary subspaces of an abelian
+    algebra (all are subalgebras)."""
     f = Field(p)
     rng = random.Random(60 + p)
+    vrng = random.Random(70 + p)
     for _ in range(30):
         n = rng.randint(1, 5)
         while True:
@@ -418,4 +443,10 @@ def test_projection_matches_express_oracle(p):
         k = rng.randint(0, n)
         E = Algebra.abelian(f, [f"e{i}" for i in range(n)])
         A_sub, B_sub = Subspace(E, rows[:k]), Subspace(E, rows[k:])
-        assert Factorization(E, A_sub, B_sub).pi_A == express_projection(E, A_sub, B_sub)
+        fact = Factorization(E, A_sub, B_sub)
+        assert fact.pi_A == express_projection(E, A_sub, B_sub)
+        stacked = [list(r) for r in A_sub.rows + B_sub.rows]
+        for _ in range(3):
+            v = [f.coerce(Fraction(vrng.randint(-5, 5), vrng.randint(1, 3))) for _ in range(n)]
+            coords = linalg.express(f, stacked, v)
+            assert fact.split(v) == (coords[:k], coords[k:])

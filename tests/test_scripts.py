@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+J7_FILE = str(ROOT / "src" / "jalg" / "data" / "J7.jalg")
 
 
 def run_script(name, *args):
@@ -63,6 +64,11 @@ def test_bicross_scan_over_f5():
         ("abelian_census.py", ["--p", "0"], "enumeration needs a finite field"),
         ("abelian_census.py", ["--dim", "-1"], "base dimension must be at least 0, got -1"),
         ("complements_report.py", ["--pair", "J7"], "J7 holds an algebra; a matched pair is needed"),
+        (
+            "complements_report.py",
+            ["--pair", J7_FILE],
+            f"{J7_FILE} holds an algebra; a matched pair is needed",
+        ),
     ],
 )
 def test_scripts_bad_input_exits_two(script, args, message):

@@ -1,0 +1,26 @@
+"""The runtime imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "jalg"
+
+
+def test_runtime_imports_only_the_standard_library():
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "jalg" and top not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}:{node.lineno} imports {name}")
+    assert not outside, outside
