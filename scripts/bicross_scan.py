@@ -5,7 +5,10 @@ Every combination of factor squares (s, t) and action weights (wr, wl)
 is tested twice: once through the matched-pair conditions and once by
 checking the cube law directly on the 2-dim combined product.  The two
 verdicts must agree on all p^4 combinations; the script reports the
-matched count and a breakdown by factor shape.
+matched count and a breakdown by factor shape.  verify() decides a PASS of
+MP1-MP6 by that same cube law, so the agreement is a consistency check;
+criterion 04 of the tests compares the conditions written out as
+polynomials.
 
     python3 scripts/bicross_scan.py
     python3 scripts/bicross_scan.py --p 7

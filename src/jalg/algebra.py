@@ -127,13 +127,6 @@ class Algebra:
             raise DimensionError(f"basis index {i} out of range for dim {self.dim}")
         return self.element(linalg.identity(self.ring, self.dim)[i])
 
-    def from_combination(self, combo: dict) -> "Element":
-        index = {lab: i for i, lab in enumerate(self.basis)}
-        coords = [self.ring.zero] * self.dim
-        for lab, c in combo.items():
-            coords[index[lab]] = self.ring.coerce(c)
-        return self.element(coords)
-
     @property
     def zero(self) -> "Element":
         return self.element([self.ring.zero] * self.dim)

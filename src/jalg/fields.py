@@ -118,6 +118,8 @@ class Field:
         Over F_p a Fraction is accepted when its denominator is invertible.
         """
         if self.characteristic == 0:
+            if type(value) is Fraction:  # immutable: no copy needed
+                return value
             if isinstance(value, (int, Fraction)):
                 return Fraction(value)
             raise JalgError(f"cannot coerce {value!r} into Q")

@@ -13,8 +13,10 @@ coefficient of its expansion directly, one basis triple of w at a time, in
 plain integers, and _cube_law builds residual polynomials from them only on
 a FAIL; it is still a proof, as every coefficient is checked.  With
 indeterminate table entries the coefficients are polynomial conditions on
-them (the abelian-pair census).  MP1-MP6 and the linearized bimodule law
-are expanded as polynomials.
+them (the abelian-pair census).  The same kernel on the pair's product
+table decides MP1-MP6, as A x V is Jordan exactly when the pair is matched;
+they are expanded as polynomials only on a FAIL, to name the failing
+axioms.  The linearized bimodule law is expanded as polynomials.
 
 With declared parameters the parameters stay indeterminates too.  A PASS
 then holds at every specialization; a FAIL means the identity fails as a
@@ -427,6 +429,24 @@ def bimodule_verdict(field: Field, mul, act, params=()) -> Verdict:
 # matched-pair axioms
 
 
+def _pair_product(mul_a, mul_v, right, left, zero) -> tuple:
+    """Structure constants of the candidate product on A x V: the A basis,
+    then the V basis, and cell (a, x) = (x |> a, x <| a), so that
+    (a,x)(b,y) = (ab + x|>b + y|>a, x<|b + y<|a + xy)."""
+    n, m = len(mul_a), len(mul_v)
+    sc = [[None] * (n + m) for _ in range(n + m)]
+    for i in range(n):
+        for j in range(n):
+            sc[i][j] = tuple(mul_a[i][j]) + (zero,) * m
+    for x in range(m):
+        for y in range(m):
+            sc[n + x][n + y] = (zero,) * n + tuple(mul_v[x][y])
+    for i in range(n):
+        for x in range(m):
+            sc[i][n + x] = sc[n + x][i] = tuple(left[x][i]) + tuple(right[x][i])
+    return tuple(map(tuple, sc))
+
+
 def matched_pair_verdict(
     field: Field,
     mul_a,
@@ -437,11 +457,24 @@ def matched_pair_verdict(
     axioms=MP_AXIOMS,
     stop_early: bool = False,
 ) -> Verdict:
-    """MP1-MP6 with generic a, b in A and x, y in V.
+    """The MP axioms in `axioms`, decided by the cube law of the pair's
+    product: A x V is Jordan exactly when (A, V, <|, |>) is a matched pair.
 
-    right[x][a] is V-valued, left[x][a] is A-valued.  The action laws
-    themselves are separate checks (action_law_verdict); this covers the
-    six compatibilities only.
+    right[x][a] is V-valued, left[x][a] is A-valued.  Only when that
+    product fails are the axioms expanded (_mp_expansions), to report which
+    fail; they may all pass, as a factor or an action law can be at fault.
+    """
+    table = _pair_product(mul_a, mul_v, right, left, field.zero)
+    bad, _ = _cube_coefficients(field, table, table, params)
+    if not bad:
+        return _verdict([], axioms)
+    return _mp_expansions(field, mul_a, mul_v, right, left, params, axioms, stop_early)
+
+
+def _mp_expansions(field: Field, mul_a, mul_v, right, left, params, axioms, stop_early) -> Verdict:
+    """MP1-MP6 with generic a, b in A and x, y in V, each expanded as
+    polynomials.  The action laws themselves are separate checks
+    (action_law_verdict); this covers the six compatibilities only.
     """
     dim_a = len(mul_a)
     dim_v = len(mul_v)

@@ -94,14 +94,6 @@ def solve(field: Field, rows: list[list], b: list) -> list | None:
     return x
 
 
-def express(field: Field, basis: list[list], v: list) -> list | None:
-    """Coordinates of v in terms of the given vectors, or None if outside the span."""
-    if not basis:
-        return [] if all(field.is_zero(c) for c in v) else None
-    cols = [[vec[i] for vec in basis] for i in range(len(v))]
-    return solve(field, cols, v)
-
-
 def nullspace(field: Field, rows: list[list]) -> list[list]:
     """Basis of {x : (rows) x = 0}."""
     if not rows:

@@ -2,11 +2,12 @@
 
 Each is the plain procedure the fast path replaced: generic-element
 expansion of the cube law (the Jordan identity, the action laws and the
-bimodule square law) as polynomials, a sigma loop over GL(V) for the
+bimodule square law) as polynomials, MP1-MP6 expanded as polynomials
+where the library decides a PASS by the product's cube law, a sigma loop over GL(V) for the
 factorization index, an unfiltered scan of all p^(n*n) matrices for
 `iso_search` over F_p, the six block conditions C1-C6 of a morphism
 quadruple written out one by one, the projection of a factorization
-from one linalg.express per unit vector, the F_p enumerations as a
+from one `express` (a linalg.solve) per unit vector, the F_p enumerations as a
 `Poly.eval` of every condition at each of the p^k candidates, and the
 deformation identity, the deformed table and the equivalence of two maps
 written out term by term instead of read off the product table.  The
@@ -20,10 +21,14 @@ from jalg import linalg
 from jalg.algebra import _hom_ok
 from jalg.deformation import _deformation_conditions
 from jalg.identities import (
+    MP_AXIOMS,
+    AxiomFailure,
+    Verdict,
     _bilinear,
     _collect,
     _embed2,
     _linear,
+    _mp_expansions,
     _vadd,
     _verdict,
     _vscale,
@@ -100,13 +105,60 @@ def bimodule_verdict(field, mul, act, params=()):
     return _verdict(failures, ["bim-square", "bim-linear"])
 
 
+def matched_pair_verdict(
+    field, mul_a, mul_v, right, left, params=(), axioms=MP_AXIOMS, stop_early=False
+):
+    """MP1-MP6, each expanded as polynomials, with no cube-law shortcut."""
+    return _mp_expansions(field, mul_a, mul_v, right, left, params, axioms, stop_early)
+
+
+def verify(mp, stop_early=False):
+    """MatchedPair.verify from expansions alone: both factors' Jordan
+    identities and both action laws expanded above, then MP1-MP6."""
+    A, V = mp.A, mp.V
+    pieces = [
+        ("jordan-A", jordan_verdict(A.field, A.sc, A.params)),
+        ("jordan-V", jordan_verdict(V.field, V.sc, V.params)),
+    ]
+    if all(v.ok for _, v in pieces) or not stop_early:
+        # A acts on V: acting-first indexing of the right action
+        right = [[mp.right.tensor[x][a] for x in range(V.dim)] for a in range(A.dim)]
+        for side, mul, act, prefixes in (
+            ("right", A.sc, right, ("a", "x")),
+            ("left", V.sc, mp.left.tensor, ("x", "a")),
+        ):
+            axiom = f"{side}-action"
+            pieces.append((axiom, action_law_verdict(A.field, mul, act, A.params, *prefixes, axiom)))
+    if all(v.ok for _, v in pieces) or not stop_early:
+        mp_verdict = matched_pair_verdict(
+            A.field, A.sc, V.sc, mp.right.tensor, mp.left.tensor, A.params, stop_early=stop_early
+        )
+        pieces.append(("mp", mp_verdict))
+    failures, checked = [], []
+    for prefix, v in pieces:
+        checked.extend(v.checked if prefix == "mp" else [prefix])
+        for f in v.failures:
+            name = prefix if prefix.startswith("jordan") else f.axiom
+            failures.append(AxiomFailure(name, f.space, f.index, f.residual))
+    return Verdict(not failures, tuple(failures), tuple(checked))
+
+
+def express(field, basis, v):
+    """Coordinates of v in terms of the given vectors, or None if outside
+    the span: one linalg.solve of the system with the vectors as columns."""
+    if not basis:
+        return [] if all(field.is_zero(c) for c in v) else None
+    cols = [[vec[i] for vec in basis] for i in range(len(v))]
+    return linalg.solve(field, cols, v)
+
+
 def express_projection(E, A_sub, B_sub):
-    """E -> E onto A along B, one linalg.express per unit vector."""
+    """E -> E onto A along B, one express per unit vector."""
     f = E.field
     basis = list(A_sub.rows) + list(B_sub.rows)
     cols = []
     for unit in linalg.identity(f, E.dim):
-        coeffs = linalg.express(f, basis, unit)
+        coeffs = express(f, basis, unit)
         image = [f.zero] * E.dim
         for i in range(A_sub.dim):
             image = [f.add(t, f.mul(coeffs[i], a)) for t, a in zip(image, A_sub.rows[i])]

@@ -92,6 +92,29 @@ def test_coerce():
     assert F5.coerce(Fraction(1, 2)) == 3  # 1/2 = 3 mod 5
 
 
+def test_coerce_q_keeps_a_fraction():
+    x = Fraction(-7, 3)
+    assert QQ.coerce(x) is x
+
+
+@pytest.mark.parametrize("value", [0, 5, -4, True, False])
+def test_coerce_q_turns_ints_and_bools_into_fractions(value):
+    got = QQ.coerce(value)
+    assert type(got) is Fraction
+    assert got == Fraction(int(value))
+
+
+def test_coerce_fp_unchanged():
+    assert F7.coerce(Fraction(3, 2)) == 5  # 3/2 = 3 * 4 mod 7
+    assert type(F7.coerce(Fraction(4))) is int
+    assert F7.coerce(True) == 1
+    assert F7.coerce(-9) == 5
+    with pytest.raises(JalgError):
+        QQ.coerce(0.5)
+    with pytest.raises(JalgError):
+        F7.coerce("1")
+
+
 def test_coerce_vanishing_denominator_names_the_value():
     with pytest.raises(JalgError) as exc:
         F5.coerce(Fraction(3, 10))

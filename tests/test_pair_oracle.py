@@ -1,0 +1,186 @@
+"""MatchedPair.verify against the expansion oracle (tests/slow_oracles.py).
+
+verify() decides a PASS of MP1-MP6 by one cube-law pass on the pair's
+product table and expands the axioms only when that product fails.  The
+oracle expands everything: both factors' Jordan identities, both action
+laws and MP1-MP6.  Both must give equal Verdicts, equal describe() text
+and equal witnesses, with and without stop_early, PASS or FAIL.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from jalg import (
+    Algebra,
+    Field,
+    LeftAction,
+    MatchedPair,
+    QQ,
+    RightAction,
+    bicross,
+    catalog,
+    identities,
+)
+from jalg.catalog import PAIR_NAMES
+import slow_oracles as oracle
+from test_acceptance import SAMPLING_PLAN, SAMPLING_SEED, _random_pair
+
+F5 = Field(5)
+FIELDS = {"Q": QQ, "F5": F5, "F7": Field(7)}
+
+
+def _same(fast, slow):
+    assert fast == slow
+    assert fast.describe() == slow.describe()
+    assert [f.witness() for f in fast.failures] == [f.witness() for f in slow.failures]
+
+
+def _check(mp):
+    """verify() (fresh, then with stop_early) and the semidirect subsets of
+    matched_pair_verdict against the oracle; returns the full verdict."""
+    full = mp.verify()
+    _same(full, oracle.verify(mp))
+    _same(mp.verify(stop_early=True), oracle.verify(mp, stop_early=True))
+    A, V = mp.A, mp.V
+    args = (A.field, A.sc, V.sc, mp.right.tensor, mp.left.tensor, A.params)
+    for names in (identities._LEFT_FROM_MP, identities._RIGHT_FROM_MP):
+        axioms = tuple(names)
+        _same(
+            identities.matched_pair_verdict(*args, axioms=axioms),
+            oracle.matched_pair_verdict(*args, axioms=axioms),
+        )
+    return full
+
+
+def _fresh(mp):
+    """The same pair without its cached verdict."""
+    return MatchedPair(mp.A, mp.V, mp.right, mp.left)
+
+
+def test_one_dim_combos_match_oracle():
+    """All 625 pairs of 1-dim factors over F5; 89 are matched."""
+    matched = 0
+    for s, t, wr, wl in itertools.product(range(5), repeat=4):
+        A = Algebra.from_products(F5, ("a",), {("a", "a"): {"a": s}})
+        V = Algebra.from_products(F5, ("x",), {("x", "x"): {"x": t}})
+        mp = MatchedPair(A, V, RightAction(V, A, [[[wr]]]), LeftAction(V, A, [[[wl]]]))
+        matched += _check(mp).ok
+    assert matched == 89
+
+
+def test_criterion_10_plan_matches_oracle():
+    """Criterion 10's rejection sampler: every candidate with stop_early,
+    and the 200 accepted pairs in full."""
+    rng = random.Random(SAMPLING_SEED)
+    accepted = 0
+    for (na, nv), q, count in SAMPLING_PLAN:
+        got = 0
+        while got < count:
+            mp = _random_pair(rng, na, nv, q)
+            quick = mp.verify(stop_early=True)
+            _same(quick, oracle.verify(mp, stop_early=True))
+            if quick.ok:
+                assert _check(_fresh(mp)).ok
+                got += 1
+        accepted += got
+    assert accepted == 200
+
+
+def _scalar(rng, f):
+    if f.characteristic:
+        return rng.randrange(1, f.characteristic)
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+
+def _factor(rng, f, n, prefix):
+    """A Jordan factor (a 2-dim catalog algebra, plus a 1-dim summand at
+    n = 3), or with probability 1/4 a random symmetric table."""
+    labels = tuple(f"{prefix}{i}" for i in range(n))
+    sc = [[[f.zero] * n for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.25:
+        for i in range(n):
+            for j in range(i, n):
+                cell = [_scalar(rng, f) if rng.random() < 0.5 else f.zero for _ in range(n)]
+                sc[i][j] = sc[j][i] = cell
+        return Algebra(f, labels, sc)
+    base = catalog(rng.choice(("V1", "V2", "V3", "A2")), field=None if f is QQ else f)
+    for i in range(2):
+        for j in range(2):
+            sc[i][j][:2] = base.sc[i][j]
+    if n == 3:
+        sc[2][2][2] = rng.choice([f.zero, f.one])
+    return Algebra(f, labels, sc)
+
+
+def _random_unmatched(rng, f, na, nv):
+    """Jordan or random factors with zero actions, one random action entry,
+    or dense random actions."""
+    A, V = _factor(rng, f, na, "a"), _factor(rng, f, nv, "x")
+    right = [[[f.zero] * nv for _ in range(na)] for _ in range(nv)]
+    left = [[[f.zero] * na for _ in range(na)] for _ in range(nv)]
+    kind = rng.randrange(3)
+    if kind == 1:
+        tensor, out = rng.choice(((right, nv), (left, na)))
+        tensor[rng.randrange(nv)][rng.randrange(na)][rng.randrange(out)] = _scalar(rng, f)
+    elif kind == 2:
+        for tensor in (right, left):
+            for row in tensor:
+                for cell in row:
+                    for k in range(len(cell)):
+                        if rng.random() < 0.4:
+                            cell[k] = _scalar(rng, f)
+    return MatchedPair(A, V, RightAction(V, A, right), LeftAction(V, A, left))
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_random_pairs_match_oracle(name):
+    """Seeded random pairs at dims (2, 2) and (3, 2).  The draw covers a
+    product that fails while MP1-MP6 pass (a factor or an action law
+    broke it), and MP failures with lawful factors and actions."""
+    f = FIELDS[name]
+    rng = random.Random("pairs-" + name)
+    mp_only = mp_pass_product_fails = 0
+    for na, nv in ((2, 2), (3, 2)):
+        for _ in range(15):
+            mp = _random_unmatched(rng, f, na, nv)
+            full = _check(mp)
+            axioms = set(full.failed_axioms())
+            if axioms and axioms <= set(identities.MP_AXIOMS):
+                mp_only += 1
+            if not full.ok and not axioms & set(identities.MP_AXIOMS):
+                mp_pass_product_fails += 1
+    assert mp_only and mp_pass_product_fails
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_catalog_pairs_match_oracle(name):
+    """Every catalog pair, and its bicrossed product's seeded Jordan verdict
+    against a fresh cube-law pass on the product table."""
+    f = FIELDS[name]
+    for pair_name in PAIR_NAMES:
+        mp = _fresh(catalog(pair_name, field=None if f is QQ else f))
+        assert _check(mp).ok
+        product = bicross(mp).product
+        fresh = identities.jordan_verdict(product.field, product.sc, product.params)
+        assert fresh.ok
+        _same(product.jordan_check(), fresh)
+
+
+@pytest.mark.parametrize("name", ("Q", "F5"))
+def test_parametric_pairs_match_oracle(name):
+    """x |> a = D(a) on a 2-dim abelian base with D in F[alpha]: matched
+    for D = [[0, alpha], [0, 0]] (D^2 = 0), not for D = diag(alpha, 0)."""
+    f = FIELDS[name]
+    params = ("alpha",)
+    A = Algebra(f, ("a0", "a1"), [[[f.zero] * 2] * 2] * 2, params=params)
+    V = Algebra(f, ("t",), [[[f.zero]]], params=params)
+    alpha = A.ring.var("alpha")
+    zero = A.ring.zero
+    verdicts = []
+    for cols in (((zero, zero), (alpha, zero)), ((alpha, zero), (zero, zero))):
+        left = LeftAction(V, A, [[list(c) for c in cols]])
+        verdicts.append(_check(MatchedPair(A, V, RightAction.zero(V, A), left)).ok)
+    assert verdicts == [True, False]
