@@ -282,7 +282,7 @@ def bicross(mp: MatchedPair) -> BicrossedProduct:
     if not verdict.ok:
         raise VerificationError("not a matched pair:\n" + verdict.describe())
     product = bicross_table(mp)
-    # the pass decided MP1-MP6 by the cube law of this very table
+    # verify() passed by the cube law of this very table (matched_pair_verdict)
     product._jordan = Verdict(True, (), ("jordan",))
     n, dim = mp.A.dim, product.dim
     if mp.A.params:

@@ -3,15 +3,16 @@
 Each is the plain procedure the fast path replaced: generic-element
 expansion of the cube law (the Jordan identity, the action laws and the
 bimodule square law) as polynomials, MP1-MP6 expanded as polynomials
-where the library decides a PASS by the product's cube law, a sigma loop over GL(V) for the
-factorization index, an unfiltered scan of all p^(n*n) matrices for
-`iso_search` over F_p, the six block conditions C1-C6 of a morphism
-quadruple written out one by one, the projection of a factorization
-from one `express` (a linalg.solve) per unit vector, the F_p enumerations as a
-`Poly.eval` of every condition at each of the p^k candidates, and the
-deformation identity, the deformed table and the equivalence of two maps
-written out term by term instead of read off the product table.  The
-tests compare the library with them, so no fast path is its own judge.
+where the library decides a PASS by the product's cube law, a sigma loop
+over GL(V) for the factorization index, an unfiltered scan of all
+p^(n*n) matrices for `iso_search` over F_p, the six block conditions
+C1-C6 of a morphism quadruple written out one by one, the projection of
+a factorization from one `express` (a linalg.solve) per unit vector, the
+F_p enumerations as a `Poly.eval` of every condition at each of the p^k
+candidates, and the deformation identity, the deformed table and the
+equivalence of two maps written out term by term instead of read off the
+product table.  The tests compare the library with them, so no fast path
+is its own judge.
 """
 
 import itertools
