@@ -17,7 +17,7 @@ from .errors import (
     VerificationError,
 )
 from .fields import Field
-from .identities import _bilinear, _linear, _vadd, _vscale, _vsub
+from .identities import _bilinear, _hom_mismatches, _linear, _sparse, _vadd, _vscale, _vsub
 from .poly import Poly, PolyRing
 
 
@@ -81,6 +81,7 @@ class Algebra:
                         f"({self.basis[i]}, {self.basis[j]})"
                     )
         self._jordan: identities.Verdict | None = None
+        self._sparse_sc: tuple | None = None
         self._element_buckets: dict | None = None  # morphism._element_buckets
 
     # -- construction helpers ------------------------------------------------
@@ -131,8 +132,15 @@ class Algebra:
     def zero(self) -> "Element":
         return self.element([self.ring.zero] * self.dim)
 
+    def sparse_sc(self) -> tuple:
+        """The table in the sparse form the contractions read
+        (identities._sparse), built once per algebra."""
+        if self._sparse_sc is None:
+            self._sparse_sc = _sparse(self.sc, self.ring)
+        return self._sparse_sc
+
     def mul_coords(self, x, y):
-        return _bilinear(self.ring, self.sc, x, y, self.dim)
+        return _bilinear(self.ring, self.sparse_sc(), x, y, self.dim)
 
     def mul(self, x: "Element", y: "Element") -> "Element":
         if x.algebra is not self or y.algebra is not self:
@@ -365,21 +373,7 @@ def hom_check(f: LinearMap, A: Algebra, B: Algebra) -> bool:
 def _hom_ok(A: Algebra, B: Algebra, images) -> bool:
     """hom_check on raw images (images[i] = B-coordinates of the image of
     e_i), without building a LinearMap; search loops call this directly."""
-    return next(_hom_mismatches(A.field, A.sc, B.sc, images), None) is None
-
-
-def _hom_mismatches(ring, sc, sc2, images):
-    """The one homomorphism residual: yield (i, j, lhs, rhs) for each basis
-    pair i <= j of the table `sc` where lhs = image of e_i e_j differs from
-    rhs = (image of e_i)(image of e_j) in the table `sc2`.  The tables and
-    images live in `ring`: a Field, or a PolyRing for parametric maps."""
-    out_dim = len(sc2)
-    for i in range(len(sc)):
-        for j in range(i, len(sc)):
-            lhs = _linear(ring, images, sc[i][j], out_dim)
-            rhs = _bilinear(ring, sc2, images[i], images[j], out_dim)
-            if lhs != rhs:
-                yield i, j, lhs, rhs
+    return next(_hom_mismatches(A.field, A.sparse_sc(), B.sparse_sc(), images), None) is None
 
 
 class Subspace:
@@ -598,12 +592,13 @@ def jordanize(field: Field, basis, assoc, params=(), name=None) -> Algebra:
     m = [[[ring.coerce(c) for c in cell] for cell in row] for row in assoc]
 
     units = linalg.identity(ring, n)
+    table = _sparse(m, ring)
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 # (e_i e_j) e_k against e_i (e_j e_k)
-                lhs = _bilinear(ring, m, m[i][j], units[k], n)
-                rhs = _bilinear(ring, m, units[i], m[j][k], n)
+                lhs = _bilinear(ring, table, m[i][j], units[k], n)
+                rhs = _bilinear(ring, table, units[i], m[j][k], n)
                 if lhs != rhs:
                     raise VerificationError(
                         f"input multiplication is not associative at basis triple "

@@ -15,7 +15,6 @@ from .algebra import (
     Algebra,
     LinearMap,
     Subspace,
-    _hom_mismatches,
     complement_check,
     format_combination,
     hom_check,
@@ -24,7 +23,7 @@ from .algebra import (
 )
 from .errors import BudgetError, DimensionError, JalgError, VerificationError
 from .fields import Field
-from .identities import _bilinear, _embed2, _linear, _vsub
+from .identities import _bilinear, _hom_mismatches, _linear, _sparse, _vsub
 from .matched_pair import (
     BicrossedProduct,
     Factorization,
@@ -161,9 +160,7 @@ def _graph_products(mp: MatchedPair, r: DeformationMap):
     is closed, i.e. iff r(v_part) = a_part everywhere."""
     R = r.ring
     nA, nV = mp.A.dim, mp.V.dim
-    sc = mp.product_sc()
-    if isinstance(R, PolyRing):
-        sc = _embed2(R, sc)
+    sc = _sparse(mp.product_sc(), R) if isinstance(R, PolyRing) else mp.product_sparse()
     graph = _graph(R, r)
     for i in range(nV):
         for j in range(i, nV):
@@ -275,7 +272,7 @@ def equiv_check(
         raise JalgError("maps must share the same parameter list")
     R = r.ring
     images = [[R.coerce(c) for c in col] for col in sigma.cols]
-    table_r, table_s = _deformed_table(mp, r), _deformed_table(mp, s)
+    table_r, table_s = (_sparse(_deformed_table(mp, t), R) for t in (r, s))
     return next(_hom_mismatches(R, table_r, table_s, images), None) is None
 
 

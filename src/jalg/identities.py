@@ -31,6 +31,9 @@ parameters for one-parameter families):
 * right action    right[x][a] = coordinate vector of e_x <| e_a  (in V)
 * left action     left[x][a]  = coordinate vector of e_x |> e_a  (in A)
 * module action   act[i][m]   = coordinate vector of e_i . m_m   (in M)
+
+The contractions read a tensor in its sparse form (_sparse):
+t[i][j] = ((k, c), ...) over the nonzero entries of cell (i, j).
 """
 
 from __future__ import annotations
@@ -131,45 +134,124 @@ def generic_ring(field: Field, params, groups):
     return ring, vectors
 
 
-def _embed2(ring: PolyRing, table) -> list[list[list[Poly]]]:
-    """Coerce a 2-index tensor of vectors into ring elements."""
-    return [[[ring.coerce(c) for c in cell] for cell in row] for row in table]
+def _sparse(table, ring) -> tuple:
+    """The one sparse form of a table of vectors, t[i][j] = ((k, c), ...)
+    over the nonzero entries c of cell (i, j), in ascending k, coerced into
+    `ring`: the form every contraction reads."""
+
+    def cell_form(cell):
+        out = []
+        for k, c in enumerate(cell):
+            # most entries are zero ints or Fractions: coerce only the
+            # others (a Poly is always truthy, and is_zero decides it)
+            if c:
+                v = ring.coerce(c)
+                if not ring.is_zero(v):
+                    out.append((k, v))
+        return tuple(out)
+
+    return tuple(tuple(cell_form(cell) for cell in row) for row in table)
 
 
-def _bilinear(ring, tensor, u, v, out_dim: int) -> list:
-    """sum over i, j of u_i v_j tensor[i][j]: the one bilinear contraction.
+def _bilinear(ring, table, u, v, out_dim: int) -> list:
+    """sum over i, j of u_i v_j table[i][j]: the one bilinear contraction,
+    over the table's sparse form (_sparse).
 
-    Works through the ring protocol that Field and PolyRing share; the
-    tensor's entries and the coordinates must already live in `ring`.
+    With a PolyRing it runs through the ring protocol.  Over a Field it
+    runs in plain int or Fraction operators and reduces mod p once per
+    output coordinate, so F_p inputs may be unreduced ints.
     """
     out = [ring.zero] * out_dim
-    for i, ui in enumerate(u):
-        if ring.is_zero(ui):
-            continue
-        row = tensor[i]
-        for j, vj in enumerate(v):
-            if ring.is_zero(vj):
+    if type(ring) is PolyRing:
+        for i, ui in enumerate(u):
+            if ring.is_zero(ui):
                 continue
-            prod = ring.mul(ui, vj)
-            cell = row[j]
-            for k in range(out_dim):
-                if not ring.is_zero(cell[k]):
-                    out[k] = ring.add(out[k], ring.mul(prod, cell[k]))
-    return out
+            row = table[i]
+            for j, vj in enumerate(v):
+                if ring.is_zero(vj):
+                    continue
+                prod = ring.mul(ui, vj)
+                for k, c in row[j]:
+                    out[k] = ring.add(out[k], ring.mul(prod, c))
+        return out
+    for i, ui in enumerate(u):
+        if ui:
+            row = table[i]
+            for j, vj in enumerate(v):
+                if vj:
+                    w = ui * vj
+                    for k, c in row[j]:
+                        out[k] += w * c
+    p = ring.characteristic
+    return [c % p for c in out] if p else out
 
 
 def _linear(ring, cols, x, out_dim: int) -> list:
-    """sum over j of x_j cols[j]: the one linear contraction, through the
-    same ring protocol as _bilinear."""
+    """sum over j of x_j cols[j]: the one linear contraction, on dense
+    columns, with the same two paths as _bilinear."""
     out = [ring.zero] * out_dim
-    for j, xj in enumerate(x):
-        if ring.is_zero(xj):
-            continue
-        col = cols[j]
-        for k in range(out_dim):
-            if not ring.is_zero(col[k]):
-                out[k] = ring.add(out[k], ring.mul(xj, col[k]))
-    return out
+    if type(ring) is PolyRing:
+        for j, xj in enumerate(x):
+            if ring.is_zero(xj):
+                continue
+            col = cols[j]
+            for k in range(out_dim):
+                if not ring.is_zero(col[k]):
+                    out[k] = ring.add(out[k], ring.mul(xj, col[k]))
+        return out
+    for xj, col in zip(x, cols):
+        if xj:
+            for k, c in enumerate(col):
+                if c:
+                    out[k] += xj * c
+    p = ring.characteristic
+    return [c % p for c in out] if p else out
+
+
+def _hom_mismatches(ring, table, table2, images):
+    """The one homomorphism residual: yield (i, j, lhs, rhs) for each basis
+    pair i <= j of `table` where lhs = image of e_i e_j differs from
+    rhs = (image of e_i)(image of e_j) in `table2`.  Both tables are in
+    their sparse form (_sparse); they and the images live in
+    `ring`: a Field, or a PolyRing for parametric maps.
+
+    Over a Field both sides of a pair are summed in one loop over the
+    tables and the images' nonzero entries, in plain int or Fraction
+    operators, and reduced mod p once per coordinate; a PolyRing goes
+    through the ring protocol of _linear and _bilinear."""
+    n, out_dim = len(table), len(table2)
+    if type(ring) is PolyRing:
+        for i in range(n):
+            for j in range(i, n):
+                cell = table[i][j]
+                lhs = _linear(ring, [images[k] for k, _ in cell], [c for _, c in cell], out_dim)
+                rhs = _bilinear(ring, table2, images[i], images[j], out_dim)
+                if lhs != rhs:
+                    yield i, j, lhs, rhs
+        return
+    p = ring.characteristic
+    zero = ring.zero
+    cols = [[(t, y) for t, y in enumerate(col) if y] for col in images]
+    for i in range(n):
+        row, col_i = table[i], cols[i]
+        for j in range(i, n):
+            lhs = [zero] * out_dim
+            for k, c in row[j]:
+                for t, y in cols[k]:
+                    lhs[t] += c * y
+            rhs = [zero] * out_dim
+            col_j = cols[j]
+            for s, x in col_i:
+                row2 = table2[s]
+                for t, y in col_j:
+                    w = x * y
+                    for k, c in row2[t]:
+                        rhs[k] += w * c
+            if p:
+                lhs = [c % p for c in lhs]
+                rhs = [c % p for c in rhs]
+            if lhs != rhs:
+                yield i, j, lhs, rhs
 
 
 def _vadd(ring, u, v):
@@ -201,8 +283,8 @@ def _collect(failures, axiom, space, residual_vec, stop_early) -> bool:
 
 
 def _lift(field: Field, params, mul, act):
-    """mul and act in the cube-law loops' arithmetic, as sparse tensors
-    t[r][l] = [(o, entry), ...] over the nonzero entries.
+    """mul and act in the cube-law loops' arithmetic, in their sparse form
+    (_sparse).
 
     Returns (mul, act, nonzero, decode).  Over F_p entries stay ints and are
     reduced only by nonzero and decode.  Over Q both tensors are scaled by
@@ -212,24 +294,15 @@ def _lift(field: Field, params, mul, act):
     """
     if params:
         ring = PolyRing(field, params)
-        coerce, nonzero, decode = ring.coerce, (lambda v: v.terms), (lambda v: v)
+        nonzero, decode = (lambda v: v.terms), (lambda v: v)
     elif field.characteristic:
         p = field.characteristic
-        coerce, nonzero, decode = field.coerce, (lambda v: v % p), (lambda v: v % p)
+        ring, nonzero, decode = field, (lambda v: v % p), (lambda v: v % p)
     else:  # Q: decode is set once the scale is known
-        coerce, nonzero = field.coerce, bool
-
-    def sparse_cell(cell):
-        out = []
-        for o, c in enumerate(cell):
-            if c != 0:  # most entries are zero: coerce only the others
-                v = coerce(c)
-                if nonzero(v):
-                    out.append((o, v))
-        return out
+        ring, nonzero = field, bool
 
     tensors = [mul] if act is mul else [mul, act]
-    sparse = [[[sparse_cell(cell) for cell in row] for row in t] for t in tensors]
+    sparse = [_sparse(t, ring) for t in tensors]
     if not params and not field.characteristic:
         scale = math.lcm(*(c.denominator for t in sparse for row in t for cell in row for _, c in cell))
         sparse = [
@@ -407,8 +480,8 @@ def bimodule_verdict(field: Field, mul, act, params=()) -> Verdict:
     groups = [("a", dim), ("b", dim), ("m", dim_m)]
     failures = _cube_law(field, mul, act, params, groups, "bim-square", "M")
     ring, gen = generic_ring(field, params, groups)
-    mul_t = _embed2(ring, mul)
-    act_t = _embed2(ring, act)
+    mul_t = _sparse(mul, ring)
+    act_t = _sparse(act, ring)
     a, b, m = gen["a"], gen["b"], gen["m"]
 
     def M(u, v):
@@ -481,10 +554,10 @@ def _mp_expansions(field: Field, mul_a, mul_v, right, left, params, axioms, stop
     ring, gen = generic_ring(
         field, params, [("a", dim_a), ("b", dim_a), ("x", dim_v), ("y", dim_v)]
     )
-    mt = _embed2(ring, mul_a)
-    nt = _embed2(ring, mul_v)
-    rt = _embed2(ring, right)
-    lt = _embed2(ring, left)
+    mt = _sparse(mul_a, ring)
+    nt = _sparse(mul_v, ring)
+    rt = _sparse(right, ring)
+    lt = _sparse(left, ring)
     a, b, x, y = gen["a"], gen["b"], gen["x"], gen["y"]
 
     def M(u, v):

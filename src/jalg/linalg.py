@@ -77,23 +77,6 @@ def rank(field: Field, rows: list[list]) -> int:
     return len(rref(field, rows)[0])
 
 
-def solve(field: Field, rows: list[list], b: list) -> list | None:
-    """One solution x of (rows) x = b, or None if inconsistent."""
-    if len(rows) != len(b):
-        raise DimensionError(f"{len(rows)} equations vs {len(b)} right-hand sides")
-    if not rows:
-        return []
-    n = len(rows[0])
-    aug = [list(r) + [bi] for r, bi in zip(rows, b)]
-    red, pivots = rref(field, aug)
-    x = zeros(field, n)
-    for row, p in zip(red, pivots):
-        if p == n:
-            return None
-        x[p] = row[n]
-    return x
-
-
 def nullspace(field: Field, rows: list[list]) -> list[list]:
     """Basis of {x : (rows) x = 0}."""
     if not rows:

@@ -19,7 +19,7 @@ from .algebra import (
 )
 from .errors import DimensionError, FieldMismatchError, JalgError, VerificationError
 from .fields import Field
-from .identities import Verdict, _bilinear, _linear
+from .identities import Verdict, _bilinear, _linear, _sparse
 from .poly import PolyRing, solve_fp
 
 
@@ -110,7 +110,8 @@ class _Action:
         )
 
     def apply(self, x_coords, a_coords):
-        return _bilinear(self.A.ring, self.tensor, x_coords, a_coords, self._values.dim)
+        ring = self.A.ring
+        return _bilinear(ring, _sparse(self.tensor, ring), x_coords, a_coords, self._values.dim)
 
     def is_zero(self) -> bool:
         ring = self.A.ring
@@ -144,7 +145,8 @@ class LeftAction(_Action):
 
 
 class MatchedPair:
-    """(A, V, <|, |>) with a cached verification state."""
+    """(A, V, <|, |>) with a cached verification state, product table and
+    bicrossed product."""
 
     def __init__(self, A: Algebra, V: Algebra, right: RightAction, left: LeftAction,
                  name: str | None = None):
@@ -157,6 +159,8 @@ class MatchedPair:
         self.name = name
         self._verdict: Verdict | None = None
         self._product_sc: tuple | None = None
+        self._product_sparse: tuple | None = None
+        self._bicross: BicrossedProduct | None = None  # set by bicross
 
     @classmethod
     def with_zero_actions(cls, A: Algebra, V: Algebra) -> "MatchedPair":
@@ -228,6 +232,13 @@ class MatchedPair:
             )
         return self._product_sc
 
+    def product_sparse(self) -> tuple:
+        """product_sc() in the sparse form the contractions read
+        (identities._sparse), built once per pair."""
+        if self._product_sparse is None:
+            self._product_sparse = _sparse(self.product_sc(), self.A.ring)
+        return self._product_sparse
+
     @property
     def is_matched(self) -> bool:
         return self.verify().ok
@@ -278,23 +289,28 @@ class BicrossedProduct:
 
 
 def bicross(mp: MatchedPair) -> BicrossedProduct:
+    """The verified bicrossed product of a matched pair, built and checked
+    once per pair: a later call returns the same object.  An unmatched pair
+    raises on every call."""
+    if mp._bicross is not None:
+        return mp._bicross
     verdict = mp.verify()
     if not verdict.ok:
         raise VerificationError("not a matched pair:\n" + verdict.describe())
     product = bicross_table(mp)
     # verify() passed by the cube law of this very table (matched_pair_verdict)
     product._jordan = Verdict(True, (), ("jordan",))
-    n, dim = mp.A.dim, product.dim
-    if mp.A.params:
-        return BicrossedProduct(product, mp, None, None)
-    units = linalg.identity(product.field, dim)
-    a_emb = Subspace(product, units[:n])
-    v_emb = Subspace(product, units[n:])
-    if not subalgebra_check(product, a_emb) or not subalgebra_check(product, v_emb):
-        raise VerificationError("bicrossed embeddings are not subalgebras")
-    if not complement_check(product, a_emb, v_emb):
-        raise VerificationError("bicrossed embeddings are not complementary")
-    return BicrossedProduct(product, mp, a_emb, v_emb)
+    a_emb = v_emb = None
+    if not mp.A.params:
+        units = linalg.identity(product.field, product.dim)
+        a_emb = Subspace(product, units[: mp.A.dim])
+        v_emb = Subspace(product, units[mp.A.dim :])
+        if not subalgebra_check(product, a_emb) or not subalgebra_check(product, v_emb):
+            raise VerificationError("bicrossed embeddings are not subalgebras")
+        if not complement_check(product, a_emb, v_emb):
+            raise VerificationError("bicrossed embeddings are not complementary")
+    mp._bicross = BicrossedProduct(product, mp, a_emb, v_emb)
+    return mp._bicross
 
 
 def _semidirect(mp: MatchedPair, action: _Action, names) -> Algebra:

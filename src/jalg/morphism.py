@@ -9,8 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import Algebra, LinearMap, _hom_mismatches, _hom_ok
+from .algebra import Algebra, LinearMap, _hom_ok
 from .errors import BudgetError, DimensionError, JalgError
+from .identities import _hom_mismatches
 from .matched_pair import MatchedPair
 
 
@@ -62,7 +63,7 @@ def quadruple_check(qd: MorphismQuadruple) -> QuadrupleVerdict:
     n, m = src.A.dim, tgt.A.dim
     violated = set()
     for i, j, lhs, rhs in _hom_mismatches(
-        src.A.field, src.product_sc(), tgt.product_sc(), quadruple_to_map(qd).cols
+        src.A.field, src.product_sparse(), tgt.product_sparse(), quadruple_to_map(qd).cols
     ):
         names = ("C1", "C2") if j < n else ("C3", "C4") if i >= n else ("C5", "C6")
         if lhs[:m] != rhs[:m]:
@@ -331,8 +332,9 @@ def iso_search(
 
     exhaustive-Fp scans every matrix over the field (dim <= 3) and is a
     complete decision procedure; invariants-Q compares exact invariants
-    and falls back to a bounded-height witness search, answering unknown
-    when neither settles it.
+    and, over Q at dim <= 2, falls back to a bounded-height witness
+    search, answering unknown when neither settles it.  The note of an
+    unknown says whether a witness search ran.
     """
     if A.field is not B.field:
         return IsoVerdict("non-isomorphic", certificate="different ground fields")
@@ -364,12 +366,13 @@ def iso_search(
                 "non-isomorphic",
                 certificate=f"dim-2 signatures differ: {sig2_a.as_tuple()} vs {sig2_b.as_tuple()}",
             )
+    if A.field.characteristic:
+        return IsoVerdict("unknown", note=f"invariants agree; no witness search over {A.field}")
+    if A.dim > 2:
+        note = f"invariants agree; no witness search at dimension {A.dim}"
+        return IsoVerdict("unknown", note=note + " (the Q witness search covers dim <= 2)")
     height = ISO_Q_HEIGHT if budget is None else budget
-    if A.dim <= 2 and not A.field.characteristic:
-        witness = _bounded_q_search(A, B, height)
-        if witness is not None:
-            return IsoVerdict("isomorphic", witness=witness)
-    return IsoVerdict(
-        "unknown",
-        note=f"invariants agree; no witness of height <= {height} found",
-    )
+    witness = _bounded_q_search(A, B, height)
+    if witness is not None:
+        return IsoVerdict("isomorphic", witness=witness)
+    return IsoVerdict("unknown", note=f"invariants agree; no witness of height <= {height} found")

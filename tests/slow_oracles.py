@@ -7,12 +7,14 @@ where the library decides a PASS by the product's cube law, a sigma loop
 over GL(V) for the factorization index, an unfiltered scan of all
 p^(n*n) matrices for `iso_search` over F_p, the six block conditions
 C1-C6 of a morphism quadruple written out one by one, the projection of
-a factorization from one `express` (a linalg.solve) per unit vector, the
-F_p enumerations as a `Poly.eval` of every condition at each of the p^k
+a factorization from one `express` (a `solve`) per unit vector, the F_p
+enumerations as a `Poly.eval` of every condition at each of the p^k
 candidates, and the deformation identity, the deformed table and the
 equivalence of two maps written out term by term instead of read off the
-product table.  The tests compare the library with them, so no fast path
-is its own judge.
+product table.  Underneath them all are the contractions as dense loops
+through the ring protocol, where the library contracts sparse tables in
+plain operators.  The tests compare the library with them, so no fast
+path is its own judge.
 """
 
 import itertools
@@ -21,14 +23,12 @@ from jalg import DeformationMap, LinearMap, equiv_check
 from jalg import linalg
 from jalg.algebra import _hom_ok
 from jalg.deformation import _deformation_conditions
+from jalg.errors import DimensionError
 from jalg.identities import (
     MP_AXIOMS,
     AxiomFailure,
     Verdict,
-    _bilinear,
     _collect,
-    _embed2,
-    _linear,
     _mp_expansions,
     _vadd,
     _verdict,
@@ -39,6 +39,56 @@ from jalg.identities import (
 from jalg.matched_pair import _abelian_pair_conditions
 from jalg.morphism import IsoVerdict, QuadrupleVerdict
 from jalg.poly import PolyRing
+
+
+def _embed2(ring, table):
+    """Coerce a 2-index tensor of vectors into ring elements, densely."""
+    return [[[ring.coerce(c) for c in cell] for cell in row] for row in table]
+
+
+def _bilinear(ring, tensor, u, v, out_dim):
+    """sum over i, j of u_i v_j tensor[i][j] on a dense tensor, through
+    the ring protocol."""
+    out = [ring.zero] * out_dim
+    for i, ui in enumerate(u):
+        if ring.is_zero(ui):
+            continue
+        row = tensor[i]
+        for j, vj in enumerate(v):
+            if ring.is_zero(vj):
+                continue
+            prod = ring.mul(ui, vj)
+            cell = row[j]
+            for k in range(out_dim):
+                if not ring.is_zero(cell[k]):
+                    out[k] = ring.add(out[k], ring.mul(prod, cell[k]))
+    return out
+
+
+def _linear(ring, cols, x, out_dim):
+    """sum over j of x_j cols[j], through the ring protocol."""
+    out = [ring.zero] * out_dim
+    for j, xj in enumerate(x):
+        if ring.is_zero(xj):
+            continue
+        col = cols[j]
+        for k in range(out_dim):
+            if not ring.is_zero(col[k]):
+                out[k] = ring.add(out[k], ring.mul(xj, col[k]))
+    return out
+
+
+def _hom_mismatches(ring, sc, sc2, images):
+    """(i, j, lhs, rhs) for each basis pair i <= j of the dense table sc
+    where lhs = image of e_i e_j differs from rhs = (image of e_i)(image
+    of e_j) in the dense table sc2."""
+    out_dim = len(sc2)
+    for i in range(len(sc)):
+        for j in range(i, len(sc)):
+            lhs = _linear(ring, images, sc[i][j], out_dim)
+            rhs = _bilinear(ring, sc2, images[i], images[j], out_dim)
+            if lhs != rhs:
+                yield i, j, lhs, rhs
 
 
 def jordan_verdict(field, mul, params=(), stop_early=False):
@@ -144,13 +194,30 @@ def verify(mp, stop_early=False):
     return Verdict(not failures, tuple(failures), tuple(checked))
 
 
+def solve(field, rows, b):
+    """One solution x of (rows) x = b, or None if inconsistent."""
+    if len(rows) != len(b):
+        raise DimensionError(f"{len(rows)} equations vs {len(b)} right-hand sides")
+    if not rows:
+        return []
+    n = len(rows[0])
+    aug = [list(r) + [bi] for r, bi in zip(rows, b)]
+    red, pivots = linalg.rref(field, aug)
+    x = linalg.zeros(field, n)
+    for row, p in zip(red, pivots):
+        if p == n:
+            return None
+        x[p] = row[n]
+    return x
+
+
 def express(field, basis, v):
     """Coordinates of v in terms of the given vectors, or None if outside
-    the span: one linalg.solve of the system with the vectors as columns."""
+    the span: one solve of the system with the vectors as columns."""
     if not basis:
         return [] if all(field.is_zero(c) for c in v) else None
     cols = [[vec[i] for vec in basis] for i in range(len(v))]
-    return linalg.solve(field, cols, v)
+    return solve(field, cols, v)
 
 
 def express_projection(E, A_sub, B_sub):
@@ -247,6 +314,15 @@ def blockwise_quadruple_check(qd):
     f = A.field
     r, s, t, q = qd.r, qd.s, qd.t, qd.q
 
+    def apply(m, x):
+        return _linear(f, m.cols, x, m.target_dim)
+
+    def mul(alg, u, v):
+        return _bilinear(f, alg.sc, u, v, alg.dim)
+
+    def act(action, u, v):
+        return _bilinear(f, action.tensor, u, v, action._values.dim)
+
     def vsub(u, v):
         return [f.sub(a, b) for a, b in zip(u, v)]
 
@@ -266,11 +342,11 @@ def blockwise_quadruple_check(qd):
             ab = A.sc[i][j]
             ri, rj = r.cols[i], r.cols[j]
             si, sj = s.cols[i], s.cols[j]
-            lhs1 = vsub(r.apply(ab), A2.mul_coords(ri, rj))
-            rhs1 = vadd(tgt.left.apply(si, rj), tgt.left.apply(sj, ri))
+            lhs1 = vsub(apply(r, ab), mul(A2, ri, rj))
+            rhs1 = vadd(act(tgt.left, si, rj), act(tgt.left, sj, ri))
             res1.append(vsub(lhs1, rhs1))
-            lhs2 = vsub(s.apply(ab), V2.mul_coords(si, sj))
-            rhs2 = vadd(tgt.right.apply(si, rj), tgt.right.apply(sj, ri))
+            lhs2 = vsub(apply(s, ab), mul(V2, si, sj))
+            rhs2 = vadd(act(tgt.right, si, rj), act(tgt.right, sj, ri))
             res2.append(vsub(lhs2, rhs2))
     run("C1", res1)
     run("C2", res2)
@@ -282,11 +358,11 @@ def blockwise_quadruple_check(qd):
             xy = V.sc[i][j]
             ti, tj = t.cols[i], t.cols[j]
             qi, qj = q.cols[i], q.cols[j]
-            lhs3 = vsub(t.apply(xy), A2.mul_coords(ti, tj))
-            rhs3 = vadd(tgt.left.apply(qi, tj), tgt.left.apply(qj, ti))
+            lhs3 = vsub(apply(t, xy), mul(A2, ti, tj))
+            rhs3 = vadd(act(tgt.left, qi, tj), act(tgt.left, qj, ti))
             res3.append(vsub(lhs3, rhs3))
-            lhs4 = vsub(q.apply(xy), V2.mul_coords(qi, qj))
-            rhs4 = vadd(tgt.right.apply(qi, tj), tgt.right.apply(qj, ti))
+            lhs4 = vsub(apply(q, xy), mul(V2, qi, qj))
+            rhs4 = vadd(act(tgt.right, qi, tj), act(tgt.right, qj, ti))
             res4.append(vsub(lhs4, rhs4))
     run("C3", res3)
     run("C4", res4)
@@ -299,16 +375,16 @@ def blockwise_quadruple_check(qd):
             xa_right = src.right.tensor[x][a]
             ra, sa = r.cols[a], s.cols[a]
             tx, qx = t.cols[x], q.cols[x]
-            lhs5 = vadd(r.apply(xa_left), t.apply(xa_right))
+            lhs5 = vadd(apply(r, xa_left), apply(t, xa_right))
             rhs5 = vadd(
-                vadd(A2.mul_coords(ra, tx), tgt.left.apply(sa, tx)),
-                tgt.left.apply(qx, ra),
+                vadd(mul(A2, ra, tx), act(tgt.left, sa, tx)),
+                act(tgt.left, qx, ra),
             )
             res5.append(vsub(lhs5, rhs5))
-            lhs6 = vadd(s.apply(xa_left), q.apply(xa_right))
+            lhs6 = vadd(apply(s, xa_left), apply(q, xa_right))
             rhs6 = vadd(
-                vadd(V2.mul_coords(sa, qx), tgt.right.apply(sa, tx)),
-                tgt.right.apply(qx, ra),
+                vadd(mul(V2, sa, qx), act(tgt.right, sa, tx)),
+                act(tgt.right, qx, ra),
             )
             res6.append(vsub(lhs6, rhs6))
     run("C5", res5)
@@ -368,6 +444,11 @@ def _lifted(R, *tensors):
     return list(tensors)
 
 
+def _apply(R, r, x):
+    """r(x) for a deformation map, through the dense protocol loop."""
+    return _linear(R, r.cols, [R.coerce(c) for c in x], r.mp.A.dim)
+
+
 def _cross(R, tensor, r, i, j, out_dim):
     """x . r(y) + y . r(x) at x = e_i, y = e_j, for an action tensor."""
     units = linalg.identity(R, len(r.cols))
@@ -388,8 +469,8 @@ def deformation_residuals(mp, r):
     out = []
     for i in range(nV):
         for j in range(i, nV):
-            lhs = _vsub(R, r.apply(mp.V.sc[i][j]), _bilinear(R, mul_a, r.cols[i], r.cols[j], nA))
-            rhs = _vsub(R, _cross(R, left, r, i, j, nA), r.apply(_cross(R, right, r, i, j, nV)))
+            lhs = _vsub(R, _apply(R, r, mp.V.sc[i][j]), _bilinear(R, mul_a, r.cols[i], r.cols[j], nA))
+            rhs = _vsub(R, _cross(R, left, r, i, j, nA), _apply(R, r, _cross(R, right, r, i, j, nV)))
             out.append((i, j, _vsub(R, lhs, rhs)))
     return out
 
@@ -421,8 +502,8 @@ def equiv_holds(mp, r, s, sigma):
             lhs = _vadd(R, mul_v[i][j], _cross(R, right, r, i, j, nV))
             rhs = _vadd(
                 R,
-                _bilinear(R, right, si, s.apply(sj), nV),
-                _bilinear(R, right, sj, s.apply(si), nV),
+                _bilinear(R, right, si, _apply(R, s, sj), nV),
+                _bilinear(R, right, sj, _apply(R, s, si), nV),
             )
             rhs = _vadd(R, _bilinear(R, mul_v, si, sj, nV), rhs)
             if _linear(R, sig, lhs, nV) != rhs:

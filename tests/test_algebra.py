@@ -28,7 +28,7 @@ from jalg import (
     subalgebra_check,
     subalgebra_witness,
 )
-from jalg.identities import _bilinear, _linear
+from jalg.identities import _bilinear, _linear, _sparse
 from slow_oracles import express
 
 F5 = Field(5)
@@ -384,7 +384,7 @@ def test_mul_coords_against_direct_contraction(j17):
             n, m, out = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
             tensor = rand_tensor(n, m, out)
             u, v = rand_vec(n), rand_vec(m)
-            assert _bilinear(ring, tensor, u, v, out) == _naive_contraction(
+            assert _bilinear(ring, _sparse(tensor, ring), u, v, out) == _naive_contraction(
                 ring, tensor, u, v, out
             )
             # Algebra.mul_coords on a random symmetric table

@@ -235,7 +235,23 @@ def test_iso_unknown_exit_three(capsys, tmp_path):
     b.write_text("field Q\ndim 2\nbasis u v\nmult u u = u\nmult u v = 1/3 v\n")
     code, out, _ = run(capsys, "iso", str(a), str(b))
     assert code == 3
-    assert "unknown" in out
+    assert out == "verdict: unknown\ninvariants agree; no witness of height <= 2 found\n"
+
+
+def test_iso_unknown_note_without_a_search(capsys):
+    """Over Q the witness search runs at dim <= 2 only, and not at all over
+    F_p in invariants-Q mode; the note says so instead of naming a height."""
+    code, out, _ = run(capsys, "iso", "catalog:J5", "catalog:J5")
+    assert code == 3
+    assert out == (
+        "verdict: unknown\ninvariants agree; no witness search at dimension 4 "
+        "(the Q witness search covers dim <= 2)\n"
+    )
+    code, out, _ = run(
+        capsys, "iso", "catalog:J5", "catalog:J5", "--field", "F5", "--mode", "invariants-Q", "--json"
+    )
+    assert code == 3
+    assert json.loads(out)["note"] == "invariants agree; no witness search over F5"
 
 
 def test_iso_json_witness(capsys):

@@ -15,9 +15,8 @@ from jalg.linalg import (
     nullspace,
     rank,
     rref,
-    solve,
 )
-from slow_oracles import express
+from slow_oracles import express, solve
 
 F5 = Field(5)
 
