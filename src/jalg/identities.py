@@ -142,8 +142,8 @@ def _sparse(table, ring) -> tuple:
     def cell_form(cell):
         out = []
         for k, c in enumerate(cell):
-            # most entries are zero ints or Fractions: coerce only the
-            # others (a Poly is always truthy, and is_zero decides it)
+            # most entries are zero: coerce only the others (an
+            # unreduced F_p int may still coerce to zero)
             if c:
                 v = ring.coerce(c)
                 if not ring.is_zero(v):
@@ -157,23 +157,11 @@ def _bilinear(ring, table, u, v, out_dim: int) -> list:
     """sum over i, j of u_i v_j table[i][j]: the one bilinear contraction,
     over the table's sparse form (_sparse).
 
-    With a PolyRing it runs through the ring protocol.  Over a Field it
-    runs in plain int or Fraction operators and reduces mod p once per
-    output coordinate, so F_p inputs may be unreduced ints.
+    It runs in the entries' own operators: int or Fraction over a Field,
+    reduced mod p once per output coordinate (so F_p inputs may be
+    unreduced ints), or Poly over a PolyRing, which reduces as it goes.
     """
     out = [ring.zero] * out_dim
-    if type(ring) is PolyRing:
-        for i, ui in enumerate(u):
-            if ring.is_zero(ui):
-                continue
-            row = table[i]
-            for j, vj in enumerate(v):
-                if ring.is_zero(vj):
-                    continue
-                prod = ring.mul(ui, vj)
-                for k, c in row[j]:
-                    out[k] = ring.add(out[k], ring.mul(prod, c))
-        return out
     for i, ui in enumerate(u):
         if ui:
             row = table[i]
@@ -182,29 +170,20 @@ def _bilinear(ring, table, u, v, out_dim: int) -> list:
                     w = ui * vj
                     for k, c in row[j]:
                         out[k] += w * c
-    p = ring.characteristic
+    p = getattr(ring, "characteristic", 0)  # a PolyRing has none to reduce by
     return [c % p for c in out] if p else out
 
 
 def _linear(ring, cols, x, out_dim: int) -> list:
     """sum over j of x_j cols[j]: the one linear contraction, on dense
-    columns, with the same two paths as _bilinear."""
+    columns, in the same arithmetic as _bilinear."""
     out = [ring.zero] * out_dim
-    if type(ring) is PolyRing:
-        for j, xj in enumerate(x):
-            if ring.is_zero(xj):
-                continue
-            col = cols[j]
-            for k in range(out_dim):
-                if not ring.is_zero(col[k]):
-                    out[k] = ring.add(out[k], ring.mul(xj, col[k]))
-        return out
     for xj, col in zip(x, cols):
         if xj:
             for k, c in enumerate(col):
                 if c:
                     out[k] += xj * c
-    p = ring.characteristic
+    p = getattr(ring, "characteristic", 0)
     return [c % p for c in out] if p else out
 
 
@@ -215,21 +194,10 @@ def _hom_mismatches(ring, table, table2, images):
     their sparse form (_sparse); they and the images live in
     `ring`: a Field, or a PolyRing for parametric maps.
 
-    Over a Field both sides of a pair are summed in one loop over the
-    tables and the images' nonzero entries, in plain int or Fraction
-    operators, and reduced mod p once per coordinate; a PolyRing goes
-    through the ring protocol of _linear and _bilinear."""
+    Both sides of a pair are summed in one loop over the tables and the
+    images' nonzero entries, in the arithmetic of _bilinear."""
     n, out_dim = len(table), len(table2)
-    if type(ring) is PolyRing:
-        for i in range(n):
-            for j in range(i, n):
-                cell = table[i][j]
-                lhs = _linear(ring, [images[k] for k, _ in cell], [c for _, c in cell], out_dim)
-                rhs = _bilinear(ring, table2, images[i], images[j], out_dim)
-                if lhs != rhs:
-                    yield i, j, lhs, rhs
-        return
-    p = ring.characteristic
+    p = getattr(ring, "characteristic", 0)
     zero = ring.zero
     cols = [[(t, y) for t, y in enumerate(col) if y] for col in images]
     for i in range(n):

@@ -298,8 +298,10 @@ def bicross(mp: MatchedPair) -> BicrossedProduct:
     if not verdict.ok:
         raise VerificationError("not a matched pair:\n" + verdict.describe())
     product = bicross_table(mp)
-    # verify() passed by the cube law of this very table (matched_pair_verdict)
+    # verify() passed by the cube law of this very table (matched_pair_verdict),
+    # and the pair's sparse form is this table's: share both
     product._jordan = Verdict(True, (), ("jordan",))
+    product._sparse_sc = mp.product_sparse()
     a_emb = v_emb = None
     if not mp.A.params:
         units = linalg.identity(product.field, product.dim)

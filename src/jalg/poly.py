@@ -187,6 +187,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:

@@ -118,3 +118,6 @@ def test_is_zero():
     a = RQ.var("alpha")
     assert RQ.is_zero(RQ.sub(RQ.mul(a, a), RQ.mul(a, a)))
     assert not RQ.is_zero(a)
+    # truthiness is nonzero-ness, as for the field values the kernels skip
+    assert not (a - a) and not RQ.zero and not R5.const(5)
+    assert a and RQ.one and R5.const(3)

@@ -141,7 +141,7 @@ def test_sparse_forms_and_bicross_are_built_once():
     assert mp.product_sparse() is mp.product_sparse()
     first = bicross(mp)
     assert bicross(mp) is first
-    assert first.product.sparse_sc() == mp.product_sparse()
+    assert first.product.sparse_sc() is mp.product_sparse()
 
 
 def test_unmatched_pair_raises_on_every_bicross_call():
