@@ -260,7 +260,7 @@ def _cmd_canonical_pair(args) -> int:
 def _cmd_iso(args) -> int:
     A = _algebra(args.first_input, args.field)
     B = _algebra(args.second_input, args.field)
-    verdict = iso_search(A, B, mode=args.mode, budget=args.budget)
+    verdict = iso_search(A, B, budget=args.budget)
     lines = [f"verdict: {verdict.kind}"]
     witness = None
     if verdict.witness is not None:
@@ -528,11 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--second", required=True)
     p.add_argument("--out", help="write the pair as a .jpair file")
     p = add("iso", _cmd_iso, "decide isomorphism of two algebras", inputs=2)
-    p.add_argument(
-        "--mode",
-        choices=("auto", "exhaustive-Fp", "invariants-Q"),
-        default="auto",
-    )
     p.add_argument("--budget", type=int, default=None)
     add("classify2", _cmd_classify2, "invariant signature of a 2-dim algebra")
     p = add("deform-check", _cmd_deform_check, "test a map against the deformation identity")

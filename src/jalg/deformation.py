@@ -31,7 +31,7 @@ from .matched_pair import (
     bicross,
     canonical_pair,
 )
-from .morphism import _cap_gl_search, iso_search
+from .morphism import GL_SEARCH_MAX_DIM, iso_search
 from .poly import PolyRing, solve_fp
 
 
@@ -363,14 +363,17 @@ def factorization_index(mp: MatchedPair) -> ComplementReport:
     if not f.characteristic:
         raise JalgError("index computation needs a finite field")
     n = mp.V.dim
-    _cap_gl_search(n, "the sigma search over GL(V)")
+    if n > GL_SEARCH_MAX_DIM:
+        raise BudgetError(
+            f"the sigma search over GL(V) is capped at dimension {GL_SEARCH_MAX_DIM}"
+        )
     maps = enumerate_deformations(mp)
     deformed = tuple(r_deform(mp, r) for r in maps)
     classes: list[list[int]] = []
     witnesses = {}
     for idx, table in enumerate(deformed):
         for cls in classes:
-            verdict = iso_search(table, deformed[cls[0]], "exhaustive-Fp")
+            verdict = iso_search(table, deformed[cls[0]])
             if verdict.is_isomorphic:
                 cls.append(idx)
                 witnesses[idx] = verdict.witness
@@ -387,9 +390,7 @@ def factorization_index(mp: MatchedPair) -> ComplementReport:
                 )
     for a in range(len(classes)):
         for b in range(a + 1, len(classes)):
-            if iso_search(
-                deformed[classes[a][0]], deformed[classes[b][0]], "exhaustive-Fp"
-            ).is_isomorphic:
+            if iso_search(deformed[classes[a][0]], deformed[classes[b][0]]).is_isomorphic:
                 raise VerificationError(
                     "distinct classes produced isomorphic complements"
                 )

@@ -19,34 +19,6 @@ def identity(field: Field, n: int) -> list[list]:
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
-def mat_vec(field: Field, rows: list[list], v: list) -> list:
-    if rows and len(rows[0]) != len(v):
-        raise DimensionError(f"matrix width {len(rows[0])} vs vector length {len(v)}")
-    out = []
-    for row in rows:
-        s = field.zero
-        for a, b in zip(row, v):
-            s = field.add(s, field.mul(a, b))
-        out.append(s)
-    return out
-
-
-def mat_mul(field: Field, a: list[list], b: list[list]) -> list[list]:
-    if a and b and len(a[0]) != len(b):
-        raise DimensionError(f"inner dimensions {len(a[0])} vs {len(b)}")
-    cols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        new = []
-        for j in range(cols):
-            s = field.zero
-            for k, x in enumerate(row):
-                s = field.add(s, field.mul(x, b[k][j]))
-            new.append(s)
-        out.append(new)
-    return out
-
-
 def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
     m = [list(r) for r in rows]

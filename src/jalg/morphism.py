@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import Algebra, LinearMap, _hom_ok
-from .errors import BudgetError, DimensionError, JalgError
-from .identities import _hom_mismatches
+from .errors import DimensionError, JalgError
+from .identities import _hom_mismatches, _linear
 from .matched_pair import MatchedPair
 
 
@@ -63,7 +63,7 @@ def quadruple_check(qd: MorphismQuadruple) -> QuadrupleVerdict:
     n, m = src.A.dim, tgt.A.dim
     violated = set()
     for i, j, lhs, rhs in _hom_mismatches(
-        src.A.field, src.product_sparse(), tgt.product_sparse(), quadruple_to_map(qd).cols
+        src.A.field, src.product_sparse(), tgt.product_sparse(), _block_cols(qd)
     ):
         names = ("C1", "C2") if j < n else ("C3", "C4") if i >= n else ("C5", "C6")
         if lhs[:m] != rhs[:m]:
@@ -73,12 +73,18 @@ def quadruple_check(qd: MorphismQuadruple) -> QuadrupleVerdict:
     return QuadrupleVerdict(not violated, tuple(sorted(violated)))
 
 
+def _block_cols(qd: MorphismQuadruple) -> list:
+    """The columns of psi(a, x) = (r(a) + t(x), s(a) + q(x))."""
+    cols = [a + v for a, v in zip(qd.r.cols, qd.s.cols)]
+    return cols + [a + v for a, v in zip(qd.t.cols, qd.q.cols)]
+
+
 def quadruple_to_map(qd: MorphismQuadruple) -> LinearMap:
     """psi(a, x) = (r(a) + t(x), s(a) + q(x)) as one block matrix."""
     src, tgt = qd.source, qd.target
-    cols = [a + v for a, v in zip(qd.r.cols, qd.s.cols)]
-    cols += [a + v for a, v in zip(qd.t.cols, qd.q.cols)]
-    return LinearMap._of(src.A.field, src.A.dim + src.V.dim, tgt.A.dim + tgt.V.dim, cols)
+    return LinearMap._of(
+        src.A.field, src.A.dim + src.V.dim, tgt.A.dim + tgt.V.dim, _block_cols(qd)
+    )
 
 
 def map_to_quadruple(
@@ -124,8 +130,13 @@ class IsoVerdict:
 
 
 def _mult_operator(A: Algebra, x) -> list:
-    """The rows of L_x, the operator y -> x y; column j is x e_j."""
-    return list(zip(*(A.mul_coords(x, e) for e in linalg.identity(A.field, A.dim))))
+    """The columns of L_x, the operator y -> x y; column j is x e_j."""
+    return [A.mul_coords(x, e) for e in linalg.identity(A.field, A.dim)]
+
+
+def _compose(f, a, b) -> list:
+    """The columns of a b, for square operators given by their columns."""
+    return [_linear(f, a, col, len(col)) for col in b]
 
 
 def _trace(f, M):
@@ -139,10 +150,8 @@ def _trace_form_ranks(A: Algebra):
     """(rank of (x,y) -> tr L_{xy},  rank of (x,y) -> tr(L_x L_y))."""
     f = A.field
     ops = [_mult_operator(A, e) for e in linalg.identity(f, A.dim)]
-    traces = [_trace(f, L) for L in ops]
-    # tr L_{e_i e_j} = sum_k (e_i e_j)_k tr L_{e_k}
-    t1 = [linalg.mat_vec(f, row, traces) for row in A.sc]
-    t2 = [[_trace(f, linalg.mat_mul(f, Li, Lj)) for Lj in ops] for Li in ops]
+    t1 = [[_trace(f, _mult_operator(A, xy)) for xy in row] for row in A.sc]
+    t2 = [[_trace(f, _compose(f, Li, Lj)) for Lj in ops] for Li in ops]
     return linalg.rank(f, t1), linalg.rank(f, t2)
 
 
@@ -205,26 +214,18 @@ GL_SEARCH_MAX_DIM = 3
 ISO_Q_HEIGHT = 2
 
 
-def _cap_gl_search(n: int, what: str) -> None:
-    """Raise BudgetError, before any enumeration, when a search would walk
-    GL(n, F_p) for n above GL_SEARCH_MAX_DIM."""
-    if n > GL_SEARCH_MAX_DIM:
-        raise BudgetError(f"{what} is capped at dimension {GL_SEARCH_MAX_DIM}")
-
-
 def _element_key(A: Algebra, x) -> tuple:
     """(tr L_x^k for k = 1..n, rank L_x, x^2 == 0, x^2 == x).
 
     An isomorphism phi has L_{phi(x)} = phi L_x phi^-1, so phi(x) has the
     key of x."""
     f = A.field
-    n = A.dim
     op = _mult_operator(A, x)
     traces = []
     power = op
-    for _ in range(n):
-        traces.append(sum(power[d][d] for d in range(n)) % f.characteristic)
-        power = linalg.mat_mul(f, op, power)
+    for _ in range(A.dim):
+        traces.append(_trace(f, power))
+        power = _compose(f, op, power)
     sq = A.mul_coords(x, x)
     zero = all(f.is_zero(c) for c in sq)
     return tuple(traces), linalg.rank(f, op), zero, sq == list(x)
@@ -276,7 +277,6 @@ def _exhaustive_fp(A: Algebra, B: Algebra, budget: int | None) -> IsoVerdict:
     f = A.field
     p = f.characteristic
     n = A.dim
-    _cap_gl_search(n, "exhaustive search")
     total = p ** (n * n)
     unknown = IsoVerdict(
         "unknown", note=f"budget exhausted after {budget} of {total} candidates"
@@ -293,7 +293,7 @@ def _exhaustive_fp(A: Algebra, B: Algebra, budget: int | None) -> IsoVerdict:
                 return unknown
         if not _hom_ok(A, B, images):
             continue
-        if linalg.rank(f, list(zip(*images))) != n:
+        if linalg.rank(f, images) != n:
             continue
         return IsoVerdict("isomorphic", witness=LinearMap._of(f, n, n, images))
     if budget is not None and budget < total:
@@ -315,26 +315,24 @@ def _bounded_q_search(A: Algebra, B: Algebra, budget: int) -> LinearMap | None:
     values = _height_values(budget)
     f = A.field
     for flat in itertools.product(values, repeat=n * n):
-        rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        images = [[rows[k][i] for k in range(n)] for i in range(n)]
+        images = [list(flat[i::n]) for i in range(n)]
         if not _hom_ok(A, B, images):
             continue
-        if linalg.rank(f, rows) != n:
+        if linalg.rank(f, images) != n:
             continue
         return LinearMap._of(f, n, n, images)
     return None
 
 
-def iso_search(
-    A: Algebra, B: Algebra, mode: str = "auto", budget: int | None = None
-) -> IsoVerdict:
-    """Decide isomorphism where feasible.
+def iso_search(A: Algebra, B: Algebra, budget: int | None = None) -> IsoVerdict:
+    """Decide isomorphism where feasible; the field and the dimension
+    choose the path.
 
-    exhaustive-Fp scans every matrix over the field (dim <= 3) and is a
-    complete decision procedure; invariants-Q compares exact invariants
-    and, over Q at dim <= 2, falls back to a bounded-height witness
-    search, answering unknown when neither settles it.  The note of an
-    unknown says whether a witness search ran.
+    Over F_p at dim <= GL_SEARCH_MAX_DIM it scans every matrix over the
+    field, a complete decision procedure.  Otherwise it compares exact
+    invariants and, over Q at dim <= 2, falls back to a bounded-height
+    witness search, answering unknown when neither settles it.  The note
+    of an unknown says whether a witness search ran.
     """
     if A.field is not B.field:
         return IsoVerdict("non-isomorphic", certificate="different ground fields")
@@ -344,30 +342,20 @@ def iso_search(
         return IsoVerdict(
             "non-isomorphic", certificate=f"dimensions differ: {A.dim} vs {B.dim}"
         )
-    if mode == "auto":
-        mode = "exhaustive-Fp" if A.field.characteristic else "invariants-Q"
-    if mode == "exhaustive-Fp":
-        if not A.field.characteristic:
-            raise JalgError("exhaustive mode needs a finite field")
+    f = A.field
+    if f.characteristic and A.dim <= GL_SEARCH_MAX_DIM:
         return _exhaustive_fp(A, B, budget)
-    if mode != "invariants-Q":
-        raise JalgError(f"unknown mode {mode!r}")
-
     sig_a, sig_b = invariant_signature(A), invariant_signature(B)
     if sig_a != sig_b:
         return IsoVerdict(
             "non-isomorphic",
             certificate=f"(product span, trace ranks) differ: {sig_a} vs {sig_b}",
         )
-    if A.dim == 2 and A.field.characteristic and A.is_jordan and B.is_jordan:
-        sig2_a, sig2_b = classify_dim2(A), classify_dim2(B)
-        if sig2_a != sig2_b:
-            return IsoVerdict(
-                "non-isomorphic",
-                certificate=f"dim-2 signatures differ: {sig2_a.as_tuple()} vs {sig2_b.as_tuple()}",
-            )
-    if A.field.characteristic:
-        return IsoVerdict("unknown", note=f"invariants agree; no witness search over {A.field}")
+    if f.characteristic:
+        note = f"invariants agree; no witness search over {f} at dimension {A.dim}"
+        return IsoVerdict(
+            "unknown", note=note + f" (the exhaustive search covers dim <= {GL_SEARCH_MAX_DIM})"
+        )
     if A.dim > 2:
         note = f"invariants agree; no witness search at dimension {A.dim}"
         return IsoVerdict("unknown", note=note + " (the Q witness search covers dim <= 2)")

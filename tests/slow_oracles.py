@@ -5,13 +5,14 @@ expansion of the cube law (the Jordan identity, the action laws and the
 bimodule square law) as polynomials, MP1-MP6 expanded as polynomials
 where the library decides a PASS by the product's cube law, a sigma loop
 over GL(V) for the factorization index, an unfiltered scan of all
-p^(n*n) matrices for `iso_search` over F_p, the six block conditions
-C1-C6 of a morphism quadruple written out one by one, the projection of
-a factorization from one `express` (a `solve`) per unit vector, the F_p
-enumerations as a `Poly.eval` of every condition at each of the p^k
-candidates, and the deformation identity, the deformed table and the
-equivalence of two maps written out term by term instead of read off the
-product table.  Underneath them all are the contractions as dense loops
+p^(n*n) matrices for `iso_search` over F_p, its invariants (the trace
+form ranks and the element keys) from dense matrix products, the six
+block conditions C1-C6 of a morphism quadruple written out one by one,
+the projection of a factorization from one `express` (a `solve`) per
+unit vector, the F_p enumerations as a `Poly.eval` of every condition at
+each of the p^k candidates, and the deformation identity, the deformed
+table and the equivalence of two maps written out term by term instead
+of read off the product table.  Underneath them all are the contractions as dense loops
 through the ring protocol, where the library contracts sparse tables in
 plain operators.  The tests compare the library with them, so no fast
 path is its own judge.
@@ -89,6 +90,34 @@ def _hom_mismatches(ring, sc, sc2, images):
             rhs = _bilinear(ring, sc2, images[i], images[j], out_dim)
             if lhs != rhs:
                 yield i, j, lhs, rhs
+
+
+def mat_vec(field, rows, v):
+    if rows and len(rows[0]) != len(v):
+        raise DimensionError(f"matrix width {len(rows[0])} vs vector length {len(v)}")
+    out = []
+    for row in rows:
+        s = field.zero
+        for a, b in zip(row, v):
+            s = field.add(s, field.mul(a, b))
+        out.append(s)
+    return out
+
+
+def mat_mul(field, a, b):
+    if a and b and len(a[0]) != len(b):
+        raise DimensionError(f"inner dimensions {len(a[0])} vs {len(b)}")
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        new = []
+        for j in range(cols):
+            s = field.zero
+            for k, x in enumerate(row):
+                s = field.add(s, field.mul(x, b[k][j]))
+            new.append(s)
+        out.append(new)
+    return out
 
 
 def jordan_verdict(field, mul, params=(), stop_early=False):
@@ -304,6 +333,45 @@ def scan_index(verdict, p):
     return index
 
 
+def _operator_rows(A, x):
+    """The rows of L_x, the operator y -> x y."""
+    units = linalg.identity(A.field, A.dim)
+    return list(zip(*(_bilinear(A.field, A.sc, x, e, A.dim) for e in units)))
+
+
+def _trace(f, M):
+    tr = f.zero
+    for d in range(len(M)):
+        tr = f.add(tr, M[d][d])
+    return tr
+
+
+def _trace_form_ranks(A):
+    """(rank of (x,y) -> tr L_{xy},  rank of (x,y) -> tr(L_x L_y)) from
+    dense row matrices, with tr L_{e_i e_j} = sum_k (e_i e_j)_k tr L_{e_k}."""
+    f = A.field
+    ops = [_operator_rows(A, e) for e in linalg.identity(f, A.dim)]
+    traces = [_trace(f, L) for L in ops]
+    t1 = [mat_vec(f, row, traces) for row in A.sc]
+    t2 = [[_trace(f, mat_mul(f, Li, Lj)) for Lj in ops] for Li in ops]
+    return linalg.rank(f, t1), linalg.rank(f, t2)
+
+
+def _element_key(A, x):
+    """(tr L_x^k for k = 1..n, rank L_x, x^2 == 0, x^2 == x), the powers
+    taken by dense matrix products."""
+    f = A.field
+    op = _operator_rows(A, x)
+    traces = []
+    power = op
+    for _ in range(A.dim):
+        traces.append(_trace(f, power))
+        power = mat_mul(f, op, power)
+    sq = _bilinear(f, A.sc, x, x, A.dim)
+    zero = all(f.is_zero(c) for c in sq)
+    return tuple(traces), linalg.rank(f, op), zero, sq == list(x)
+
+
 def blockwise_quadruple_check(qd):
     """C1-C6 of psi = (r, s, t, q), each written out from the product rule
     (a,x)(b,y) = (ab + x|>b + y|>a, x<|b + y<|a + xy); returns the
@@ -430,7 +498,7 @@ def cube_zero_pairs(field, n):
     out = []
     for flat in itertools.product(field.elements(), repeat=n * n):
         rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        cube = linalg.mat_mul(field, linalg.mat_mul(field, rows, rows), rows)
+        cube = mat_mul(field, mat_mul(field, rows, rows), rows)
         if all(field.is_zero(c) for row in cube for c in row):
             cols = tuple(tuple(rows[i][j] for i in range(n)) for j in range(n))
             out.append(((field.zero,) * n, cols))

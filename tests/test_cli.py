@@ -239,19 +239,20 @@ def test_iso_unknown_exit_three(capsys, tmp_path):
 
 
 def test_iso_unknown_note_without_a_search(capsys):
-    """Over Q the witness search runs at dim <= 2 only, and not at all over
-    F_p in invariants-Q mode; the note says so instead of naming a height."""
+    """Over Q the witness search runs at dim <= 2 only, and over F_p the
+    exhaustive one at dim <= 3; the note says so instead of naming a height."""
     code, out, _ = run(capsys, "iso", "catalog:J5", "catalog:J5")
     assert code == 3
     assert out == (
         "verdict: unknown\ninvariants agree; no witness search at dimension 4 "
         "(the Q witness search covers dim <= 2)\n"
     )
-    code, out, _ = run(
-        capsys, "iso", "catalog:J5", "catalog:J5", "--field", "F5", "--mode", "invariants-Q", "--json"
-    )
+    code, out, _ = run(capsys, "iso", "catalog:J5", "catalog:J5", "--field", "F5", "--json")
     assert code == 3
-    assert json.loads(out)["note"] == "invariants agree; no witness search over F5"
+    assert json.loads(out)["note"] == (
+        "invariants agree; no witness search over F5 at dimension 4 "
+        "(the exhaustive search covers dim <= 3)"
+    )
 
 
 def test_iso_json_witness(capsys):

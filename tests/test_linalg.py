@@ -6,17 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jalg import Field, QQ
-from jalg.linalg import (
-    identity,
-    invert,
-    is_invertible,
-    mat_mul,
-    mat_vec,
-    nullspace,
-    rank,
-    rref,
-)
-from slow_oracles import express, solve
+from jalg.linalg import identity, invert, is_invertible, nullspace, rank, rref
+from slow_oracles import express, mat_mul, mat_vec, solve
 
 F5 = Field(5)
 

@@ -1,5 +1,6 @@
 """Structure maps of two-sided products and isomorphism search."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from jalg import (
     Algebra,
-    BudgetError,
     Field,
     JalgError,
     LinearMap,
@@ -25,7 +25,7 @@ from jalg import (
     quadruple_to_map,
 )
 from jalg.cli import main
-from jalg.morphism import GL_SEARCH_MAX_DIM
+from jalg.morphism import GL_SEARCH_MAX_DIM, IsoVerdict
 
 F5 = Field(5)
 
@@ -243,23 +243,43 @@ def test_iso_rejects_parametric():
         iso_search(P, P)
 
 
-def test_iso_exhaustive_dim_cap():
-    A = Algebra.abelian(F5, ["a", "b", "c", "d"])
-    with pytest.raises(JalgError):
-        iso_search(A, A, mode="exhaustive-Fp")
+# (product span, trace ranks) of the catalog algebras past the exhaustive
+# search: J5 and defmap-J have dim 4, J7 and J17 dim 5
+SIGNATURES_ABOVE_THE_SEARCH = {
+    5: {"J5": (4, 1, 2), "defmap-J": (4, 3, 3), "J7": (5, 0, 3), "J17": (5, 2, 2)},
+    7: {"J5": (4, 2, 2), "defmap-J": (4, 3, 3), "J7": (5, 4, 4), "J17": (5, 2, 1)},
+}
 
 
-def test_iso_dim_cap_is_a_budget_error(capsys):
-    """Dimension 4 would scan 5^16 matrices: BudgetError, exit 2 in the CLI."""
+@pytest.mark.parametrize("p", [5, 7])
+def test_iso_fp_above_the_search_answers_by_invariants(p, capsys):
+    """Over F_p above dim 3 no matrix is scanned: every equal-dimension
+    pair is non-isomorphic by invariants (exit 1) or unknown (exit 3),
+    never a BudgetError."""
     assert GL_SEARCH_MAX_DIM == 3
-    A = catalog("J5", field=F5)
-    assert A.dim == 4
-    with pytest.raises(BudgetError, match="capped at dimension 3"):
-        iso_search(A, A)
-    assert main(["iso", "catalog:J5", "catalog:J5", "--field", "F5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: exhaustive search is capped at dimension 3\n"
+    sigs = SIGNATURES_ABOVE_THE_SEARCH[p]
+    f = Field(p)
+    codes = []
+    for x, y in itertools.product(sigs, repeat=2):
+        A, B = catalog(x, field=f), catalog(y, field=f)
+        if A.dim != B.dim:
+            continue
+        verdict = iso_search(A, B)
+        if x == y:
+            note = (
+                f"invariants agree; no witness search over F{p} at dimension {A.dim} "
+                "(the exhaustive search covers dim <= 3)"
+            )
+            assert verdict == IsoVerdict("unknown", note=note)
+            expected, code = f"verdict: unknown\n{note}\n", 3
+        else:
+            cert = f"(product span, trace ranks) differ: {sigs[x]} vs {sigs[y]}"
+            assert verdict == IsoVerdict("non-isomorphic", certificate=cert)
+            expected, code = f"verdict: non-isomorphic\ncertificate: {cert}\n", 1
+        assert main(["iso", f"catalog:{x}", f"catalog:{y}", "--field", f"F{p}"]) == code
+        assert capsys.readouterr() == (expected, "")
+        codes.append(code)
+    assert sorted(codes) == [1] * 4 + [3] * 4
 
 
 def test_element_buckets_are_computed_once_per_algebra():
@@ -267,19 +287,23 @@ def test_element_buckets_are_computed_once_per_algebra():
     buckets are kept on that Algebra instance, not shared between tables."""
     B = Algebra.from_products(F5, ("u", "v"), {("u", "u"): {"u": 1}})
     assert B._element_buckets is None
-    first = iso_search(catalog("V1", field=F5), B, "exhaustive-Fp")
+    first = iso_search(catalog("V1", field=F5), B)
     buckets = B._element_buckets
     assert sum(len(xs) for xs in buckets.values()) == 25
-    again = iso_search(catalog("V1", field=F5), B, "exhaustive-Fp")
+    again = iso_search(catalog("V1", field=F5), B)
     assert B._element_buckets is buckets
     assert again == first
     same_table = Algebra(F5, B.basis, B.sc)
     assert same_table._element_buckets is None
 
 
-def test_iso_mode_validation(j5):
-    with pytest.raises(JalgError):
-        iso_search(j5, j5, mode="guess")
+def test_iso_has_no_mode_option(capsys):
+    """The field and the dimension choose the search: --mode is an
+    argparse error (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(["iso", "catalog:J5", "catalog:J5", "--mode", "auto"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode auto" in capsys.readouterr().err
 
 
 small_f5_tables = st.lists(

@@ -56,7 +56,7 @@ def _tables(p):
 
 
 def _same(A, B, budget=None):
-    fast = iso_search(A, B, "exhaustive-Fp", budget)
+    fast = iso_search(A, B, budget)
     slow = unfiltered_iso_scan(A, B, budget)
     assert fast == slow
     return slow

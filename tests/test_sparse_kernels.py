@@ -6,7 +6,9 @@ a Field they run in plain int or Fraction operators, reducing mod p once
 per output coordinate.  Their results, and the tuples `_hom_mismatches`
 yields, must equal the dense loops' in value and order: over Q, F5, F7
 and Q[t], on sparse and dense tables, with zero vectors and with F_p
-inputs given as unreduced ints.
+inputs given as unreduced ints.  The invariants of `iso_search`, which
+compose multiplication operators through `_linear`, must equal the dense
+matrix products' on every catalog algebra and on random tables.
 """
 
 import itertools
@@ -26,11 +28,14 @@ from jalg import (
     RightAction,
     VerificationError,
     bicross,
+    catalog,
     hom_check,
     map_to_quadruple,
     quadruple_check,
 )
+from jalg.catalog import ALGEBRA_NAMES
 from jalg.identities import _bilinear, _hom_mismatches, _linear, _sparse
+from jalg.morphism import _element_key, _trace_form_ranks
 from jalg.poly import PolyRing
 from slow_oracles import blockwise_quadruple_check
 
@@ -152,3 +157,28 @@ def test_unmatched_pair_raises_on_every_bicross_call():
     for _ in range(2):
         with pytest.raises(VerificationError, match="not a matched pair"):
             bicross(mp)
+
+
+def _random_algebra(rng, f, n, zero_probability):
+    """A commutative table with random entries: mostly not Jordan."""
+    sc = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            sc[i][j] = sc[j][i] = [_entry(rng, f, zero_probability) for _ in range(n)]
+    return Algebra(f, tuple(f"e{k}" for k in range(n)), sc)
+
+
+@pytest.mark.parametrize("f", [QQ, F5, F7, Field(13)], ids=str)
+def test_invariants_match_the_dense_oracle(f):
+    """Trace-form ranks and element keys on the nine catalog algebras and
+    on seeded random tables of dims 1-5, sparse and dense."""
+    rng = random.Random(f"invariants-{f}")
+    algebras = [catalog(name, field=None if f is QQ else f) for name in ALGEBRA_NAMES]
+    for n in range(1, 6):
+        algebras += [_random_algebra(rng, f, n, zp) for zp in (0.8, 0.2)]
+    assert any(not A.is_jordan for A in algebras)
+    for A in algebras:
+        assert _trace_form_ranks(A) == slow._trace_form_ranks(A)
+        units = [[f.one if k == j else f.zero for k in range(A.dim)] for j in range(A.dim)]
+        for x in [*units, *_vectors(rng, f, A.dim, 0.5)]:
+            assert _element_key(A, x) == slow._element_key(A, x)
