@@ -7,7 +7,9 @@ polynomials, and once by checking the cube law directly on the 2-dim
 combined product.  The two verdicts must agree on all p^4 combinations
 (the paper's theorem: the product is Jordan exactly when the pair is
 matched); the script reports the matched count and a breakdown by factor
-shape.
+shape.  The expansions (identities._mp_expansions) are the independent
+side: the library itself decides MP1-MP6, PASS or FAIL, from the
+product's cube law, so calling it here would compare that law with itself.
 
     python3 scripts/bicross_scan.py
     python3 scripts/bicross_scan.py --p 7

@@ -20,7 +20,6 @@ from .deformation import (
     deformation_check,
     enumerate_deformations,
     factorization_index,
-    r_deform,
 )
 from .errors import JalgError, ParseError, VerificationError
 from .fields import Field

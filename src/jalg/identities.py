@@ -15,8 +15,9 @@ a FAIL; it is still a proof, as every coefficient is checked.  With
 indeterminate table entries the coefficients are polynomial conditions on
 them (the abelian-pair census).  The same kernel on the pair's product
 table decides MP1-MP6, as A x V is Jordan exactly when the pair is matched;
-they are expanded as polynomials only on a FAIL, to name the failing
-axioms.  The linearized bimodule law is expanded as polynomials.
+on a FAIL each axiom's residuals are read off that kernel's coefficients,
+as each axiom is one homogeneous piece of the product's cube law.  The
+linearized bimodule law is expanded as polynomials.
 
 With declared parameters the parameters stay indeterminates too.  A PASS
 then holds at every specialization; a FAIL means the identity fails as a
@@ -364,6 +365,23 @@ def _cube_coefficients(field: Field, mul, act, params):
     return bad, decode
 
 
+def _residual(ring, coefficients, wpos, mpos, decode, params) -> Poly:
+    """One coordinate's coefficients {(i, j, k, l): c} (_cube_coefficients)
+    as the Poly sum of c w_i w_j w_k m_l, w_t and m_l at wpos[t], mpos[l]."""
+    terms = {}
+    for (i, j, k, l), c in coefficients.items():
+        exp = [0] * len(ring.names)
+        for t in (i, j, k):
+            exp[wpos[t]] += 1
+        exp[mpos[l]] = 1
+        if params:
+            for pexp, pc in decode(c).embed(ring).terms.items():
+                terms[tuple(a + b for a, b in zip(exp, pexp))] = pc
+        else:
+            terms[tuple(exp)] = decode(c)
+    return Poly(ring, terms)
+
+
 def _cube_law(field: Field, mul, act, params, groups, axiom: str, space: str, stop_early=False):
     """Failures of the cube law w (w^2 m) = w^2 (w m), from _cube_coefficients.
 
@@ -380,23 +398,8 @@ def _cube_law(field: Field, mul, act, params, groups, axiom: str, space: str, st
     acting, module = groups[0][0], groups[-1][0]
     wpos = [ring._index[f"{acting}{i}"] for i in range(len(mul))]
     mpos = [ring._index[f"{module}{l}"] for l in range(len(act[0]))]
-    failures = []
-    for o in sorted(bad):
-        terms = {}
-        for (i, j, k, l), c in bad[o].items():
-            exp = [0] * len(names)
-            for t in (i, j, k):
-                exp[wpos[t]] += 1
-            exp[mpos[l]] = 1
-            if params:
-                for pexp, pc in decode(c).embed(ring).terms.items():
-                    terms[tuple(a + b for a, b in zip(exp, pexp))] = pc
-            else:
-                terms[tuple(exp)] = decode(c)
-        failures.append(AxiomFailure(axiom, space, o, Poly(ring, terms)))
-        if stop_early:
-            break
-    return failures
+    rows = sorted(bad)[:1] if stop_early else sorted(bad)
+    return [AxiomFailure(axiom, space, o, _residual(ring, bad[o], wpos, mpos, decode, params)) for o in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +491,20 @@ def _pair_product(mul_a, mul_v, right, left, zero) -> tuple:
     return tuple(map(tuple, sc))
 
 
+# MP1-MP6 as pieces of the product's cube law, w = (a, x) and m = (b, y)
+# (the linearized Jordan identity): (w in A, m in A, coordinate in A) ->
+# (axiom, name of m), w None when mixed.  The other pieces are the factors'
+# Jordan identities and the action laws.
+_MP_PIECES = {
+    (True, False, True): ("MP1", "x"),
+    (False, True, False): ("MP2", "a"),
+    (None, True, False): ("MP3", "b"),
+    (None, False, True): ("MP4", "y"),
+    (None, False, False): ("MP5", "y"),
+    (None, True, True): ("MP6", "b"),
+}
+
+
 def matched_pair_verdict(
     field: Field,
     mul_a,
@@ -501,21 +518,45 @@ def matched_pair_verdict(
     """The MP axioms in `axioms`, decided by the cube law of the pair's
     product: A x V is Jordan exactly when (A, V, <|, |>) is a matched pair.
 
-    right[x][a] is V-valued, left[x][a] is A-valued.  Only when that
-    product fails are the axioms expanded (_mp_expansions), to report which
-    fail; they may all pass, as a factor or an action law can be at fault.
+    right[x][a] is V-valued, left[x][a] is A-valued.  On a FAIL each
+    axiom's residuals, those of _mp_expansions, are read off the product's
+    coefficients (_MP_PIECES); the axioms may all pass, as a factor or an
+    action law can be at fault.
     """
+    n, m = len(mul_a), len(mul_v)
     table = _pair_product(mul_a, mul_v, right, left, field.zero)
-    bad, _ = _cube_coefficients(field, table, table, params)
-    if not bad:
+    bad, decode = _cube_coefficients(field, table, table, params)
+    pieces: dict = {}  # (place in axioms, coordinate) -> {(i, j, k, l): c}
+    for o, coefficients in bad.items():
+        for key, c in coefficients.items():
+            w = {t < n for t in key[:3]}
+            piece = _MP_PIECES.get((w.pop() if len(w) == 1 else None, key[3] < n, o < n))
+            if piece and piece[0] in axioms:
+                pieces.setdefault((axioms.index(piece[0]), o), {})[key] = c
+    if stop_early and pieces:
+        first = min(pieces)
+        pieces, axioms = {first: pieces[first]}, axioms[: first[0] + 1]
+    if not pieces:
         return _verdict([], axioms)
-    return _mp_expansions(field, mul_a, mul_v, right, left, params, axioms, stop_early)
+    ring, _ = generic_ring(field, params, (("a", n), ("b", n), ("x", m), ("y", m)))
+    # product index t -> position of a_t, b_t (t < n) or x_(t-n), y_(t-n); else None
+    pos = {v: [ring._index.get(f"{v}{t - n * (v in 'xy')}") for t in range(n + m)] for v in "abxy"}
+    mnames = dict(_MP_PIECES.values())
+    failures = []
+    for (s, o), cs in sorted(pieces.items()):
+        residual = _residual(ring, cs, pos["a"][:n] + pos["x"][n:], pos[mnames[axioms[s]]], decode, params)
+        failures.append(AxiomFailure(axioms[s], "A" if o < n else "V", o if o < n else o - n, residual))
+    return _verdict(failures, axioms)
 
 
 def _mp_expansions(field: Field, mul_a, mul_v, right, left, params, axioms, stop_early) -> Verdict:
     """MP1-MP6 with generic a, b in A and x, y in V, each expanded as
     polynomials.  The action laws themselves are separate checks
     (action_law_verdict); this covers the six compatibilities only.
+
+    No library path calls this (matched_pair_verdict reads the same
+    residuals off the product's cube law): it is the independent reference
+    of tests/slow_oracles.py and scripts/bicross_scan.py.
     """
     dim_a = len(mul_a)
     dim_v = len(mul_v)

@@ -1,10 +1,12 @@
 """MatchedPair.verify against the expansion oracle (tests/slow_oracles.py).
 
-verify() decides a PASS of MP1-MP6 by one cube-law pass on the pair's
-product table and expands the axioms only when that product fails.  The
-oracle expands everything: both factors' Jordan identities, both action
-laws and MP1-MP6.  Both must give equal Verdicts, equal describe() text
-and equal witnesses, with and without stop_early, PASS or FAIL.
+verify() decides MP1-MP6 by one cube-law pass on the pair's product table,
+and on a FAIL reads each axiom's residuals off that pass's coefficients.
+The oracle expands everything: both factors' Jordan identities, both
+action laws and MP1-MP6.  Both must give equal Verdicts, equal describe()
+text and equal witnesses, with and without stop_early, PASS or FAIL.  The
+corpus fails each of MP1-MP6 over every field, and no library path reaches
+the expansions.
 """
 
 import itertools
@@ -60,15 +62,17 @@ def _fresh(mp):
     return MatchedPair(mp.A, mp.V, mp.right, mp.left)
 
 
-def test_one_dim_combos_match_oracle():
-    """All 625 pairs of 1-dim factors over F5; 89 are matched."""
-    matched = 0
+def _combos():
+    """All 625 pairs of 1-dim factors over F5."""
     for s, t, wr, wl in itertools.product(range(5), repeat=4):
         A = Algebra.from_products(F5, ("a",), {("a", "a"): {"a": s}})
         V = Algebra.from_products(F5, ("x",), {("x", "x"): {"x": t}})
-        mp = MatchedPair(A, V, RightAction(V, A, [[[wr]]]), LeftAction(V, A, [[[wl]]]))
-        matched += _check(mp).ok
-    assert matched == 89
+        yield MatchedPair(A, V, RightAction(V, A, [[[wr]]]), LeftAction(V, A, [[[wl]]]))
+
+
+def test_one_dim_combos_match_oracle():
+    """All 625 combos; 89 are matched."""
+    assert sum(_check(mp).ok for mp in _combos()) == 89
 
 
 def test_criterion_10_plan_matches_oracle():
@@ -143,16 +147,20 @@ def test_random_pairs_match_oracle(name):
     f = FIELDS[name]
     rng = random.Random("pairs-" + name)
     mp_only = mp_pass_product_fails = 0
+    seen = set()
     for na, nv in ((2, 2), (3, 2)):
         for _ in range(15):
             mp = _random_unmatched(rng, f, na, nv)
             full = _check(mp)
             axioms = set(full.failed_axioms())
+            seen |= axioms
             if axioms and axioms <= set(identities.MP_AXIOMS):
                 mp_only += 1
             if not full.ok and not axioms & set(identities.MP_AXIOMS):
                 mp_pass_product_fails += 1
     assert mp_only and mp_pass_product_fails
+    # every row of identities._MP_PIECES is read, so the oracle checks each
+    assert set(identities.MP_AXIOMS) <= seen
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -169,18 +177,39 @@ def test_catalog_pairs_match_oracle(name):
         _same(product.jordan_check(), fresh)
 
 
-@pytest.mark.parametrize("name", ("Q", "F5"))
-def test_parametric_pairs_match_oracle(name):
+def _parametric_pairs(f):
     """x |> a = D(a) on a 2-dim abelian base with D in F[alpha]: matched
     for D = [[0, alpha], [0, 0]] (D^2 = 0), not for D = diag(alpha, 0)."""
-    f = FIELDS[name]
     params = ("alpha",)
     A = Algebra(f, ("a0", "a1"), [[[f.zero] * 2] * 2] * 2, params=params)
     V = Algebra(f, ("t",), [[[f.zero]]], params=params)
     alpha = A.ring.var("alpha")
     zero = A.ring.zero
-    verdicts = []
     for cols in (((zero, zero), (alpha, zero)), ((alpha, zero), (zero, zero))):
         left = LeftAction(V, A, [[list(c) for c in cols]])
-        verdicts.append(_check(MatchedPair(A, V, RightAction.zero(V, A), left)).ok)
-    assert verdicts == [True, False]
+        yield MatchedPair(A, V, RightAction.zero(V, A), left)
+
+
+@pytest.mark.parametrize("name", ("Q", "F5"))
+def test_parametric_pairs_match_oracle(name):
+    assert [_check(mp).ok for mp in _parametric_pairs(FIELDS[name])] == [True, False]
+
+
+def test_no_library_path_expands_the_mp_axioms(monkeypatch):
+    """With the expansions made to raise, verify() still reports every MP
+    failure of the 625 combos and of the failing Q[alpha] pair, with and
+    without stop_early: the reports come from the product's cube law."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("identities._mp_expansions was called")
+
+    monkeypatch.setattr(identities, "_mp_expansions", refuse)
+    mp_failures = 0
+    for mp in _combos():
+        full = mp.verify()
+        mp_failures += bool(set(full.failed_axioms()) & set(identities.MP_AXIOMS))
+        assert _fresh(mp).verify(stop_early=True).ok == full.ok
+    assert mp_failures == 536
+    unmatched = list(_parametric_pairs(QQ))[1]
+    assert unmatched.verify().failed_axioms() == ("MP4",)
+    assert unmatched.verify(stop_early=True).failed_axioms() == ("MP4",)
