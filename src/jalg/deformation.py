@@ -168,23 +168,38 @@ def _graph_products(mp: MatchedPair, r: DeformationMap):
             yield i, j, prod[:nA], prod[nA:]
 
 
-def _residuals(mp: MatchedPair, r: DeformationMap):
-    """Yield (i, j, residual) for every basis pair i <= j of V, where the
+def _residuals(r: DeformationMap, products):
+    """Yield (i, j, residual) for each of _graph_products, where the
     residual is the A-vector
         r(xy) - r(x)r(y) - x |> r(y) - y |> r(x) + r(x <| r(y) + y <| r(x))
     at x = e_i, y = e_j.  The deformation identity holds iff all vanish."""
     R = r.ring
-    for i, j, a_part, v_part in _graph_products(mp, r):
-        yield i, j, _vsub(R, _linear(R, r.cols, v_part, mp.A.dim), a_part)
+    for i, j, a_part, v_part in products:
+        yield i, j, _vsub(R, _linear(R, r.cols, v_part, r.mp.A.dim), a_part)
 
 
-def _deformed_table(mp: MatchedPair, r: DeformationMap):
-    """The symmetric table of V_r, x . y = xy + x <| r(y) + y <| r(x)."""
-    nV = mp.V.dim
+def _deformed_table(nV: int, products):
+    """The symmetric table of V_r, x . y = xy + x <| r(y) + y <| r(x), from
+    _graph_products."""
     table = [[None] * nV for _ in range(nV)]
-    for i, j, _, v_part in _graph_products(mp, r):
+    for i, j, _, v_part in products:
         table[i][j] = table[j][i] = tuple(v_part)
     return table
+
+
+def _checked_products(mp: MatchedPair, r: DeformationMap):
+    """(deformation_check's verdict, the _graph_products it was read off)."""
+    if r.mp is not mp and r.mp != mp:
+        raise JalgError("deformation map belongs to a different matched pair")
+    R = r.ring
+    basis = mp.V.basis
+    products = list(_graph_products(mp, r))
+    failures = tuple(
+        (basis[i], basis[j], tuple(R.format(c) for c in res))
+        for i, j, res in _residuals(r, products)
+        if not all(R.is_zero(c) for c in res)
+    )
+    return DeformationVerdict(not failures, failures), products
 
 
 def deformation_check(mp: MatchedPair, r: DeformationMap) -> DeformationVerdict:
@@ -195,27 +210,17 @@ def deformation_check(mp: MatchedPair, r: DeformationMap) -> DeformationVerdict:
     as a polynomial identity in the parameters, which over F_p need not
     fail at any specialization (alpha^p - alpha vanishes on all of F_p).
     """
-    if r.mp is not mp and r.mp != mp:
-        raise JalgError("deformation map belongs to a different matched pair")
-    R = r.ring
-    basis = mp.V.basis
-    failures = tuple(
-        (basis[i], basis[j], tuple(R.format(c) for c in res))
-        for i, j, res in _residuals(mp, r)
-        if not all(R.is_zero(c) for c in res)
-    )
-    return DeformationVerdict(not failures, failures)
+    return _checked_products(mp, r)[0]
 
 
 def r_deform(mp: MatchedPair, r: DeformationMap, name=None) -> Algebra:
     """The deformed algebra V_r with x . y = xy + x <| r(y) + y <| r(x)."""
-    verdict = deformation_check(mp, r)
+    verdict, products = _checked_products(mp, r)
     if not verdict.ok:
         raise VerificationError(
             "map does not satisfy the deformation identity:\n" + verdict.describe()
         )
-    table = _deformed_table(mp, r)
-    out = Algebra(mp.A.field, mp.V.basis, table, params=r.params, name=name)
+    out = Algebra(mp.A.field, mp.V.basis, _deformed_table(mp.V.dim, products), params=r.params, name=name)
     if not out.jordan_check().ok:
         raise VerificationError("deformed table is not Jordan; this should not happen")
     return out
@@ -272,7 +277,7 @@ def equiv_check(
         raise JalgError("maps must share the same parameter list")
     R = r.ring
     images = [[R.coerce(c) for c in col] for col in sigma.cols]
-    table_r, table_s = (_sparse(_deformed_table(mp, t), R) for t in (r, s))
+    table_r, table_s = (_sparse(_deformed_table(V.dim, _graph_products(mp, t)), R) for t in (r, s))
     return next(_hom_mismatches(R, table_r, table_s, images), None) is None
 
 
@@ -286,7 +291,7 @@ def _deformation_conditions(mp: MatchedPair):
         [ring.var(f"r{j}_{k}") for k in range(nA)] for j in range(nV)
     ]
     generic = DeformationMap(mp, cols, params)
-    return params, [c for _, _, res in _residuals(mp, generic) for c in res]
+    return params, [c for _, _, res in _residuals(generic, _graph_products(mp, generic)) for c in res]
 
 
 def enumerate_deformations(

@@ -1,23 +1,21 @@
-"""Symbolic verification of algebra and matched-pair axioms.
+"""Symbolic verification of algebra, matched-pair and bimodule axioms.
 
-Every "for all elements" axiom is decided on its generic-element
-expansion: substitute vectors of fresh indeterminates for the quantified
-elements, expand both sides through the structure-constant tensors, and
-test that every coordinate of the difference is the zero polynomial.
-Over Q this is exactly the functional identity; over F_p it is equivalent
-because every axiom here has per-indeterminate degree <= 3 < p.
+Every "for all elements" axiom is a polynomial identity in the coordinates
+of generic elements (vectors of fresh indeterminates): it holds iff every
+coefficient of that polynomial is zero.  Over Q this is exactly the
+functional identity; over F_p it is equivalent because every axiom here
+has per-indeterminate degree <= 3 < p.
 
-The Jordan identity, the action laws and the bimodule square law are one
-cube law, w (w^2 m) = w^2 (w m).  _cube_coefficients computes each
-coefficient of its expansion directly, one basis triple of w at a time, in
-plain integers, and _cube_law builds residual polynomials from them only on
-a FAIL; it is still a proof, as every coefficient is checked.  With
-indeterminate table entries the coefficients are polynomial conditions on
-them (the abelian-pair census).  The same kernel on the pair's product
-table decides MP1-MP6, as A x V is Jordan exactly when the pair is matched;
-on a FAIL each axiom's residuals are read off that kernel's coefficients,
-as each axiom is one homogeneous piece of the product's cube law.  The
-linearized bimodule law is expanded as polynomials.
+Each axiom is the cube law w (w^2 m) = w^2 (w m) or one homogeneous piece
+of it.  _cube_coefficients computes each coefficient directly, one basis
+triple of w at a time, in plain integers, and residual polynomials are
+built from them only on a FAIL; it is still a proof, as every coefficient
+is checked.  The Jordan identity and the action laws are the law itself.
+On a pair's product table (_pair_product) it decides MP1-MP6, as A x V is
+Jordan exactly when the pair is matched, and on the null split extension
+A x M (_null_extension) both bimodule laws; _piece_verdict reads each
+axiom's residuals off its piece.  With indeterminate table entries the
+coefficients are polynomial conditions on them (the abelian-pair census).
 
 With declared parameters the parameters stay indeterminates too.  A PASS
 then holds at every specialization; a FAIL means the identity fails as a
@@ -235,18 +233,6 @@ def _vscale(ring, c, u):
     return [ring.mul(c, a) for a in u]
 
 
-def _collect(failures, axiom, space, residual_vec, stop_early) -> bool:
-    """Append nonzero coordinates; returns True if the axiom failed."""
-    failed = False
-    for k, p in enumerate(residual_vec):
-        if not p.is_zero:
-            failures.append(AxiomFailure(axiom, space, k, p))
-            failed = True
-            if stop_early:
-                return True
-    return failed
-
-
 # ---------------------------------------------------------------------------
 # the cube law, coefficient by coefficient
 
@@ -437,40 +423,8 @@ def action_law_verdict(
     return _verdict(_cube_law(field, mul_acting, act, params, groups, axiom, "M"), [axiom])
 
 
-def bimodule_verdict(field: Field, mul, act, params=()) -> Verdict:
-    """Both bimodule compatibilities for act[i][m] = e_i . m_m.
-
-    The symmetry compatibility is structural (a single action tensor is
-    stored).  Checked here:
-      square law   a (a^2 m) = a^2 (a m)
-      linearized   (a^2 b) m - a^2 (b m) = 2 [ (ab)(am) - a (b (am)) ]
-    The square law is the cube law; the linearized law is expanded.
-    """
-    dim = len(mul)
-    dim_m = len(act[0]) if dim else 0
-    groups = [("a", dim), ("b", dim), ("m", dim_m)]
-    failures = _cube_law(field, mul, act, params, groups, "bim-square", "M")
-    ring, gen = generic_ring(field, params, groups)
-    mul_t = _sparse(mul, ring)
-    act_t = _sparse(act, ring)
-    a, b, m = gen["a"], gen["b"], gen["m"]
-
-    def M(u, v):
-        return _bilinear(ring, mul_t, u, v, dim)
-
-    def S(u, v):
-        return _bilinear(ring, act_t, u, v, dim_m)
-
-    a2 = M(a, a)
-    am = S(a, m)
-    lhs = _vsub(ring, S(M(a2, b), m), S(a2, S(b, m)))
-    half = _vsub(ring, S(M(a, b), am), S(a, S(b, am)))
-    _collect(failures, "bim-linear", "M", _vsub(ring, lhs, _vadd(ring, half, half)), False)
-    return _verdict(failures, ["bim-square", "bim-linear"])
-
-
 # ---------------------------------------------------------------------------
-# matched-pair axioms
+# product tables and their pieces: matched-pair and bimodule axioms
 
 
 def _pair_product(mul_a, mul_v, right, left, zero) -> tuple:
@@ -491,62 +445,100 @@ def _pair_product(mul_a, mul_v, right, left, zero) -> tuple:
     return tuple(map(tuple, sc))
 
 
-# MP1-MP6 as pieces of the product's cube law, w = (a, x) and m = (b, y)
-# (the linearized Jordan identity): (w in A, m in A, coordinate in A) ->
-# (axiom, name of m), w None when mixed.  The other pieces are the factors'
-# Jordan identities and the action laws.
+def _null_extension(mul, act, module_dim: int, zero) -> tuple:
+    """Structure constants of the null split extension A x M, (a,x)(b,y) =
+    (ab, xb + ya): the _pair_product of A and the abelian M with
+    x <| a = a.x and no left action.  module_dim is explicit, as a module
+    over the 0-dim algebra has no act rows to read it from."""
+    n = len(mul)
+    return _pair_product(
+        mul,
+        [[(zero,) * module_dim] * module_dim] * module_dim,
+        [[act[a][x] for a in range(n)] for x in range(module_dim)],
+        [[(zero,) * n] * n] * module_dim,
+        zero,
+    )
+
+
+# Axioms as pieces of a product's cube law, w = (a, x) and m = (b, y) (the
+# linearized Jordan identity): (w in A, m in A, coordinate in A) ->
+# (axiom, its space, name of m), w None when mixed.  On a pair's product
+# the other pieces are the factors' Jordan identities and the action laws.
 _MP_PIECES = {
-    (True, False, True): ("MP1", "x"),
-    (False, True, False): ("MP2", "a"),
-    (None, True, False): ("MP3", "b"),
-    (None, False, True): ("MP4", "y"),
-    (None, False, False): ("MP5", "y"),
-    (None, True, True): ("MP6", "b"),
+    (True, False, True): ("MP1", "A", "x"),
+    (False, True, False): ("MP2", "V", "a"),
+    (None, True, False): ("MP3", "V", "b"),
+    (None, False, True): ("MP4", "A", "y"),
+    (None, False, False): ("MP5", "V", "y"),
+    (None, True, True): ("MP6", "A", "b"),
+}
+# On the null split extension, x and y both named m: the right-action law
+# and MP3.  The other pieces vanish (M^2 = 0, no left action) or are A's
+# Jordan identity.
+_BIMODULE_PIECES = {
+    (True, False, False): ("bim-square", "M", "m"),
+    (None, True, False): ("bim-linear", "M", "b"),
 }
 
 
-def matched_pair_verdict(
-    field: Field,
-    mul_a,
-    mul_v,
-    right,
-    left,
-    params=(),
-    axioms=MP_AXIOMS,
-    stop_early: bool = False,
-) -> Verdict:
-    """The MP axioms in `axioms`, decided by the cube law of the pair's
-    product: A x V is Jordan exactly when (A, V, <|, |>) is a matched pair.
+def _piece_verdict(field: Field, table, n: int, params, pieces, axioms, v_names, stop_early=False) -> Verdict:
+    """The axioms in `axioms`, each one piece of `pieces`, read off one
+    _cube_coefficients pass on a product table (A's n basis vectors first).
 
-    right[x][a] is V-valued, left[x][a] is A-valued.  On a FAIL each
-    axiom's residuals, those of _mp_expansions, are read off the product's
-    coefficients (_MP_PIECES); the axioms may all pass, as a factor or an
-    action law can be at fault.
+    The residuals live in generic_ring(field, params, a, b, *v_names), with
+    a w index named a_t in A and v_names[0] in V.  With stop_early only the
+    first failing coordinate is reported, and `checked` ends at its axiom.
     """
-    n, m = len(mul_a), len(mul_v)
-    table = _pair_product(mul_a, mul_v, right, left, field.zero)
     bad, decode = _cube_coefficients(field, table, table, params)
-    pieces: dict = {}  # (place in axioms, coordinate) -> {(i, j, k, l): c}
+    found: dict = {}  # (place in axioms, coordinate, piece) -> {(i, j, k, l): c}
     for o, coefficients in bad.items():
         for key, c in coefficients.items():
             w = {t < n for t in key[:3]}
-            piece = _MP_PIECES.get((w.pop() if len(w) == 1 else None, key[3] < n, o < n))
+            piece = pieces.get((w.pop() if len(w) == 1 else None, key[3] < n, o < n))
             if piece and piece[0] in axioms:
-                pieces.setdefault((axioms.index(piece[0]), o), {})[key] = c
-    if stop_early and pieces:
-        first = min(pieces)
-        pieces, axioms = {first: pieces[first]}, axioms[: first[0] + 1]
-    if not pieces:
+                found.setdefault((axioms.index(piece[0]), o, piece), {})[key] = c
+    if stop_early and found:
+        first = min(found)
+        found, axioms = {first: found[first]}, axioms[: first[0] + 1]
+    if not found:
         return _verdict([], axioms)
-    ring, _ = generic_ring(field, params, (("a", n), ("b", n), ("x", m), ("y", m)))
-    # product index t -> position of a_t, b_t (t < n) or x_(t-n), y_(t-n); else None
-    pos = {v: [ring._index.get(f"{v}{t - n * (v in 'xy')}") for t in range(n + m)] for v in "abxy"}
-    mnames = dict(_MP_PIECES.values())
+    m = len(table) - n
+    ring, _ = generic_ring(field, params, [("a", n), ("b", n)] + [(v, m) for v in v_names])
+    # product index t -> position of a_t, b_t (t < n) or v_(t-n); else None
+    pos = {v: [ring._index.get(f"{v}{t - n * (v in v_names)}") for t in range(n + m)] for v in ("a", "b", *v_names)}
     failures = []
-    for (s, o), cs in sorted(pieces.items()):
-        residual = _residual(ring, cs, pos["a"][:n] + pos["x"][n:], pos[mnames[axioms[s]]], decode, params)
-        failures.append(AxiomFailure(axioms[s], "A" if o < n else "V", o if o < n else o - n, residual))
+    for (_, o, (axiom, space, name)), cs in sorted(found.items()):
+        residual = _residual(ring, cs, pos["a"][:n] + pos[v_names[0]][n:], pos[name], decode, params)
+        failures.append(AxiomFailure(axiom, space, o if o < n else o - n, residual))
     return _verdict(failures, axioms)
+
+
+def matched_pair_verdict(
+    field: Field, table, n: int, params=(), axioms=MP_AXIOMS, stop_early: bool = False
+) -> Verdict:
+    """The MP axioms in `axioms`, decided by the cube law of the pair's
+    product `table` (_pair_product, with dim A = n): A x V is Jordan
+    exactly when (A, V, <|, |>) is a matched pair.
+
+    On a FAIL each axiom's residuals, those of _mp_expansions, are read off
+    the product's coefficients (_MP_PIECES); the axioms may all pass, as a
+    factor or an action law can be at fault.
+    """
+    return _piece_verdict(field, table, n, params, _MP_PIECES, axioms, ("x", "y"), stop_early)
+
+
+def bimodule_verdict(field: Field, mul, act, params=()) -> Verdict:
+    """Both bimodule compatibilities for act[i][m] = e_i . m_m:
+      square law   a (a^2 m) = a^2 (a m)
+      linearized   (a^2 b) m - a^2 (b m) = 2 [ (ab)(am) - a (b (am)) ]
+    read off the cube law of the null split extension A x M, which is
+    Jordan exactly when A is and M is a Jordan bimodule (_BIMODULE_PIECES).
+    The symmetry compatibility is structural (a single action tensor is
+    stored); A's own identity is bimodule_check's to decide.
+    """
+    n = len(mul)
+    table = _null_extension(mul, act, len(act[0]) if n else 0, field.zero)
+    return _piece_verdict(field, table, n, params, _BIMODULE_PIECES, ("bim-square", "bim-linear"), ("m",))
 
 
 def _mp_expansions(field: Field, mul_a, mul_v, right, left, params, axioms, stop_early) -> Verdict:
@@ -694,7 +686,9 @@ def _mp_expansions(field: Field, mul_a, mul_v, right, left, params, axioms, stop
     for name in axioms:
         checked.append(name)
         space, residual = table[name]()
-        if _collect(failures, name, space, residual, stop_early) and stop_early:
+        failed = [AxiomFailure(name, space, k, p) for k, p in enumerate(residual) if not p.is_zero]
+        failures += failed[:1] if stop_early else failed
+        if failed and stop_early:
             break
     return _verdict(failures, checked)
 

@@ -186,13 +186,7 @@ class MatchedPair:
     def mp_check(self, stop_early: bool = False) -> Verdict:
         """The six compatibility conditions only (assumes actions already lawful)."""
         return identities.matched_pair_verdict(
-            self.A.field,
-            self.A.sc,
-            self.V.sc,
-            self.right.tensor,
-            self.left.tensor,
-            self.A.params,
-            stop_early=stop_early,
+            self.A.field, self.product_sc(), self.A.dim, self.A.params, stop_early=stop_early
         )
 
     def verify(self, stop_early: bool = False) -> Verdict:
@@ -327,9 +321,7 @@ def _semidirect(mp: MatchedPair, action: _Action, names) -> Algebra:
     if not law.ok:
         raise VerificationError(f"{action._side} action law fails:\n" + law.describe())
     verdict = identities._rename(
-        identities.matched_pair_verdict(
-            A.field, A.sc, V.sc, mp.right.tensor, mp.left.tensor, A.params, axioms=tuple(names)
-        ),
+        identities.matched_pair_verdict(A.field, mp.product_sc(), A.dim, A.params, axioms=tuple(names)),
         names,
     )
     if not verdict.ok:
@@ -473,9 +465,10 @@ class AbelianPairCensus:
 def _abelian_pair_conditions(field: Field, n: int):
     """The product's cube-law coefficients as polynomials in the action entries.
 
-    The (n+1)-dim product of the abelian base (e_0 .. e_{n-1}) and the
-    abelian complement t, with indeterminate lambda and D: the only nonzero
-    cells are (e_j, t) = (D e_j, lambda_j t).  The product is Jordan, and so
+    The (n+1)-dim pair product (identities._pair_product) of the abelian
+    base (e_0 .. e_{n-1}) and the abelian complement t, with indeterminate
+    t <| e_j = lambda_j t and t |> e_j = D e_j: the only nonzero cells are
+    (e_j, t) = (D e_j, lambda_j t).  The product is Jordan, and so
     the pair matched, exactly at the common zeros of the distinct
     coefficients of its cube law.
     """
@@ -483,11 +476,14 @@ def _abelian_pair_conditions(field: Field, n: int):
     d_names = tuple(f"d{i}{j}" for i in range(n) for j in range(n))
     params = lam_names + d_names
     ring = PolyRing(field, params)
-    zero = (field.zero,) * (n + 1)
-    table = [[zero] * (n + 1) for _ in range(n + 1)]
-    for j in range(n):
-        cell = tuple(ring.var(f"d{i}{j}") for i in range(n)) + (ring.var(f"l{j}"),)
-        table[j][n] = table[n][j] = cell
+    z = field.zero
+    table = identities._pair_product(
+        [[(z,) * n] * n] * n,
+        [[(z,)]],
+        [[(ring.var(f"l{j}"),) for j in range(n)]],
+        [[tuple(ring.var(f"d{i}{j}") for i in range(n)) for j in range(n)]],
+        z,
+    )
     bad, decode = identities._cube_coefficients(field, table, table, params)
     conditions = (decode(c) for coeffs in bad.values() for c in coeffs.values())
     return params, list(dict.fromkeys(conditions))

@@ -2,10 +2,10 @@
 
 Used in two roles:
 
-* generic-element verification: the pair axioms are checked by expanding
-  products of generic elements (coordinates become indeterminates) and
-  testing that every coefficient of the resulting polynomial vanishes;
-  the cube law builds such polynomials only to report a failure;
+* residuals: the cube law decides an identity coefficient by coefficient
+  and, only on a FAIL, builds each residual as a polynomial in the
+  coordinates of generic elements; the tests' slow oracles expand whole
+  identities this way;
 * parametric structure constants: one-parameter families of algebras and
   deformation maps keep symbolic entries like ``alpha`` or ``1 - 2*alpha``.
 

@@ -1,9 +1,9 @@
 """Slow, independent oracles for the fast paths.
 
 Each is the plain procedure the fast path replaced: generic-element
-expansion of the cube law (the Jordan identity, the action laws and the
-bimodule square law) as polynomials, MP1-MP6 expanded as polynomials
-where the library decides a PASS by the product's cube law, a sigma loop
+expansion of the cube law (the Jordan identity, the action laws and both
+bimodule laws) as polynomials, MP1-MP6 expanded as polynomials where the
+library reads them off the product's cube law, a sigma loop
 over GL(V) for the factorization index, an unfiltered scan of all
 p^(n*n) matrices for `iso_search` over F_p, its invariants (the trace
 form ranks and the element keys) from dense matrix products, the six
@@ -29,7 +29,6 @@ from jalg.identities import (
     MP_AXIOMS,
     AxiomFailure,
     Verdict,
-    _collect,
     _mp_expansions,
     _vadd,
     _verdict,
@@ -40,6 +39,18 @@ from jalg.identities import (
 from jalg.matched_pair import _abelian_pair_conditions
 from jalg.morphism import IsoVerdict, QuadrupleVerdict
 from jalg.poly import PolyRing
+
+
+def _collect(failures, axiom, space, residual_vec, stop_early) -> bool:
+    """Append nonzero coordinates; returns True if the axiom failed."""
+    failed = False
+    for k, p in enumerate(residual_vec):
+        if not p.is_zero:
+            failures.append(AxiomFailure(axiom, space, k, p))
+            failed = True
+            if stop_early:
+                return True
+    return failed
 
 
 def _embed2(ring, table):

@@ -28,6 +28,8 @@ from jalg import (
     subalgebra_check,
     subalgebra_witness,
 )
+from jalg import identities
+from jalg.catalog import ALGEBRA_NAMES, catalog
 from jalg.identities import _bilinear, _linear, _sparse
 from slow_oracles import express
 
@@ -202,6 +204,38 @@ def test_null_split_extension():
     assert E.mul(E.basis_element("a"), E.basis_element("a")).coords == (
         1, 0, 0, 0,
     )
+
+
+def test_bimodule_rejects_wrong_labels():
+    A = Algebra.from_products(QQ, ("a",), {("a", "a"): {"a": 1}})
+    act = [[[1, 0], [0, 1]]]
+    with pytest.raises(DimensionError, match=r"^expected 2 module labels, got 1$"):
+        Bimodule(A, 2, act, labels=("m",))
+    with pytest.raises(JalgError, match=r"^duplicate module labels \('m', 'm'\)$") as err:
+        Bimodule(A, 2, act, labels=("m", "m"))
+    assert type(err.value) is JalgError
+    assert Bimodule(A, 2, act).labels == ("m0", "m1")
+
+
+def test_null_split_extension_over_the_zero_algebra():
+    """M's size comes from the module, not from the (absent) action rows."""
+    A = Algebra(QQ, (), [])
+    E = null_split_extension(A, Bimodule.zero(A, 2))
+    assert E.basis == ("m0", "m1")
+    assert E.is_abelian and E.is_jordan
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F7], ids=str)
+def test_null_split_extension_jordan_verdict_is_seeded_soundly(field):
+    """The seeded PASS of null_split_extension equals a fresh cube-law pass
+    on its table, for the regular and dual bimodules of every catalog
+    algebra."""
+    for name in ALGEBRA_NAMES:
+        A = catalog(name, field=field)
+        regular = Bimodule(A, A.dim, A.sc, labels=tuple(f"{lab}'" for lab in A.basis))
+        for M in (regular, dual_action(A)):
+            E = null_split_extension(A, M)
+            assert E.jordan_check() == identities.jordan_verdict(E.field, E.sc, E.params), name
 
 
 def test_subspace_basics(j17):

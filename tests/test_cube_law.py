@@ -1,8 +1,9 @@
 """The cube-law kernel against generic-element expansion (tests/slow_oracles.py).
 
-jordan_verdict, action_law_verdict and the square law of bimodule_verdict
-decide the cube law coefficient by coefficient.  The oracles expand the
-same identities as polynomials in generic coordinates.  Both must give
+jordan_verdict, action_law_verdict and bimodule_verdict decide the cube
+law, or its pieces on the null split extension, coefficient by
+coefficient.  The oracles expand the same identities as polynomials in
+generic coordinates.  Both must give
 equal Verdicts, equal describe() text and equal witnesses, PASS or FAIL,
 over Q, F_p and with a parameter.
 """
@@ -189,20 +190,76 @@ def test_action_laws_match_expansion_on_both_sides(name):
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("name", ("Q", "F7"))
+def _one_law_failures(c):
+    """(mul, act) pairs that fail one bimodule law alone, scaled by c.
+
+    u^2 = v acting on <m0, m1, m2> by the shift u: m0 -> m1 -> m2 and
+    v: m0 -> m1 fails the square law alone (at a0^3 m0); e^2 = e acting on
+    <m0> by 2 fails the linearized law alone.  Scaling both tables keeps
+    that, as both laws are cubic in their entries."""
+    square_only = (
+        [[[0, c], [0, 0]], [[0, 0], [0, 0]]],
+        [[[0, c, 0], [0, 0, c], [0, 0, 0]], [[0, c, 0], [0, 0, 0], [0, 0, 0]]],
+    )
+    return [square_only, ([[[c]]], [[[2 * c]]])]
+
+
+def _same_bimodule_verdicts(f, cases, params=()):
+    """bimodule_verdict against the oracle; returns the failed-law sets."""
+    failed = set()
+    for sc, act in cases:
+        fast = identities.bimodule_verdict(f, sc, act, params)
+        _same(fast, oracle.bimodule_verdict(f, sc, act, params))
+        failed.add(fast.failed_axioms())
+    return failed
+
+
+@pytest.mark.parametrize("name", ("Q", "F5", "F7"))
 def test_bimodule_matches_expansion(name):
     f = FIELDS[name]
     rng = random.Random("bimodule-" + name)
-    outcomes = set()
+    cases = _one_law_failures(f.one)
     for n in (1, 2, 3, 4):
         A = Algebra(f, tuple(f"e{i}" for i in range(n)), _jordan_table(rng, f, n))
         m = rng.randint(1, 3)
         random_act = [[[f.coerce(_scalar(rng, f)) for _ in range(m)] for _ in range(m)] for _ in range(n)]
-        for M in (Bimodule.regular(A), Bimodule(A, m, random_act)):
-            fast = identities.bimodule_verdict(f, A.sc, M.act)
-            _same(fast, oracle.bimodule_verdict(f, A.sc, M.act))
-            outcomes.add("bim-square" in fast.failed_axioms())
-    assert outcomes == {True, False}
+        cases += [(A.sc, M.act) for M in (Bimodule.regular(A), Bimodule(A, m, random_act))]
+    failed = _same_bimodule_verdicts(f, cases)
+    assert failed == {(), ("bim-square",), ("bim-linear",), ("bim-square", "bim-linear")}
+
+
+@pytest.mark.parametrize("name", ("Q", "F5"))
+def test_parametric_bimodules_match_expansion(name):
+    """Entries in Q[alpha] and F5[alpha] on tables that are not Jordan:
+    bimodule_verdict reads only the two bimodule pieces, whatever A's own
+    identity does."""
+    f = FIELDS[name]
+    ring = PolyRing(f, ("alpha",))
+    alpha = ring.var("alpha")
+    rng = random.Random("parametric-bimodule-" + name)
+    cases = _one_law_failures(alpha)
+    for n in (2, 3):
+        for m in (1, 2, 3):
+            sc = _symmetric([[[alpha * e + _scalar(rng, f) for e in cell] for cell in row] for row in _random_table(rng, f, n, 0.3)])
+            act = [[[alpha * _scalar(rng, f) + _scalar(rng, f) for _ in range(m)] for _ in range(m)] for _ in range(n)]
+            assert not identities.jordan_verdict(f, sc, ("alpha",)).ok
+            cases.append((sc, act))
+    failed = _same_bimodule_verdicts(f, cases, ("alpha",))
+    assert {("bim-square",), ("bim-linear",), ("bim-square", "bim-linear")} <= failed
+
+
+def test_bimodule_verdict_expands_nothing(monkeypatch):
+    """Both bimodule laws come from the cube-law kernel: the bilinear
+    contraction, which a generic-element expansion runs on, is never called."""
+
+    def forbidden(*args):
+        raise AssertionError("bimodule_verdict expanded a law through _bilinear")
+
+    monkeypatch.setattr(identities, "_bilinear", forbidden)
+    verdicts = [identities.bimodule_verdict(QQ, sc, act) for sc, act in _one_law_failures(QQ.one)]
+    assert [v.failed_axioms() for v in verdicts] == [("bim-square",), ("bim-linear",)]
+    A = catalog("J5", field=Field(7))
+    assert identities.bimodule_verdict(A.field, A.sc, A.sc).ok
 
 
 @pytest.mark.parametrize("name", ("Q", "F5"))

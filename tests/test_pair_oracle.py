@@ -51,7 +51,7 @@ def _check(mp):
     for names in (identities._LEFT_FROM_MP, identities._RIGHT_FROM_MP):
         axioms = tuple(names)
         _same(
-            identities.matched_pair_verdict(*args, axioms=axioms),
+            identities.matched_pair_verdict(A.field, mp.product_sc(), A.dim, A.params, axioms=axioms),
             oracle.matched_pair_verdict(*args, axioms=axioms),
         )
     return full
