@@ -40,8 +40,10 @@ class ScanConfig:
 
 
 def pair_matched(mp: MatchedPair) -> bool:
-    """MatchedPair.verify() without its cube-law pass on the product: both
-    factors Jordan, both action laws, then MP1-MP6 expanded as polynomials."""
+    """The pair axioms by separate passes, none on the product table: each
+    factor's Jordan identity and each action law by its own cube-law pass,
+    then MP1-MP6 expanded as polynomials.  MatchedPair.verify() reads all
+    ten off one pass on the product, so it cannot be the independent side."""
     A, V = mp.A, mp.V
     if not (A.is_jordan and V.is_jordan and mp.right.check().ok and mp.left.check().ok):
         return False

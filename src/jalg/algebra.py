@@ -47,6 +47,17 @@ def format_combination(ring, coords, labels) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def _primed(taken, labels) -> list:
+    """labels, each primed until it clashes with nothing in taken and
+    with no label before it."""
+    out = list(taken)
+    for lab in labels:
+        while lab in out:
+            lab += "'"
+        out.append(lab)
+    return out[len(taken) :]
+
+
 class Algebra:
     """dim, basis labels, and the symmetric tensor c[i][j][k]: e_i e_j = sum c e_k."""
 
@@ -296,11 +307,18 @@ class LinearMap:
         """images: {source label: {target label: coeff}}; missing labels map to 0."""
         if source.field is not target.field:
             raise FieldMismatchError(f"{source.field} vs {target.field}")
+        unknown = set(images) - set(source.basis)
+        if unknown:
+            raise JalgError(f"unknown labels {sorted(unknown)}")
         tindex = {lab: i for i, lab in enumerate(target.basis)}
         cols = []
         for lab in source.basis:
+            combo = images.get(lab, {})
+            bad = set(combo) - set(tindex)
+            if bad:
+                raise JalgError(f"unknown labels {sorted(bad)}")
             vec = [target.field.zero] * target.dim
-            for tlab, c in images.get(lab, {}).items():
+            for tlab, c in combo.items():
                 vec[tindex[tlab]] = target.field.coerce(c)
             cols.append(vec)
         return cls._of(source.field, source.dim, target.dim, cols)
@@ -535,7 +553,9 @@ class Bimodule:
 
     @classmethod
     def regular(cls, algebra: Algebra) -> "Bimodule":
-        return cls(algebra, algebra.dim, algebra.sc, labels=algebra.basis)
+        """A acting on itself, on primed copies of its labels, so that
+        null_split_extension can put both side by side."""
+        return cls(algebra, algebra.dim, algebra.sc, labels=_primed(algebra.basis, algebra.basis))
 
     @classmethod
     def zero(cls, algebra: Algebra, module_dim: int, labels=None) -> "Bimodule":

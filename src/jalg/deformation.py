@@ -28,6 +28,7 @@ from .matched_pair import (
     BicrossedProduct,
     Factorization,
     MatchedPair,
+    _require_matched,
     bicross,
     canonical_pair,
 )
@@ -214,7 +215,9 @@ def deformation_check(mp: MatchedPair, r: DeformationMap) -> DeformationVerdict:
 
 
 def r_deform(mp: MatchedPair, r: DeformationMap, name=None) -> Algebra:
-    """The deformed algebra V_r with x . y = xy + x <| r(y) + y <| r(x)."""
+    """The deformed algebra V_r with x . y = xy + x <| r(y) + y <| r(x),
+    for a matched pair."""
+    _require_matched(mp)
     verdict, products = _checked_products(mp, r)
     if not verdict.ok:
         raise VerificationError(
@@ -302,7 +305,9 @@ def enumerate_deformations(
 
     One `solve_fp` search finds them within its node budget; max_candidates
     refuses a larger map space up front.  Each must pass `deformation_check`.
+    An unmatched pair raises VerificationError.
     """
+    _require_matched(mp)
     f = mp.A.field
     nA, nV = mp.A.dim, mp.V.dim
     total = f.characteristic ** (nA * nV)

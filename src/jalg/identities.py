@@ -10,12 +10,13 @@ Each axiom is the cube law w (w^2 m) = w^2 (w m) or one homogeneous piece
 of it.  _cube_coefficients computes each coefficient directly, one basis
 triple of w at a time, in plain integers, and residual polynomials are
 built from them only on a FAIL; it is still a proof, as every coefficient
-is checked.  The Jordan identity and the action laws are the law itself.
-On a pair's product table (_pair_product) it decides MP1-MP6, as A x V is
-Jordan exactly when the pair is matched, and on the null split extension
-A x M (_null_extension) both bimodule laws; _piece_verdict reads each
-axiom's residuals off its piece.  With indeterminate table entries the
-coefficients are polynomial conditions on them (the abelian-pair census).
+is checked.  The Jordan identity and an action law alone are the law
+itself.  On a pair's product table (_pair_product) one pass decides all
+ten pair axioms, as A x V is Jordan exactly when the pair is matched, and
+on the null split extension A x M (_null_extension) both bimodule laws;
+_piece_verdict reads each axiom's residuals off its piece.  With
+indeterminate table entries the coefficients are polynomial conditions on
+them (the abelian-pair census).
 
 With declared parameters the parameters stay indeterminates too.  A PASS
 then holds at every specialization; a FAIL means the identity fails as a
@@ -46,6 +47,8 @@ from .fields import Field
 from .poly import Poly, PolyRing
 
 MP_AXIOMS = ("MP1", "MP2", "MP3", "MP4", "MP5", "MP6")
+# everything MatchedPair.verify decides, in the order it reports them
+PAIR_AXIOMS = ("jordan-A", "jordan-V", "right-action", "left-action") + MP_AXIOMS
 
 # With one action zero the other three MP axioms hold for degree reasons;
 # the surviving three specialize to the semidirect compatibilities.
@@ -368,37 +371,8 @@ def _residual(ring, coefficients, wpos, mpos, decode, params) -> Poly:
     return Poly(ring, terms)
 
 
-def _cube_law(field: Field, mul, act, params, groups, axiom: str, space: str, stop_early=False):
-    """Failures of the cube law w (w^2 m) = w^2 (w m), from _cube_coefficients.
-
-    The first of groups names the generic acting element w, the last the
-    generic module element m (see generic_ring).  Only on a FAIL are the
-    residual polynomials built, in the ring of generic_ring(field, params,
-    groups).
-    """
-    names = _generic_names(params, groups)
-    bad, decode = _cube_coefficients(field, mul, act, params)
-    if not bad:
-        return []
-    ring = PolyRing(field, names)
-    acting, module = groups[0][0], groups[-1][0]
-    wpos = [ring._index[f"{acting}{i}"] for i in range(len(mul))]
-    mpos = [ring._index[f"{module}{l}"] for l in range(len(act[0]))]
-    rows = sorted(bad)[:1] if stop_early else sorted(bad)
-    return [AxiomFailure(axiom, space, o, _residual(ring, bad[o], wpos, mpos, decode, params)) for o in rows]
-
-
 # ---------------------------------------------------------------------------
 # single-algebra axioms
-
-
-def jordan_verdict(field: Field, mul, params=(), stop_early: bool = False) -> Verdict:
-    """(a^2 b) a = a^2 (b a) with generic a, b: the cube law of A acting on itself."""
-    dim = len(mul)
-    groups = [("a", dim), ("b", dim)]
-    return _verdict(
-        _cube_law(field, mul, mul, params, groups, "jordan", "A", stop_early), ["jordan"]
-    )
 
 
 def action_law_verdict(
@@ -409,18 +383,35 @@ def action_law_verdict(
     acting_prefix: str = "x",
     module_prefix: str = "m",
     axiom: str = "action-law",
+    space: str = "M",
+    stop_early: bool = False,
 ) -> Verdict:
     """w (w^2 m) = w^2 (w m) for a generic acting element w and module element m.
 
     act[w][m] is the coordinate vector of basis vector w acting on module
     basis vector m.  This single law covers the right-action axiom (A acting
-    on V), the left-action axiom (V acting on A), and the first bimodule
-    compatibility: they differ only in which algebra acts.
+    on V), the left-action axiom (V acting on A), the first bimodule
+    compatibility and the Jordan identity (A on itself).  Only on a FAIL
+    are the residuals built from _cube_coefficients; with stop_early only
+    the first failing coordinate is reported.
     """
     dim_w = len(mul_acting)
     dim_m = len(act[0]) if dim_w else 0
-    groups = [(acting_prefix, dim_w), (module_prefix, dim_m)]
-    return _verdict(_cube_law(field, mul_acting, act, params, groups, axiom, "M"), [axiom])
+    names = _generic_names(params, [(acting_prefix, dim_w), (module_prefix, dim_m)])
+    bad, decode = _cube_coefficients(field, mul_acting, act, params)
+    failures = []
+    if bad:
+        ring = PolyRing(field, names)
+        wpos = [ring._index[f"{acting_prefix}{i}"] for i in range(dim_w)]
+        mpos = [ring._index[f"{module_prefix}{l}"] for l in range(dim_m)]
+        for o in sorted(bad)[:1] if stop_early else sorted(bad):
+            failures.append(AxiomFailure(axiom, space, o, _residual(ring, bad[o], wpos, mpos, decode, params)))
+    return _verdict(failures, [axiom])
+
+
+def jordan_verdict(field: Field, mul, params=(), stop_early: bool = False) -> Verdict:
+    """(a^2 b) a = a^2 (b a) with generic a, b: the action law of A on itself."""
+    return action_law_verdict(field, mul, mul, params, "a", "b", "jordan", "A", stop_early)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +454,13 @@ def _null_extension(mul, act, module_dim: int, zero) -> tuple:
 # Axioms as pieces of a product's cube law, w = (a, x) and m = (b, y) (the
 # linearized Jordan identity): (w in A, m in A, coordinate in A) ->
 # (axiom, its space, name of m), w None when mixed.  On a pair's product
-# the other pieces are the factors' Jordan identities and the action laws.
-_MP_PIECES = {
+# these are all the pieces that can be nonzero: the other two, (True,
+# True, False) and (False, False, True), vanish as A and V are subalgebras.
+_PAIR_PIECES = {
+    (True, True, True): ("jordan-A", "A", "b"),
+    (False, False, False): ("jordan-V", "V", "y"),
+    (True, False, False): ("right-action", "M", "x"),
+    (False, True, True): ("left-action", "M", "a"),
     (True, False, True): ("MP1", "A", "x"),
     (False, True, False): ("MP2", "V", "a"),
     (None, True, False): ("MP3", "V", "b"),
@@ -486,9 +482,14 @@ def _piece_verdict(field: Field, table, n: int, params, pieces, axioms, v_names,
     _cube_coefficients pass on a product table (A's n basis vectors first).
 
     The residuals live in generic_ring(field, params, a, b, *v_names), with
-    a w index named a_t in A and v_names[0] in V.  With stop_early only the
-    first failing coordinate is reported, and `checked` ends at its axiom.
+    a w index named a_t in A and v_names[0] in V; a parameter that clashes
+    with those names is an error, PASS or FAIL.  With stop_early only the
+    first failing (axiom, coordinate) is reported, and `checked` ends at
+    its axiom.
     """
+    m = len(table) - n
+    groups = [("a", n), ("b", n)] + [(v, m) for v in v_names]
+    _generic_names(params, groups)
     bad, decode = _cube_coefficients(field, table, table, params)
     found: dict = {}  # (place in axioms, coordinate, piece) -> {(i, j, k, l): c}
     for o, coefficients in bad.items():
@@ -502,8 +503,7 @@ def _piece_verdict(field: Field, table, n: int, params, pieces, axioms, v_names,
         found, axioms = {first: found[first]}, axioms[: first[0] + 1]
     if not found:
         return _verdict([], axioms)
-    m = len(table) - n
-    ring, _ = generic_ring(field, params, [("a", n), ("b", n)] + [(v, m) for v in v_names])
+    ring, _ = generic_ring(field, params, groups)
     # product index t -> position of a_t, b_t (t < n) or v_(t-n); else None
     pos = {v: [ring._index.get(f"{v}{t - n * (v in v_names)}") for t in range(n + m)] for v in ("a", "b", *v_names)}
     failures = []
@@ -516,15 +516,15 @@ def _piece_verdict(field: Field, table, n: int, params, pieces, axioms, v_names,
 def matched_pair_verdict(
     field: Field, table, n: int, params=(), axioms=MP_AXIOMS, stop_early: bool = False
 ) -> Verdict:
-    """The MP axioms in `axioms`, decided by the cube law of the pair's
-    product `table` (_pair_product, with dim A = n): A x V is Jordan
-    exactly when (A, V, <|, |>) is a matched pair.
+    """The pair axioms in `axioms` (PAIR_AXIOMS or a subset), decided by the
+    cube law of the pair's product `table` (_pair_product, with dim A = n):
+    A x V is Jordan exactly when (A, V, <|, |>) is a matched pair.
 
-    On a FAIL each axiom's residuals, those of _mp_expansions, are read off
-    the product's coefficients (_MP_PIECES); the axioms may all pass, as a
-    factor or an action law can be at fault.
+    Each axiom is one piece of the product's coefficients (_PAIR_PIECES);
+    on a FAIL its residuals are read off them, in the pair ring of a, b in
+    A and x, y in V.
     """
-    return _piece_verdict(field, table, n, params, _MP_PIECES, axioms, ("x", "y"), stop_early)
+    return _piece_verdict(field, table, n, params, _PAIR_PIECES, axioms, ("x", "y"), stop_early)
 
 
 def bimodule_verdict(field: Field, mul, act, params=()) -> Verdict:

@@ -12,6 +12,7 @@ from .algebra import (
     Algebra,
     LinearMap,
     Subspace,
+    _primed,
     complement_check,
     hom_check,
     induced_subalgebra,
@@ -183,37 +184,17 @@ class MatchedPair:
             name=self.name,
         )
 
-    def mp_check(self, stop_early: bool = False) -> Verdict:
-        """The six compatibility conditions only (assumes actions already lawful)."""
-        return identities.matched_pair_verdict(
-            self.A.field, self.product_sc(), self.A.dim, self.A.params, stop_early=stop_early
-        )
-
     def verify(self, stop_early: bool = False) -> Verdict:
-        """Everything: both factors Jordan, both action laws, MP1-MP6."""
+        """Everything: both factors Jordan, both action laws, MP1-MP6
+        (identities.PAIR_AXIOMS), read off one cube-law pass on
+        product_sc().  With stop_early only the first failing axiom
+        coordinate is reported."""
         if self._verdict is not None and not stop_early:
             return self._verdict
-        pieces: list[tuple[str, Verdict]] = []
-        pieces.append(("jordan-A", self.A.jordan_check()))
-        pieces.append(("jordan-V", self.V.jordan_check()))
-        if all(v.ok for _, v in pieces) or not stop_early:
-            pieces.append(("right-action", self.right.check()))
-            pieces.append(("left-action", self.left.check()))
-        if all(v.ok for _, v in pieces) or not stop_early:
-            pieces.append(("mp", self.mp_check(stop_early=stop_early)))
-        failures = []
-        checked = []
-        for prefix, v in pieces:
-            checked.extend(v.checked if prefix == "mp" else [prefix])
-            for f in v.failures:
-                name = f.axiom if prefix in ("mp", "right-action", "left-action") else prefix
-                failures.append(
-                    identities.AxiomFailure(name, f.space, f.index, f.residual)
-                )
-        verdict = Verdict(not failures, tuple(failures), tuple(checked))
-        if not stop_early:
-            self._verdict = verdict
-        elif verdict.ok:
+        verdict = identities.matched_pair_verdict(
+            self.A.field, self.product_sc(), self.A.dim, self.A.params, identities.PAIR_AXIOMS, stop_early
+        )
+        if verdict.ok or not stop_early:
             self._verdict = verdict
         return verdict
 
@@ -254,16 +235,6 @@ class MatchedPair:
         return f"{label}(dim A={self.A.dim}, dim V={self.V.dim})"
 
 
-def _product_labels(A: Algebra, V: Algebra):
-    labels = list(A.basis)
-    for lab in V.basis:
-        new = lab
-        while new in labels:
-            new += "'"
-        labels.append(new)
-    return labels
-
-
 def bicross_table(mp: MatchedPair) -> Algebra:
     """The candidate product algebra on A x V, built without verification
     from `mp.product_sc()`.  Used both by the verified constructor and by
@@ -271,7 +242,8 @@ def bicross_table(mp: MatchedPair) -> Algebra:
     """
     A, V = mp.A, mp.V
     name = f"{A.name}|x|{V.name}" if A.name and V.name else None
-    return Algebra(A.field, _product_labels(A, V), mp.product_sc(), params=A.params, name=name)
+    labels = list(A.basis) + _primed(A.basis, V.basis)
+    return Algebra(A.field, labels, mp.product_sc(), params=A.params, name=name)
 
 
 @dataclass
@@ -282,15 +254,22 @@ class BicrossedProduct:
     v_embedding: Subspace
 
 
+def _require_matched(mp: MatchedPair) -> None:
+    """Raise VerificationError unless mp is a matched pair.  verify() is
+    cached, so a matched pair pays for one cube-law pass however often
+    this is asked."""
+    verdict = mp.verify()
+    if not verdict.ok:
+        raise VerificationError("not a matched pair:\n" + verdict.describe())
+
+
 def bicross(mp: MatchedPair) -> BicrossedProduct:
     """The verified bicrossed product of a matched pair, built and checked
     once per pair: a later call returns the same object.  An unmatched pair
     raises on every call."""
     if mp._bicross is not None:
         return mp._bicross
-    verdict = mp.verify()
-    if not verdict.ok:
-        raise VerificationError("not a matched pair:\n" + verdict.describe())
+    _require_matched(mp)
     product = bicross_table(mp)
     # verify() passed by the cube law of this very table (matched_pair_verdict),
     # and the pair's sparse form is this table's: share both

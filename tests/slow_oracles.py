@@ -27,8 +27,8 @@ from jalg.deformation import _deformation_conditions
 from jalg.errors import DimensionError
 from jalg.identities import (
     MP_AXIOMS,
+    PAIR_AXIOMS,
     AxiomFailure,
-    Verdict,
     _mp_expansions,
     _vadd,
     _verdict,
@@ -204,34 +204,42 @@ def matched_pair_verdict(
 
 
 def verify(mp, stop_early=False):
-    """MatchedPair.verify from expansions alone: both factors' Jordan
-    identities and both action laws expanded above, then MP1-MP6."""
+    """MatchedPair.verify from expansions alone: the ten laws of
+    PAIR_AXIOMS written out as polynomials in the pair ring of a, b in A
+    and x, y in V.  Each of the two Jordan identities and the two action
+    laws is w (w^2 m) - w^2 (w m) for its acting w and module m; MP1-MP6
+    are _mp_expansions.  With stop_early only the first failing (axiom,
+    coordinate) is reported, and `checked` ends at its axiom."""
     A, V = mp.A, mp.V
-    pieces = [
-        ("jordan-A", jordan_verdict(A.field, A.sc, A.params)),
-        ("jordan-V", jordan_verdict(V.field, V.sc, V.params)),
-    ]
-    if all(v.ok for _, v in pieces) or not stop_early:
-        # A acts on V: acting-first indexing of the right action
-        right = [[mp.right.tensor[x][a] for x in range(V.dim)] for a in range(A.dim)]
-        for side, mul, act, prefixes in (
-            ("right", A.sc, right, ("a", "x")),
-            ("left", V.sc, mp.left.tensor, ("x", "a")),
-        ):
-            axiom = f"{side}-action"
-            pieces.append((axiom, action_law_verdict(A.field, mul, act, A.params, *prefixes, axiom)))
-    if all(v.ok for _, v in pieces) or not stop_early:
-        mp_verdict = matched_pair_verdict(
-            A.field, A.sc, V.sc, mp.right.tensor, mp.left.tensor, A.params, stop_early=stop_early
-        )
-        pieces.append(("mp", mp_verdict))
-    failures, checked = [], []
-    for prefix, v in pieces:
-        checked.extend(v.checked if prefix == "mp" else [prefix])
-        for f in v.failures:
-            name = prefix if prefix.startswith("jordan") else f.axiom
-            failures.append(AxiomFailure(name, f.space, f.index, f.residual))
-    return Verdict(not failures, tuple(failures), tuple(checked))
+    f, params, dim_a, dim_v = A.field, A.params, A.dim, V.dim
+    ring, gen = generic_ring(f, params, [("a", dim_a), ("b", dim_a), ("x", dim_v), ("y", dim_v)])
+    a, b, x, y = gen["a"], gen["b"], gen["x"], gen["y"]
+    mul_a, mul_v = _embed2(ring, A.sc), _embed2(ring, V.sc)
+    # A acts on V: acting-first indexing of the right action
+    right = _embed2(ring, [[mp.right.tensor[t][s] for t in range(dim_v)] for s in range(dim_a)])
+    left = _embed2(ring, mp.left.tensor)
+
+    def law(mul, act, w, m):
+        def S(u, v):
+            return _bilinear(ring, act, u, v, len(m))
+
+        w2 = _bilinear(ring, mul, w, w, len(w))
+        return _vsub(ring, S(w, S(w2, m)), S(w2, S(w, m)))
+
+    failures = []
+    for axiom, space, residual in (
+        ("jordan-A", "A", law(mul_a, mul_a, a, b)),
+        ("jordan-V", "V", law(mul_v, mul_v, x, y)),
+        ("right-action", "M", law(mul_a, right, a, x)),
+        ("left-action", "M", law(mul_v, left, x, a)),
+    ):
+        _collect(failures, axiom, space, residual, False)
+    tables = (A.sc, V.sc, mp.right.tensor, mp.left.tensor)
+    failures += _mp_expansions(f, *tables, params, MP_AXIOMS, False).failures
+    if stop_early and failures:
+        first = failures[0]
+        return _verdict([first], PAIR_AXIOMS[: PAIR_AXIOMS.index(first.axiom) + 1])
+    return _verdict(failures, PAIR_AXIOMS)
 
 
 def solve(field, rows, b):

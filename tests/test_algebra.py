@@ -232,10 +232,36 @@ def test_null_split_extension_jordan_verdict_is_seeded_soundly(field):
     algebra."""
     for name in ALGEBRA_NAMES:
         A = catalog(name, field=field)
-        regular = Bimodule(A, A.dim, A.sc, labels=tuple(f"{lab}'" for lab in A.basis))
-        for M in (regular, dual_action(A)):
+        for M in (Bimodule.regular(A), dual_action(A)):
             E = null_split_extension(A, M)
             assert E.jordan_check() == identities.jordan_verdict(E.field, E.sc, E.params), name
+
+
+def test_regular_bimodule_extends_with_primed_labels(j5):
+    """Bimodule.regular primes A's labels, so A acting on itself has a
+    null split extension, with a seeded Jordan verdict that a fresh pass
+    on its table confirms."""
+    M = Bimodule.regular(j5)
+    assert M.labels == tuple(f"{lab}'" for lab in j5.basis)
+    E = null_split_extension(j5, M)
+    assert E.basis == j5.basis + M.labels
+    assert E.jordan_check() == identities.jordan_verdict(E.field, E.sc, E.params)
+    assert E.jordan_check().ok
+    # a primed label already in use is primed again
+    A = Algebra.from_products(QQ, ("a", "a'"), {("a", "a"): {"a": 1}})
+    assert Bimodule.regular(A).labels == ("a''", "a'''")
+
+
+def test_linear_map_from_images_rejects_unknown_target_label(j5):
+    with pytest.raises(JalgError, match=r"^unknown labels \['z'\]$") as err:
+        LinearMap.from_images(j5, j5, {"a": {"z": 1}})
+    assert type(err.value) is JalgError
+
+
+def test_linear_map_from_images_rejects_unknown_source_label(j5):
+    with pytest.raises(JalgError, match=r"^unknown labels \['z'\]$"):
+        LinearMap.from_images(j5, j5, {"z": {"a": 1}})
+    assert LinearMap.from_images(j5, j5, {}) == LinearMap.zero(j5.field, j5.dim, j5.dim)
 
 
 def test_subspace_basics(j17):

@@ -32,6 +32,7 @@ from jalg import (
     hom_check,
     invariant_signature,
     iso_search,
+    load_pair,
     parse_pair,
     r_deform,
     subalgebra_check,
@@ -115,6 +116,27 @@ def test_r_deform_rejects_failing_map(defmap_pair):
     r = DeformationMap.from_images(defmap_pair, {"u": {"a": 1}, "v": {"a": 1}})
     with pytest.raises(VerificationError):
         r_deform(defmap_pair, r)
+
+
+def test_deformation_layer_refuses_unmatched_pairs(non_jordan_v_jpair):
+    """r_deform and enumerate_deformations refuse a pair whose complement
+    factor is not Jordan, as bicross does, before any map is looked at."""
+    mp = load_pair(non_jordan_v_jpair)
+    message = r"^not a matched pair:\nfail\n  jordan-V\[V:0\] residual "
+    with pytest.raises(VerificationError, match=message):
+        enumerate_deformations(mp)
+    with pytest.raises(VerificationError, match=message):
+        r_deform(mp, DeformationMap.zero(mp))
+    with pytest.raises(VerificationError, match=message):
+        bicross(mp)
+
+
+@pytest.mark.parametrize("command", ["deform-enum", "complements"])
+def test_deformation_cli_refuses_unmatched_pairs(command, non_jordan_v_jpair, capsys):
+    assert main([command, non_jordan_v_jpair]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("failed: not a matched pair:\nfail\n  jordan-V[V:0] residual ")
 
 
 def test_zero_map_deforms_to_original_factor(defmap_pair):

@@ -26,12 +26,16 @@ from jalg import (
     catalog,
     enumerate_abelian_pairs,
     Factorization,
+    identities,
+    load_pair,
     pair_from_nilpotent,
     semidirect_left,
     semidirect_right,
     split_mono_decompose,
 )
 from jalg import linalg, poly
+from jalg.cli import main
+from jalg.matched_pair import _Action
 import slow_oracles as oracle
 from slow_oracles import express, express_projection
 
@@ -136,6 +140,53 @@ def test_verify_stop_early_stops_at_first_failure():
     verdict = mp.verify(stop_early=True)
     assert not verdict.ok
     assert len(verdict.failures) == 1
+
+
+def test_verify_is_one_cube_law_pass(monkeypatch, non_jordan_v_jpair):
+    """verify() on a fresh pair, PASS or FAIL, with or without stop_early,
+    reads all ten axioms off one pass on the product table: it never
+    calls a factor's jordan_check or an action's own check."""
+    calls = []
+    inner = identities._cube_coefficients
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify() ran a separate pass")
+
+    monkeypatch.setattr(identities, "_cube_coefficients", counted)
+    monkeypatch.setattr(Algebra, "jordan_check", refuse)
+    monkeypatch.setattr(_Action, "check", refuse)
+    for mp in (catalog("J17-pair"), load_pair(non_jordan_v_jpair)):
+        for stop_early in (False, True):
+            fresh = MatchedPair(mp.A, mp.V, mp.right, mp.left)
+            calls.clear()
+            fresh.verify(stop_early=stop_early)
+            assert len(calls) == 1
+            assert calls[0][1] is fresh.product_sc()
+
+
+def test_jordan_v_failure_report(non_jordan_v_jpair, capsys):
+    """A complement factor that fails the Jordan identity is reported in
+    V's coordinates, with V's generic elements x and y, in the pair ring;
+    jalg mp-check prints the same line."""
+    mp = load_pair(non_jordan_v_jpair)
+    line = "jordan-V[V:0] residual x0*x1^2*y2 + 2*x0*x1*x2*y1 + 2*x0*x1*x2*y2 + x0*x2^2*y1"
+    verdict = mp.verify()
+    assert verdict.failed_axioms() == ("jordan-V",)
+    assert [str(f) for f in verdict.failures] == [line]
+    (failure,) = verdict.failures
+    assert failure.residual.ring.names == ("a0", "b0", "x0", "x1", "x2", "y0", "y1", "y2")
+    assert failure.witness() == "coefficient 1 at x0*x1^2*y2"
+    early = MatchedPair(mp.A, mp.V, mp.right, mp.left).verify(stop_early=True)
+    assert early.failures == verdict.failures
+    assert early.checked == ("jordan-A", "jordan-V")
+    assert main(["mp-check", non_jordan_v_jpair]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "jordan-V: FAIL" in out and "right-action: PASS" in out and "MP6: PASS" in out
+    assert out[-2:] == ["fail", "  " + line]
 
 
 def test_pair_equality_and_field_guard():

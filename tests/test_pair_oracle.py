@@ -1,12 +1,12 @@
 """MatchedPair.verify against the expansion oracle (tests/slow_oracles.py).
 
-verify() decides MP1-MP6 by one cube-law pass on the pair's product table,
-and on a FAIL reads each axiom's residuals off that pass's coefficients.
-The oracle expands everything: both factors' Jordan identities, both
-action laws and MP1-MP6.  Both must give equal Verdicts, equal describe()
-text and equal witnesses, with and without stop_early, PASS or FAIL.  The
-corpus fails each of MP1-MP6 over every field, and no library path reaches
-the expansions.
+verify() decides all ten pair axioms by one cube-law pass on the pair's
+product table, and on a FAIL reads each axiom's residuals off that pass's
+coefficients.  The oracle expands everything in the same pair ring: both
+factors' Jordan identities, both action laws and MP1-MP6.  Both must give
+equal Verdicts, equal describe() text and equal witnesses, with and
+without stop_early, PASS or FAIL.  The corpus fails each of the ten axioms
+over every field, and no library path reaches the expansions.
 """
 
 import itertools
@@ -159,8 +159,8 @@ def test_random_pairs_match_oracle(name):
             if not full.ok and not axioms & set(identities.MP_AXIOMS):
                 mp_pass_product_fails += 1
     assert mp_only and mp_pass_product_fails
-    # every row of identities._MP_PIECES is read, so the oracle checks each
-    assert set(identities.MP_AXIOMS) <= seen
+    # every row of identities._PAIR_PIECES is read, so the oracle checks each
+    assert seen == set(identities.PAIR_AXIOMS)
 
 
 @pytest.mark.parametrize("name", FIELDS)
