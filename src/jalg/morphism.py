@@ -214,11 +214,9 @@ GL_SEARCH_MAX_DIM = 3
 ISO_Q_HEIGHT = 2
 
 
-def _element_key(A: Algebra, x) -> tuple:
-    """(tr L_x^k for k = 1..n, rank L_x, x^2 == 0, x^2 == x).
-
-    An isomorphism phi has L_{phi(x)} = phi L_x phi^-1, so phi(x) has the
-    key of x."""
+def _operator_invariants(A: Algebra, x) -> tuple:
+    """((tr L_x^k for k = 1..n), rank L_x, x^2): what an element key is
+    read from."""
     f = A.field
     op = _mult_operator(A, x)
     traces = []
@@ -226,18 +224,47 @@ def _element_key(A: Algebra, x) -> tuple:
     for _ in range(A.dim):
         traces.append(_trace(f, power))
         power = _compose(f, op, power)
-    sq = A.mul_coords(x, x)
-    zero = all(f.is_zero(c) for c in sq)
-    return tuple(traces), linalg.rank(f, op), zero, sq == list(x)
+    return tuple(traces), linalg.rank(f, op), A.mul_coords(x, x)
+
+
+def _element_key(A: Algebra, x) -> tuple:
+    """(tr L_x^k for k = 1..n, rank L_x, x^2 == 0, x^2 == x).
+
+    An isomorphism phi has L_{phi(x)} = phi L_x phi^-1, so phi(x) has the
+    key of x."""
+    traces, rank, sq = _operator_invariants(A, x)
+    return traces, rank, all(A.field.is_zero(c) for c in sq), sq == list(x)
 
 
 def _element_buckets(B: Algebra) -> dict:
     """B's p^n elements grouped by _element_key, in lexicographic order
-    within each group; computed once per Algebra instance."""
+    within each group; computed once per Algebra instance.
+
+    The product is bilinear, so L_{cx} = c L_x: for c != 0 the element cx
+    has traces c^k tr L_x^k, the rank of L_x, and (cx)^2 = c^2 x^2.  L_x is
+    built only for the zero vector and for the elements whose first nonzero
+    coordinate is 1, one per line through the origin; every other element
+    is c times such an x, which comes before it in lexicographic order."""
     if B._element_buckets is None:
+        p = B.field.characteristic
+        n = B.dim
+        inverse = [0] + [pow(c, p - 2, p) for c in range(1, p)]
+        powers = [[pow(c, k, p) for k in range(1, n + 1)] for c in range(p)]
+        lines: dict[tuple, tuple] = {}  # leading-1 element -> its invariants
         buckets: dict[tuple, list] = {}
-        for x in itertools.product(range(B.field.characteristic), repeat=B.dim):
-            buckets.setdefault(_element_key(B, x), []).append(x)
+        for x in itertools.product(range(p), repeat=n):
+            c = next((v for v in x if v), 1)
+            if c == 1:
+                lines[x] = _operator_invariants(B, x)
+            traces, rank, sq = lines[tuple(v * inverse[c] % p for v in x)]
+            c2 = c * c % p
+            key = (
+                tuple(t * ck % p for t, ck in zip(traces, powers[c])),
+                rank,
+                not any(sq),
+                [c2 * v % p for v in sq] == list(x),
+            )
+            buckets.setdefault(key, []).append(x)
         B._element_buckets = buckets
     return B._element_buckets
 

@@ -24,6 +24,7 @@ from jalg import (
     quadruple_check,
     quadruple_to_map,
 )
+from jalg import morphism
 from jalg.cli import main
 from jalg.morphism import GL_SEARCH_MAX_DIM, IsoVerdict
 
@@ -141,23 +142,27 @@ def test_dim2_signatures_separate_the_catalog_tables():
     assert len(set(sigs.values())) == 4
 
 
-def test_classify_dim2_counts_match_direct_scan():
-    V = catalog("defmap-pair", field=F5).V
+@pytest.mark.parametrize("f", [F5, Field(13), Field(31)], ids=str)
+@pytest.mark.parametrize("name", ["V1", "V2", "V3", "V-abelian-2", "defmap-pair"])
+def test_classify_dim2_counts_match_direct_scan(name, f):
+    """The counts read off the element buckets, whose keys are scaled by
+    c^2 along each line, against a recount with mul_coords: solutions of
+    x.x = x (zero included) and nonzero solutions of x.x = 0."""
+    V = catalog(name, field=f)
+    if name == "defmap-pair":
+        V = V.V
     sig = classify_dim2(V)
-    # recount directly: solutions of x.x = x (zero included) and nonzero
-    # solutions of x.x = 0
     idem = 0
     sq0 = 0
-    for c0 in range(5):
-        for c1 in range(5):
-            x = [c0, c1]
-            xx = list(V.mul_coords(x, x))
-            if xx == x:
-                idem += 1
-            if xx == [0, 0] and any(x):
-                sq0 += 1
-    assert sig.idempotents == idem == 2
-    assert sig.square_zero == sq0 == 4
+    for x in itertools.product(range(f.characteristic), repeat=2):
+        xx = tuple(V.mul_coords(x, x))
+        if xx == x:
+            idem += 1
+        if xx == (0, 0) and any(x):
+            sq0 += 1
+    assert (sig.idempotents, sig.square_zero) == (idem, sq0)
+    if (name, f) == ("defmap-pair", F5):
+        assert (idem, sq0) == (2, 4)
 
 
 def test_classify_dim2_rejects_wrong_dim(j5):
@@ -295,6 +300,37 @@ def test_element_buckets_are_computed_once_per_algebra():
     assert again == first
     same_table = Algebra(F5, B.basis, B.sc)
     assert same_table._element_buckets is None
+
+
+@pytest.mark.parametrize(
+    ("p", "products", "lines"),
+    [
+        (13, {("u", "u"): {"u": 1}, ("v", "v"): {"v": 1}}, 15),
+        (5, {("u", "u"): {"u": 1}, ("u", "v"): {"v": 1}, ("w", "w"): {"v": 2}}, 32),
+    ],
+    ids=["planar-F13", "dim3-F5"],
+)
+def test_element_buckets_build_one_operator_per_line(monkeypatch, p, products, lines):
+    """A sweep builds L_x for the zero vector and once per line through the
+    origin, (p^n - 1)/(p - 1) + 1 times; a second search against the same
+    target builds none for it."""
+    calls = []
+    build = morphism._operator_invariants
+
+    def counted(A, x):
+        calls.append(A)
+        return build(A, x)
+
+    monkeypatch.setattr(morphism, "_operator_invariants", counted)
+    f = Field(p)
+    basis = tuple(sorted({label for pair in products for label in pair}))
+    B = Algebra.from_products(f, basis, products)
+    first = iso_search(Algebra(f, B.basis, B.sc), B)
+    assert first.is_isomorphic
+    assert sum(A is B for A in calls) == lines == (p ** B.dim - 1) // (p - 1) + 1
+    calls.clear()
+    assert iso_search(Algebra(f, B.basis, B.sc), B) == first
+    assert calls and not any(A is B for A in calls)
 
 
 def test_iso_has_no_mode_option(capsys):

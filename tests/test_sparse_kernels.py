@@ -8,7 +8,9 @@ yields, must equal the dense loops' in value and order: over Q, F5, F7
 and Q[t], on sparse and dense tables, with zero vectors and with F_p
 inputs given as unreduced ints.  The invariants of `iso_search`, which
 compose multiplication operators through `_linear`, must equal the dense
-matrix products' on every catalog algebra and on random tables.
+matrix products' on every catalog algebra and on random tables, and its
+element buckets, which scale one key along each line through the origin,
+must equal a direct scan of the dense keys, in key and member order.
 """
 
 import itertools
@@ -35,7 +37,7 @@ from jalg import (
 )
 from jalg.catalog import ALGEBRA_NAMES
 from jalg.identities import _bilinear, _hom_mismatches, _linear, _sparse
-from jalg.morphism import _element_key, _trace_form_ranks
+from jalg.morphism import _element_buckets, _element_key, _trace_form_ranks
 from jalg.poly import PolyRing
 from slow_oracles import blockwise_quadruple_check
 
@@ -182,3 +184,23 @@ def test_invariants_match_the_dense_oracle(f):
         units = [[f.one if k == j else f.zero for k in range(A.dim)] for j in range(A.dim)]
         for x in [*units, *_vectors(rng, f, A.dim, 0.5)]:
             assert _element_key(A, x) == slow._element_key(A, x)
+
+
+@pytest.mark.parametrize("f", [F5, F7, Field(11), Field(13)], ids=str)
+def test_element_buckets_match_a_scan_of_the_dense_keys(f):
+    """Every element keyed by the dense oracle, in lexicographic order: the
+    planar catalog algebras and seeded random tables of dims 0-3 (p^n at
+    most 2401), sparse and dense, Jordan or not."""
+    p = f.characteristic
+    rng = random.Random(f"buckets-{f}")
+    algebras = [catalog(name, field=f) for name in ALGEBRA_NAMES]
+    algebras = [A for A in algebras if A.dim == 2]
+    for n in range(4):
+        algebras += [_random_algebra(rng, f, n, zp) for zp in (0.8, 0.2)]
+    algebras = [A for A in algebras if p**A.dim <= 2401]
+    assert any(A.is_jordan for A in algebras) and any(not A.is_jordan for A in algebras)
+    for A in algebras:
+        expected: dict = {}
+        for x in itertools.product(range(p), repeat=A.dim):
+            expected.setdefault(slow._element_key(A, x), []).append(x)
+        assert list(_element_buckets(A).items()) == list(expected.items())
