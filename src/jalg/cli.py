@@ -37,8 +37,7 @@ from .morphism import classify_dim2, iso_search
 
 def _load(spec: str, field: Field | None):
     if spec.startswith("catalog:"):
-        obj = load_catalog(spec[len("catalog:") :], field)
-        return obj
+        return load_catalog(spec[len("catalog:") :], field)
     if spec.endswith(".jalg"):
         obj = fileio.load_algebra(spec)
     elif spec.endswith(".jpair"):
@@ -384,7 +383,7 @@ def _cmd_complements(args) -> int:
     mp = _pair(args.input, args.field)
     report = factorization_index(mp)
     classes_json = []
-    for c, cls in enumerate(report.classes):
+    for cls in report.classes:
         members = []
         for idx in cls:
             members.append(
@@ -489,68 +488,95 @@ def _cmd_abelian_pairs(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_OPTIONS = (
+    _arg("--field", default=None, help="transport the input to this field (Q or F<p>)"),
+    _arg("--json", action="store_true", help="structured output"),
+)
+_ONE = (_arg("input", help=".jalg/.jpair path or catalog:<name>"), *_OPTIONS)
+_BARE = (_arg("--field", default=None), _arg("--json", action="store_true"))
+_OUT = _arg("--out", help="write the product as a .jalg file")
+
+# name -> (handler, help text, arguments as (flags, add_argument keywords)),
+# in the order `jalg --help` lists them
+_COMMANDS = {
+    "check": (_cmd_check, "verify the Jordan identity for an algebra", _ONE),
+    "mp-check": (_cmd_mp_check, "verify all matched-pair conditions", _ONE),
+    "bicross": (_cmd_bicross, "build the bicrossed product of a pair", (*_ONE, _OUT)),
+    "semidirect": (_cmd_semidirect, "build a one-sided product", (
+        *_ONE, _arg("--side", choices=("left", "right"), required=True), _OUT,
+    )),
+    "factorize": (_cmd_factorize, "check a two-subalgebra factorization", (
+        *_ONE,
+        _arg("--first", required=True, help="labels of the first factor, comma separated"),
+        _arg("--second", required=True, help="labels of the second factor"),
+    )),
+    "canonical-pair": (_cmd_canonical_pair, "extract the matched pair of a factorization", (
+        *_ONE,
+        _arg("--first", required=True),
+        _arg("--second", required=True),
+        _arg("--out", help="write the pair as a .jpair file"),
+    )),
+    "iso": (_cmd_iso, "decide isomorphism of two algebras", (
+        _arg("first_input", help="first algebra"),
+        _arg("second_input", help="second algebra"),
+        *_OPTIONS,
+        _arg("--budget", type=int, default=None),
+    )),
+    "classify2": (_cmd_classify2, "invariant signature of a 2-dim algebra", _ONE),
+    "deform-check": (_cmd_deform_check, "test a map against the deformation identity", (
+        *_ONE,
+        _arg("--map", required=True, help="e.g. 'u: a + b; v: 2 b'"),
+        _arg("--params", default=None, help="parameter names, e.g. 'alpha'"),
+    )),
+    "deform-enum": (_cmd_deform_enum, "enumerate all deformation maps (finite field)", (
+        *_ONE, _arg("--budget", type=int, default=None, help="cap on candidate count"),
+    )),
+    "complements": (_cmd_complements, "classify complements and compute the index", _ONE),
+    "catalog": (_cmd_catalog, "list or show built-in examples", (
+        _arg("name", nargs="?", default=None), *_BARE,
+    )),
+    "abelian-pairs": (_cmd_abelian_pairs, "census of abelian pairs with a line complement", (
+        _arg("--dim", type=int, required=True), *_BARE,
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `jalg` parser with every subcommand of `_COMMANDS`, or with only
+    `command`'s.  A subparser reads the same either way (its prog is
+    `jalg <command>`); only the top-level usage, help and errors list the
+    subcommands that were added."""
     parser = argparse.ArgumentParser(
         prog="jalg",
         description="Exact computations with Jordan algebra factorizations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text, inputs=1):
+    for name in _COMMANDS if command is None else (command,):
+        handler, help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        if inputs == 1:
-            p.add_argument("input", help=".jalg/.jpair path or catalog:<name>")
-        elif inputs == 2:
-            p.add_argument("first_input", help="first algebra")
-            p.add_argument("second_input", help="second algebra")
-        p.add_argument(
-            "--field",
-            default=None,
-            help="transport the input to this field (Q or F<p>)",
-        )
-        p.add_argument("--json", action="store_true", help="structured output")
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
         p.set_defaults(handler=handler)
-        return p
-
-    add("check", _cmd_check, "verify the Jordan identity for an algebra")
-    add("mp-check", _cmd_mp_check, "verify all matched-pair conditions")
-    p = add("bicross", _cmd_bicross, "build the bicrossed product of a pair")
-    p.add_argument("--out", help="write the product as a .jalg file")
-    p = add("semidirect", _cmd_semidirect, "build a one-sided product")
-    p.add_argument("--side", choices=("left", "right"), required=True)
-    p.add_argument("--out", help="write the product as a .jalg file")
-    p = add("factorize", _cmd_factorize, "check a two-subalgebra factorization")
-    p.add_argument("--first", required=True, help="labels of the first factor, comma separated")
-    p.add_argument("--second", required=True, help="labels of the second factor")
-    p = add("canonical-pair", _cmd_canonical_pair, "extract the matched pair of a factorization")
-    p.add_argument("--first", required=True)
-    p.add_argument("--second", required=True)
-    p.add_argument("--out", help="write the pair as a .jpair file")
-    p = add("iso", _cmd_iso, "decide isomorphism of two algebras", inputs=2)
-    p.add_argument("--budget", type=int, default=None)
-    add("classify2", _cmd_classify2, "invariant signature of a 2-dim algebra")
-    p = add("deform-check", _cmd_deform_check, "test a map against the deformation identity")
-    p.add_argument("--map", required=True, help="e.g. 'u: a + b; v: 2 b'")
-    p.add_argument("--params", default=None, help="parameter names, e.g. 'alpha'")
-    p = add("deform-enum", _cmd_deform_enum, "enumerate all deformation maps (finite field)")
-    p.add_argument("--budget", type=int, default=None, help="cap on candidate count")
-    add("complements", _cmd_complements, "classify complements and compute the index")
-    p = sub.add_parser("catalog", help="list or show built-in examples")
-    p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--field", default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_catalog)
-    p = sub.add_parser("abelian-pairs", help="census of abelian pairs with a line complement")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--field", default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_abelian_pairs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, extra = None, None
+    if argv and argv[0] in _COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv)
+    if args is None or extra:
+        # no command, an unknown one, or leftovers: the full parser words
+        # the usage error with every subcommand, as `jalg --help` does
+        args = build_parser().parse_args(argv)
+    return _run(args)
+
+
+def _run(args) -> int:
     try:
         if args.field is not None:
             args.field = fileio._parse_field(args.field)

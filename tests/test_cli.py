@@ -1,10 +1,11 @@
 """Command-line interface: output contracts and exit codes."""
 
+import argparse
 import json
 
 import pytest
 
-from jalg import poly
+from jalg import cli, poly
 from jalg.cli import main
 
 
@@ -525,3 +526,115 @@ def test_file_rejects_non_readme_numbers(capsys, tmp_path, number):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "line 4" in err
+
+
+# -- the parser: main builds one subparser, the full parser is its oracle ---------
+
+COMMANDS = list(cli._COMMANDS)
+
+# one valid run per subcommand, on catalog inputs
+VALID_RUNS = [
+    ["check", "catalog:J5"],
+    ["mp-check", "catalog:J17-pair", "--json"],
+    ["bicross", "catalog:J5-pair"],
+    ["semidirect", "catalog:defmap-pair", "--side", "right"],
+    ["factorize", "catalog:J5", "--first", "a,b", "--second", "u,v"],
+    ["canonical-pair", "catalog:J5", "--first", "a,b", "--second", "u,v", "--json"],
+    ["iso", "catalog:V1", "catalog:V2", "--field", "F13", "--json"],
+    ["classify2", "catalog:V3", "--field", "F5"],
+    ["deform-check", "catalog:defmap-pair", "--map", "u: alpha a; v: 0", "--params", "alpha"],
+    ["deform-enum", "catalog:defmap-pair", "--field", "F5", "--budget", "625"],
+    ["complements", "catalog:defmap-pair", "--field", "F5", "--json"],
+    ["catalog", "J5-pair", "--field", "F7"],
+    ["abelian-pairs", "--dim", "1", "--json"],
+]
+
+ORACLE_ARGVS = (
+    [["-h"], [], ["bogus"], ["bogus", "-h"]]
+    + [[name, "-h"] for name in COMMANDS]
+    + [[name] for name in COMMANDS]
+    + [[name, "x", "y", "z", "--zzz"] for name in COMMANDS]
+    + [
+        ["iso", "catalog:V1", "catalog:V2", "extra"],
+        ["iso", "catalog:V1", "catalog:V2", "--bogus"],
+        ["iso", "catalog:V1", "catalog:V2", "--mode", "auto"],
+        ["check", "catalog:J5", "--", "x"],
+        ["catalog", "J5", "J7"],
+        ["semidirect", "catalog:defmap-pair", "--side", "up"],
+        ["iso", "catalog:V1", "catalog:V2", "--budget", "x"],
+        ["iso", "catalog:V1", "catalog:V2", "--budget", "0"],
+        ["--json", "iso", "catalog:V1", "catalog:V2"],
+        ["--", "iso", "catalog:V1", "catalog:V2"],
+    ]
+    + VALID_RUNS
+)
+
+
+def _outcome(capsys, call):
+    try:
+        result = ("return", call())
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", ORACLE_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    """main against a reference that always parses with every subcommand and
+    then runs the same handler: same output, exit and Namespace."""
+    monkeypatch.setenv("COLUMNS", "80")
+    namespaces = []
+    run_args = cli._run
+
+    def recording(args):
+        namespaces.append(dict(vars(args)))
+        return run_args(args)
+
+    monkeypatch.setattr(cli, "_run", recording)
+    fast = _outcome(capsys, lambda: cli.main(list(argv)))
+    reference = _outcome(capsys, lambda: cli._run(cli.build_parser().parse_args(list(argv))))
+    assert fast == reference
+    assert len(namespaces) in (0, 2) and namespaces[:1] == namespaces[1:]
+    if argv in VALID_RUNS:
+        assert fast[0][1] in (0, 1) and fast[1]
+
+
+def test_main_builds_only_the_chosen_subparser(capsys, monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    argv = ["iso", "catalog:V1", "catalog:V2", "--field", "F13", "--json"]
+    assert main(argv) == 1
+    assert added == ["iso"]
+    assert main(argv) == 1  # nothing is kept from the first call
+    assert added == ["iso", "iso"]
+    added.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert added == COMMANDS and len(added) == 13
+    out = capsys.readouterr().out
+    assert all(name in out for name in COMMANDS)
+
+
+def test_main_calls_build_parser_through_the_module(capsys, monkeypatch):
+    calls = []
+    build_parser = cli.build_parser
+
+    def spy(command=None):
+        calls.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert main(["catalog"]) == 0
+    assert calls == ["catalog"]
+    with pytest.raises(SystemExit):
+        main(["catalog", "J5", "J7"])  # leftovers: the full parser words the error
+    assert calls == ["catalog", "catalog", None]
+    assert "unrecognized arguments: J7" in capsys.readouterr().err
