@@ -162,7 +162,9 @@ class Algebra:
 
     def jordan_check(self) -> identities.Verdict:
         if self._jordan is None:
-            self._jordan = identities.jordan_verdict(self.field, self.sc, self.params)
+            self._jordan = identities.jordan_verdict(
+                self.field, self.sc, self.params, sparse=self.sparse_sc()
+            )
         return self._jordan
 
     @property
@@ -408,6 +410,9 @@ class Subspace:
         reduced, pivots = linalg.rref(ambient.field, rows)
         self.rows = tuple(tuple(r) for r in reduced)
         self._pivots = tuple(pivots)
+        self._free = tuple(sorted(set(range(ambient.dim)) - set(pivots)))
+        # each row's nonzero entries off the pivot columns: (column, entry)
+        self._off = tuple(tuple((c, r[c]) for c in self._free if r[c]) for r in reduced)
 
     @classmethod
     def span_of_labels(cls, ambient: Algebra, labels) -> "Subspace":
@@ -425,15 +430,24 @@ class Subspace:
         """Coefficients of coords on the rows, or None if outside the span.
 
         Row k of the RREF is 1 at its pivot and 0 at the other pivots, so
-        the k-th coefficient is the pivot entry of coords; coords lies in
-        the span iff nothing remains after subtracting the combination."""
+        the k-th coefficient is the pivot entry of coords, and the
+        combination matches coords at every pivot.  coords lies in the span
+        iff it also matches at the other columns: there only the rows'
+        off-pivot entries are subtracted, in _linear's arithmetic."""
         f = self.ambient.field
         if len(coords) != self.ambient.dim:
             raise DimensionError("vector length does not match ambient dimension")
         coords = [f.coerce(c) for c in coords]
         coeffs = [coords[p] for p in self._pivots]
-        rest = _vsub(f, coords, _linear(f, self.rows, coeffs, len(coords)))
-        return coeffs if all(f.is_zero(x) for x in rest) else None
+        rest = coords[:]
+        for a, off in zip(coeffs, self._off):
+            if a:
+                for c, v in off:
+                    rest[c] -= a * v
+        p = f.characteristic
+        if any(rest[c] % p if p else rest[c] for c in self._free):
+            return None
+        return coeffs
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)

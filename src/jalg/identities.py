@@ -8,7 +8,8 @@ has per-indeterminate degree <= 3 < p.
 
 Each axiom is the cube law w (w^2 m) = w^2 (w m) or one homogeneous piece
 of it.  _cube_coefficients computes each coefficient directly, one basis
-triple of w at a time, in plain integers, and residual polynomials are
+triple of w at a time, as a weighted sum of cached commutators [S_r, S_t]
+of basis operators, in plain integers, and residual polynomials are
 built from them only on a FAIL; it is still a proof, as every coefficient
 is checked.  The Jordan identity and an action law alone are the law
 itself.  On a pair's product table (_pair_product) one pass decides all
@@ -240,9 +241,11 @@ def _vscale(ring, c, u):
 # the cube law, coefficient by coefficient
 
 
-def _lift(field: Field, params, mul, act):
+def _lift(field: Field, params, mul, act, sparse=None):
     """mul and act in the cube-law loops' arithmetic, in their sparse form
-    (_sparse).
+    (_sparse).  A caller that keeps mul's sparse form (Algebra.sparse_sc,
+    MatchedPair.product_sparse) passes it as `sparse` when act is mul, and
+    it is read as it is.
 
     Returns (mul, act, nonzero, decode).  Over F_p entries stay ints and are
     reduced only by nonzero and decode.  Over Q both tensors are scaled by
@@ -255,12 +258,15 @@ def _lift(field: Field, params, mul, act):
         nonzero, decode = (lambda v: v.terms), (lambda v: v)
     elif field.characteristic:
         p = field.characteristic
-        ring, nonzero, decode = field, (lambda v: v % p), (lambda v: v % p)
+        ring, nonzero = field, p.__rmod__  # v -> v % p
+        decode = nonzero
     else:  # Q: decode is set once the scale is known
         ring, nonzero = field, bool
 
-    tensors = [mul] if act is mul else [mul, act]
-    sparse = [_sparse(t, ring) for t in tensors]
+    if sparse is not None:
+        sparse = [sparse]
+    else:
+        sparse = [_sparse(t, ring) for t in ([mul] if act is mul else [mul, act])]
     if not params and not field.characteristic:
         scale = math.lcm(*(c.denominator for t in sparse for row in t for cell in row for _, c in cell))
         sparse = [
@@ -281,44 +287,51 @@ def _operator(cols, m: int):
     return cols, [(l * m, o, v) for l, col in enumerate(cols) for o, v in col]
 
 
-def _cube_coefficients(field: Field, mul, act, params):
+def _commutator(S, r: int, t: int, nonzero) -> tuple:
+    """[S_r, S_t] = S_r S_t - S_t S_r for operators S (_operator), as the
+    pairs (l * m + o, entry) of its nonzero entries."""
+    r_cols, r_flat = S[r]
+    t_cols, t_flat = S[t]
+    acc: dict = {}
+    for lm, s, u in t_flat:  # + S_r S_t
+        for o, v in r_cols[s]:
+            acc[lm + o] = acc.get(lm + o, 0) + v * u
+    for lm, s, v in r_flat:  # - S_t S_r
+        for o, u in t_cols[s]:
+            acc[lm + o] = acc.get(lm + o, 0) - u * v
+    return tuple((key, c) for key, c in acc.items() if nonzero(c))
+
+
+def _cube_coefficients(field: Field, mul, act, params, sparse=None):
     """The nonzero coefficients of the cube law w (w^2 m) = w^2 (w m).
 
     mul is the (symmetric) table of the acting algebra and act[r][l] the
     coordinates of e_r acting on m_l; the Jordan identity is act = mul.
-    Returns ({o: {(i, j, k, l): c}}, decode), with c the coefficient of
-    w_i w_j w_k m_l in coordinate o (i <= j <= k) in the loops' arithmetic
-    (see _lift) and decode(c) its value: a field element, or a Poly in the
-    parameters.
+    `sparse` is mul's sparse form when act is mul and the caller keeps it
+    (_lift).  Returns ({o: {(i, j, k, l): c}}, decode), with c the
+    coefficient of w_i w_j w_k m_l in coordinate o (i <= j <= k) in the
+    loops' arithmetic (see _lift) and decode(c) its value: a field element,
+    or a Poly in the parameters.
 
-    Write S_r for the operator of e_r and U_pq = sum_t mul[p][q][t] S_t for
-    that of e_p e_q.  The coefficient is entry (o, l) of the sum, over the
-    distinct r in {i, j, k}, of [S_r, U_pq] with {p, q} the other two
-    indices, weighted 2 when p != q.  That is term for term the generic
+    Write S_r for the operator of e_r.  The coefficient is entry (o, l) of
+    the sum, over the distinct r in {i, j, k}, of [S_r, U_pq], with {p, q}
+    the other two indices, U_pq = sum_t mul[p][q][t] S_t the operator of
+    e_p e_q, and weight 2 when p != q.  That is term for term the generic
     expansion's polynomial, so the law holds iff there is no coefficient,
-    over Q and F_p alike.  Each commutator belongs to one monomial: it is
-    computed and dropped.
+    over Q and F_p alike.  As [S_r, U_pq] = sum_t mul[p][q][t] [S_r, S_t],
+    each coefficient is a weighted sum of commutators [S_r, S_t]: each one
+    with r < t is built on first use (_commutator) and kept as its nonzero
+    entries, [S_t, S_r] is its negative and [S_r, S_r] = 0 is skipped.
+    Commuting operators (orthogonal idempotents, separate blocks of a
+    direct sum) give empty commutators that cost one lookup.
     """
     n = len(mul)
     m = len(act[0]) if n else 0
-    mul_s, act_s, nonzero, decode = _lift(field, params, mul, act)
+    mul_s, act_s, nonzero, decode = _lift(field, params, mul, act, sparse)
     S = [_operator(cols, m) for cols in act_s]
-    U = {}
-    for p in range(n):
-        for q in range(p, n):
-            terms = [(S[t][0], c) for t, c in mul_s[p][q]]
-            if not terms:
-                continue
-            cols = []
-            for l in range(m):
-                col: dict = {}
-                for St, c in terms:
-                    for o, v in St[l]:
-                        col[o] = col.get(o, 0) + c * v
-                cols.append([(o, v) for o, v in col.items() if nonzero(v)])
-            op = _operator(cols, m)
-            if op[1]:
-                U[p, q] = op
+    # commutators[r][t] = commutators[t][r] = [S_min(r,t), S_max(r,t)], built
+    # on first use; [S_r, S_r] = 0 is empty from the start
+    commutators = [[() if r == t else None for t in range(n)] for r in range(n)]
     bad: dict[int, dict] = {}  # coordinate -> {(i, j, k, l): accumulated value}
     for i in range(n):
         for j in range(i, n):
@@ -333,19 +346,16 @@ def _cube_coefficients(field: Field, mul, act, params):
                     parts = ((i, j, k, 2), (j, i, k, 2), (k, i, j, 2))
                 acc: dict = {}
                 for r, p, q, w in parts:
-                    op = U.get((p, q))
-                    if op is None:
-                        continue
-                    s_cols, s_flat = S[r]
-                    u_cols, u_flat = op
-                    for lm, s, u in u_flat:  # + S_r U_pq
-                        wu = w * u
-                        for o, v in s_cols[s]:
-                            acc[lm + o] = acc.get(lm + o, 0) + wu * v
-                    for lm, s, v in s_flat:  # - U_pq S_r
-                        wv = w * v
-                        for o, u in u_cols[s]:
-                            acc[lm + o] = acc.get(lm + o, 0) - wv * u
+                    row = commutators[r]
+                    for t, c in mul_s[p][q]:
+                        entries = row[t]
+                        if entries is None:
+                            entries = _commutator(S, *((r, t) if r < t else (t, r)), nonzero)
+                            row[t] = commutators[t][r] = entries
+                        if entries:
+                            wc = w * c if r < t else -w * c
+                            for x, v in entries:
+                                acc[x] = acc.get(x, 0) + wc * v
                 if any(map(nonzero, acc.values())):
                     for key, c in acc.items():
                         if nonzero(c):
@@ -385,6 +395,7 @@ def action_law_verdict(
     axiom: str = "action-law",
     space: str = "M",
     stop_early: bool = False,
+    sparse=None,
 ) -> Verdict:
     """w (w^2 m) = w^2 (w m) for a generic acting element w and module element m.
 
@@ -393,12 +404,13 @@ def action_law_verdict(
     on V), the left-action axiom (V acting on A), the first bimodule
     compatibility and the Jordan identity (A on itself).  Only on a FAIL
     are the residuals built from _cube_coefficients; with stop_early only
-    the first failing coordinate is reported.
+    the first failing coordinate is reported.  `sparse` is mul_acting's
+    cached sparse form when act is mul_acting (_lift).
     """
     dim_w = len(mul_acting)
     dim_m = len(act[0]) if dim_w else 0
     names = _generic_names(params, [(acting_prefix, dim_w), (module_prefix, dim_m)])
-    bad, decode = _cube_coefficients(field, mul_acting, act, params)
+    bad, decode = _cube_coefficients(field, mul_acting, act, params, sparse)
     failures = []
     if bad:
         ring = PolyRing(field, names)
@@ -409,9 +421,10 @@ def action_law_verdict(
     return _verdict(failures, [axiom])
 
 
-def jordan_verdict(field: Field, mul, params=(), stop_early: bool = False) -> Verdict:
-    """(a^2 b) a = a^2 (b a) with generic a, b: the action law of A on itself."""
-    return action_law_verdict(field, mul, mul, params, "a", "b", "jordan", "A", stop_early)
+def jordan_verdict(field: Field, mul, params=(), stop_early: bool = False, sparse=None) -> Verdict:
+    """(a^2 b) a = a^2 (b a) with generic a, b: the action law of A on
+    itself.  `sparse` is mul's cached sparse form, if the caller keeps one."""
+    return action_law_verdict(field, mul, mul, params, "a", "b", "jordan", "A", stop_early, sparse)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +490,9 @@ _BIMODULE_PIECES = {
 }
 
 
-def _piece_verdict(field: Field, table, n: int, params, pieces, axioms, v_names, stop_early=False) -> Verdict:
+def _piece_verdict(
+    field: Field, table, n: int, params, pieces, axioms, v_names, stop_early=False, sparse=None
+) -> Verdict:
     """The axioms in `axioms`, each one piece of `pieces`, read off one
     _cube_coefficients pass on a product table (A's n basis vectors first).
 
@@ -485,12 +500,12 @@ def _piece_verdict(field: Field, table, n: int, params, pieces, axioms, v_names,
     a w index named a_t in A and v_names[0] in V; a parameter that clashes
     with those names is an error, PASS or FAIL.  With stop_early only the
     first failing (axiom, coordinate) is reported, and `checked` ends at
-    its axiom.
+    its axiom.  `sparse` is the table's cached sparse form, if any.
     """
     m = len(table) - n
     groups = [("a", n), ("b", n)] + [(v, m) for v in v_names]
     _generic_names(params, groups)
-    bad, decode = _cube_coefficients(field, table, table, params)
+    bad, decode = _cube_coefficients(field, table, table, params, sparse)
     found: dict = {}  # (place in axioms, coordinate, piece) -> {(i, j, k, l): c}
     for o, coefficients in bad.items():
         for key, c in coefficients.items():
@@ -514,7 +529,7 @@ def _piece_verdict(field: Field, table, n: int, params, pieces, axioms, v_names,
 
 
 def matched_pair_verdict(
-    field: Field, table, n: int, params=(), axioms=MP_AXIOMS, stop_early: bool = False
+    field: Field, table, n: int, params=(), axioms=MP_AXIOMS, stop_early: bool = False, sparse=None
 ) -> Verdict:
     """The pair axioms in `axioms` (PAIR_AXIOMS or a subset), decided by the
     cube law of the pair's product `table` (_pair_product, with dim A = n):
@@ -522,9 +537,10 @@ def matched_pair_verdict(
 
     Each axiom is one piece of the product's coefficients (_PAIR_PIECES);
     on a FAIL its residuals are read off them, in the pair ring of a, b in
-    A and x, y in V.
+    A and x, y in V.  `sparse` is the table's cached sparse form
+    (MatchedPair.product_sparse), if the caller keeps one.
     """
-    return _piece_verdict(field, table, n, params, _PAIR_PIECES, axioms, ("x", "y"), stop_early)
+    return _piece_verdict(field, table, n, params, _PAIR_PIECES, axioms, ("x", "y"), stop_early, sparse)
 
 
 def bimodule_verdict(field: Field, mul, act, params=()) -> Verdict:

@@ -32,8 +32,9 @@ def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
+        if m[r][c] != field.one:
+            inv = field.inv(m[r][c])
+            m[r] = [field.mul(inv, x) for x in m[r]]
         for i in range(len(m)):
             if i != r and not field.is_zero(m[i][c]):
                 f = m[i][c]

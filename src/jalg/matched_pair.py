@@ -192,7 +192,13 @@ class MatchedPair:
         if self._verdict is not None and not stop_early:
             return self._verdict
         verdict = identities.matched_pair_verdict(
-            self.A.field, self.product_sc(), self.A.dim, self.A.params, identities.PAIR_AXIOMS, stop_early
+            self.A.field,
+            self.product_sc(),
+            self.A.dim,
+            self.A.params,
+            identities.PAIR_AXIOMS,
+            stop_early,
+            self.product_sparse(),
         )
         if verdict.ok or not stop_early:
             self._verdict = verdict
@@ -300,7 +306,9 @@ def _semidirect(mp: MatchedPair, action: _Action, names) -> Algebra:
     if not law.ok:
         raise VerificationError(f"{action._side} action law fails:\n" + law.describe())
     verdict = identities._rename(
-        identities.matched_pair_verdict(A.field, mp.product_sc(), A.dim, A.params, axioms=tuple(names)),
+        identities.matched_pair_verdict(
+            A.field, mp.product_sc(), A.dim, A.params, axioms=tuple(names), sparse=mp.product_sparse()
+        ),
         names,
     )
     if not verdict.ok:

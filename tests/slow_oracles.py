@@ -2,8 +2,10 @@
 
 Each is the plain procedure the fast path replaced: generic-element
 expansion of the cube law (the Jordan identity, the action laws and both
-bimodule laws) as polynomials, MP1-MP6 expanded as polynomials where the
-library reads them off the product's cube law, a sigma loop
+bimodule laws) as polynomials, the cube law's coefficients from a fresh
+S_r U_pq - U_pq S_r per basis triple instead of cached commutators,
+MP1-MP6 expanded as polynomials where the library reads them off the
+product's cube law, a sigma loop
 over GL(V) for the factorization index, an unfiltered scan of all
 p^(n*n) matrices for `iso_search` over F_p, its invariants (the trace
 form ranks and the element keys) from dense matrix products, the six
@@ -29,7 +31,9 @@ from jalg.identities import (
     MP_AXIOMS,
     PAIR_AXIOMS,
     AxiomFailure,
+    _lift,
     _mp_expansions,
+    _operator,
     _vadd,
     _verdict,
     _vscale,
@@ -194,6 +198,65 @@ def bimodule_verdict(field, mul, act, params=()):
     rhs = _vscale(ring, two, _vsub(ring, S(M(a, b), am), S(a, S(b, am))))
     _collect(failures, "bim-linear", "M", _vsub(ring, lhs, rhs), False)
     return _verdict(failures, ["bim-square", "bim-linear"])
+
+
+def cube_coefficients(field, mul, act, params):
+    """identities._cube_coefficients without the commutator cache: the
+    operator U_pq = sum_t mul[p][q][t] S_t of every product e_p e_q, then
+    the two products S_r U_pq and U_pq S_r made afresh for each arrangement
+    (r; p, q) of each basis triple.  Same lift, same output."""
+    n = len(mul)
+    m = len(act[0]) if n else 0
+    mul_s, act_s, nonzero, decode = _lift(field, params, mul, act)
+    S = [_operator(cols, m) for cols in act_s]
+    U = {}
+    for p in range(n):
+        for q in range(p, n):
+            terms = [(S[t][0], c) for t, c in mul_s[p][q]]
+            if not terms:
+                continue
+            cols = []
+            for l in range(m):
+                col: dict = {}
+                for St, c in terms:
+                    for o, v in St[l]:
+                        col[o] = col.get(o, 0) + c * v
+                cols.append([(o, v) for o, v in col.items() if nonzero(v)])
+            op = _operator(cols, m)
+            if op[1]:
+                U[p, q] = op
+    bad: dict = {}
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                if i == k:
+                    parts = ((i, i, i, 1),)
+                elif i == j:
+                    parts = ((i, i, k, 2), (k, i, i, 1))
+                elif j == k:
+                    parts = ((i, j, j, 1), (j, i, j, 2))
+                else:
+                    parts = ((i, j, k, 2), (j, i, k, 2), (k, i, j, 2))
+                acc: dict = {}
+                for r, p, q, w in parts:
+                    op = U.get((p, q))
+                    if op is None:
+                        continue
+                    s_cols, s_flat = S[r]
+                    u_cols, u_flat = op
+                    for lm, s, u in u_flat:  # + S_r U_pq
+                        wu = w * u
+                        for o, v in s_cols[s]:
+                            acc[lm + o] = acc.get(lm + o, 0) + wu * v
+                    for lm, s, v in s_flat:  # - U_pq S_r
+                        wv = w * v
+                        for o, u in u_cols[s]:
+                            acc[lm + o] = acc.get(lm + o, 0) - wv * u
+                for key, c in acc.items():
+                    if nonzero(c):
+                        l, o = divmod(key, m)
+                        bad.setdefault(o, {})[i, j, k, l] = c
+    return bad, decode
 
 
 def matched_pair_verdict(

@@ -320,6 +320,49 @@ def test_subspace_coordinates_match_express(f):
 
 
 @pytest.mark.parametrize("f", [QQ, F5, F7])
+def test_off_pivot_read_off_matches_express(f):
+    """coordinates() subtracts only the rows' nonzero off-pivot entries and
+    tests only the non-pivot columns: against the express oracle on seeded
+    subspaces of dims 0-8, coordinate spans among them, with vectors in the
+    span, random vectors, and vectors pushed off the span at a free column."""
+    rng = random.Random(60 + f.characteristic)
+    kinds = {"inside": 0, "outside": 0, "coordinate": 0}
+    for _ in range(80):
+        n = rng.randint(1, 8)
+        if rng.random() < 0.3:
+            gens = [[int(k == u) for k in range(n)] for u in rng.sample(range(n), rng.randint(0, n))]
+        else:
+            gens = [
+                [_unreduced_scalar(rng, f) if rng.random() < 0.5 else 0 for _ in range(n)]
+                for _ in range(rng.randint(0, n))
+            ]
+        U = Subspace(Algebra.abelian(f, [f"e{k}" for k in range(n)]), gens)
+        assert U._off == tuple(
+            tuple((c, x) for c, x in enumerate(row) if x and c not in U._pivots) for row in U.rows
+        )
+        kinds["coordinate"] += not any(U._off)
+        inside = [0] * n
+        for g in gens:
+            c = _unreduced_scalar(rng, f)
+            inside = [x + c * y for x, y in zip(inside, g)]
+        vectors = [inside, [_unreduced_scalar(rng, f) for _ in range(n)]]
+        free = [c for c in range(n) if c not in U._pivots]
+        if free:
+            pushed = list(inside)
+            pushed[rng.choice(free)] += 1 + rng.randrange(f.characteristic - 1 if f.characteristic else 5)
+            vectors.append(pushed)
+        for v in vectors:
+            want = express(f, [list(r) for r in U.rows], [f.coerce(c) for c in v])
+            assert U.coordinates(v) == want, (gens, v)
+            assert U.contains(v) == (want is not None)
+            kinds["inside" if want is not None else "outside"] += 1
+        assert U.contains(inside)
+        if free:
+            assert not U.contains(pushed)
+    assert min(kinds.values()) > 15, kinds
+
+
+@pytest.mark.parametrize("f", [QQ, F5, F7])
 def test_complement_check_matches_intersection(f):
     """complement_check's dimension and rank test against a zero
     intersection and a full sum, on random subspace pairs.  Some W's reuse

@@ -5,7 +5,9 @@ law, or its pieces on the null split extension, coefficient by
 coefficient.  The oracles expand the same identities as polynomials in
 generic coordinates.  Both must give
 equal Verdicts, equal describe() text and equal witnesses, PASS or FAIL,
-over Q, F_p and with a parameter.
+over Q, F_p and with a parameter.  The kernel's coefficients, read off
+cached commutators [S_r, S_t], must also equal those of the U_pq kernel
+it replaced (oracle.cube_coefficients), one by one.
 """
 
 import random
@@ -27,6 +29,7 @@ from jalg import (
     catalog,
     identities,
 )
+from jalg.catalog import ALGEBRA_NAMES, PAIR_NAMES
 import slow_oracles as oracle
 
 FIELDS = {"Q": QQ, "F5": Field(5), "F7": Field(7), "F11": Field(11)}
@@ -314,3 +317,142 @@ def test_witness_is_the_first_printed_term():
 def test_parameter_clash_is_still_an_error():
     with pytest.raises(JalgError):
         identities.jordan_verdict(QQ, [[[QQ.one]]], ("a0",))
+
+
+# ---------------------------------------------------------------------------
+# the commutator kernel against the U_pq kernel, coefficient by coefficient
+
+
+def _sym_table(f, n):
+    """Sym_n: symmetric n x n matrices with x.y = (xy + yx) / 2, on the
+    basis E_ii, E_ij + E_ji (i < j)."""
+    basis = [(i, j) for i in range(n) for j in range(i, n)]
+    index = {b: k for k, b in enumerate(basis)}
+    half = f.inv(f.coerce(2))
+    table = []
+    for x in basis:
+        row = []
+        for y in basis:
+            # xy + yx = xy + (xy)^T, as x and y are symmetric
+            prod = {}
+            for i, k in {x, x[::-1]}:
+                for k2, j in {y, y[::-1]}:
+                    if k == k2:
+                        prod[i, j] = prod.get((i, j), 0) + 1
+                        prod[j, i] = prod.get((j, i), 0) + 1
+            cell = [f.zero] * len(basis)
+            for (i, j), c in prod.items():
+                if i <= j:
+                    cell[index[i, j]] = f.mul(f.coerce(c), half)
+            row.append(cell)
+        table.append(row)
+    return table
+
+
+def _decoded(result):
+    bad, decode = result
+    return {o: {key: decode(c) for key, c in cs.items()} for o, cs in bad.items()}
+
+
+def _same_coefficients(f, mul, act, params=()):
+    """The kernel's decoded coefficients equal the oracle's; returns them."""
+    fast = _decoded(identities._cube_coefficients(f, mul, act, params))
+    assert fast == _decoded(oracle.cube_coefficients(f, mul, act, params))
+    return fast
+
+
+def _kernel_cases(f, rng):
+    """(mul, act) over one field: the catalog's tables and actions, Sym_3 to
+    Sym_5 with dense rebasings and perturbed copies, block direct sums,
+    seeded non-Jordan tables and actions with dim M != dim A."""
+    cases = [(A.sc, A.sc) for A in (catalog(name, field=f) for name in ALGEBRA_NAMES)]
+    for name in PAIR_NAMES:
+        mp = catalog(name, field=f)
+        cases.append((mp.product_sc(), mp.product_sc()))
+        right = [[mp.right.tensor[x][a] for x in range(mp.V.dim)] for a in range(mp.A.dim)]
+        cases += [(mp.A.sc, right), (mp.V.sc, mp.left.tensor)]
+    for n in (3, 4, 5):
+        sym = _sym_table(f, n)
+        dense = _rebase(f, sym, _basis_change(rng, f, len(sym), dense=True))
+        cases += [(t, t) for t in (sym, dense, _perturbed(rng, f, sym))]
+        if n < 5:  # the U_pq kernel takes seconds on a dense non-Jordan Sym_5
+            cases.append((_perturbed(rng, f, dense),) * 2)
+    for blocks in ([_sym_table(f, 2), catalog("J5", field=f).sc], [_sym_table(f, 3)] * 2):
+        block_sum = _direct_sum(f, [[list(row) for row in t] for t in blocks])
+        cases += [(block_sum, block_sum), (_perturbed(rng, f, block_sum),) * 2]
+    for n in range(1, 6):
+        cases += [(t, t) for t in (_random_table(rng, f, n, 0.0), _random_table(rng, f, n, 0.7))]
+        base = _jordan_table(rng, f, n)
+        for m in {1, n + 1, max(1, n - 2)}:
+            act = [[[f.coerce(_scalar(rng, f)) for _ in range(m)] for _ in range(m)] for _ in range(n)]
+            cases.append((base, act))
+    return cases
+
+
+@pytest.mark.parametrize("name", ("Q", "F5", "F7"))
+def test_commutator_kernel_matches_the_upq_kernel(name):
+    f = FIELDS[name]
+    failing = passing = 0
+    for mul, act in _kernel_cases(f, random.Random("kernel-" + name)):
+        if _same_coefficients(f, mul, act):
+            failing += 1
+        else:
+            passing += 1
+    assert failing > 15 and passing > 15
+
+
+@pytest.mark.parametrize("name", ("Q", "F5"))
+def test_parametric_commutator_kernel_matches_the_upq_kernel(name):
+    """Entries in Q[alpha] and F5[alpha], and the abelian-pair census's
+    table with one indeterminate per action entry."""
+    f = FIELDS[name]
+    ring = PolyRing(f, ("alpha",))
+    alpha = ring.var("alpha")
+    rng = random.Random("kernel-param-" + name)
+    failing = 0
+    for n in (2, 3, 4):
+        for table in (_jordan_table(rng, f, n), _random_table(rng, f, n, 0.3)):
+            for mul in (
+                [[[(1 - 2 * alpha) * e for e in cell] for cell in row] for row in table],
+                _symmetric([[[alpha * e + _scalar(rng, f) for e in cell] for cell in row] for row in table]),
+            ):
+                failing += bool(_same_coefficients(f, mul, mul, ("alpha",)))
+            m = n - 1
+            act = [[[alpha * _scalar(rng, f) + _scalar(rng, f) for _ in range(m)] for _ in range(m)]
+                   for _ in range(n)]
+            failing += bool(_same_coefficients(f, table, act, ("alpha",)))
+    assert failing > 5
+    # matched_pair._abelian_pair_conditions at base dimension 2
+    params = ("l0", "l1", "d00", "d01", "d10", "d11")
+    census = PolyRing(f, params)
+    z = f.zero
+    table = identities._pair_product(
+        [[(z,) * 2] * 2] * 2,
+        [[(z,)]],
+        [[(census.var(f"l{j}"),) for j in range(2)]],
+        [[tuple(census.var(f"d{i}{j}") for i in range(2)) for j in range(2)]],
+        z,
+    )
+    assert _same_coefficients(f, table, table, params)
+
+
+def test_each_commutator_is_built_once(monkeypatch):
+    """On Sym_4 (dim 10) every commutator [S_r, S_t] comes from one
+    _commutator call with r < t: none twice, none with r = t, at most
+    n(n - 1)/2 in all; the coefficients still match the oracle's."""
+    built = []
+    inner = identities._commutator
+
+    def counted(S, r, t, nonzero):
+        built.append((r, t))
+        return inner(S, r, t, nonzero)
+
+    monkeypatch.setattr(identities, "_commutator", counted)
+    for f in (QQ, FIELDS["F7"]):
+        sym = _sym_table(f, 4)
+        n = len(sym)
+        for mul in (sym, _perturbed(random.Random(4), f, sym)):
+            built.clear()
+            _same_coefficients(f, mul, mul)
+            assert built and all(r < t for r, t in built)
+            assert len(set(built)) == len(built) <= n * (n - 1) // 2

@@ -13,6 +13,7 @@ element buckets, which scale one key along each line through the origin,
 must equal a direct scan of the dense keys, in key and member order.
 """
 
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -35,7 +36,8 @@ from jalg import (
     map_to_quadruple,
     quadruple_check,
 )
-from jalg.catalog import ALGEBRA_NAMES
+from jalg.catalog import ALGEBRA_NAMES, _read
+from jalg.fileio import parse_pair
 from jalg.identities import _bilinear, _hom_mismatches, _linear, _sparse
 from jalg.morphism import _element_buckets, _element_key, _trace_form_ranks
 from jalg.poly import PolyRing
@@ -149,6 +151,31 @@ def test_sparse_forms_and_bicross_are_built_once():
     first = bicross(mp)
     assert bicross(mp) is first
     assert first.product.sparse_sc() is mp.product_sparse()
+
+
+def test_verify_then_bicross_builds_one_sparse_form(monkeypatch):
+    """verify() reads the pair's cached sparse form, and bicross() and its
+    subalgebra checks reuse it: on a freshly parsed J5-pair the product
+    table goes through _sparse once, and no other table does.  The same
+    holds for jordan_check on a fresh algebra."""
+    built = []
+
+    def counted(table, ring):
+        built.append(table)
+        return _sparse(table, ring)
+
+    for name in ("identities", "algebra", "matched_pair"):
+        monkeypatch.setattr(importlib.import_module(f"jalg.{name}"), "_sparse", counted)
+    mp = parse_pair(_read("J5-pair.jpair"))
+    assert not built
+    assert mp.verify().ok
+    bicross(mp)
+    assert built == [mp.product_sc()] and built[0] is mp.product_sc()
+    built.clear()
+    A = Algebra(mp.A.field, mp.A.basis, mp.A.sc)
+    assert A.jordan_check().ok
+    A.mul_coords(A.sc[0][0], A.sc[1][1])
+    assert built == [A.sc]
 
 
 def test_unmatched_pair_raises_on_every_bicross_call():
