@@ -7,9 +7,10 @@ polynomials, and once by checking the cube law directly on the 2-dim
 combined product.  The two verdicts must agree on all p^4 combinations
 (the paper's theorem: the product is Jordan exactly when the pair is
 matched); the script reports the matched count and a breakdown by factor
-shape.  The expansions (identities._mp_expansions) are the independent
-side: the library itself decides MP1-MP6, PASS or FAIL, from the
-product's cube law, so calling it here would compare that law with itself.
+shape.  The expansions (_mp_expansions, imported from
+tests/slow_oracles.py) are the independent side: the library itself
+decides MP1-MP6, PASS or FAIL, from the product's cube law and keeps no
+expansion, so calling it here would compare that law with itself.
 
     python3 scripts/bicross_scan.py
     python3 scripts/bicross_scan.py --p 7
@@ -21,6 +22,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 from jalg import (
     Algebra,
@@ -31,7 +33,10 @@ from jalg import (
     RightAction,
     bicross_table,
 )
-from jalg.identities import MP_AXIOMS, _mp_expansions
+from jalg.identities import MP_AXIOMS
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from slow_oracles import _mp_expansions  # noqa: E402
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,11 @@ is checked.  The Jordan identity and an action law alone are the law
 itself.  On a pair's product table (_pair_product) one pass decides all
 ten pair axioms, as A x V is Jordan exactly when the pair is matched, and
 on the null split extension A x M (_null_extension) both bimodule laws;
-_piece_verdict reads each axiom's residuals off its piece.  With
-indeterminate table entries the coefficients are polynomial conditions on
-them (the abelian-pair census).
+_piece_verdict reads each axiom's residuals off its piece.  That is the
+one route here to each axiom: the laws expanded in generic elements
+(MP1-MP6 among them) are the tests' independent oracles, in
+tests/slow_oracles.py.  With indeterminate table entries the
+coefficients are polynomial conditions on them (the abelian-pair census).
 
 With declared parameters the parameters stay indeterminates too.  A PASS
 then holds at every specialization; a FAIL means the identity fails as a
@@ -529,18 +531,18 @@ def _piece_verdict(
 
 
 def matched_pair_verdict(
-    field: Field, table, n: int, params=(), axioms=MP_AXIOMS, stop_early: bool = False, sparse=None
+    field: Field, table, n: int, params=(), stop_early: bool = False, sparse=None
 ) -> Verdict:
-    """The pair axioms in `axioms` (PAIR_AXIOMS or a subset), decided by the
-    cube law of the pair's product `table` (_pair_product, with dim A = n):
-    A x V is Jordan exactly when (A, V, <|, |>) is a matched pair.
+    """The ten PAIR_AXIOMS, decided by the cube law of the pair's product
+    `table` (_pair_product, with dim A = n): A x V is Jordan exactly when
+    (A, V, <|, |>) is a matched pair.
 
     Each axiom is one piece of the product's coefficients (_PAIR_PIECES);
     on a FAIL its residuals are read off them, in the pair ring of a, b in
     A and x, y in V.  `sparse` is the table's cached sparse form
     (MatchedPair.product_sparse), if the caller keeps one.
     """
-    return _piece_verdict(field, table, n, params, _PAIR_PIECES, axioms, ("x", "y"), stop_early, sparse)
+    return _piece_verdict(field, table, n, params, _PAIR_PIECES, PAIR_AXIOMS, ("x", "y"), stop_early, sparse)
 
 
 def bimodule_verdict(field: Field, mul, act, params=()) -> Verdict:
@@ -555,158 +557,6 @@ def bimodule_verdict(field: Field, mul, act, params=()) -> Verdict:
     n = len(mul)
     table = _null_extension(mul, act, len(act[0]) if n else 0, field.zero)
     return _piece_verdict(field, table, n, params, _BIMODULE_PIECES, ("bim-square", "bim-linear"), ("m",))
-
-
-def _mp_expansions(field: Field, mul_a, mul_v, right, left, params, axioms, stop_early) -> Verdict:
-    """MP1-MP6 with generic a, b in A and x, y in V, each expanded as
-    polynomials.  The action laws themselves are separate checks
-    (action_law_verdict); this covers the six compatibilities only.
-
-    No library path calls this (matched_pair_verdict reads the same
-    residuals off the product's cube law): it is the independent reference
-    of tests/slow_oracles.py and scripts/bicross_scan.py.
-    """
-    dim_a = len(mul_a)
-    dim_v = len(mul_v)
-    ring, gen = generic_ring(
-        field, params, [("a", dim_a), ("b", dim_a), ("x", dim_v), ("y", dim_v)]
-    )
-    mt = _sparse(mul_a, ring)
-    nt = _sparse(mul_v, ring)
-    rt = _sparse(right, ring)
-    lt = _sparse(left, ring)
-    a, b, x, y = gen["a"], gen["b"], gen["x"], gen["y"]
-
-    def M(u, v):
-        return _bilinear(ring, mt, u, v, dim_a)
-
-    def N(u, v):
-        return _bilinear(ring, nt, u, v, dim_v)
-
-    def R(xv, av):
-        return _bilinear(ring, rt, xv, av, dim_v)
-
-    def L(xv, av):
-        return _bilinear(ring, lt, xv, av, dim_a)
-
-    a2 = M(a, a)
-    x2 = N(x, x)
-
-    def mp1():
-        lhs = _vadd(ring, M(a, L(x, a2)), L(R(x, a2), a))
-        rhs = _vadd(ring, M(a2, L(x, a)), L(R(x, a), a2))
-        return "A", _vsub(ring, lhs, rhs)
-
-    def mp2():
-        lhs = _vadd(ring, R(x, L(x2, a)), N(R(x2, a), x))
-        rhs = _vadd(ring, R(x2, L(x, a)), N(x2, R(x, a)))
-        return "V", _vsub(ring, lhs, rhs)
-
-    def mp3():
-        xa = R(x, a)
-        xb = R(x, b)
-        big = _vadd(
-            ring,
-            _vadd(ring, R(R(xa, b), a), R(x, M(L(x, a), b))),
-            _vadd(ring, R(x, L(xa, b)), N(R(xa, b), x)),
-        )
-        lhs = _vadd(
-            ring, _vadd(ring, big, big), _vadd(ring, R(R(x2, b), a), R(x, M(b, a2)))
-        )
-        big2 = _vadd(
-            ring,
-            _vadd(ring, R(xa, M(b, a)), R(xa, L(x, b))),
-            _vadd(ring, R(xb, L(x, a)), N(xa, xb)),
-        )
-        rhs = _vadd(
-            ring, _vadd(ring, big2, big2), _vadd(ring, R(x2, M(b, a)), R(xb, a2))
-        )
-        return "V", _vsub(ring, lhs, rhs)
-
-    def mp4():
-        lxa = L(x, a)
-        ylxa = L(y, lxa)
-        big = _vadd(
-            ring,
-            _vadd(ring, M(ylxa, a), L(x, ylxa)),
-            _vadd(ring, L(R(y, lxa), a), L(N(R(x, a), y), a)),
-        )
-        lhs = _vadd(
-            ring, _vadd(ring, big, big), _vadd(ring, L(N(x2, y), a), L(x, L(y, a2)))
-        )
-        big2 = _vadd(
-            ring,
-            _vadd(ring, M(L(y, a), lxa), L(N(x, y), lxa)),
-            _vadd(ring, L(R(y, a), lxa), L(R(x, a), L(y, a))),
-        )
-        rhs = _vadd(
-            ring, _vadd(ring, big2, big2), _vadd(ring, L(x2, L(y, a)), L(N(x, y), a2))
-        )
-        return "A", _vsub(ring, lhs, rhs)
-
-    def mp5():
-        lxa = L(x, a)
-        xa = R(x, a)
-        ylxa = R(y, lxa)
-        xay = N(xa, y)
-        big = _vadd(
-            ring,
-            _vadd(ring, _vadd(ring, R(ylxa, a), R(xay, a)), R(x, L(y, lxa))),
-            _vadd(ring, N(ylxa, x), N(xay, x)),
-        )
-        lhs = _vadd(
-            ring,
-            _vadd(ring, big, big),
-            _vadd(ring, _vadd(ring, R(N(x2, y), a), R(x, L(y, a2))), N(R(y, a2), x)),
-        )
-        big2 = _vadd(
-            ring,
-            _vadd(ring, _vadd(ring, R(xa, L(y, a)), R(R(y, a), lxa)), R(N(x, y), lxa)),
-            _vadd(ring, N(xa, N(x, y)), N(xa, R(y, a))),
-        )
-        rhs = _vadd(
-            ring,
-            _vadd(ring, big2, big2),
-            _vadd(ring, _vadd(ring, R(x2, L(y, a)), R(N(x, y), a2)), N(x2, R(y, a))),
-        )
-        return "V", _vsub(ring, lhs, rhs)
-
-    def mp6():
-        lxa = L(x, a)
-        xa = R(x, a)
-        big = _vadd(
-            ring,
-            _vadd(ring, _vadd(ring, M(M(lxa, b), a), M(L(xa, b), a)), L(R(xa, b), a)),
-            _vadd(ring, L(x, M(lxa, b)), L(x, L(xa, b))),
-        )
-        lhs = _vadd(
-            ring,
-            _vadd(ring, big, big),
-            _vadd(ring, _vadd(ring, M(L(x2, b), a), L(R(x2, b), a)), L(x, M(a2, b))),
-        )
-        big2 = _vadd(
-            ring,
-            _vadd(ring, _vadd(ring, M(lxa, M(a, b)), L(xa, M(b, a))), M(lxa, L(x, b))),
-            _vadd(ring, L(R(x, b), lxa), L(xa, L(x, b))),
-        )
-        rhs = _vadd(
-            ring,
-            _vadd(ring, big2, big2),
-            _vadd(ring, _vadd(ring, L(x2, M(b, a)), L(R(x, b), a2)), M(a2, L(x, b))),
-        )
-        return "A", _vsub(ring, lhs, rhs)
-
-    table = {"MP1": mp1, "MP2": mp2, "MP3": mp3, "MP4": mp4, "MP5": mp5, "MP6": mp6}
-    failures: list[AxiomFailure] = []
-    checked = []
-    for name in axioms:
-        checked.append(name)
-        space, residual = table[name]()
-        failed = [AxiomFailure(name, space, k, p) for k, p in enumerate(residual) if not p.is_zero]
-        failures += failed[:1] if stop_early else failed
-        if failed and stop_early:
-            break
-    return _verdict(failures, checked)
 
 
 def _rename(verdict: Verdict, mapping) -> Verdict:

@@ -196,7 +196,6 @@ class MatchedPair:
             self.product_sc(),
             self.A.dim,
             self.A.params,
-            identities.PAIR_AXIOMS,
             stop_early,
             self.product_sparse(),
         )
@@ -294,36 +293,36 @@ def bicross(mp: MatchedPair) -> BicrossedProduct:
     return mp._bicross
 
 
-def _semidirect(mp: MatchedPair, action: _Action, names) -> Algebra:
-    """The product of a pair whose other action is zero, once both factors,
-    the law of `action` and the three MP axioms that survive (the keys of
-    `names`, reported under its values: L1-L3 or R1-R3) pass."""
-    A, V = mp.A, mp.V
-    for alg in (A, V):
-        if not alg.is_jordan:
-            raise VerificationError(f"{alg!r} fails the Jordan identity")
-    law = action.check()
-    if not law.ok:
-        raise VerificationError(f"{action._side} action law fails:\n" + law.describe())
-    verdict = identities._rename(
-        identities.matched_pair_verdict(
-            A.field, mp.product_sc(), A.dim, A.params, axioms=tuple(names), sparse=mp.product_sparse()
-        ),
-        names,
-    )
-    if not verdict.ok:
-        raise VerificationError("semidirect axioms fail:\n" + verdict.describe())
-    return bicross_table(mp)
+def _semidirect(mp: MatchedPair, names) -> Algebra:
+    """The product of a pair whose other action is zero, once verify()
+    passes.  Its first failing group is reported: a factor's Jordan
+    identity, the law of the nonzero action, or the three MP axioms that
+    survive (the keys of `names`, reported under its values: L1-L3 or
+    R1-R3).  With one action zero the other action law and the other three
+    MP pieces of the product's cube law vanish identically."""
+    verdict = mp.verify()
+    if verdict.ok:
+        return bicross_table(mp)
+    first = verdict.failed_axioms()[0]
+    if first in ("jordan-A", "jordan-V"):
+        alg = mp.A if first == "jordan-A" else mp.V
+        raise VerificationError(f"{alg!r} fails the Jordan identity")
+    if first in names:
+        report = identities._rename(Verdict(False, verdict.failures, tuple(names)), names)
+        raise VerificationError("semidirect axioms fail:\n" + report.describe())
+    law = Verdict(False, tuple(f for f in verdict.failures if f.axiom == first), (first,))
+    side = first.removesuffix("-action")
+    raise VerificationError(f"{side} action law fails:\n" + law.describe())
 
 
 def semidirect_left(A: Algebra, V: Algebra, la: LeftAction) -> Algebra:
     """A |x V: multiplication (ab + x|>b + y|>a, xy); needs L1-L3."""
-    return _semidirect(MatchedPair(A, V, RightAction.zero(V, A), la), la, identities._LEFT_FROM_MP)
+    return _semidirect(MatchedPair(A, V, RightAction.zero(V, A), la), identities._LEFT_FROM_MP)
 
 
 def semidirect_right(A: Algebra, V: Algebra, ra: RightAction) -> Algebra:
     """A x| V: multiplication (ab, x<|b + y<|a + xy); needs R1-R3."""
-    return _semidirect(MatchedPair(A, V, ra, LeftAction.zero(V, A)), ra, identities._RIGHT_FROM_MP)
+    return _semidirect(MatchedPair(A, V, ra, LeftAction.zero(V, A)), identities._RIGHT_FROM_MP)
 
 
 class Factorization:

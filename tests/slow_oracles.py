@@ -4,9 +4,9 @@ Each is the plain procedure the fast path replaced: generic-element
 expansion of the cube law (the Jordan identity, the action laws and both
 bimodule laws) as polynomials, the cube law's coefficients from a fresh
 S_r U_pq - U_pq S_r per basis triple instead of cached commutators,
-MP1-MP6 expanded as polynomials where the library reads them off the
-product's cube law, a sigma loop
-over GL(V) for the factorization index, an unfiltered scan of all
+MP1-MP6 expanded as polynomials (_mp_expansions, the one copy in the
+repository) where the library reads them off the product's cube law, a
+sigma loop over GL(V) for the factorization index, an unfiltered scan of all
 p^(n*n) matrices for `iso_search` over F_p, its invariants (the trace
 form ranks and the element keys) from dense matrix products, the six
 block conditions C1-C6 of a morphism quadruple written out one by one,
@@ -32,7 +32,6 @@ from jalg.identities import (
     PAIR_AXIOMS,
     AxiomFailure,
     _lift,
-    _mp_expansions,
     _operator,
     _vadd,
     _verdict,
@@ -257,6 +256,154 @@ def cube_coefficients(field, mul, act, params):
                         l, o = divmod(key, m)
                         bad.setdefault(o, {})[i, j, k, l] = c
     return bad, decode
+
+
+def _mp_expansions(field, mul_a, mul_v, right, left, params, axioms, stop_early):
+    """MP1-MP6 with generic a, b in A and x, y in V, each expanded as
+    polynomials.  The action laws themselves are separate checks
+    (action_law_verdict); this covers the six compatibilities only.
+
+    The library reads the same residuals off the product's cube law
+    (identities.matched_pair_verdict) and has no copy of these
+    expansions: this one is the independent reference of the tests and of
+    scripts/bicross_scan.py.
+    """
+    dim_a = len(mul_a)
+    dim_v = len(mul_v)
+    ring, gen = generic_ring(
+        field, params, [("a", dim_a), ("b", dim_a), ("x", dim_v), ("y", dim_v)]
+    )
+    mt, nt, rt, lt = (_embed2(ring, t) for t in (mul_a, mul_v, right, left))
+    a, b, x, y = gen["a"], gen["b"], gen["x"], gen["y"]
+
+    def M(u, v):
+        return _bilinear(ring, mt, u, v, dim_a)
+
+    def N(u, v):
+        return _bilinear(ring, nt, u, v, dim_v)
+
+    def R(xv, av):
+        return _bilinear(ring, rt, xv, av, dim_v)
+
+    def L(xv, av):
+        return _bilinear(ring, lt, xv, av, dim_a)
+
+    a2 = M(a, a)
+    x2 = N(x, x)
+
+    def mp1():
+        lhs = _vadd(ring, M(a, L(x, a2)), L(R(x, a2), a))
+        rhs = _vadd(ring, M(a2, L(x, a)), L(R(x, a), a2))
+        return "A", _vsub(ring, lhs, rhs)
+
+    def mp2():
+        lhs = _vadd(ring, R(x, L(x2, a)), N(R(x2, a), x))
+        rhs = _vadd(ring, R(x2, L(x, a)), N(x2, R(x, a)))
+        return "V", _vsub(ring, lhs, rhs)
+
+    def mp3():
+        xa = R(x, a)
+        xb = R(x, b)
+        big = _vadd(
+            ring,
+            _vadd(ring, R(R(xa, b), a), R(x, M(L(x, a), b))),
+            _vadd(ring, R(x, L(xa, b)), N(R(xa, b), x)),
+        )
+        lhs = _vadd(
+            ring, _vadd(ring, big, big), _vadd(ring, R(R(x2, b), a), R(x, M(b, a2)))
+        )
+        big2 = _vadd(
+            ring,
+            _vadd(ring, R(xa, M(b, a)), R(xa, L(x, b))),
+            _vadd(ring, R(xb, L(x, a)), N(xa, xb)),
+        )
+        rhs = _vadd(
+            ring, _vadd(ring, big2, big2), _vadd(ring, R(x2, M(b, a)), R(xb, a2))
+        )
+        return "V", _vsub(ring, lhs, rhs)
+
+    def mp4():
+        lxa = L(x, a)
+        ylxa = L(y, lxa)
+        big = _vadd(
+            ring,
+            _vadd(ring, M(ylxa, a), L(x, ylxa)),
+            _vadd(ring, L(R(y, lxa), a), L(N(R(x, a), y), a)),
+        )
+        lhs = _vadd(
+            ring, _vadd(ring, big, big), _vadd(ring, L(N(x2, y), a), L(x, L(y, a2)))
+        )
+        big2 = _vadd(
+            ring,
+            _vadd(ring, M(L(y, a), lxa), L(N(x, y), lxa)),
+            _vadd(ring, L(R(y, a), lxa), L(R(x, a), L(y, a))),
+        )
+        rhs = _vadd(
+            ring, _vadd(ring, big2, big2), _vadd(ring, L(x2, L(y, a)), L(N(x, y), a2))
+        )
+        return "A", _vsub(ring, lhs, rhs)
+
+    def mp5():
+        lxa = L(x, a)
+        xa = R(x, a)
+        ylxa = R(y, lxa)
+        xay = N(xa, y)
+        big = _vadd(
+            ring,
+            _vadd(ring, _vadd(ring, R(ylxa, a), R(xay, a)), R(x, L(y, lxa))),
+            _vadd(ring, N(ylxa, x), N(xay, x)),
+        )
+        lhs = _vadd(
+            ring,
+            _vadd(ring, big, big),
+            _vadd(ring, _vadd(ring, R(N(x2, y), a), R(x, L(y, a2))), N(R(y, a2), x)),
+        )
+        big2 = _vadd(
+            ring,
+            _vadd(ring, _vadd(ring, R(xa, L(y, a)), R(R(y, a), lxa)), R(N(x, y), lxa)),
+            _vadd(ring, N(xa, N(x, y)), N(xa, R(y, a))),
+        )
+        rhs = _vadd(
+            ring,
+            _vadd(ring, big2, big2),
+            _vadd(ring, _vadd(ring, R(x2, L(y, a)), R(N(x, y), a2)), N(x2, R(y, a))),
+        )
+        return "V", _vsub(ring, lhs, rhs)
+
+    def mp6():
+        lxa = L(x, a)
+        xa = R(x, a)
+        big = _vadd(
+            ring,
+            _vadd(ring, _vadd(ring, M(M(lxa, b), a), M(L(xa, b), a)), L(R(xa, b), a)),
+            _vadd(ring, L(x, M(lxa, b)), L(x, L(xa, b))),
+        )
+        lhs = _vadd(
+            ring,
+            _vadd(ring, big, big),
+            _vadd(ring, _vadd(ring, M(L(x2, b), a), L(R(x2, b), a)), L(x, M(a2, b))),
+        )
+        big2 = _vadd(
+            ring,
+            _vadd(ring, _vadd(ring, M(lxa, M(a, b)), L(xa, M(b, a))), M(lxa, L(x, b))),
+            _vadd(ring, L(R(x, b), lxa), L(xa, L(x, b))),
+        )
+        rhs = _vadd(
+            ring,
+            _vadd(ring, big2, big2),
+            _vadd(ring, _vadd(ring, L(x2, M(b, a)), L(R(x, b), a2)), M(a2, L(x, b))),
+        )
+        return "A", _vsub(ring, lhs, rhs)
+
+    table = {"MP1": mp1, "MP2": mp2, "MP3": mp3, "MP4": mp4, "MP5": mp5, "MP6": mp6}
+    failures = []
+    checked = []
+    for name in axioms:
+        checked.append(name)
+        space, residual = table[name]()
+        if _collect(failures, name, space, residual, stop_early) and stop_early:
+            break
+    return _verdict(failures, checked)
 
 
 def matched_pair_verdict(

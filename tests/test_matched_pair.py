@@ -32,10 +32,12 @@ from jalg import (
     semidirect_left,
     semidirect_right,
     split_mono_decompose,
+    write_pair,
 )
 from jalg import linalg, poly
 from jalg.cli import main
 from jalg.matched_pair import _Action
+from conftest import NON_JORDAN_V_PAIR
 import slow_oracles as oracle
 from slow_oracles import express, express_projection
 
@@ -291,6 +293,102 @@ def test_semidirect_right_fail_names_the_axiom():
     with pytest.raises(VerificationError) as info:
         semidirect_right(A, V, ra)
     assert str(info.value) == "semidirect axioms fail:\nfail\n  R2[V:0] residual 6*a0^2*b0*x0"
+
+
+def _pair_text(a_lines, v_lines, actions):
+    """A Q pair file: the lines of A and of V after `field Q`, then the actions."""
+    blocks = [
+        f"algebra {name}\n  field Q\n" + "".join(f"  {line}\n" for line in lines) + "end\n"
+        for name, lines in (("A", a_lines), ("V", v_lines))
+    ]
+    return "\n".join(blocks) + "\n" + "".join(f"{line}\n" for line in actions)
+
+
+_PLANE_AB = ("dim 2", "basis a b")
+_IDEMPOTENTS = ("dim 2", "basis e f", "mult e e = e", "mult f f = f")
+_POINT = ("dim 1", "basis a", "mult a a = a")
+_LINE = ("dim 1", "basis x")
+
+# One-sided pairs, by side and by the stage of semidirect_left/right that
+# decides them.  In the two action-law pairs two orthogonal idempotents act
+# on an abelian plane by non-commuting operators: e fixes the first basis
+# vector and f moves it to the second.
+SEMIDIRECT_CASES = {
+    "left-product": ("left", _pair_text(_PLANE_AB, ("dim 1", "basis t"), ["left t . a = b"])),
+    "right-product": ("right", None),  # catalog defmap-pair, written out
+    "left-jordan": ("left", NON_JORDAN_V_PAIR),
+    "right-jordan": ("right", NON_JORDAN_V_PAIR),
+    "left-law": ("left", _pair_text(_PLANE_AB, _IDEMPOTENTS, ["left e . a = a", "left f . a = b"])),
+    "right-law": (
+        "right", _pair_text(_IDEMPOTENTS, ("dim 2", "basis u v"), ["right u . e = u", "right u . f = v"])
+    ),
+    "left-axioms": ("left", _pair_text(_POINT, _LINE, ["left x . a = a"])),
+    "right-axioms": ("right", _pair_text(_POINT, _LINE, ["right x . a = 2 x"])),
+}
+
+
+def _semidirect_case(tmp_path, name):
+    """(side, path of the pair file, a freshly parsed pair) for a case."""
+    side, text = SEMIDIRECT_CASES[name]
+    path = tmp_path / f"{name}.jpair"
+    path.write_text(text or write_pair(catalog("defmap-pair")))
+    return side, str(path), load_pair(str(path))
+
+
+def _build(side, mp):
+    if side == "left":
+        return semidirect_left(mp.A, mp.V, mp.left)
+    return semidirect_right(mp.A, mp.V, mp.right)
+
+
+@pytest.mark.parametrize("name", SEMIDIRECT_CASES)
+def test_semidirect_is_one_cube_law_pass(monkeypatch, tmp_path, name):
+    """A one-sided product on a fresh pair, built or refused at any stage,
+    is decided by one pass on the product table: neither factor's
+    jordan_check nor the action's own check runs."""
+    side, _, mp = _semidirect_case(tmp_path, name)
+    calls = []
+    inner = identities._cube_coefficients
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-sided product ran a separate pass")
+
+    monkeypatch.setattr(identities, "_cube_coefficients", counted)
+    monkeypatch.setattr(Algebra, "jordan_check", refuse)
+    monkeypatch.setattr(_Action, "check", refuse)
+    if name.endswith("product"):
+        assert _build(side, mp).dim == mp.A.dim + mp.V.dim
+    else:
+        with pytest.raises(VerificationError):
+            _build(side, mp)
+    assert len(calls) == 1
+
+
+_STAGE_MESSAGES = {
+    "left-jordan": "V(dim=3, field=F5) fails the Jordan identity",
+    "right-jordan": "V(dim=3, field=F5) fails the Jordan identity",
+    "left-law": "left action law fails:\nfail\n  left-action[M:1] residual a0*x0^2*x1 - 1*a0*x0*x1^2",
+    "right-law": "right action law fails:\nfail\n  right-action[M:1] residual a0^2*a1*x0 - 1*a0*a1^2*x0",
+}
+
+
+@pytest.mark.parametrize("name", _STAGE_MESSAGES)
+def test_semidirect_stage_messages(capsys, tmp_path, name):
+    """A factor's Jordan identity and the action law are reported as
+    before the product, through the API and through `jalg semidirect`."""
+    message = _STAGE_MESSAGES[name]
+    side, path, mp = _semidirect_case(tmp_path, name)
+    with pytest.raises(VerificationError) as info:
+        _build(side, mp)
+    assert str(info.value) == message
+    assert main(["semidirect", path, "--side", side]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"failed: {message}\n"
 
 
 def test_with_zero_actions_gives_direct_sum():

@@ -5,8 +5,12 @@ product table, and on a FAIL reads each axiom's residuals off that pass's
 coefficients.  The oracle expands everything in the same pair ring: both
 factors' Jordan identities, both action laws and MP1-MP6.  Both must give
 equal Verdicts, equal describe() text and equal witnesses, with and
-without stop_early, PASS or FAIL.  The corpus fails each of the ten axioms
-over every field, and no library path reaches the expansions.
+without stop_early, PASS or FAIL.  The two one-sided products of each
+pair (semidirect_left and semidirect_right, also decided by verify())
+must give the product or the error text of separate expansion passes:
+the factors, the action law, then the renamed MP subset.  The corpus
+fails each of the ten axioms over every field, and no library path
+reaches the expansions.
 """
 
 import itertools
@@ -22,9 +26,13 @@ from jalg import (
     MatchedPair,
     QQ,
     RightAction,
+    VerificationError,
     bicross,
+    bicross_table,
     catalog,
     identities,
+    semidirect_left,
+    semidirect_right,
 )
 from jalg.catalog import PAIR_NAMES
 import slow_oracles as oracle
@@ -40,21 +48,53 @@ def _same(fast, slow):
     assert [f.witness() for f in fast.failures] == [f.witness() for f in slow.failures]
 
 
-def _check(mp):
-    """verify() (fresh, then with stop_early) and the semidirect subsets of
-    matched_pair_verdict against the oracle; returns the full verdict."""
+def _check(mp, stages=None):
+    """verify() (fresh, then with stop_early) and the one-sided products of
+    the pair's two actions against the oracle; returns the full verdict.
+    The stage at which each one-sided product stopped is added to `stages`."""
     full = mp.verify()
     _same(full, oracle.verify(mp))
     _same(mp.verify(stop_early=True), oracle.verify(mp, stop_early=True))
     A, V = mp.A, mp.V
-    args = (A.field, A.sc, V.sc, mp.right.tensor, mp.left.tensor, A.params)
-    for names in (identities._LEFT_FROM_MP, identities._RIGHT_FROM_MP):
-        axioms = tuple(names)
-        _same(
-            identities.matched_pair_verdict(A.field, mp.product_sc(), A.dim, A.params, axioms=axioms),
-            oracle.matched_pair_verdict(*args, axioms=axioms),
-        )
+    for one_sided, build, action in (
+        (MatchedPair(A, V, RightAction.zero(V, A), mp.left), semidirect_left, mp.left),
+        (MatchedPair(A, V, mp.right, LeftAction.zero(V, A)), semidirect_right, mp.right),
+    ):
+        try:
+            got = build(A, V, action).table_key()
+        except VerificationError as exc:
+            got = str(exc)
+        stage, expected = _semidirect_oracle(one_sided, action._side)
+        assert got == expected
+        if stages is not None:
+            stages.add(stage)
     return full
+
+
+def _semidirect_oracle(mp, side):
+    """(stage, outcome) of the one-sided product of mp by separate
+    expansion passes: each factor's Jordan identity, the law of the
+    action on `side`, then its three MP axioms renamed L1-L3 or R1-R3.
+    The outcome is the product's table_key() or the error text."""
+    A, V = mp.A, mp.V
+    for alg in (A, V):
+        if not oracle.jordan_verdict(alg.field, alg.sc, alg.params).ok:
+            return "jordan", f"{alg!r} fails the Jordan identity"
+    if side == "right":
+        # A acts on V: acting-first indexing of the right action
+        act = [[mp.right.tensor[x][a] for x in range(V.dim)] for a in range(A.dim)]
+        law = oracle.action_law_verdict(A.field, A.sc, act, A.params, "a", "x", "right-action")
+        names = identities._RIGHT_FROM_MP
+    else:
+        law = oracle.action_law_verdict(A.field, V.sc, mp.left.tensor, A.params, "x", "a", "left-action")
+        names = identities._LEFT_FROM_MP
+    if not law.ok:
+        return "action law", f"{side} action law fails:\n" + law.describe()
+    tables = (A.sc, V.sc, mp.right.tensor, mp.left.tensor)
+    axioms = identities._rename(oracle.matched_pair_verdict(A.field, *tables, A.params, tuple(names)), names)
+    if not axioms.ok:
+        return "axioms", "semidirect axioms fail:\n" + axioms.describe()
+    return "product", bicross_table(mp).table_key()
 
 
 def _fresh(mp):
@@ -148,10 +188,11 @@ def test_random_pairs_match_oracle(name):
     rng = random.Random("pairs-" + name)
     mp_only = mp_pass_product_fails = 0
     seen = set()
+    stages = set()
     for na, nv in ((2, 2), (3, 2)):
         for _ in range(15):
             mp = _random_unmatched(rng, f, na, nv)
-            full = _check(mp)
+            full = _check(mp, stages)
             axioms = set(full.failed_axioms())
             seen |= axioms
             if axioms and axioms <= set(identities.MP_AXIOMS):
@@ -161,6 +202,8 @@ def test_random_pairs_match_oracle(name):
     assert mp_only and mp_pass_product_fails
     # every row of identities._PAIR_PIECES is read, so the oracle checks each
     assert seen == set(identities.PAIR_AXIOMS)
+    # and the one-sided products stop at every stage, or are built
+    assert stages == {"jordan", "action law", "axioms", "product"}
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -196,14 +239,15 @@ def test_parametric_pairs_match_oracle(name):
 
 
 def test_no_library_path_expands_the_mp_axioms(monkeypatch):
-    """With the expansions made to raise, verify() still reports every MP
-    failure of the 625 combos and of the failing Q[alpha] pair, with and
-    without stop_early: the reports come from the product's cube law."""
+    """With the expansions (kept only in tests/slow_oracles.py) made to
+    raise, verify() still reports every MP failure of the 625 combos and of
+    the failing Q[alpha] pair, with and without stop_early: the reports
+    come from the product's cube law."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("identities._mp_expansions was called")
+        raise AssertionError("slow_oracles._mp_expansions was called")
 
-    monkeypatch.setattr(identities, "_mp_expansions", refuse)
+    monkeypatch.setattr(oracle, "_mp_expansions", refuse)
     mp_failures = 0
     for mp in _combos():
         full = mp.verify()

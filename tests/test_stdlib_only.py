@@ -1,4 +1,10 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library.
+
+The rule admits `jalg` and the standard library only, so it also refuses
+any import of the test oracles (`tests/`) or of the studies (`scripts/`):
+the library cannot reach `slow_oracles._mp_expansions` or any other
+independent reference.
+"""
 
 import ast
 import sys
