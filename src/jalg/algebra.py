@@ -512,9 +512,10 @@ def subalgebra_witness(E: Algebra, U: Subspace):
 
 
 def induced_subalgebra(E: Algebra, U: Subspace):
-    """The algebra on U's canonical basis plus its inclusion map into E."""
-    if not subalgebra_check(E, U):
-        raise VerificationError("subspace is not closed under multiplication")
+    """The algebra on U's canonical basis plus its inclusion map into E; the
+    pass that reads the products' coordinates on U also decides closure."""
+    if U.ambient is not E:
+        raise JalgError("subspace does not live in the given algebra")
     labels = []
     for idx, row in enumerate(U.rows):
         ones = [k for k, c in enumerate(row) if not E.ring.is_zero(c)]
@@ -523,13 +524,13 @@ def induced_subalgebra(E: Algebra, U: Subspace):
         else:
             labels.append(f"s{idx}")
     n = U.dim
-    sc = []
+    sc = [[None] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
-            prod = E.mul_coords(U.rows[i], U.rows[j])
-            row.append(U.coordinates(prod))
-        sc.append(row)
+        for j in range(i, n):
+            coords = U.coordinates(E.mul_coords(U.rows[i], U.rows[j]))
+            if coords is None:
+                raise VerificationError("subspace is not closed under multiplication")
+            sc[i][j] = sc[j][i] = coords
     sub = Algebra(E.field, labels, sc)
     incl = LinearMap._of(E.field, n, E.dim, U.rows)
     return sub, incl

@@ -4,6 +4,10 @@ A linear map r : V -> A satisfying the deformation identity bends the
 multiplication of V into a new Jordan algebra V_r whose graph inside the
 bicrossed product is again a complement of A.  Enumerating the maps and
 grouping them by equivalence computes the factorization index.
+
+Each map keeps its verdict, the graph products (r(x), x)(r(y), y) it was
+read off, and V_r, so one pass per map serves the enumeration, `r_deform`
+and `equiv_check`; `Factorization` decides the graph and bbar splits.
 """
 
 from __future__ import annotations
@@ -15,11 +19,8 @@ from .algebra import (
     Algebra,
     LinearMap,
     Subspace,
-    complement_check,
     format_combination,
     hom_check,
-    induced_subalgebra,
-    subalgebra_witness,
 )
 from .errors import BudgetError, DimensionError, JalgError, VerificationError
 from .fields import Field
@@ -40,7 +41,7 @@ class DeformationMap:
     """Linear map from the complement factor V into A, with optional
     polynomial parameters for whole families at once."""
 
-    __slots__ = ("mp", "params", "ring", "cols")
+    __slots__ = ("mp", "params", "ring", "cols", "_checked", "_deformed")
 
     def __init__(self, mp: MatchedPair, cols, params=()):
         if mp.A.params:
@@ -55,6 +56,7 @@ class DeformationMap:
                 f"need {mp.V.dim} columns of length {mp.A.dim}"
             )
         self.cols = cols
+        self._checked = self._deformed = None  # set by _checked_products, r_deform
 
     @classmethod
     def zero(cls, mp: MatchedPair) -> "DeformationMap":
@@ -189,18 +191,20 @@ def _deformed_table(nV: int, products):
 
 
 def _checked_products(mp: MatchedPair, r: DeformationMap):
-    """(deformation_check's verdict, the _graph_products it was read off)."""
+    """(verdict, _graph_products) of deformation_check, built once per map."""
     if r.mp is not mp and r.mp != mp:
         raise JalgError("deformation map belongs to a different matched pair")
-    R = r.ring
-    basis = mp.V.basis
-    products = list(_graph_products(mp, r))
-    failures = tuple(
-        (basis[i], basis[j], tuple(R.format(c) for c in res))
-        for i, j, res in _residuals(r, products)
-        if not all(R.is_zero(c) for c in res)
-    )
-    return DeformationVerdict(not failures, failures), products
+    if r._checked is None:
+        R = r.ring
+        basis = mp.V.basis
+        products = list(_graph_products(mp, r))
+        failures = tuple(
+            (basis[i], basis[j], tuple(R.format(c) for c in res))
+            for i, j, res in _residuals(r, products)
+            if not all(R.is_zero(c) for c in res)
+        )
+        r._checked = DeformationVerdict(not failures, failures), products
+    return r._checked
 
 
 def deformation_check(mp: MatchedPair, r: DeformationMap) -> DeformationVerdict:
@@ -214,19 +218,21 @@ def deformation_check(mp: MatchedPair, r: DeformationMap) -> DeformationVerdict:
     return _checked_products(mp, r)[0]
 
 
-def r_deform(mp: MatchedPair, r: DeformationMap, name=None) -> Algebra:
+def r_deform(mp: MatchedPair, r: DeformationMap) -> Algebra:
     """The deformed algebra V_r with x . y = xy + x <| r(y) + y <| r(x),
-    for a matched pair."""
+    for a matched pair; built and checked once per map."""
     _require_matched(mp)
     verdict, products = _checked_products(mp, r)
     if not verdict.ok:
         raise VerificationError(
             "map does not satisfy the deformation identity:\n" + verdict.describe()
         )
-    out = Algebra(mp.A.field, mp.V.basis, _deformed_table(mp.V.dim, products), params=r.params, name=name)
-    if not out.jordan_check().ok:
-        raise VerificationError("deformed table is not Jordan; this should not happen")
-    return out
+    if r._deformed is None:
+        out = Algebra(mp.A.field, mp.V.basis, _deformed_table(mp.V.dim, products), params=r.params)
+        if not out.jordan_check().ok:
+            raise VerificationError("deformed table is not Jordan; this should not happen")
+        r._deformed = out
+    return r._deformed
 
 
 @dataclass(frozen=True)
@@ -243,19 +249,10 @@ def graph_complement(mp: MatchedPair, r: DeformationMap) -> GraphComplement:
     bp = bicross(mp)
     E = bp.product
     deformed = r_deform(mp, r)
-    f = mp.A.field
-    nA, nV = mp.A.dim, mp.V.dim
-    cols = _graph(f, r)
-    witness = LinearMap._of(f, nV, nA + nV, cols)
+    cols = _graph(E.field, r)
     sub = Subspace(E, cols)
-    if sub.dim != nV:
-        raise VerificationError("graph collapsed; this should not happen")
-    wit = subalgebra_witness(E, sub)
-    if wit is not None:
-        raise VerificationError(f"graph is not a subalgebra: {wit}")
-    a_sub = bp.a_embedding
-    if not complement_check(E, a_sub, sub):
-        raise VerificationError("graph is not a complement of A")
+    Factorization(E, bp.a_embedding, sub)  # raises unless sub is a complementary subalgebra
+    witness = LinearMap._of(E.field, mp.V.dim, E.dim, cols)
     if not hom_check(witness, deformed, E):
         raise VerificationError("graph map is not a homomorphism from V_r")
     return GraphComplement(bp, deformed, sub, witness)
@@ -280,7 +277,7 @@ def equiv_check(
         raise JalgError("maps must share the same parameter list")
     R = r.ring
     images = [[R.coerce(c) for c in col] for col in sigma.cols]
-    table_r, table_s = (_sparse(_deformed_table(V.dim, _graph_products(mp, t)), R) for t in (r, s))
+    table_r, table_s = (_sparse(_deformed_table(V.dim, _checked_products(mp, t)[1]), R) for t in (r, s))
     return next(_hom_mismatches(R, table_r, table_s, images), None) is None
 
 
@@ -422,23 +419,19 @@ def complement_recover(
     """Recover the deformation map whose graph is the complement bbar.
 
     Splits each basis vector of B along E = A + bbar with one
-    `Factorization(E, a_sub, bbar_sub)` and returns r = -u, where u is the
-    A part; `r_deform` checks r against the identity, and the bbar part
-    must be an isomorphism from V_r onto bbar.
+    `Factorization(E, a_sub, bbar_sub)`, which also decides that bbar is a
+    complementary subalgebra, and returns r = -u, where u is the A part;
+    `r_deform` checks r against the identity, and the bbar part must be an
+    injective homomorphism from V_r into E.
     """
     mp = canonical_pair(Factorization(E, a_sub, b_sub))
-    wit = subalgebra_witness(E, bbar_sub)
-    if wit is not None:
-        raise VerificationError(f"bbar is not a subalgebra: {wit}")
-    if not complement_check(E, a_sub, bbar_sub):
-        raise VerificationError("bbar is not a complement of A")
     f = E.field
     split = Factorization(E, a_sub, bbar_sub).split
     parts = [split(row) for row in b_sub.rows]
     r = DeformationMap(mp, [[f.neg(c) for c in u] for u, _ in parts])
     deformed = r_deform(mp, r)
-    bbar_alg, _ = induced_subalgebra(E, bbar_sub)
-    v_map = LinearMap._of(f, b_sub.dim, bbar_sub.dim, [w for _, w in parts])
-    if not v_map.is_invertible() or not hom_check(v_map, deformed, bbar_alg):
+    images = [_linear(f, bbar_sub.rows, w, E.dim) for _, w in parts]
+    v_map = LinearMap._of(f, b_sub.dim, E.dim, images)
+    if linalg.rank(f, images) != b_sub.dim or not hom_check(v_map, deformed, E):
         raise VerificationError("bbar component is not an isomorphism from V_r")
     return r

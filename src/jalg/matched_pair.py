@@ -13,7 +13,6 @@ from .algebra import (
     LinearMap,
     Subspace,
     _primed,
-    complement_check,
     hom_check,
     induced_subalgebra,
     subalgebra_check,
@@ -285,10 +284,7 @@ def bicross(mp: MatchedPair) -> BicrossedProduct:
         units = linalg.identity(product.field, product.dim)
         a_emb = Subspace(product, units[: mp.A.dim])
         v_emb = Subspace(product, units[mp.A.dim :])
-        if not subalgebra_check(product, a_emb) or not subalgebra_check(product, v_emb):
-            raise VerificationError("bicrossed embeddings are not subalgebras")
-        if not complement_check(product, a_emb, v_emb):
-            raise VerificationError("bicrossed embeddings are not complementary")
+        Factorization(product, a_emb, v_emb)  # raises unless they split the product
     mp._bicross = BicrossedProduct(product, mp, a_emb, v_emb)
     return mp._bicross
 
@@ -334,10 +330,9 @@ class Factorization:
     projection onto A along B."""
 
     def __init__(self, E: Algebra, A_sub: Subspace, B_sub: Subspace):
-        if not subalgebra_check(E, A_sub):
-            raise VerificationError("first subspace is not a subalgebra")
-        if not subalgebra_check(E, B_sub):
-            raise VerificationError("second subspace is not a subalgebra")
+        for which, sub in (("first", A_sub), ("second", B_sub)):
+            if not subalgebra_check(E, sub):
+                raise VerificationError(f"{which} subspace is not a subalgebra")
         f = E.field
         stacked = list(A_sub.rows) + list(B_sub.rows)
         inv = linalg.invert(f, stacked) if len(stacked) == E.dim else None
@@ -399,10 +394,10 @@ def split_mono_decompose(E: Algebra, p: LinearMap):
     """Decompose E along an idempotent algebra projection p.
 
     Returns (right semidirect product on im p x ker p, iso (a,x) -> a+x).
-    The pair is `canonical_pair` of the factorization (im p, ker p); its
-    left action is zero because p(xa) = p(x)p(a) = 0 for x in ker p, and
-    canonical_pair has already checked that (a, x) -> a + x is an
-    isomorphism from its product onto E.
+    The pair is `canonical_pair` of the factorization (im p, ker p), which
+    has verified it and checked that (a, x) -> a + x maps its product onto
+    E isomorphically; its left action is zero because p(xa) = p(x)p(a) = 0
+    for x in ker p, so that product is the right semidirect one.
     """
     if p.source_dim != E.dim or p.target_dim != E.dim:
         raise DimensionError("projection must be an endomorphism of E")
@@ -413,8 +408,7 @@ def split_mono_decompose(E: Algebra, p: LinearMap):
     f = E.field
     image = Subspace(E, [list(col) for col in p.cols])
     kernel = Subspace(E, linalg.nullspace(f, p.rows()))
-    mp = canonical_pair(Factorization(E, image, kernel))
-    product = semidirect_right(mp.A, mp.V, mp.right)
+    product = bicross_table(canonical_pair(Factorization(E, image, kernel)))
     return product, LinearMap._of(f, product.dim, E.dim, image.rows + kernel.rows)
 
 

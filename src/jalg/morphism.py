@@ -8,9 +8,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, poly
 from .algebra import Algebra, LinearMap, _hom_ok
-from .errors import DimensionError, JalgError
+from .errors import BudgetError, DimensionError, JalgError
 from .identities import _hom_mismatches, _linear
 from .matched_pair import MatchedPair
 
@@ -338,8 +338,16 @@ def _height_values(budget: int):
 
 
 def _bounded_q_search(A: Algebra, B: Algebra, budget: int) -> LinearMap | None:
+    """The first isomorphism whose entries have height <= budget, or None.
+    A scan of more than poly.SOLVE_NODE_BUDGET matrices is refused up front."""
     n = A.dim
     values = _height_values(budget)
+    total = len(values) ** (n * n)
+    if total > poly.SOLVE_NODE_BUDGET:
+        raise BudgetError(
+            f"the witness search of height {budget} over Q would try {total} matrices, "
+            f"more than {poly.SOLVE_NODE_BUDGET}"
+        )
     f = A.field
     for flat in itertools.product(values, repeat=n * n):
         images = [list(flat[i::n]) for i in range(n)]
@@ -359,7 +367,8 @@ def iso_search(A: Algebra, B: Algebra, budget: int | None = None) -> IsoVerdict:
     field, a complete decision procedure.  Otherwise it compares exact
     invariants and, over Q at dim <= 2, falls back to a bounded-height
     witness search, answering unknown when neither settles it.  The note
-    of an unknown says whether a witness search ran.
+    of an unknown says whether a witness search ran.  A height whose scan
+    would pass poly.SOLVE_NODE_BUDGET matrices raises BudgetError.
     """
     if A.field is not B.field:
         return IsoVerdict("non-isomorphic", certificate="different ground fields")

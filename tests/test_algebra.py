@@ -19,6 +19,7 @@ from jalg import (
     QQ,
     RightAction,
     Subspace,
+    VerificationError,
     bimodule_check,
     complement_check,
     dual_action,
@@ -393,8 +394,25 @@ def test_induced_subalgebra(j17):
 
 def test_induced_subalgebra_rejects_open_span(j17):
     U = Subspace(j17, [[1, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
-    with pytest.raises(JalgError):
+    with pytest.raises(VerificationError, match="^subspace is not closed under multiplication$"):
         induced_subalgebra(j17, U)
+
+
+def test_induced_subalgebra_is_one_pass_over_i_le_j(monkeypatch, j17):
+    """Closure is decided in the pass that reads the table: n(n+1)/2
+    products, one per unordered basis pair, and no separate check."""
+    U = Subspace.span_of_labels(j17, ["a", "u", "v"])
+    calls = []
+    inner = Algebra.mul_coords
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return inner(self, x, y)
+
+    monkeypatch.setattr(Algebra, "mul_coords", counted)
+    sub, _ = induced_subalgebra(j17, U)
+    assert sub.dim == 3
+    assert len(calls) == 6
 
 
 def _naive_contraction(ring, tensor, u, v, out_dim):

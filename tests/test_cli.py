@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import time
 
 import pytest
 
@@ -236,6 +237,23 @@ def test_iso_unknown_exit_three(capsys, tmp_path):
     b.write_text("field Q\ndim 2\nbasis u v\nmult u u = u\nmult u v = 1/3 v\n")
     code, out, _ = run(capsys, "iso", str(a), str(b))
     assert code == 3
+    assert out == "verdict: unknown\ninvariants agree; no witness of height <= 2 found\n"
+
+
+def test_iso_q_witness_search_past_the_node_budget_is_refused(capsys):
+    """Height 6 over a dim-2 table means 47^4 = 4879681 candidate matrices,
+    more than poly.SOLVE_NODE_BUDGET: exit 2 at once, with one error line.
+    The default height still scans and answers unknown."""
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "iso", "catalog:V2", "catalog:V3", "--budget", "6")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the witness search of height 6 over Q would try 4879681 matrices, "
+        "more than 4000000\n"
+    )
+    code, out, err = run(capsys, "iso", "catalog:V2", "catalog:V3")
+    assert (code, err) == (3, "")
     assert out == "verdict: unknown\ninvariants agree; no witness of height <= 2 found\n"
 
 

@@ -37,6 +37,7 @@ from jalg import (
     r_deform,
     subalgebra_check,
 )
+from jalg import deformation as deformation_module
 from jalg import poly
 from jalg.cli import main
 
@@ -184,11 +185,36 @@ def test_recover_the_canonical_complement_is_zero(defmap_pair):
 
 
 def test_recover_rejects_non_complement(defmap_pair):
+    """complement_recover decides bbar with one Factorization(E, A, bbar),
+    so a bad bbar is refused in that class's words: A itself is closed,
+    and no complement of A."""
     bp = bicross(defmap_pair)
     E = bp.product
     bad = Subspace.span_of_labels(E, ["a", "b"])
-    with pytest.raises(JalgError):
+    with pytest.raises(VerificationError, match="^subspaces are not complementary$"):
         complement_recover(E, bp.a_embedding, bp.v_embedding, bad)
+
+
+def test_recover_rejects_an_open_bbar(defmap_pair):
+    """span{u + a, v + a} meets A in 0, but (u + a)(v + a) = a + 1/2 v
+    leaves it."""
+    bp = bicross(defmap_pair)
+    E = bp.product
+    bad = Subspace(E, [[1, 0, 1, 0], [1, 0, 0, 1]])
+    with pytest.raises(VerificationError, match="^second subspace is not a subalgebra$"):
+        complement_recover(E, bp.a_embedding, bp.v_embedding, bad)
+
+
+def test_a_map_deforms_once(defmap_pair):
+    """V_r is built once per map: r_deform hands back the same object, and
+    the graph complement carries it."""
+    r = deformation_families(QQ)["def4"].substitute({"alpha": Fraction(3)})
+    B = r_deform(defmap_pair, r)
+    assert r_deform(defmap_pair, r) is B
+    assert graph_complement(defmap_pair, r).deformed is B
+    other = DeformationMap(defmap_pair, r.cols)
+    assert r_deform(defmap_pair, other) is not B
+    assert r_deform(defmap_pair, other).table_key() == B.table_key()
 
 
 # -- equivalence -----------------------------------------------------------------
@@ -291,6 +317,24 @@ def test_factorization_index_report():
         for i in cls:
             sigma = report.witnesses[i]
             assert equiv_check(mp, report.maps[i], rep, sigma)
+
+
+@pytest.mark.parametrize("name,p,maps", [("J7-pair", 7, 637), ("defmap-pair", 5, 20)])
+def test_factorization_index_reads_each_graph_once(monkeypatch, name, p, maps):
+    """One _graph_products pass for the generic map of the conditions and
+    one per enumerated map; the enumeration's check, r_deform and every
+    equiv_check read that pass off the map."""
+    calls = []
+    inner = deformation_module._graph_products
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(deformation_module, "_graph_products", counted)
+    report = factorization_index(catalog(name, field=Field(p)))
+    assert len(report.maps) == maps
+    assert len(calls) == maps + 1
 
 
 def test_representative_tables_match_weighted_catalog():

@@ -257,18 +257,19 @@ def test_semidirect_right_equals_bicross_with_zero_left():
     assert E.table_key() == bicross(mp).product.table_key()
 
 
-def test_semidirect_left():
-    mp = catalog("J7-pair")
-    # J7's right action is nonzero, so strip it for the semidirect test
-    zp = MatchedPair(
-        mp.A, mp.V, RightAction.zero(mp.V, mp.A), mp.left
-    )
-    if zp.verify().ok:
-        E = semidirect_left(mp.A, mp.V, mp.left)
-        assert E.table_key() == bicross(zp).product.table_key()
-    else:
-        with pytest.raises(VerificationError, match="semidirect axioms fail"):
-            semidirect_left(mp.A, mp.V, mp.left)
+def test_semidirect_left(tmp_path):
+    """A left pair that passes builds bicross's product of its zero-right
+    pair; J7-pair with its right action stripped fails exactly L1-L3."""
+    _, _, mp = _semidirect_case(tmp_path, "left-product")
+    zp = MatchedPair(mp.A, mp.V, RightAction.zero(mp.V, mp.A), mp.left)
+    E = semidirect_left(mp.A, mp.V, mp.left)
+    assert E.table_key() == bicross(zp).product.table_key()
+    j7 = catalog("J7-pair")
+    with pytest.raises(VerificationError) as info:
+        semidirect_left(j7.A, j7.V, j7.left)
+    lines = str(info.value).splitlines()
+    assert lines[:2] == ["semidirect axioms fail:", "fail"]
+    assert {line.split("[")[0].strip() for line in lines[2:]} == {"L1", "L2", "L3"}
 
 
 def _idempotent_and_line():
@@ -488,6 +489,22 @@ def test_split_mono_rejects_non_projection(j5):
     double = one.add(one)
     with pytest.raises(VerificationError, match="^projection is not an algebra map$"):
         split_mono_decompose(j5, double)
+
+
+def test_split_mono_is_one_cube_law_pass(monkeypatch, j5):
+    """The right semidirect product is the canonical pair's own product:
+    its verify() verdict is read once, not taken again on a second pair."""
+    p = LinearMap.from_images(j5, j5, {"a": {"a": 1}, "b": {"b": 1}, "u": {}, "v": {}})
+    calls = []
+    inner = identities._cube_coefficients
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(identities, "_cube_coefficients", counted)
+    split_mono_decompose(j5, p)
+    assert len(calls) == 1
 
 
 def test_split_mono_of_a_product_with_zero_left_action():
