@@ -62,6 +62,20 @@ class Algebra:
     """dim, basis labels, and the symmetric tensor c[i][j][k]: e_i e_j = sum c e_k."""
 
     def __init__(self, field: Field, basis, sc, params=(), name: str | None = None):
+        ring = PolyRing(field, tuple(params)) if params else field
+        sc = [[tuple(map(ring.coerce, cell)) for cell in row] for row in sc]
+        self._set(field, basis, sc, params, name)
+
+    @classmethod
+    def _of(cls, field: Field, basis, sc, params=(), name: str | None = None) -> "Algebra":
+        """An algebra on a table whose entries are ring values already (one
+        the library built): the constructor's label, shape and symmetry
+        checks without its coercion."""
+        self = cls.__new__(cls)
+        self._set(field, basis, sc, params, name)
+        return self
+
+    def _set(self, field: Field, basis, sc, params, name):
         self.field = field
         self.params = tuple(params)
         self.ring = PolyRing(field, self.params) if self.params else field
@@ -72,18 +86,13 @@ class Algebra:
             raise JalgError(f"duplicate basis labels {self.basis}")
         if len(sc) != self.dim:
             raise DimensionError(f"tensor has {len(sc)} rows, dim is {self.dim}")
-        table = []
-        for i in range(self.dim):
-            if len(sc[i]) != self.dim:
-                raise DimensionError(f"tensor row {i} has length {len(sc[i])}")
-            row = []
-            for j in range(self.dim):
-                cell = sc[i][j]
+        for i, row in enumerate(sc):
+            if len(row) != self.dim:
+                raise DimensionError(f"tensor row {i} has length {len(row)}")
+            for j, cell in enumerate(row):
                 if len(cell) != self.dim:
                     raise DimensionError(f"tensor cell ({i},{j}) has length {len(cell)}")
-                row.append(tuple(self.ring.coerce(c) for c in cell))
-            table.append(tuple(row))
-        self.sc = tuple(table)
+        self.sc = tuple(tuple(map(tuple, row)) for row in sc)
         for i in range(self.dim):
             for j in range(i):
                 if self.sc[i][j] != self.sc[j][i]:
@@ -200,7 +209,7 @@ class Algebra:
         return Algebra(self.field, self.basis, sc, name=self.name)
 
     def relabel(self, basis) -> "Algebra":
-        return Algebra(self.field, basis, self.sc, params=self.params, name=self.name)
+        return Algebra._of(self.field, basis, self.sc, params=self.params, name=self.name)
 
     def __eq__(self, other):
         # labels are cosmetic: equality is equality of tables over one field
@@ -427,24 +436,26 @@ class Subspace:
         return self.coordinates(coords) is not None
 
     def coordinates(self, coords):
-        """Coefficients of coords on the rows, or None if outside the span.
+        """Coefficients of coords on the rows, or None if outside the span."""
+        if len(coords) != self.ambient.dim:
+            raise DimensionError("vector length does not match ambient dimension")
+        return self._coordinates(list(map(self.ambient.field.coerce, coords)))
+
+    def _coordinates(self, coords):
+        """coordinates() of a vector of ambient.dim field values.
 
         Row k of the RREF is 1 at its pivot and 0 at the other pivots, so
         the k-th coefficient is the pivot entry of coords, and the
         combination matches coords at every pivot.  coords lies in the span
         iff it also matches at the other columns: there only the rows'
         off-pivot entries are subtracted, in _linear's arithmetic."""
-        f = self.ambient.field
-        if len(coords) != self.ambient.dim:
-            raise DimensionError("vector length does not match ambient dimension")
-        coords = [f.coerce(c) for c in coords]
         coeffs = [coords[p] for p in self._pivots]
-        rest = coords[:]
+        rest = list(coords)
         for a, off in zip(coeffs, self._off):
             if a:
                 for c, v in off:
                     rest[c] -= a * v
-        p = f.characteristic
+        p = self.ambient.field.characteristic
         if any(rest[c] % p if p else rest[c] for c in self._free):
             return None
         return coeffs
@@ -501,21 +512,30 @@ def subalgebra_check(E: Algebra, U: Subspace) -> bool:
 
 def subalgebra_witness(E: Algebra, U: Subspace):
     """None if closed, else (i, j, product coordinates) for an escaping product."""
+    return _closure(E, U)[1]
+
+
+def _closure(E: Algebra, U: Subspace):
+    """One pass over the products of U's rows, i <= j: (table, None), where
+    table[i][j] = table[j][i] holds the coordinates of row_i row_j on the
+    rows, or (None, (i, j, product)) at the first product that leaves U."""
     if U.ambient is not E:
         raise JalgError("subspace does not live in the given algebra")
-    for i in range(U.dim):
-        for j in range(i, U.dim):
+    n = U.dim
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
             prod = E.mul_coords(U.rows[i], U.rows[j])
-            if not U.contains(prod):
-                return (i, j, prod)
-    return None
+            coords = U._coordinates(prod)
+            if coords is None:
+                return None, (i, j, prod)
+            table[i][j] = table[j][i] = coords
+    return table, None
 
 
-def induced_subalgebra(E: Algebra, U: Subspace):
-    """The algebra on U's canonical basis plus its inclusion map into E; the
-    pass that reads the products' coordinates on U also decides closure."""
-    if U.ambient is not E:
-        raise JalgError("subspace does not live in the given algebra")
+def _induced_labels(E: Algebra, U: Subspace) -> list:
+    """A row that is a basis vector of E keeps its label; row k is sk
+    otherwise."""
     labels = []
     for idx, row in enumerate(U.rows):
         ones = [k for k, c in enumerate(row) if not E.ring.is_zero(c)]
@@ -523,16 +543,17 @@ def induced_subalgebra(E: Algebra, U: Subspace):
             labels.append(E.basis[ones[0]])
         else:
             labels.append(f"s{idx}")
-    n = U.dim
-    sc = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            coords = U.coordinates(E.mul_coords(U.rows[i], U.rows[j]))
-            if coords is None:
-                raise VerificationError("subspace is not closed under multiplication")
-            sc[i][j] = sc[j][i] = coords
-    sub = Algebra(E.field, labels, sc)
-    incl = LinearMap._of(E.field, n, E.dim, U.rows)
+    return labels
+
+
+def induced_subalgebra(E: Algebra, U: Subspace):
+    """The algebra on U's canonical basis plus its inclusion map into E; the
+    pass that reads the products' coordinates on U also decides closure."""
+    table, escape = _closure(E, U)
+    if escape is not None:
+        raise VerificationError("subspace is not closed under multiplication")
+    sub = Algebra._of(E.field, _induced_labels(E, U), table)
+    incl = LinearMap._of(E.field, U.dim, E.dim, U.rows)
     return sub, incl
 
 

@@ -5,9 +5,10 @@ multiplication of V into a new Jordan algebra V_r whose graph inside the
 bicrossed product is again a complement of A.  Enumerating the maps and
 grouping them by equivalence computes the factorization index.
 
-Each map keeps its verdict, the graph products (r(x), x)(r(y), y) it was
-read off, and V_r, so one pass per map serves the enumeration, `r_deform`
-and `equiv_check`; `Factorization` decides the graph and bbar splits.
+Each map keeps its verdict, the table of V_r read off the same graph
+products (r(x), x)(r(y), y), and V_r, so one pass per map serves the
+enumeration, `r_deform` and `equiv_check`; `Factorization` decides the
+graph and bbar splits.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class DeformationMap:
                 f"need {mp.V.dim} columns of length {mp.A.dim}"
             )
         self.cols = cols
-        self._checked = self._deformed = None  # set by _checked_products, r_deform
+        self._checked = self._deformed = None  # set by _checked_table, r_deform
 
     @classmethod
     def zero(cls, mp: MatchedPair) -> "DeformationMap":
@@ -190,8 +191,9 @@ def _deformed_table(nV: int, products):
     return table
 
 
-def _checked_products(mp: MatchedPair, r: DeformationMap):
-    """(verdict, _graph_products) of deformation_check, built once per map."""
+def _checked_table(mp: MatchedPair, r: DeformationMap):
+    """(verdict of deformation_check, table of V_r), read off one
+    _graph_products pass and kept on the map."""
     if r.mp is not mp and r.mp != mp:
         raise JalgError("deformation map belongs to a different matched pair")
     if r._checked is None:
@@ -203,7 +205,7 @@ def _checked_products(mp: MatchedPair, r: DeformationMap):
             for i, j, res in _residuals(r, products)
             if not all(R.is_zero(c) for c in res)
         )
-        r._checked = DeformationVerdict(not failures, failures), products
+        r._checked = DeformationVerdict(not failures, failures), _deformed_table(mp.V.dim, products)
     return r._checked
 
 
@@ -215,20 +217,20 @@ def deformation_check(mp: MatchedPair, r: DeformationMap) -> DeformationVerdict:
     as a polynomial identity in the parameters, which over F_p need not
     fail at any specialization (alpha^p - alpha vanishes on all of F_p).
     """
-    return _checked_products(mp, r)[0]
+    return _checked_table(mp, r)[0]
 
 
 def r_deform(mp: MatchedPair, r: DeformationMap) -> Algebra:
     """The deformed algebra V_r with x . y = xy + x <| r(y) + y <| r(x),
     for a matched pair; built and checked once per map."""
     _require_matched(mp)
-    verdict, products = _checked_products(mp, r)
+    verdict, table = _checked_table(mp, r)
     if not verdict.ok:
         raise VerificationError(
             "map does not satisfy the deformation identity:\n" + verdict.describe()
         )
     if r._deformed is None:
-        out = Algebra(mp.A.field, mp.V.basis, _deformed_table(mp.V.dim, products), params=r.params)
+        out = Algebra._of(mp.A.field, mp.V.basis, table, params=r.params)
         if not out.jordan_check().ok:
             raise VerificationError("deformed table is not Jordan; this should not happen")
         r._deformed = out
@@ -277,7 +279,7 @@ def equiv_check(
         raise JalgError("maps must share the same parameter list")
     R = r.ring
     images = [[R.coerce(c) for c in col] for col in sigma.cols]
-    table_r, table_s = (_sparse(_deformed_table(V.dim, _checked_products(mp, t)[1]), R) for t in (r, s))
+    table_r, table_s = (_sparse(_checked_table(mp, t)[1], R) for t in (r, s))
     return next(_hom_mismatches(R, table_r, table_s, images), None) is None
 
 

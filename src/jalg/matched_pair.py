@@ -6,16 +6,17 @@ factorization, split monomorphisms, and the abelian-pair classification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from . import identities, linalg
 from .algebra import (
     Algebra,
     LinearMap,
     Subspace,
+    _closure,
+    _induced_labels,
     _primed,
     hom_check,
-    induced_subalgebra,
-    subalgebra_check,
 )
 from .errors import DimensionError, FieldMismatchError, JalgError, VerificationError
 from .fields import Field
@@ -247,7 +248,7 @@ def bicross_table(mp: MatchedPair) -> Algebra:
     A, V = mp.A, mp.V
     name = f"{A.name}|x|{V.name}" if A.name and V.name else None
     labels = list(A.basis) + _primed(A.basis, V.basis)
-    return Algebra(A.field, labels, mp.product_sc(), params=A.params, name=name)
+    return Algebra._of(A.field, labels, mp.product_sc(), params=A.params, name=name)
 
 
 @dataclass
@@ -324,15 +325,20 @@ def semidirect_right(A: Algebra, V: Algebra, ra: RightAction) -> Algebra:
 class Factorization:
     """E together with complementary subalgebras A and B.
 
-    One inverse of the stacked basis (A's rows, then B's rows) decides that
-    A and B are complementary and splits every vector along E = A + B:
+    One closure pass per factor decides that it is a subalgebra and keeps
+    its products' coordinates on its rows (`A_table`, `B_table`).  One
+    inverse of the stacked basis (A's rows, then B's rows) decides that A
+    and B are complementary and splits every vector along E = A + B:
     `split` gives its coordinates on both factors, and `pi_A` is the
     projection onto A along B."""
 
     def __init__(self, E: Algebra, A_sub: Subspace, B_sub: Subspace):
+        tables = []
         for which, sub in (("first", A_sub), ("second", B_sub)):
-            if not subalgebra_check(E, sub):
+            table, escape = _closure(E, sub)
+            if escape is not None:
                 raise VerificationError(f"{which} subspace is not a subalgebra")
+            tables.append(table)
         f = E.field
         stacked = list(A_sub.rows) + list(B_sub.rows)
         inv = linalg.invert(f, stacked) if len(stacked) == E.dim else None
@@ -341,10 +347,17 @@ class Factorization:
         self.E = E
         self.A_sub = A_sub
         self.B_sub = B_sub
+        self.A_table, self.B_table = tables
         # row k of the inverse holds the coordinates of e_k on the stacked basis
         self._inv = inv
-        cols = [_linear(f, A_sub.rows, row[: A_sub.dim], E.dim) for row in inv]
-        self.pi_A = LinearMap._of(f, E.dim, E.dim, cols)
+
+    @cached_property
+    def pi_A(self) -> LinearMap:
+        """The projection onto A along B, built on first use."""
+        E = self.E
+        f = E.field
+        cols = [_linear(f, self.A_sub.rows, row[: self.A_sub.dim], E.dim) for row in self._inv]
+        return LinearMap._of(f, E.dim, E.dim, cols)
 
     def split(self, v):
         """(coordinates of v on A_sub.rows, coordinates of v on B_sub.rows)."""
@@ -364,8 +377,8 @@ def canonical_pair(fact: Factorization) -> MatchedPair:
     """
     E = fact.E
     f = E.field
-    A_alg, _ = induced_subalgebra(E, fact.A_sub)
-    B_alg, _ = induced_subalgebra(E, fact.B_sub)
+    A_alg = Algebra._of(f, _induced_labels(E, fact.A_sub), fact.A_table)
+    B_alg = Algebra._of(f, _induced_labels(E, fact.B_sub), fact.B_table)
     left_rows = []
     right_rows = []
     for x in fact.B_sub.rows:

@@ -183,7 +183,9 @@ def _random_unmatched(rng, f, na, nv):
 def test_random_pairs_match_oracle(name):
     """Seeded random pairs at dims (2, 2) and (3, 2).  The draw covers a
     product that fails while MP1-MP6 pass (a factor or an action law
-    broke it), and MP failures with lawful factors and actions."""
+    broke it), and MP failures with lawful factors and actions.  Each
+    pair's bicross_table, built without coercion, has the table the
+    coercing constructor builds from product_sc()."""
     f = FIELDS[name]
     rng = random.Random("pairs-" + name)
     mp_only = mp_pass_product_fails = 0
@@ -192,6 +194,8 @@ def test_random_pairs_match_oracle(name):
     for na, nv in ((2, 2), (3, 2)):
         for _ in range(15):
             mp = _random_unmatched(rng, f, na, nv)
+            built = bicross_table(mp)
+            assert built.table_key() == Algebra(f, built.basis, mp.product_sc()).table_key()
             full = _check(mp, stages)
             axioms = set(full.failed_axioms())
             seen |= axioms
