@@ -316,8 +316,7 @@ class LinearMap:
     @classmethod
     def from_images(cls, source: Algebra, target: Algebra, images: dict) -> "LinearMap":
         """images: {source label: {target label: coeff}}; missing labels map to 0."""
-        if source.field is not target.field:
-            raise FieldMismatchError(f"{source.field} vs {target.field}")
+        _same_field(source.field, target.field)
         unknown = set(images) - set(source.basis)
         if unknown:
             raise JalgError(f"unknown labels {sorted(unknown)}")
@@ -390,8 +389,17 @@ class LinearMap:
         return f"LinearMap({self.source_dim}->{self.target_dim}, cols={self.cols})"
 
 
+def _same_field(field: Field, *others) -> None:
+    """Refuse objects over different ground fields.  Fields are interned, so
+    identity decides."""
+    for other in others:
+        if other is not field:
+            raise FieldMismatchError(f"{field} vs {other}")
+
+
 def hom_check(f: LinearMap, A: Algebra, B: Algebra) -> bool:
     """f(e_i e_j) = f(e_i) f(e_j) on all basis pairs; exact by bilinearity."""
+    _same_field(A.field, B.field, f.field)
     if A.params or B.params:
         raise JalgError("hom_check handles scalar algebras only")
     if f.source_dim != A.dim or f.target_dim != B.dim:

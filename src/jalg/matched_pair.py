@@ -16,9 +16,10 @@ from .algebra import (
     _closure,
     _induced_labels,
     _primed,
+    _same_field,
     hom_check,
 )
-from .errors import DimensionError, FieldMismatchError, JalgError, VerificationError
+from .errors import DimensionError, JalgError, VerificationError
 from .fields import Field
 from .identities import Verdict, _bilinear, _linear, _sparse
 from .poly import PolyRing, solve_fp
@@ -40,15 +41,25 @@ class _Action:
         return (A, V) if cls._side == "right" else (V, A)
 
     def __init__(self, V: Algebra, A: Algebra, tensor):
-        if V.field is not A.field:
-            raise FieldMismatchError(f"{V.field} vs {A.field}")
+        coerce = A.ring.coerce
+        self._set(V, A, tensor, lambda cell: tuple(map(coerce, cell)))
+
+    @classmethod
+    def _of(cls, V: Algebra, A: Algebra, tensor):
+        """An action on a tensor that already holds ring values: the
+        constructor's checks without its coercion."""
+        self = cls.__new__(cls)
+        self._set(V, A, tensor, tuple)
+        return self
+
+    def _set(self, V: Algebra, A: Algebra, tensor, cell_values):
+        _same_field(V.field, A.field)
         if V.params != A.params:
             raise JalgError("factors must share their parameter set")
         self.V = V
         self.A = A
         self._acting, self._values = self._roles(V, A)
         out_dim = self._values.dim
-        ring = A.ring
         if len(tensor) != V.dim:
             raise DimensionError("action tensor must have one row per V basis vector")
         rows = []
@@ -59,7 +70,7 @@ class _Action:
             for cell in row:
                 if len(cell) != out_dim:
                     raise DimensionError("action value has the wrong dimension")
-                cells.append(tuple(ring.coerce(c) for c in cell))
+                cells.append(cell_values(cell))
             rows.append(tuple(cells))
         self.tensor = tuple(rows)
 
@@ -361,10 +372,13 @@ class Factorization:
 
     def split(self, v):
         """(coordinates of v on A_sub.rows, coordinates of v on B_sub.rows)."""
-        f = self.E.field
         if len(v) != self.E.dim:
             raise DimensionError("vector length does not match ambient dimension")
-        coords = _linear(f, self._inv, [f.coerce(c) for c in v], self.E.dim)
+        return self._split(list(map(self.E.field.coerce, v)))
+
+    def _split(self, v):
+        """split() of a vector of E.dim field values."""
+        coords = _linear(self.E.field, self._inv, v, self.E.dim)
         return coords[: self.A_sub.dim], coords[self.A_sub.dim :]
 
 
@@ -382,14 +396,14 @@ def canonical_pair(fact: Factorization) -> MatchedPair:
     left_rows = []
     right_rows = []
     for x in fact.B_sub.rows:
-        parts = [fact.split(E.mul_coords(x, a)) for a in fact.A_sub.rows]
+        parts = [fact._split(E.mul_coords(x, a)) for a in fact.A_sub.rows]
         left_rows.append([la for la, _ in parts])
         right_rows.append([rv for _, rv in parts])
     mp = MatchedPair(
         A_alg,
         B_alg,
-        RightAction(B_alg, A_alg, right_rows),
-        LeftAction(B_alg, A_alg, left_rows),
+        RightAction._of(B_alg, A_alg, right_rows),
+        LeftAction._of(B_alg, A_alg, left_rows),
     )
     verdict = mp.verify()
     if not verdict.ok:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, poly
-from .algebra import Algebra, LinearMap, _hom_ok
+from .algebra import Algebra, LinearMap, _hom_ok, _same_field
 from .errors import BudgetError, DimensionError, JalgError
 from .identities import _hom_mismatches, _linear
 from .matched_pair import MatchedPair
@@ -24,27 +24,71 @@ class QuadrupleVerdict:
         return self.ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MorphismQuadruple:
+    """A linear map between the bicrossed products of two pairs, held as its
+    block map psi(a, x) = (r(a) + t(x), s(a) + q(x)).  The blocks are
+    sliced from psi's columns when read."""
+
     source: MatchedPair
     target: MatchedPair
-    r: LinearMap  # A  -> A'
-    s: LinearMap  # A  -> V'
-    t: LinearMap  # V  -> A'
-    q: LinearMap  # V  -> V'
+    psi: LinearMap
 
-    def shapes_ok(self) -> bool:
-        src, tgt = self.source, self.target
-        return (
-            self.r.source_dim == src.A.dim
-            and self.r.target_dim == tgt.A.dim
-            and self.s.source_dim == src.A.dim
-            and self.s.target_dim == tgt.V.dim
-            and self.t.source_dim == src.V.dim
-            and self.t.target_dim == tgt.A.dim
-            and self.q.source_dim == src.V.dim
-            and self.q.target_dim == tgt.V.dim
+    def __init__(
+        self, source: MatchedPair, target: MatchedPair, r: LinearMap, s: LinearMap, t: LinearMap, q: LinearMap
+    ):
+        f = source.A.field
+        _same_field(f, target.A.field, r.field, s.field, t.field, q.field)
+        na, nv = source.A.dim, source.V.dim
+        ma, mv = target.A.dim, target.V.dim
+        shapes = [(b.source_dim, b.target_dim) for b in (r, s, t, q)]
+        if shapes != [(na, ma), (na, mv), (nv, ma), (nv, mv)]:
+            raise DimensionError("quadruple shapes do not match the matched pairs")
+        cols = [a + v for a, v in zip(r.cols, s.cols)]
+        cols += [a + v for a, v in zip(t.cols, q.cols)]
+        self._set(source, target, LinearMap._of(f, na + nv, ma + mv, cols))
+
+    @classmethod
+    def _of(cls, source: MatchedPair, target: MatchedPair, psi: LinearMap):
+        """The quadruple of a block map whose field and shape fit the pairs."""
+        self = cls.__new__(cls)
+        self._set(source, target, psi)
+        return self
+
+    def _set(self, source, target, psi):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "psi", psi)
+
+    def _block(self, from_a: bool, to_a: bool) -> LinearMap:
+        """psi's columns of one source factor, cut to one target factor."""
+        psi = self.psi
+        na, ma = self.source.A.dim, self.target.A.dim
+        cols = range(na) if from_a else range(na, psi.source_dim)
+        rows = range(ma) if to_a else range(ma, psi.target_dim)
+        return LinearMap._of(
+            psi.field, len(cols), len(rows), [psi.cols[j][rows.start : rows.stop] for j in cols]
         )
+
+    @property
+    def r(self) -> LinearMap:
+        """A -> A'."""
+        return self._block(from_a=True, to_a=True)
+
+    @property
+    def s(self) -> LinearMap:
+        """A -> V'."""
+        return self._block(from_a=True, to_a=False)
+
+    @property
+    def t(self) -> LinearMap:
+        """V -> A'."""
+        return self._block(from_a=False, to_a=True)
+
+    @property
+    def q(self) -> LinearMap:
+        """V -> V'."""
+        return self._block(from_a=False, to_a=False)
 
 
 def quadruple_check(qd: MorphismQuadruple) -> QuadrupleVerdict:
@@ -55,15 +99,13 @@ def quadruple_check(qd: MorphismQuadruple) -> QuadrupleVerdict:
     give C1 (A'-coordinates) and C2 (V'-coordinates), V x V pairs C3 and
     C4, mixed pairs C5 and C6.  Each is bilinear, so basis pairs are exact.
     """
-    if not qd.shapes_ok():
-        raise DimensionError("quadruple shapes do not match the matched pairs")
     src, tgt = qd.source, qd.target
     if src.A.params or tgt.A.params:
         raise JalgError("quadruple_check handles scalar pairs only")
     n, m = src.A.dim, tgt.A.dim
     violated = set()
     for i, j, lhs, rhs in _hom_mismatches(
-        src.A.field, src.product_sparse(), tgt.product_sparse(), _block_cols(qd)
+        src.A.field, src.product_sparse(), tgt.product_sparse(), qd.psi.cols
     ):
         names = ("C1", "C2") if j < n else ("C3", "C4") if i >= n else ("C5", "C6")
         if lhs[:m] != rhs[:m]:
@@ -73,40 +115,23 @@ def quadruple_check(qd: MorphismQuadruple) -> QuadrupleVerdict:
     return QuadrupleVerdict(not violated, tuple(sorted(violated)))
 
 
-def _block_cols(qd: MorphismQuadruple) -> list:
-    """The columns of psi(a, x) = (r(a) + t(x), s(a) + q(x))."""
-    cols = [a + v for a, v in zip(qd.r.cols, qd.s.cols)]
-    return cols + [a + v for a, v in zip(qd.t.cols, qd.q.cols)]
-
-
 def quadruple_to_map(qd: MorphismQuadruple) -> LinearMap:
-    """psi(a, x) = (r(a) + t(x), s(a) + q(x)) as one block matrix."""
-    src, tgt = qd.source, qd.target
-    return LinearMap._of(
-        src.A.field, src.A.dim + src.V.dim, tgt.A.dim + tgt.V.dim, _block_cols(qd)
-    )
+    """psi(a, x) = (r(a) + t(x), s(a) + q(x)) as one block matrix: the map
+    the quadruple holds."""
+    return qd.psi
 
 
 def map_to_quadruple(
     psi: LinearMap, source: MatchedPair, target: MatchedPair
 ) -> MorphismQuadruple:
-    na, nv = source.A.dim, source.V.dim
-    ma, mv = target.A.dim, target.V.dim
-    if psi.source_dim != na + nv or psi.target_dim != ma + mv:
+    """The quadruple (r, s, t, q) of psi, which it holds as it is."""
+    _same_field(source.A.field, target.A.field, psi.field)
+    if (
+        psi.source_dim != source.A.dim + source.V.dim
+        or psi.target_dim != target.A.dim + target.V.dim
+    ):
         raise DimensionError("map shape does not match the product spaces")
-    f = psi.field
-    r_cols = [psi.cols[j][:ma] for j in range(na)]
-    s_cols = [psi.cols[j][ma:] for j in range(na)]
-    t_cols = [psi.cols[na + j][:ma] for j in range(nv)]
-    q_cols = [psi.cols[na + j][ma:] for j in range(nv)]
-    return MorphismQuadruple(
-        source,
-        target,
-        LinearMap._of(f, na, ma, r_cols),
-        LinearMap._of(f, na, mv, s_cols),
-        LinearMap._of(f, nv, ma, t_cols),
-        LinearMap._of(f, nv, mv, q_cols),
-    )
+    return MorphismQuadruple._of(source, target, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Tables the library builds from ring values skip the constructor's
-coercion (Algebra._of, Subspace._coordinates).  Each fast table is checked
+coercion (Algebra._of, Subspace._coordinates, _Action._of,
+Factorization._split).  Each fast table is checked
 against the coercing constructor on the same data, over Q, F5 and F7;
 inputs are still coerced at the boundary, and symmetry is still checked."""
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,9 +14,12 @@ import pytest
 from jalg import (
     Algebra,
     DeformationMap,
+    DimensionError,
     Factorization,
     Field,
+    LeftAction,
     QQ,
+    RightAction,
     Subspace,
     VerificationError,
     bicross,
@@ -178,6 +183,76 @@ def test_factorization_and_canonical_pair_multiply_once(monkeypatch):
     monkeypatch.setattr(Algebra, "mul_coords", counted)
     assert canonical_pair(Factorization(E, bp.a_embedding, bp.v_embedding)) == mp
     assert len(calls) == len(set(calls)) == 15
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_canonical_actions_match_the_coercing_constructor(name):
+    """canonical_pair splits each product x a with Factorization._split and
+    builds its actions with _Action._of.  The actions equal the coercing
+    constructor's on the same tensors, entry by entry and type by type, and
+    _split agrees with split on field values."""
+    f = FIELDS[name]
+    rng = random.Random("split-" + name)
+    for pair_name in PAIR_NAMES:
+        bp = bicross(_pair(pair_name, f))
+        fact = Factorization(bp.product, bp.a_embedding, bp.v_embedding)
+        mp = canonical_pair(fact)
+        for action, build in ((mp.right, RightAction), (mp.left, LeftAction)):
+            assert action == build(mp.V, mp.A, action.tensor)
+            for cell in (cell for row in action.tensor for cell in row):
+                assert all(type(c) is type(f.coerce(c)) and c == f.coerce(c) for c in cell)
+        for _ in range(20):
+            v = [f.coerce(rng.randint(-4, 4)) for _ in range(bp.product.dim)]
+            assert fact._split(v) == fact.split(v)
+
+
+def test_action_of_keeps_the_dimension_checks():
+    mp = _pair("J7-pair", QQ)
+    V, A = mp.V, mp.A
+    tensor = [list(row) for row in mp.right.tensor]
+    bad = {
+        "^action tensor must have one row per V basis vector$": tensor[:-1],
+        "^action row length must equal dim A$": [row[:-1] for row in tensor],
+        "^action value has the wrong dimension$": [[cell[:-1] for cell in row] for row in tensor],
+    }
+    for message, wrong in bad.items():
+        for build in (RightAction, RightAction._of):
+            with pytest.raises(DimensionError, match=message):
+                build(V, A, wrong)
+    assert RightAction._of(V, A, tensor) == mp.right
+
+
+def test_canonical_pair_coerces_no_split_or_action_value(monkeypatch):
+    """On the block sum of two copies of every catalog pair's product, split
+    into a (20, 16) pair, canonical_pair makes no Field.coerce call of its
+    own: the 23,040 calls that split and the action constructors made on
+    the products x a are gone."""
+    products = [bicross(_pair(n, QQ)).product for n in PAIR_NAMES] * 2
+    a_dims = [_pair(n, QQ).A.dim for n in PAIR_NAMES] * 2
+    dim = sum(E.dim for E in products)
+    sc = [[[QQ.zero] * dim for _ in range(dim)] for _ in range(dim)]
+    a_rows, v_rows, off = [], [], 0
+    for E, na in zip(products, a_dims):
+        for i, j in itertools.product(range(E.dim), repeat=2):
+            sc[off + i][off + j][off : off + E.dim] = E.sc[i][j]
+        for i in range(E.dim):
+            unit = [QQ.zero] * dim
+            unit[off + i] = QQ.one
+            (a_rows if i < na else v_rows).append(unit)
+        off += E.dim
+    E = Algebra(QQ, [f"e{k}" for k in range(dim)], sc)
+    fact = Factorization(E, Subspace(E, a_rows), Subspace(E, v_rows))
+    callers = []
+    inner = Field.coerce
+
+    def counted(self, value):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return inner(self, value)
+
+    monkeypatch.setattr(Field, "coerce", counted)
+    mp = canonical_pair(fact)
+    assert (mp.A.dim, mp.V.dim) == (20, 16)
+    assert "jalg.matched_pair" not in callers
 
 
 def test_factorization_error_texts(j5):

@@ -1,6 +1,7 @@
 """Structure maps of two-sided products and isomorphism search."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,12 @@ from hypothesis import strategies as st
 
 from jalg import (
     Algebra,
+    DimensionError,
     Field,
+    FieldMismatchError,
     JalgError,
     LinearMap,
+    MorphismQuadruple,
     PolyRing,
     QQ,
     bicross,
@@ -25,10 +29,12 @@ from jalg import (
     quadruple_to_map,
 )
 from jalg import morphism
+from jalg.catalog import PAIR_NAMES
 from jalg.cli import main
 from jalg.morphism import GL_SEARCH_MAX_DIM, IsoVerdict
 
 F5 = Field(5)
+F7 = Field(7)
 
 
 # -- homomorphism predicate -----------------------------------------------------
@@ -44,6 +50,18 @@ def test_hom_check_rejects_non_hom(j5):
     )
     # swapping a and b breaks a.v = v (b.v = 0)
     assert not hom_check(f, j5, j5)
+
+
+def test_hom_check_refuses_mixed_fields():
+    """The F5 identity between V1 over F5 and V1 over F7, and a Q map
+    between F5 algebras, are refused rather than decided in one field's
+    arithmetic."""
+    v1_f5, v1_f7 = catalog("V1", field=F5), catalog("V1", field=F7)
+    with pytest.raises(FieldMismatchError, match="^F5 vs F7$"):
+        hom_check(LinearMap.identity(F5, 2), v1_f5, v1_f7)
+    with pytest.raises(FieldMismatchError, match="^F5 vs Q$"):
+        hom_check(LinearMap.identity(QQ, 2), v1_f5, v1_f5)
+    assert hom_check(LinearMap.identity(F5, 2), v1_f5, v1_f5)
 
 
 # -- quadruple form of a product endomorphism ------------------------------------
@@ -100,6 +118,97 @@ def test_quadruple_agrees_with_hom_on_samples():
         assert hom_check(psi, E, E) == quadruple_check(
             map_to_quadruple(psi, mp, mp)
         ).ok, f"sample {k}"
+
+
+def _pair(name, f):
+    return catalog(name, field=None if f is QQ else f)
+
+
+def _random_map(rng, f, n, m):
+    return LinearMap(f, n, m, [[rng.randrange(-3, 4) for _ in range(m)] for _ in range(n)])
+
+
+def _sliced(psi, src, tgt):
+    """r, s, t and q cut from psi's columns, each built as its own map."""
+    na, nv, ma, mv = src.A.dim, src.V.dim, tgt.A.dim, tgt.V.dim
+    f, cols = psi.field, psi.cols
+    return (
+        LinearMap(f, na, ma, [col[:ma] for col in cols[:na]]),
+        LinearMap(f, na, mv, [col[ma:] for col in cols[:na]]),
+        LinearMap(f, nv, ma, [col[:ma] for col in cols[na:]]),
+        LinearMap(f, nv, mv, [col[ma:] for col in cols[na:]]),
+    )
+
+
+@pytest.mark.parametrize("f", [QQ, F7], ids=repr)
+def test_quadruple_blocks_are_the_sliced_maps(f):
+    """Between every two catalog pairs, a quadruple holds psi itself, and
+    its blocks are the four maps cut from psi's columns; the public
+    constructor joins those blocks back into psi."""
+    rng = random.Random(23 + f.characteristic)
+    for src_name, tgt_name in itertools.product(PAIR_NAMES, repeat=2):
+        src, tgt = _pair(src_name, f), _pair(tgt_name, f)
+        n, m = src.A.dim + src.V.dim, tgt.A.dim + tgt.V.dim
+        for psi in (_random_map(rng, f, n, m), LinearMap.zero(f, n, m)):
+            qd = map_to_quadruple(psi, src, tgt)
+            blocks = _sliced(psi, src, tgt)
+            assert (qd.r, qd.s, qd.t, qd.q) == blocks, (src_name, tgt_name)
+            assert quadruple_to_map(qd) is psi
+            joined = MorphismQuadruple(src, tgt, *blocks)
+            assert (joined.r, joined.s, joined.t, joined.q) == blocks
+            assert joined == qd and joined.psi == psi
+
+
+def test_quadruple_shape_errors():
+    """Between two (3, 2) pairs the four blocks have four different shapes;
+    a block of the wrong shape, or a map of the wrong size, is refused when
+    the quadruple is made."""
+    src, tgt = catalog("J7-pair"), catalog("J17-pair")
+    r, s, t, q = _sliced(LinearMap.zero(QQ, 5, 5), src, tgt)
+    for blocks in ((s, r, t, q), (r, s, q, t), (t, s, r, q), (r, LinearMap.zero(QQ, 3, 3), t, q)):
+        with pytest.raises(DimensionError, match="^quadruple shapes do not match the matched pairs$"):
+            MorphismQuadruple(src, tgt, *blocks)
+    for n, m in ((4, 5), (5, 4), (5, 6)):
+        with pytest.raises(DimensionError, match="^map shape does not match the product spaces$"):
+            map_to_quadruple(LinearMap.zero(QQ, n, m), src, tgt)
+
+
+def test_quadruple_refuses_mixed_fields():
+    """An F5 map between J5-pair over F5 and J5-pair over F7 is refused; the
+    C6 failure it used to report came from F5 arithmetic on F7 entries."""
+    mp5, mp7 = catalog("J5-pair", field=F5), catalog("J5-pair", field=F7)
+    identity = LinearMap.identity(F5, 4)
+    with pytest.raises(FieldMismatchError, match="^F5 vs F7$"):
+        map_to_quadruple(identity, mp5, mp7)
+    with pytest.raises(FieldMismatchError, match="^F5 vs Q$"):
+        map_to_quadruple(LinearMap.identity(QQ, 4), mp5, mp5)
+    blocks = _sliced(identity, mp5, mp5)
+    with pytest.raises(FieldMismatchError, match="^F5 vs F7$"):
+        MorphismQuadruple(mp5, mp7, *blocks)
+    with pytest.raises(FieldMismatchError, match="^F7 vs F5$"):
+        MorphismQuadruple(mp7, mp7, *blocks)
+    assert quadruple_check(map_to_quadruple(identity, mp5, mp5)).ok
+
+
+def test_map_to_quadruple_and_check_build_no_linear_map(monkeypatch):
+    """The quadruple wraps psi as it is, and quadruple_check reads psi's
+    columns: neither makes a LinearMap.  Reading a block makes one."""
+    mp = catalog("J17-pair", field=F7)
+    n = mp.A.dim + mp.V.dim
+    psi = LinearMap.identity(F7, n)
+    built = []
+    inner = LinearMap._set
+
+    def counted(self, *args):
+        built.append(args)
+        inner(self, *args)
+
+    monkeypatch.setattr(LinearMap, "_set", counted)
+    qd = map_to_quadruple(psi, mp, mp)
+    assert quadruple_check(qd).ok
+    assert built == []
+    assert qd.r == LinearMap.identity(F7, mp.A.dim)
+    assert len(built) == 2  # the block and the identity it is compared with
 
 
 # -- exact invariants ------------------------------------------------------------
