@@ -17,7 +17,16 @@ from .errors import (
     VerificationError,
 )
 from .fields import Field
-from .identities import _bilinear, _hom_mismatches, _linear, _sparse, _vadd, _vscale, _vsub
+from .identities import (
+    _bilinear,
+    _hom_mismatches,
+    _linear,
+    _nonzero_columns,
+    _sparse,
+    _vadd,
+    _vscale,
+    _vsub,
+)
 from .poly import Poly, PolyRing
 
 
@@ -282,8 +291,8 @@ class LinearMap:
     """cols[j] = coordinates of the image of source basis vector j."""
 
     def __init__(self, field: Field, source_dim: int, target_dim: int, cols):
-        cols = [[field.coerce(c) for c in col] for col in cols]
-        self._set(field, source_dim, target_dim, cols)
+        coerce = field.coerce
+        self._set(field, source_dim, target_dim, [tuple(map(coerce, col)) for col in cols])
 
     @classmethod
     def _of(cls, field: Field, source_dim: int, target_dim: int, cols) -> "LinearMap":
@@ -302,6 +311,7 @@ class LinearMap:
             raise DimensionError(
                 f"expected {source_dim} columns of length {target_dim}"
             )
+        self._nonzero: list | None = None  # _nonzero_cols, built on first use
 
     @classmethod
     def identity(cls, field: Field, dim: int) -> "LinearMap":
@@ -333,6 +343,14 @@ class LinearMap:
             cols.append(vec)
         return cls._of(source.field, source.dim, target.dim, cols)
 
+    def _nonzero_cols(self) -> list:
+        """The columns' nonzero entries (identities._nonzero_columns), the
+        form the homomorphism residual reads; built once per map, so
+        hom_check and quadruple_check on one map share them."""
+        if self._nonzero is None:
+            self._nonzero = _nonzero_columns(self.cols)
+        return self._nonzero
+
     def apply(self, coords):
         if len(coords) != self.source_dim:
             raise DimensionError(f"expected {self.source_dim} coordinates")
@@ -340,12 +358,16 @@ class LinearMap:
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
         """self after inner."""
+        _same_field(self.field, inner.field)
         if inner.target_dim != self.source_dim:
             raise DimensionError("composition dimension mismatch")
         cols = [self.apply(col) for col in inner.cols]
         return LinearMap._of(self.field, inner.source_dim, self.target_dim, cols)
 
     def add(self, other: "LinearMap") -> "LinearMap":
+        _same_field(self.field, other.field)
+        if (other.source_dim, other.target_dim) != (self.source_dim, self.target_dim):
+            raise DimensionError("sum dimension mismatch")
         cols = [_vadd(self.field, c1, c2) for c1, c2 in zip(self.cols, other.cols)]
         return LinearMap._of(self.field, self.source_dim, self.target_dim, cols)
 
@@ -404,17 +426,22 @@ def hom_check(f: LinearMap, A: Algebra, B: Algebra) -> bool:
         raise JalgError("hom_check handles scalar algebras only")
     if f.source_dim != A.dim or f.target_dim != B.dim:
         raise DimensionError("map shape does not match the algebras")
-    return _hom_ok(A, B, f.cols)
+    cols = f._nonzero_cols()
+    return next(_hom_mismatches(A.field, A.sparse_sc(), B.sparse_sc(), cols), None) is None
 
 
 def _hom_ok(A: Algebra, B: Algebra, images) -> bool:
     """hom_check on raw images (images[i] = B-coordinates of the image of
     e_i), without building a LinearMap; search loops call this directly."""
-    return next(_hom_mismatches(A.field, A.sparse_sc(), B.sparse_sc(), images), None) is None
+    cols = _nonzero_columns(images)
+    return next(_hom_mismatches(A.field, A.sparse_sc(), B.sparse_sc(), cols), None) is None
 
 
 class Subspace:
-    """Subspace of a scalar algebra's underlying space, canonicalized by RREF."""
+    """Subspace of a scalar algebra's underlying space, canonicalized by RREF.
+
+    It is bound to one ambient algebra and never changes, so whether it is
+    closed under the product is decided once (_closure) and kept."""
 
     def __init__(self, ambient: Algebra, vectors):
         if ambient.params:
@@ -430,6 +457,7 @@ class Subspace:
         self._free = tuple(sorted(set(range(ambient.dim)) - set(pivots)))
         # each row's nonzero entries off the pivot columns: (column, entry)
         self._off = tuple(tuple((c, r[c]) for c in self._free if r[c]) for r in reduced)
+        self._closed: tuple | None = None  # _closure's answer, on first use
 
     @classmethod
     def span_of_labels(cls, ambient: Algebra, labels) -> "Subspace":
@@ -519,16 +547,30 @@ def subalgebra_check(E: Algebra, U: Subspace) -> bool:
 
 
 def subalgebra_witness(E: Algebra, U: Subspace):
-    """None if closed, else (i, j, product coordinates) for an escaping product."""
-    return _closure(E, U)[1]
+    """None if closed, else (i, j, product coordinates) for an escaping
+    product, the coordinates as a new list."""
+    escape = _closure(E, U)[1]
+    if escape is None:
+        return None
+    i, j, prod = escape
+    return i, j, list(prod)
 
 
 def _closure(E: Algebra, U: Subspace):
-    """One pass over the products of U's rows, i <= j: (table, None), where
-    table[i][j] = table[j][i] holds the coordinates of row_i row_j on the
-    rows, or (None, (i, j, product)) at the first product that leaves U."""
+    """Whether U is closed, decided by one pass over the products of its
+    rows, i <= j, and kept on U: (table, None), where table[i][j] =
+    table[j][i] holds the coordinates of row_i row_j on the rows, or
+    (None, (i, j, product)) at the first product that leaves U.  The
+    answer is tuples all through, so no caller can change it."""
     if U.ambient is not E:
         raise JalgError("subspace does not live in the given algebra")
+    if U._closed is None:
+        U._closed = _closure_pass(E, U)
+    return U._closed
+
+
+def _closure_pass(E: Algebra, U: Subspace):
+    """_closure's answer, computed."""
     n = U.dim
     table = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -536,9 +578,9 @@ def _closure(E: Algebra, U: Subspace):
             prod = E.mul_coords(U.rows[i], U.rows[j])
             coords = U._coordinates(prod)
             if coords is None:
-                return None, (i, j, prod)
-            table[i][j] = table[j][i] = coords
-    return table, None
+                return None, (i, j, tuple(prod))
+            table[i][j] = table[j][i] = tuple(coords)
+    return tuple(map(tuple, table)), None
 
 
 def _induced_labels(E: Algebra, U: Subspace) -> list:

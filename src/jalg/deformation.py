@@ -25,7 +25,7 @@ from .algebra import (
 )
 from .errors import BudgetError, DimensionError, JalgError, VerificationError
 from .fields import Field
-from .identities import _bilinear, _hom_mismatches, _linear, _sparse, _vsub
+from .identities import _bilinear, _hom_mismatches, _linear, _nonzero_columns, _sparse, _vsub
 from .matched_pair import (
     BicrossedProduct,
     Factorization,
@@ -278,9 +278,9 @@ def equiv_check(
     if r.params != s.params:
         raise JalgError("maps must share the same parameter list")
     R = r.ring
-    images = [[R.coerce(c) for c in col] for col in sigma.cols]
+    cols = _nonzero_columns([R.coerce(c) for c in col] for col in sigma.cols)
     table_r, table_s = (_sparse(_checked_table(mp, t)[1], R) for t in (r, s))
-    return next(_hom_mismatches(R, table_r, table_s, images), None) is None
+    return next(_hom_mismatches(R, table_r, table_s, cols), None) is None
 
 
 def _deformation_conditions(mp: MatchedPair):

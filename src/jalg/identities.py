@@ -192,39 +192,46 @@ def _linear(ring, cols, x, out_dim: int) -> list:
     return [c % p for c in out] if p else out
 
 
-def _hom_mismatches(ring, table, table2, images):
-    """The one homomorphism residual: yield (i, j, lhs, rhs) for each basis
-    pair i <= j of `table` where lhs = image of e_i e_j differs from
-    rhs = (image of e_i)(image of e_j) in `table2`.  Both tables are in
-    their sparse form (_sparse); they and the images live in
-    `ring`: a Field, or a PolyRing for parametric maps.
+def _nonzero_columns(cols) -> list:
+    """Each column's nonzero entries, [(t, y), ...] in ascending t: the
+    form _hom_mismatches reads a map's images in (LinearMap keeps it)."""
+    return [[(t, y) for t, y in enumerate(col) if y] for col in cols]
 
-    Both sides of a pair are summed in one loop over the tables and the
-    images' nonzero entries, in the arithmetic of _bilinear."""
+
+def _hom_mismatches(ring, table, table2, cols):
+    """The one homomorphism residual: yield (i, j, residual) for each basis
+    pair i <= j of `table` where the residual, image of e_i e_j minus
+    (image of e_i)(image of e_j) in `table2`, is not zero.  Both tables are
+    in their sparse form (_sparse) and the images in theirs
+    (_nonzero_columns); they all live in `ring`: a Field, or a PolyRing
+    for parametric maps.
+
+    Both sides of a pair are summed into one accumulator, in one loop over
+    the tables and the images' nonzero entries, in the arithmetic of
+    _bilinear: over F_p it is reduced mod p once per coordinate.  It is
+    compared with a list of the one zero it starts from, so a coordinate
+    no term reached costs an identity test, not a Fraction or Poly one."""
     n, out_dim = len(table), len(table2)
     p = getattr(ring, "characteristic", 0)
-    zero = ring.zero
-    cols = [[(t, y) for t, y in enumerate(col) if y] for col in images]
+    zeros = [ring.zero] * out_dim
     for i in range(n):
         row, col_i = table[i], cols[i]
         for j in range(i, n):
-            lhs = [zero] * out_dim
+            res = zeros.copy()
             for k, c in row[j]:
                 for t, y in cols[k]:
-                    lhs[t] += c * y
-            rhs = [zero] * out_dim
+                    res[t] += c * y
             col_j = cols[j]
             for s, x in col_i:
                 row2 = table2[s]
                 for t, y in col_j:
                     w = x * y
                     for k, c in row2[t]:
-                        rhs[k] += w * c
+                        res[k] -= w * c
             if p:
-                lhs = [c % p for c in lhs]
-                rhs = [c % p for c in rhs]
-            if lhs != rhs:
-                yield i, j, lhs, rhs
+                res = [c % p for c in res]
+            if res != zeros:
+                yield i, j, res
 
 
 def _vadd(ring, u, v):

@@ -1,8 +1,13 @@
 """Exact dense linear algebra over a Field.
 
-Matrices are lists of row lists of raw field values; vectors are lists of raw
-values.  Everything is Gauss-Jordan on exact arithmetic.  Dimensions here are
-single digits, so no pivoting strategy or sparsity is needed.
+Matrices are lists of row lists of field values (Fraction over Q, ints in
+range(p) over F_p); vectors are lists of them.  Everything is Gauss-Jordan
+in `rref`, which `rank`, `nullspace` and `invert` (and so `Subspace` and
+`Factorization`) go through.  It runs in the entries' own operators, the
+way identities._bilinear and _linear do: Fraction arithmetic over Q, and
+over F_p plain ints with one `% p` per updated entry and a `pow` for the
+pivot's inverse.  Dimensions here are single digits, so no pivoting
+strategy or sparsity is needed.
 """
 
 from __future__ import annotations
@@ -24,24 +29,34 @@ def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
     m = [list(r) for r in rows]
     if not m:
         return [], []
-    ncols = len(m[0])
+    p = field.characteristic
+    nrows, ncols = len(m), len(m[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if not field.is_zero(m[i][c])), None)
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        if m[r][c] != field.one:
-            inv = field.inv(m[r][c])
-            m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        row = m[pivot]
+        m[r], m[pivot] = row, m[r]
+        a = row[c]
+        if a != 1:
+            if p:
+                inv = pow(a, p - 2, p)
+                row = [x * inv % p for x in row]
+            else:
+                row = [x / a for x in row]
+            m[r] = row
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                if p:
+                    m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
+                else:
+                    m[i] = [x - f * y for x, y in zip(m[i], row)]
         pivots.append(c)
         r += 1
-        if r == len(m):
+        if r == nrows:
             break
     return m[:r], pivots
 

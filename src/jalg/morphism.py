@@ -104,13 +104,13 @@ def quadruple_check(qd: MorphismQuadruple) -> QuadrupleVerdict:
         raise JalgError("quadruple_check handles scalar pairs only")
     n, m = src.A.dim, tgt.A.dim
     violated = set()
-    for i, j, lhs, rhs in _hom_mismatches(
-        src.A.field, src.product_sparse(), tgt.product_sparse(), qd.psi.cols
+    for i, j, res in _hom_mismatches(
+        src.A.field, src.product_sparse(), tgt.product_sparse(), qd.psi._nonzero_cols()
     ):
         names = ("C1", "C2") if j < n else ("C3", "C4") if i >= n else ("C5", "C6")
-        if lhs[:m] != rhs[:m]:
+        if any(res[:m]):
             violated.add(names[0])
-        if lhs[m:] != rhs[m:]:
+        if any(res[m:]):
             violated.add(names[1])
     return QuadrupleVerdict(not violated, tuple(sorted(violated)))
 

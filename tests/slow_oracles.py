@@ -11,7 +11,9 @@ p^(n*n) matrices for `iso_search` over F_p, its invariants (the trace
 form ranks and the element keys) from dense matrix products, the six
 block conditions C1-C6 of a morphism quadruple written out one by one,
 the projection of a factorization from one `express` (a `solve`) per
-unit vector, the F_p enumerations as a `Poly.eval` of every condition at
+unit vector, Gauss-Jordan elimination (`rref`, `rank`, `nullspace`,
+`invert`) through the Field's methods where `linalg` runs in plain
+operators, the F_p enumerations as a `Poly.eval` of every condition at
 each of the p^k candidates, and the deformation identity, the deformed
 table and the equivalence of two maps written out term by term instead
 of read off the product table.  Underneath them all are the contractions as dense loops
@@ -452,6 +454,64 @@ def verify(mp, stop_early=False):
     return _verdict(failures, PAIR_AXIOMS)
 
 
+def rref(field, rows):
+    """Reduced row echelon form through the Field's methods: (nonzero rows,
+    pivot columns)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if not field.is_zero(m[i][c])), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        if m[r][c] != field.one:
+            inv = field.inv(m[r][c])
+            m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not field.is_zero(m[i][c]):
+                f = m[i][c]
+                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def rank(field, rows):
+    return len(rref(field, rows)[0])
+
+
+def nullspace(field, rows):
+    """Basis of {x : (rows) x = 0}, one vector per free column."""
+    if not rows:
+        return []
+    n = len(rows[0])
+    red, pivots = rref(field, rows)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [field.zero] * n
+        vec[fc] = field.one
+        for row, p in zip(red, pivots):
+            vec[p] = field.neg(row[fc])
+        basis.append(vec)
+    return basis
+
+
+def invert(field, rows):
+    """Inverse of a square matrix, or None if singular."""
+    n = len(rows)
+    aug = [list(r) + [field.one if i == j else field.zero for j in range(n)] for i, r in enumerate(rows)]
+    red, pivots = rref(field, aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
 def solve(field, rows, b):
     """One solution x of (rows) x = b, or None if inconsistent."""
     if len(rows) != len(b):
@@ -460,7 +520,7 @@ def solve(field, rows, b):
         return []
     n = len(rows[0])
     aug = [list(r) + [bi] for r, bi in zip(rows, b)]
-    red, pivots = linalg.rref(field, aug)
+    red, pivots = rref(field, aug)
     x = linalg.zeros(field, n)
     for row, p in zip(red, pivots):
         if p == n:
@@ -499,7 +559,7 @@ def general_linear(f, n):
     out = []
     for flat in itertools.product(range(p), repeat=n * n):
         rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        if linalg.rank(f, rows) != n:
+        if rank(f, rows) != n:
             continue
         cols = [[rows[k][j] for k in range(n)] for j in range(n)]
         out.append(LinearMap(f, n, n, cols))
@@ -546,7 +606,7 @@ def unfiltered_iso_scan(A, B, budget=None):
         images = [[rows[k][i] for k in range(n)] for i in range(n)]
         if not _hom_ok(A, B, images):
             continue
-        if linalg.rank(f, rows) != n:
+        if rank(f, rows) != n:
             continue
         return IsoVerdict("isomorphic", witness=LinearMap(f, n, n, images))
     return IsoVerdict("non-isomorphic", certificate="exhausted GL over the field")
@@ -583,7 +643,7 @@ def _trace_form_ranks(A):
     traces = [_trace(f, L) for L in ops]
     t1 = [mat_vec(f, row, traces) for row in A.sc]
     t2 = [[_trace(f, mat_mul(f, Li, Lj)) for Lj in ops] for Li in ops]
-    return linalg.rank(f, t1), linalg.rank(f, t2)
+    return rank(f, t1), rank(f, t2)
 
 
 def _element_key(A, x):
@@ -598,7 +658,7 @@ def _element_key(A, x):
         power = mat_mul(f, op, power)
     sq = _bilinear(f, A.sc, x, x, A.dim)
     zero = all(f.is_zero(c) for c in sq)
-    return tuple(traces), linalg.rank(f, op), zero, sq == list(x)
+    return tuple(traces), rank(f, op), zero, sq == list(x)
 
 
 def blockwise_quadruple_check(qd):

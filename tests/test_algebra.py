@@ -11,6 +11,7 @@ from jalg import (
     DeformationMap,
     DimensionError,
     Field,
+    FieldMismatchError,
     JalgError,
     LeftAction,
     LinearMap,
@@ -263,6 +264,28 @@ def test_linear_map_from_images_rejects_unknown_source_label(j5):
     with pytest.raises(JalgError, match=r"^unknown labels \['z'\]$"):
         LinearMap.from_images(j5, j5, {"z": {"a": 1}})
     assert LinearMap.from_images(j5, j5, {}) == LinearMap.zero(j5.field, j5.dim, j5.dim)
+
+
+def test_linear_map_add_and_compose_check_shape_and_field():
+    """add refuses a map of another shape (zip would drop the extra column
+    and coordinate), and add and compose refuse a map over another field
+    (its entries would be summed in the first map's arithmetic)."""
+    with pytest.raises(DimensionError, match="^sum dimension mismatch$"):
+        LinearMap.identity(QQ, 2).add(LinearMap.zero(QQ, 3, 3))
+    with pytest.raises(DimensionError, match="^sum dimension mismatch$"):
+        LinearMap.zero(F5, 2, 3).add(LinearMap.zero(F5, 3, 2))
+    with pytest.raises(DimensionError, match="^composition dimension mismatch$"):
+        LinearMap.zero(F5, 3, 2).compose(LinearMap.zero(F5, 2, 2))
+    for other in (F7, QQ):
+        with pytest.raises(FieldMismatchError, match=f"^F5 vs {other}$"):
+            LinearMap.identity(F5, 2).add(LinearMap.identity(other, 2))
+        with pytest.raises(FieldMismatchError, match=f"^F5 vs {other}$"):
+            LinearMap.identity(F5, 2).compose(LinearMap.identity(other, 2))
+    f = LinearMap(F5, 2, 3, [[1, 2, 3], [4, 0, 1]])
+    g = LinearMap(F5, 3, 2, [[1, 1], [0, 2], [3, 4]])
+    assert f.add(f) == LinearMap(F5, 2, 3, [[2, 4, 6], [8, 0, 2]])
+    assert f.add(f.neg()) == LinearMap.zero(F5, 2, 3)
+    assert g.compose(f) == LinearMap(F5, 2, 2, [[10, 17], [7, 8]])
 
 
 def test_subspace_basics(j17):

@@ -19,6 +19,7 @@ from jalg import (
     Field,
     LeftAction,
     QQ,
+    JalgError,
     RightAction,
     Subspace,
     VerificationError,
@@ -26,13 +27,17 @@ from jalg import (
     bicross_table,
     canonical_pair,
     catalog,
+    complement_recover,
     deformation_families,
     enumerate_deformations,
+    graph_complement,
     induced_subalgebra,
     parse_pair,
     r_deform,
     subalgebra_check,
+    subalgebra_witness,
 )
+from jalg.algebra import _closure
 from jalg.catalog import PAIR_NAMES, _read
 from jalg.deformation import _graph
 
@@ -166,13 +171,8 @@ def test_bicross_of_a_parsed_pair_coerces_nothing_again(monkeypatch):
             build(f, ("a", "b"), sc)
 
 
-def test_factorization_and_canonical_pair_multiply_once(monkeypatch):
-    """One closure pass per factor: on J17-pair's product, Factorization
-    and canonical_pair make the 15 distinct products once each (24 when
-    canonical_pair redid the closure pass)."""
-    mp = catalog("J17-pair")
-    bp = bicross(mp)
-    E = bp.product
+def _count_products(monkeypatch) -> list:
+    """Every Algebra.mul_coords call from here on, as (x, y) tuples."""
     calls = []
     inner = Algebra.mul_coords
 
@@ -181,8 +181,78 @@ def test_factorization_and_canonical_pair_multiply_once(monkeypatch):
         return inner(self, x, y)
 
     monkeypatch.setattr(Algebra, "mul_coords", counted)
-    assert canonical_pair(Factorization(E, bp.a_embedding, bp.v_embedding)) == mp
+    return calls
+
+
+def test_factorization_and_canonical_pair_multiply_once(monkeypatch):
+    """One closure pass per factor: on J17-pair's product, Factorization
+    and canonical_pair on fresh subspaces make the 15 distinct products
+    once each (24 when canonical_pair redid the closure pass).  bicross
+    decided its own embeddings' closure, which they keep, so on them only
+    the 6 action products x a are made."""
+    mp = catalog("J17-pair")
+    bp = bicross(mp)
+    E = bp.product
+    a_sub, v_sub = (Subspace(E, sub.rows) for sub in (bp.a_embedding, bp.v_embedding))
+    calls = _count_products(monkeypatch)
+    assert canonical_pair(Factorization(E, a_sub, v_sub)) == mp
     assert len(calls) == len(set(calls)) == 15
+    calls.clear()
+    assert canonical_pair(Factorization(E, bp.a_embedding, bp.v_embedding)) == mp
+    assert len(calls) == len(set(calls)) == mp.A.dim * mp.V.dim == 6
+
+
+def test_complement_recover_decides_each_closure_once(monkeypatch):
+    """complement_recover splits through Factorization(E, A, B) and
+    Factorization(E, A, bbar), which share A's closure pass: on
+    defmap-pair, fresh subspaces and a graph complement cost 13 products,
+    each made once (16 when A's closure was decided twice).  On bicross's
+    embeddings and graph_complement's subspace, all decided already, only
+    the 4 action products are made."""
+    mp = catalog("defmap-pair")
+    bp = bicross(mp)
+    E = bp.product
+    r = deformation_families(QQ)["def4"].substitute({"alpha": Fraction(3)})
+    graph = graph_complement(mp, r)
+    fresh = [Subspace(E, sub.rows) for sub in (bp.a_embedding, bp.v_embedding, graph.subspace)]
+    calls = _count_products(monkeypatch)
+    assert complement_recover(E, *fresh).cols == r.cols
+    assert len(calls) == len(set(calls)) == 13
+    calls.clear()
+    assert complement_recover(E, bp.a_embedding, bp.v_embedding, graph.subspace).cols == r.cols
+    assert len(calls) == len(set(calls)) == mp.A.dim * mp.V.dim == 4
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_closure_is_decided_once_and_kept_immutable(monkeypatch, name):
+    """A Subspace keeps _closure's answer: a second ask, subalgebra_check
+    on a graph complement's subspace among them, makes no product.  The
+    kept table and escaping product are tuples, and subalgebra_witness
+    hands out a new list each time."""
+    f = FIELDS[name]
+    mp = _pair("defmap-pair", f)
+    E = bicross(mp).product
+    r = next(r for r in _maps(mp, f, random.Random("closure-" + name)) if not (r.params or r.is_zero))
+    graph = graph_complement(mp, r)
+    calls = _count_products(monkeypatch)
+    assert subalgebra_check(E, graph.subspace)
+    assert _closure(E, graph.subspace) is _closure(E, graph.subspace)
+    assert not calls
+    table, escape = _closure(E, graph.subspace)
+    assert escape is None
+    assert type(table) is tuple and all(type(c) is tuple for row in table for c in row)
+
+    open_span = Subspace(E, [[1, 0, 1, 0], [1, 0, 0, 1]])  # (u + a)(v + a) leaves it
+    witness = subalgebra_witness(E, open_span)
+    assert witness is not None and type(witness[2]) is list
+    made = len(calls)
+    witness[2][:] = [f.zero] * E.dim
+    assert subalgebra_witness(E, open_span) != witness
+    assert len(calls) == made
+    table, (i, j, prod) = _closure(E, open_span)
+    assert table is None and type(prod) is tuple
+    with pytest.raises(JalgError, match="does not live in the given algebra"):
+        _closure(bicross(_pair("J5-pair", f)).product, open_span)
 
 
 @pytest.mark.parametrize("name", FIELDS)

@@ -1,12 +1,16 @@
 """Exact linear algebra over the ground fields."""
 
+import random
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jalg import Field, QQ
 from jalg.linalg import identity, invert, is_invertible, nullspace, rank, rref
+import slow_oracles as slow
 from slow_oracles import express, mat_mul, mat_vec, solve
 
 F5 = Field(5)
@@ -103,3 +107,55 @@ def test_nullspace_annihilates_f5(rows):
     for v in nullspace(F5, rows):
         assert mat_vec(F5, rows, v) == [0] * len(rows)
     assert len(nullspace(F5, rows)) == len(rows) - rank(F5, rows)
+
+
+def _random_matrix(rng, f, rows, cols):
+    """A matrix with small entries, zero half the time; some rows repeat an
+    earlier one or a multiple of it, and some are zero."""
+    out = []
+    for _ in range(rows):
+        kind = rng.random()
+        if out and kind < 0.2:
+            c = f.coerce(rng.randint(-3, 3))
+            out.append([f.mul(c, x) for x in rng.choice(out)])
+        elif kind < 0.3:
+            out.append([f.zero] * cols)
+        else:
+            out.append(
+                [f.zero if rng.random() < 0.5 else f.coerce(Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(cols)]
+            )
+    return out
+
+
+def _same(fast, slow_value):
+    """Equal values of equal types, entry by entry."""
+    assert fast == slow_value
+    if isinstance(fast, list):
+        for a, b in zip(fast, slow_value):
+            _same(a, b)
+    else:
+        assert type(fast) is type(slow_value)
+
+
+@pytest.mark.parametrize("f", [QQ, F5, Field(7)], ids=str)
+def test_elimination_matches_the_field_method_oracle(f):
+    """rref in plain operators against Gauss-Jordan through the Field's
+    methods (tests/slow_oracles.py): equal rows and pivots, and equal
+    rank, invert and nullspace results, on square, wide and tall matrices
+    with zero and repeated rows, singular or not."""
+    rng = random.Random(f"rref-{f}")
+    singular = invertible = 0
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = _random_matrix(rng, f, rows, cols)
+        _same(list(rref(f, m)), list(slow.rref(f, m)))
+        assert rank(f, m) == slow.rank(f, m)
+        _same(nullspace(f, m), slow.nullspace(f, m))
+        square = [row[:rows] + [f.zero] * (rows - len(row)) for row in m]
+        inverse = invert(f, square)
+        _same(inverse, slow.invert(f, square))
+        singular += inverse is None
+        invertible += inverse is not None
+        assert is_invertible(f, square) == (inverse is not None)
+    assert singular > 30 and invertible > 30
+    assert rref(f, []) == slow.rref(f, []) == ([], [])

@@ -3,10 +3,11 @@ replaced (tests/slow_oracles.py), and the per-object caches they read.
 
 `_bilinear` and `_hom_mismatches` contract a table's sparse form, and over
 a Field they run in plain int or Fraction operators, reducing mod p once
-per output coordinate.  Their results, and the tuples `_hom_mismatches`
-yields, must equal the dense loops' in value and order: over Q, F5, F7
-and Q[t], on sparse and dense tables, with zero vectors and with F_p
-inputs given as unreduced ints.  The invariants of `iso_search`, which
+per output coordinate.  Their results must equal the dense loops' in value
+and order, and each (i, j, residual) that `_hom_mismatches` yields must be
+a mismatch (i, j, lhs, rhs) of the dense loop with residual = lhs - rhs:
+over Q, F5, F7 and Q[t], on sparse and dense tables, with zero vectors and
+with F_p inputs given as unreduced ints.  The invariants of `iso_search`, which
 compose multiplication operators through `_linear`, must equal the dense
 matrix products' on every catalog algebra and on random tables, and its
 element buckets, which scale one key along each line through the origin,
@@ -38,7 +39,7 @@ from jalg import (
 )
 from jalg.catalog import ALGEBRA_NAMES, _read
 from jalg.fileio import parse_pair
-from jalg.identities import _bilinear, _hom_mismatches, _linear, _sparse
+from jalg.identities import _bilinear, _hom_mismatches, _linear, _nonzero_columns, _sparse
 from jalg.morphism import _element_buckets, _element_key, _trace_form_ranks
 from jalg.poly import PolyRing
 from slow_oracles import blockwise_quadruple_check
@@ -93,6 +94,14 @@ def test_bilinear_and_linear_match_the_protocol_loops(ring, zero_probability):
             assert _linear(ring, cols, x, out) == slow._linear(ring, cols, x, out)
 
 
+def _dense_residuals(ring, sc, sc2, images) -> list:
+    """The dense loop's mismatches (i, j, lhs, rhs) as (i, j, lhs - rhs)."""
+    return [
+        (i, j, [ring.sub(a, b) for a, b in zip(lhs, rhs)])
+        for i, j, lhs, rhs in slow._hom_mismatches(ring, sc, sc2, images)
+    ]
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 @pytest.mark.parametrize("zero_probability", [0.8, 0.1], ids=["sparse", "dense"])
 def test_hom_mismatches_yield_the_protocol_loops_tuples(ring, zero_probability):
@@ -107,10 +116,10 @@ def test_hom_mismatches_yield_the_protocol_loops_tuples(ring, zero_probability):
         images = [[_input(rng, ring, zero_probability) for _ in range(m)] for _ in range(n)]
         sparse, sparse2 = _sparse(sc, ring), _sparse(sc2, ring)
         for cols in (zero, unit, images):
-            fast = list(_hom_mismatches(ring, sparse, sparse2, cols))
-            assert fast == list(slow._hom_mismatches(ring, sc, sc2, cols))
+            fast = list(_hom_mismatches(ring, sparse, sparse2, _nonzero_columns(cols)))
+            assert fast == _dense_residuals(ring, sc, sc2, cols)
         if n == m:  # a homomorphism yields nothing: the identity of one table
-            assert list(_hom_mismatches(ring, sparse, sparse, unit)) == []
+            assert list(_hom_mismatches(ring, sparse, sparse, _nonzero_columns(unit))) == []
 
 
 def _one_dim_pairs():
@@ -126,7 +135,8 @@ def _one_dim_pairs():
 def test_scan_pairs_hom_and_quadruple_verdicts():
     """All 89 x 625 maps of the scan's one-dim pairs: hom_check against the
     dense residual on the product, quadruple_check against C1-C6 written
-    out, and the yielded tuples against the dense loops'."""
+    out, and the yielded residuals, read off the map's kept nonzero
+    columns, against the dense loops' lhs - rhs."""
     pairs = list(_one_dim_pairs())
     assert len(pairs) == 89
     maps = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(5), repeat=4)]
@@ -135,9 +145,11 @@ def test_scan_pairs_hom_and_quadruple_verdicts():
         E = bicross(mp).product
         for cols in maps:
             psi = LinearMap(F5, 2, 2, cols)
-            dense = list(slow._hom_mismatches(F5, E.sc, E.sc, psi.cols))
-            assert list(_hom_mismatches(F5, E.sparse_sc(), E.sparse_sc(), psi.cols)) == dense
+            dense = _dense_residuals(F5, E.sc, E.sc, psi.cols)
             assert hom_check(psi, E, E) == (not dense)
+            cols = psi._nonzero_cols()
+            assert cols == _nonzero_columns(psi.cols) and psi._nonzero_cols() is cols
+            assert list(_hom_mismatches(F5, E.sparse_sc(), E.sparse_sc(), cols)) == dense
             qd = map_to_quadruple(psi, mp, mp)
             assert quadruple_check(qd) == blockwise_quadruple_check(qd)
             homs += not dense
