@@ -9,6 +9,8 @@ expose the same arithmetic protocol, so all expansion code is shared.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from . import identities, linalg
 from .errors import (
     DimensionError,
@@ -72,45 +74,57 @@ class Algebra:
 
     def __init__(self, field: Field, basis, sc, params=(), name: str | None = None):
         ring = PolyRing(field, tuple(params)) if params else field
-        sc = [[tuple(map(ring.coerce, cell)) for cell in row] for row in sc]
-        self._set(field, basis, sc, params, name)
+        coerce = ring.coerce_vector
+        self._set(field, basis, [list(map(coerce, row)) for row in sc], params, name)
 
     @classmethod
-    def _of(cls, field: Field, basis, sc, params=(), name: str | None = None) -> "Algebra":
+    def _of(cls, field: Field, basis, sc, params=(), name: str | None = None,
+            sparse=None) -> "Algebra":
         """An algebra on a table whose entries are ring values already (one
         the library built): the constructor's label, shape and symmetry
-        checks without its coercion."""
+        checks without its coercion.  `sparse` is the table's sparse form
+        when the library holds it already (MatchedPair.product_sparse)."""
         self = cls.__new__(cls)
-        self._set(field, basis, sc, params, name)
+        self._set(field, basis, sc, params, name, sparse)
         return self
 
-    def _set(self, field: Field, basis, sc, params, name):
+    def _set(self, field: Field, basis, sc, params, name, sparse=None):
+        """Check the labels and the shape, and keep the table in both of
+        its forms: dense (`sc`) and sparse (`sparse_sc`), whose cells are
+        the nonzero ring values read in the same pass.  A ring value is
+        nonzero exactly when it is true (a canonical int mod p, a Fraction,
+        a Poly), so symmetry is decided on the sparse cells."""
         self.field = field
         self.params = tuple(params)
         self.ring = PolyRing(field, self.params) if self.params else field
         self.basis = tuple(basis)
-        self.dim = len(self.basis)
+        dim = self.dim = len(self.basis)
         self.name = name
-        if len(set(self.basis)) != self.dim:
+        if len(set(self.basis)) != dim:
             raise JalgError(f"duplicate basis labels {self.basis}")
-        if len(sc) != self.dim:
-            raise DimensionError(f"tensor has {len(sc)} rows, dim is {self.dim}")
+        if len(sc) != dim:
+            raise DimensionError(f"tensor has {len(sc)} rows, dim is {dim}")
+        dense, cells = [], []
         for i, row in enumerate(sc):
-            if len(row) != self.dim:
+            if len(row) != dim:
                 raise DimensionError(f"tensor row {i} has length {len(row)}")
+            row = tuple(map(tuple, row))
             for j, cell in enumerate(row):
-                if len(cell) != self.dim:
+                if len(cell) != dim:
                     raise DimensionError(f"tensor cell ({i},{j}) has length {len(cell)}")
-        self.sc = tuple(tuple(map(tuple, row)) for row in sc)
-        for i in range(self.dim):
+            dense.append(row)
+            if sparse is None:
+                cells.append(tuple([tuple(compress(enumerate(cell), cell)) for cell in row]))
+        self.sc = tuple(dense)
+        self._sparse_sc = tuple(cells) if sparse is None else sparse
+        for i, row in enumerate(self._sparse_sc):
             for j in range(i):
-                if self.sc[i][j] != self.sc[j][i]:
+                if row[j] != self._sparse_sc[j][i]:
                     raise VerificationError(
                         f"structure constants not symmetric at "
                         f"({self.basis[i]}, {self.basis[j]})"
                     )
         self._jordan: identities.Verdict | None = None
-        self._sparse_sc: tuple | None = None
         self._element_buckets: dict | None = None  # morphism._element_buckets
 
     # -- construction helpers ------------------------------------------------
@@ -163,9 +177,7 @@ class Algebra:
 
     def sparse_sc(self) -> tuple:
         """The table in the sparse form the contractions read
-        (identities._sparse), built once per algebra."""
-        if self._sparse_sc is None:
-            self._sparse_sc = _sparse(self.sc, self.ring)
+        (identities._sparse), kept from the constructor's pass."""
         return self._sparse_sc
 
     def mul_coords(self, x, y):
@@ -218,7 +230,9 @@ class Algebra:
         return Algebra(self.field, self.basis, sc, name=self.name)
 
     def relabel(self, basis) -> "Algebra":
-        return Algebra._of(self.field, basis, self.sc, params=self.params, name=self.name)
+        return Algebra._of(
+            self.field, basis, self.sc, params=self.params, name=self.name, sparse=self._sparse_sc
+        )
 
     def __eq__(self, other):
         # labels are cosmetic: equality is equality of tables over one field
@@ -446,8 +460,20 @@ class Subspace:
     def __init__(self, ambient: Algebra, vectors):
         if ambient.params:
             raise JalgError("subspaces require scalar structure constants")
+        coerce = ambient.field.coerce
+        self._set(ambient, [list(map(coerce, v)) for v in vectors])
+
+    @classmethod
+    def _of(cls, ambient: Algebra, rows) -> "Subspace":
+        """A subspace of a scalar algebra spanned by rows that already hold
+        field values: the constructor's length check without its
+        coercion."""
+        self = cls.__new__(cls)
+        self._set(ambient, rows)
+        return self
+
+    def _set(self, ambient: Algebra, rows):
         self.ambient = ambient
-        rows = [list(ambient.ring.coerce(c) for c in v) for v in vectors]
         for r in rows:
             if len(r) != ambient.dim:
                 raise DimensionError("vector length does not match ambient dimension")
@@ -498,7 +524,7 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        return Subspace(self.ambient, list(self.rows) + list(other.rows))
+        return Subspace._of(self.ambient, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
@@ -514,7 +540,7 @@ class Subspace:
             _linear(field, self.rows, sol[: self.dim], n)
             for sol in linalg.nullspace(field, stacked)
         ]
-        return Subspace(self.ambient, vectors)
+        return Subspace._of(self.ambient, vectors)
 
     def _same_ambient(self, other: "Subspace"):
         if self.ambient is not other.ambient:
@@ -539,7 +565,7 @@ def complement_check(E: Algebra, U: Subspace, W: Subspace) -> bool:
     of E exactly when U and W meet only in 0, so one rank decides it."""
     if U.ambient is not E or W.ambient is not E:
         raise JalgError("subspaces do not live in the given algebra")
-    return U.dim + W.dim == E.dim and U.sum(W).dim == E.dim
+    return U.dim + W.dim == E.dim and linalg.rank(E.field, U.rows + W.rows) == E.dim
 
 
 def subalgebra_check(E: Algebra, U: Subspace) -> bool:
@@ -624,9 +650,7 @@ class Bimodule:
         for row in act:
             if len(row) != module_dim:
                 raise DimensionError("action row length does not match module dimension")
-            table.append(
-                tuple(tuple(ring.coerce(c) for c in cell) for cell in row)
-            )
+            table.append(tuple(map(ring.coerce_vector, row)))
             if any(len(cell) != module_dim for cell in row):
                 raise DimensionError("action values must live in the module")
         self.act = tuple(table)

@@ -252,7 +252,7 @@ def graph_complement(mp: MatchedPair, r: DeformationMap) -> GraphComplement:
     E = bp.product
     deformed = r_deform(mp, r)
     cols = _graph(E.field, r)
-    sub = Subspace(E, cols)
+    sub = Subspace._of(E, cols)
     Factorization(E, bp.a_embedding, sub)  # raises unless sub is a complementary subalgebra
     witness = LinearMap._of(E.field, mp.V.dim, E.dim, cols)
     if not hom_check(witness, deformed, E):

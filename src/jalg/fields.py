@@ -42,6 +42,8 @@ class Field:
     _cache: dict[int, "Field"] = {}
 
     characteristic: int
+    zero: object
+    one: object
 
     def __new__(cls, characteristic: int = 0):
         got = cls._cache.get(characteristic)
@@ -56,18 +58,11 @@ class Field:
                 )
         self = super().__new__(cls)
         self.characteristic = characteristic
+        # values are immutable, so every caller can share one zero and one
+        self.zero = Fraction(0) if characteristic == 0 else 0
+        self.one = Fraction(1) if characteristic == 0 else 1
         cls._cache[characteristic] = self
         return self
-
-    # -- basic constants ---------------------------------------------------
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
 
     def __repr__(self) -> str:
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"
@@ -135,6 +130,22 @@ class Field:
                 )
             return self.mul(num, self.inv(den))
         raise JalgError(f"cannot coerce {value!r} into F{self.characteristic}")
+
+    def coerce_vector(self, values) -> tuple:
+        """tuple(map(self.coerce, values)), with no call per entry when the
+        entries are plain ints over F_p or Fractions over Q.  Any other
+        entry sends the whole vector through coerce, which refuses what it
+        cannot take."""
+        values = tuple(values)
+        p = self.characteristic
+        if p:
+            # int.__rmod__ answers NotImplemented for every non-int
+            out = tuple(map(p.__rmod__, values))
+            if NotImplemented not in out:
+                return out
+        elif list(map(type, values)).count(Fraction) == len(values):
+            return values
+        return tuple(map(self.coerce, values))
 
     def parse(self, text: str):
         """Parse 'n' or 'n/d' (optionally signed) into a raw value.

@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .errors import JalgError
 from .fields import Field
@@ -455,6 +456,27 @@ def _pair_product(mul_a, mul_v, right, left, zero) -> tuple:
     for i in range(n):
         for x in range(m):
             sc[i][n + x] = sc[n + x][i] = tuple(left[x][i]) + tuple(right[x][i])
+    return tuple(map(tuple, sc))
+
+
+def _pair_sparse(sparse_a, sparse_v, right, left) -> tuple:
+    """_sparse of _pair_product's table, assembled from the factors' sparse
+    forms and the actions' nonzero entries instead of read off the dense
+    product: A x A cells are A's, V x V cells are V's with k shifted by
+    n = dim A, and cell (a, x) = (x, a) holds the nonzeros of x |> a, then
+    those of x <| a shifted by n.  The actions hold ring values, which are
+    nonzero exactly when true."""
+    n, m = len(sparse_a), len(sparse_v)
+    sc = [list(row) + [None] * m for row in sparse_a]
+    for row in sparse_v:
+        sc.append([None] * n + [tuple([(n + k, c) for k, c in cell]) for cell in row])
+    for x in range(m):
+        lrow, rrow, vrow = left[x], right[x], sc[n + x]
+        for a in range(n):
+            lc, rc = lrow[a], rrow[a]
+            sc[a][n + x] = vrow[a] = tuple(compress(enumerate(lc), lc)) + tuple(
+                compress(enumerate(rc, n), rc)
+            )
     return tuple(map(tuple, sc))
 
 

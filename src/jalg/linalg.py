@@ -21,7 +21,8 @@ def zeros(field: Field, n: int) -> list:
 
 
 def identity(field: Field, n: int) -> list[list]:
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    one, zero = field.one, field.zero
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:

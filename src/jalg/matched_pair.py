@@ -41,8 +41,7 @@ class _Action:
         return (A, V) if cls._side == "right" else (V, A)
 
     def __init__(self, V: Algebra, A: Algebra, tensor):
-        coerce = A.ring.coerce
-        self._set(V, A, tensor, lambda cell: tuple(map(coerce, cell)))
+        self._set(V, A, tensor, A.ring.coerce_vector)
 
     @classmethod
     def _of(cls, V: Algebra, A: Algebra, tensor):
@@ -225,9 +224,12 @@ class MatchedPair:
 
     def product_sparse(self) -> tuple:
         """product_sc() in the sparse form the contractions read
-        (identities._sparse), built once per pair."""
+        (identities._sparse), built once per pair from the factors' kept
+        forms and the actions' nonzero entries (identities._pair_sparse)."""
         if self._product_sparse is None:
-            self._product_sparse = _sparse(self.product_sc(), self.A.ring)
+            self._product_sparse = identities._pair_sparse(
+                self.A.sparse_sc(), self.V.sparse_sc(), self.right.tensor, self.left.tensor
+            )
         return self._product_sparse
 
     @property
@@ -253,13 +255,16 @@ class MatchedPair:
 
 def bicross_table(mp: MatchedPair) -> Algebra:
     """The candidate product algebra on A x V, built without verification
-    from `mp.product_sc()`.  Used both by the verified constructor and by
-    equivalence scans that need the table for pairs that may fail the axioms.
+    from `mp.product_sc()`, whose sparse form it shares with the pair.  Used
+    both by the verified constructor and by equivalence scans that need the
+    table for pairs that may fail the axioms.
     """
     A, V = mp.A, mp.V
     name = f"{A.name}|x|{V.name}" if A.name and V.name else None
     labels = list(A.basis) + _primed(A.basis, V.basis)
-    return Algebra._of(A.field, labels, mp.product_sc(), params=A.params, name=name)
+    return Algebra._of(
+        A.field, labels, mp.product_sc(), params=A.params, name=name, sparse=mp.product_sparse()
+    )
 
 
 @dataclass
@@ -287,15 +292,13 @@ def bicross(mp: MatchedPair) -> BicrossedProduct:
         return mp._bicross
     _require_matched(mp)
     product = bicross_table(mp)
-    # verify() passed by the cube law of this very table (matched_pair_verdict),
-    # and the pair's sparse form is this table's: share both
+    # verify() passed by the cube law of this very table (matched_pair_verdict)
     product._jordan = Verdict(True, (), ("jordan",))
-    product._sparse_sc = mp.product_sparse()
     a_emb = v_emb = None
     if not mp.A.params:
         units = linalg.identity(product.field, product.dim)
-        a_emb = Subspace(product, units[: mp.A.dim])
-        v_emb = Subspace(product, units[mp.A.dim :])
+        a_emb = Subspace._of(product, units[: mp.A.dim])
+        v_emb = Subspace._of(product, units[mp.A.dim :])
         Factorization(product, a_emb, v_emb)  # raises unless they split the product
     mp._bicross = BicrossedProduct(product, mp, a_emb, v_emb)
     return mp._bicross

@@ -91,6 +91,10 @@ class PolyRing:
             return value.embed(self)
         return self.const(value)
 
+    def coerce_vector(self, values) -> tuple:
+        """Field.coerce_vector's protocol: the values coerced one by one."""
+        return tuple(map(self.coerce, values))
+
     # -- arithmetic protocol (delegates to Poly) ------------------------------
 
     def add(self, a: "Poly", b: "Poly") -> "Poly":

@@ -1,8 +1,12 @@
 """Tables the library builds from ring values skip the constructor's
-coercion (Algebra._of, Subspace._coordinates, _Action._of,
+coercion (Algebra._of, Subspace._of, Subspace._coordinates, _Action._of,
 Factorization._split).  Each fast table is checked
 against the coercing constructor on the same data, over Q, F5 and F7;
-inputs are still coerced at the boundary, and symmetry is still checked."""
+inputs are still coerced at the boundary (Field.coerce_vector, one call
+per cell), and symmetry is still checked.  Each table's sparse form is
+kept from the constructor's pass, and a pair's product form is assembled
+from its factors' forms and the action cells; both are checked against
+identities._sparse of the dense table."""
 
 import itertools
 import random
@@ -14,6 +18,7 @@ import pytest
 from jalg import (
     Algebra,
     DeformationMap,
+    MatchedPair,
     DimensionError,
     Factorization,
     Field,
@@ -27,6 +32,7 @@ from jalg import (
     bicross_table,
     canonical_pair,
     catalog,
+    complement_check,
     complement_recover,
     deformation_families,
     enumerate_deformations,
@@ -38,8 +44,11 @@ from jalg import (
     subalgebra_witness,
 )
 from jalg.algebra import _closure
-from jalg.catalog import PAIR_NAMES, _read
+from jalg.catalog import ALGEBRA_NAMES, PAIR_NAMES, _read
 from jalg.deformation import _graph
+from jalg.identities import _sparse
+from jalg.poly import PolyRing
+from test_pair_oracle import _parametric_pairs, _random_unmatched
 
 FIELDS = {"Q": QQ, "F5": Field(5), "F7": Field(7)}
 
@@ -358,3 +367,184 @@ def test_deformation_map_keeps_only_the_deformed_table(name, p):
         verdict, table = r._checked
         assert verdict.ok
         assert tuple(map(tuple, table)) == r_deform(mp, r).sc
+
+
+def _typed(form):
+    """A sparse form with each entry's type beside it, so that equal values
+    of different types (1 and Fraction(1)) do not pass for each other."""
+    return [[[(k, type(c), c) for k, c in cell] for cell in row] for row in form]
+
+
+def _raw_entry(rng, ring):
+    """An input entry as a caller may write it: zero half the time, else a
+    bool, a negative or unreduced int, a Fraction, or over F[t] a
+    polynomial."""
+    if rng.random() < 0.5:
+        return rng.choice([0, False, ring.zero])
+    value = rng.choice([True, rng.randint(-20, 20), Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))])
+    if isinstance(ring, PolyRing):
+        return ring.add(ring.coerce(value), ring.mul(ring.var("t"), ring.coerce(rng.randint(-2, 2))))
+    return value
+
+
+def _raw_table(rng, ring, n):
+    sc = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            sc[i][j] = [_raw_entry(rng, ring) for _ in range(n)]
+            sc[j][i] = list(sc[i][j])
+    return sc
+
+
+def _polynomial_pair(rng, f):
+    """A pair over F[t] with all four blocks of its product random
+    polynomials, most of them zero; it need not be matched."""
+    ring = PolyRing(f, ("t",))
+    A = Algebra(f, ("a0", "a1"), _raw_table(rng, ring, 2), params=("t",))
+    V = Algebra(f, ("x0", "x1", "x2"), _raw_table(rng, ring, 3), params=("t",))
+    right = [[[_raw_entry(rng, ring) for _ in range(3)] for _ in range(2)] for _ in range(3)]
+    left = [[[_raw_entry(rng, ring) for _ in range(2)] for _ in range(2)] for _ in range(3)]
+    return MatchedPair(A, V, RightAction(V, A, right), LeftAction(V, A, left))
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_product_sparse_is_the_product_tables_sparse_form(name):
+    """product_sparse(), assembled from the factors' kept forms and the
+    action cells, equals _sparse of the dense product_sc(), entry by entry
+    and type by type: on every catalog pair, on the seeded random pairs of
+    tests/test_pair_oracle.py, on its pairs over F[alpha] and on a pair
+    over F[t] with all four blocks nonzero.  bicross_table shares it."""
+    f = FIELDS[name]
+    rng = random.Random("pairs-" + name)
+    pairs = [_pair(pair_name, f) for pair_name in PAIR_NAMES]
+    pairs += [_random_unmatched(rng, f, na, nv) for na, nv in ((2, 2), (3, 2)) for _ in range(15)]
+    pairs += [*_parametric_pairs(f), _polynomial_pair(random.Random("poly-" + name), f)]
+    assert any(mp.A.params for mp in pairs) and any(not mp.verify().ok for mp in pairs)
+    for mp in pairs:
+        assert _typed(mp.product_sparse()) == _typed(_sparse(mp.product_sc(), mp.A.ring))
+        assert bicross_table(mp).sparse_sc() is mp.product_sparse()
+
+
+@pytest.mark.parametrize("name", [*FIELDS, "Q[t]"])
+def test_constructors_keep_the_tables_sparse_form(name):
+    """Algebra(...) on raw entries (bools, negative and unreduced ints,
+    Fractions, polynomials) and Algebra._of on its ring values keep
+    sparse_sc() equal to _sparse of the dense table, entry by entry and
+    type by type; so do the catalog algebras."""
+    f = FIELDS.get(name, QQ)
+    params = ("t",) if name == "Q[t]" else ()
+    ring = PolyRing(f, params) if params else f
+    rng = random.Random("sparse-" + name)
+    algebras = [] if params else [catalog(n, field=None if f is QQ else f) for n in ALGEBRA_NAMES]
+    for n in range(4):
+        labels = [f"e{k}" for k in range(n)]
+        A = Algebra(f, labels, _raw_table(rng, ring, n), params=params)
+        algebras += [A, Algebra._of(f, labels, A.sc, params=params)]
+    for A in algebras:
+        assert _typed(A.sparse_sc()) == _typed(_sparse(A.sc, A.ring))
+
+
+@pytest.mark.parametrize("name", [*FIELDS, "Q[t]"])
+def test_coerce_vector_is_coerce_on_each_entry(name):
+    """coerce_vector takes its fast path on plain ints over F_p and on
+    Fractions over Q; on every cell, mixed or not, it gives what coerce
+    gives entry by entry, type by type, from a tuple, a list or an
+    iterator."""
+    f = FIELDS.get(name, QQ)
+    ring = PolyRing(f, ("t",)) if name == "Q[t]" else f
+    cells = [
+        (),
+        (0, 3, -4, 12, -7, 5, 14),
+        (True, False, 2),
+        (Fraction(3, 4), Fraction(-6, 2), Fraction(0)),
+        (True, -3, 15, Fraction(1, 2)),
+        tuple(ring.coerce(c) for c in (0, 1, -1, Fraction(2, 3))),
+    ]
+    for cell in cells:
+        want = [(type(c), c) for c in map(ring.coerce, cell)]
+        for given in (cell, list(cell), iter(cell)):
+            got = ring.coerce_vector(given)
+            assert type(got) is tuple
+            assert [(type(c), c) for c in got] == want
+
+
+@pytest.mark.parametrize(
+    "f,bad,text",
+    [
+        (Field(7), Fraction(3, 14), "cannot coerce 3/14 into F7: its denominator is divisible by 7"),
+        (Field(5), Fraction(1, 10), "cannot coerce 1/10 into F5: its denominator is divisible by 5"),
+        (Field(7), 0.5, "cannot coerce 0.5 into F7"),
+        (Field(7), "1", "cannot coerce '1' into F7"),
+        (QQ, 0.5, "cannot coerce 0.5 into Q"),
+        (QQ, "1", "cannot coerce '1' into Q"),
+    ],
+)
+def test_coerce_vector_refuses_with_the_text_of_coerce(f, bad, text):
+    with pytest.raises(JalgError) as single:
+        f.coerce(bad)
+    assert str(single.value) == text
+    for cell in ((bad,), (1, bad, 2), (Fraction(1, 2), bad), (bad, 0.25)):
+        with pytest.raises(JalgError) as vector:
+            f.coerce_vector(cell)
+        assert str(vector.value) == text
+
+
+@pytest.mark.parametrize("name", ["Q", "F7", "Q[t]"])
+def test_asymmetric_tables_are_refused(name):
+    """Symmetry is decided on the sparse cells with the dense check's
+    message: for a cell zero on one side only, and for cells of equal
+    support that differ in value.  A misshapen table is refused for its
+    shape first, as before."""
+    f = FIELDS.get(name, QQ)
+    params = ("t",) if name == "Q[t]" else ()
+    ring = PolyRing(f, params) if params else f
+    one, zero, two = ring.one, ring.zero, ring.coerce(2)
+    t = ring.var("t") if params else ring.coerce(3)
+    for ab, ba in (((one, zero), (zero, zero)), ((one, zero), (two, zero)), ((zero, t), (zero, one))):
+        sc = [[[one, zero], list(ab)], [list(ba), [zero, one]]]
+        for build in (Algebra, Algebra._of):
+            with pytest.raises(VerificationError, match=r"^structure constants not symmetric at \(b, a\)$"):
+                build(f, ("a", "b"), sc, params=params)
+        sc[1][1] = [one]
+        for build in (Algebra, Algebra._of):
+            with pytest.raises(DimensionError, match=r"^tensor cell \(1,1\) has length 1$"):
+                build(f, ("a", "b"), sc, params=params)
+
+
+def test_complements_are_decided_on_field_values(monkeypatch):
+    """bicross's unit embeddings, graph_complement's graph and
+    Subspace.sum and intersect are built by Subspace._of on field values,
+    and complement_check decides by one rank without building a Subspace:
+    on defmap-pair over F5 none of them calls Field.coerce.  Each subspace
+    equals the coercing constructor's on its rows."""
+    f = Field(5)
+    mp = _pair("defmap-pair", f)
+    maps = enumerate_deformations(mp)[:10]
+    coerced, built = [], []
+    inner_coerce, inner_set = Field.coerce, Subspace._set
+
+    def spy_coerce(self, value):
+        coerced.append(value)
+        return inner_coerce(self, value)
+
+    def spy_set(self, *args):
+        built.append(args)
+        inner_set(self, *args)
+
+    monkeypatch.setattr(Field, "coerce", spy_coerce)
+    monkeypatch.setattr(Subspace, "_set", spy_set)
+    subspaces = []
+    for r in maps:
+        graph = graph_complement(mp, r)
+        bp = graph.extension
+        E = bp.product
+        subspaces += [bp.a_embedding, bp.v_embedding, graph.subspace]
+        subspaces += [bp.a_embedding.sum(graph.subspace), bp.v_embedding.intersect(graph.subspace)]
+        made = len(built)
+        assert complement_check(E, bp.a_embedding, graph.subspace)
+        assert not complement_check(E, bp.v_embedding, bp.v_embedding)
+        assert len(built) == made
+    assert coerced == []
+    monkeypatch.undo()
+    for U in subspaces:
+        assert U == Subspace(U.ambient, U.rows)

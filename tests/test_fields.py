@@ -179,3 +179,11 @@ def test_parse_accepts_only_integers_and_quotients(text):
         with pytest.raises(JalgError, match="expected n or n/d"):
             field.parse(text)
     assert QQ.parse("+3/4") == Fraction(3, 4)
+
+
+def test_zero_and_one_are_values_set_at_interning():
+    """Read twice, zero and one are the same immutable objects."""
+    for f, kind in ((QQ, Fraction), (F5, int), (F7, int)):
+        assert f.zero is f.zero and f.one is f.one
+        assert (type(f.zero), type(f.one)) == (kind, kind)
+        assert (f.zero, f.one) == (0, 1)

@@ -166,10 +166,13 @@ def test_sparse_forms_and_bicross_are_built_once():
 
 
 def test_verify_then_bicross_builds_one_sparse_form(monkeypatch):
-    """verify() reads the pair's cached sparse form, and bicross() and its
-    subalgebra checks reuse it: on a freshly parsed J5-pair the product
-    table goes through _sparse once, and no other table does.  The same
-    holds for jordan_check on a fresh algebra."""
+    """Each table's sparse form is built once, in the pass that reads it:
+    the constructor keeps the factors' forms, and the pair assembles its
+    product's from them and the action cells.  On a freshly parsed J5-pair
+    verify(), bicross() and its subalgebra checks call _sparse on no table,
+    neither the dense product nor a factor's, and bicross's product shares
+    the pair's form.  jordan_check and mul_coords on a fresh algebra call
+    it on no table either."""
     built = []
 
     def counted(table, ring):
@@ -179,15 +182,15 @@ def test_verify_then_bicross_builds_one_sparse_form(monkeypatch):
     for name in ("identities", "algebra", "matched_pair"):
         monkeypatch.setattr(importlib.import_module(f"jalg.{name}"), "_sparse", counted)
     mp = parse_pair(_read("J5-pair.jpair"))
-    assert not built
     assert mp.verify().ok
-    bicross(mp)
-    assert built == [mp.product_sc()] and built[0] is mp.product_sc()
-    built.clear()
+    product = bicross(mp).product
     A = Algebra(mp.A.field, mp.A.basis, mp.A.sc)
     assert A.jordan_check().ok
     A.mul_coords(A.sc[0][0], A.sc[1][1])
-    assert built == [A.sc]
+    assert built == []
+    assert product.sparse_sc() is mp.product_sparse()
+    assert mp.product_sparse() == _sparse(mp.product_sc(), mp.A.ring)
+    assert A.sparse_sc() == _sparse(A.sc, A.ring)
 
 
 def test_unmatched_pair_raises_on_every_bicross_call():
