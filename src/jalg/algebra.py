@@ -1,6 +1,7 @@
 """Commutative algebras presented by structure constants, and their parts:
-elements, linear maps, subspaces, bimodules, jordanization, dual action,
-null split extension.
+elements, linear maps, subspaces, jordanization.  A bimodule over an
+algebra is a right action on an abelian factor (matched_pair.dual_action),
+and its null split extension is that pair's right semidirect product.
 
 An Algebra's entries live in its scalar ring: the ground field itself, or
 a polynomial ring in declared parameters for one-parameter families.  Both
@@ -633,84 +634,6 @@ def induced_subalgebra(E: Algebra, U: Subspace):
     return sub, incl
 
 
-class Bimodule:
-    """Module over an algebra with one action tensor act[i][m] = e_i . m_m.
-
-    The two-sided symmetry compatibility is structural: a single tensor
-    represents both xa and ax.
-    """
-
-    def __init__(self, algebra: Algebra, module_dim: int, act, labels=None):
-        self.algebra = algebra
-        self.module_dim = module_dim
-        ring = algebra.ring
-        if len(act) != algebra.dim:
-            raise DimensionError("action tensor must have one row per algebra basis vector")
-        table = []
-        for row in act:
-            if len(row) != module_dim:
-                raise DimensionError("action row length does not match module dimension")
-            table.append(tuple(map(ring.coerce_vector, row)))
-            if any(len(cell) != module_dim for cell in row):
-                raise DimensionError("action values must live in the module")
-        self.act = tuple(table)
-        self.labels = tuple(f"m{i}" for i in range(module_dim)) if labels is None else tuple(labels)
-        if len(self.labels) != module_dim:
-            raise DimensionError(f"expected {module_dim} module labels, got {len(self.labels)}")
-        if len(set(self.labels)) != module_dim:
-            raise JalgError(f"duplicate module labels {self.labels}")
-        self._verdict: identities.Verdict | None = None
-
-    @classmethod
-    def regular(cls, algebra: Algebra) -> "Bimodule":
-        """A acting on itself, on primed copies of its labels, so that
-        null_split_extension can put both side by side."""
-        return cls(algebra, algebra.dim, algebra.sc, labels=_primed(algebra.basis, algebra.basis))
-
-    @classmethod
-    def zero(cls, algebra: Algebra, module_dim: int, labels=None) -> "Bimodule":
-        z = algebra.ring.zero
-        act = [
-            [[z] * module_dim for _ in range(module_dim)] for _ in range(algebra.dim)
-        ]
-        return cls(algebra, module_dim, act, labels=labels)
-
-    def check(self) -> identities.Verdict:
-        if self._verdict is None:
-            self._verdict = identities.bimodule_verdict(
-                self.algebra.field, self.algebra.sc, self.act, self.algebra.params
-            )
-        return self._verdict
-
-
-def bimodule_check(A: Algebra, M: Bimodule) -> identities.Verdict:
-    if M.algebra is not A:
-        raise JalgError("bimodule belongs to a different algebra")
-    if not A.is_jordan:
-        raise VerificationError("base algebra fails the Jordan identity")
-    return M.check()
-
-
-def dual_action(A: Algebra) -> Bimodule:
-    """Transpose action (a . phi)(b) := phi(a b) on the dual space.
-
-    A Jordan bimodule when A is Jordan; both bimodule laws are still
-    decided (Bimodule.check, kept on the result) and a failure raises.
-    """
-    if not A.is_jordan:
-        raise VerificationError("dual action requires a Jordan algebra")
-    n = A.dim
-    act = [
-        [[A.sc[i][k][j] for k in range(n)] for j in range(n)] for i in range(n)
-    ]
-    labels = tuple(f"{lab}*" for lab in A.basis)
-    mod = Bimodule(A, n, act, labels=labels)
-    verdict = mod.check()
-    if not verdict.ok:
-        raise VerificationError("dual action violates the bimodule laws:\n" + verdict.describe())
-    return mod
-
-
 def jordanize(field: Field, basis, assoc, params=(), name=None) -> Algebra:
     """Symmetrize an associative multiplication: x . y = (xy + yx) / 2.
 
@@ -750,24 +673,4 @@ def jordanize(field: Field, basis, assoc, params=(), name=None) -> Algebra:
     verdict = out.jordan_check()
     if not verdict.ok:
         raise VerificationError("jordanization failed its own check:\n" + verdict.describe())
-    return out
-
-
-def null_split_extension(A: Algebra, M: Bimodule, name=None) -> Algebra:
-    """Algebra on A x M with (a,x)(b,y) = (ab, xb + ya); M squares to zero.
-
-    Its table is identities._null_extension, the one that bimodule_check
-    read both bimodule laws off.  That pass and A's Jordan identity cover
-    every piece of the table's cube law, so the result's Jordan verdict is
-    seeded PASS.
-    """
-    verdict = bimodule_check(A, M)
-    if not verdict.ok:
-        raise VerificationError("bimodule axioms fail:\n" + verdict.describe())
-    labels = tuple(A.basis) + tuple(M.labels)
-    if len(set(labels)) != len(labels):
-        raise JalgError("algebra and module labels overlap")
-    sc = identities._null_extension(A.sc, M.act, M.module_dim, A.ring.zero)
-    out = Algebra(A.field, labels, sc, params=A.params, name=name)
-    out._jordan = identities.Verdict(True, (), ("jordan",))
     return out

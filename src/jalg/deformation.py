@@ -51,7 +51,7 @@ class DeformationMap:
         self.params = tuple(params)
         ring = PolyRing(mp.A.field, self.params) if self.params else mp.A.field
         self.ring = ring
-        cols = tuple(tuple(ring.coerce(c) for c in col) for col in cols)
+        cols = tuple(map(ring.coerce_vector, cols))
         if len(cols) != mp.V.dim or any(len(col) != mp.A.dim for col in cols):
             raise DimensionError(
                 f"need {mp.V.dim} columns of length {mp.A.dim}"

@@ -1,4 +1,4 @@
-"""Symbolic verification of algebra, matched-pair and bimodule axioms.
+"""Symbolic verification of algebra and matched-pair axioms.
 
 Every "for all elements" axiom is a polynomial identity in the coordinates
 of generic elements (vectors of fresh indeterminates): it holds iff every
@@ -13,9 +13,11 @@ of basis operators, in plain integers, and residual polynomials are
 built from them only on a FAIL; it is still a proof, as every coefficient
 is checked.  The Jordan identity and an action law alone are the law
 itself.  On a pair's product table (_pair_product) one pass decides all
-ten pair axioms, as A x V is Jordan exactly when the pair is matched, and
-on the null split extension A x M (_null_extension) both bimodule laws;
-_piece_verdict reads each axiom's residuals off its piece.  That is the
+ten pair axioms, as A x V is Jordan exactly when the pair is matched;
+matched_pair_verdict reads each axiom's residuals off its piece.  A Jordan
+bimodule M over A is the pair of A and the abelian M with x <| a = a . x
+and no left action: its two laws are the right-action and MP3 pieces, and
+its null split extension is that pair's product.  That is the
 one route here to each axiom: the laws expanded in generic elements
 (MP1-MP6 among them) are the tests' independent oracles, in
 tests/slow_oracles.py.  With indeterminate table entries the
@@ -33,7 +35,8 @@ parameters for one-parameter families):
 * multiplication  mul[i][j]   = coordinate vector of e_i e_j
 * right action    right[x][a] = coordinate vector of e_x <| e_a  (in V)
 * left action     left[x][a]  = coordinate vector of e_x |> e_a  (in A)
-* module action   act[i][m]   = coordinate vector of e_i . m_m   (in M)
+* acting algebra  act[i][m]   = coordinate vector of e_i acting on m_m
+                               (action_law_verdict's acting-first form)
 
 The contractions read a tensor in its sparse form (_sparse):
 t[i][j] = ((k, c), ...) over the nonzero entries of cell (i, j).
@@ -411,10 +414,10 @@ def action_law_verdict(
 
     act[w][m] is the coordinate vector of basis vector w acting on module
     basis vector m.  This single law covers the right-action axiom (A acting
-    on V), the left-action axiom (V acting on A), the first bimodule
-    compatibility and the Jordan identity (A on itself).  Only on a FAIL
-    are the residuals built from _cube_coefficients; with stop_early only
-    the first failing coordinate is reported.  `sparse` is mul_acting's
+    on V; a bimodule's square law), the left-action axiom (V acting on A)
+    and the Jordan identity (A on itself).  Only on a FAIL are the
+    residuals built from _cube_coefficients; with stop_early only the first
+    failing coordinate is reported.  `sparse` is mul_acting's
     cached sparse form when act is mul_acting (_lift).
     """
     dim_w = len(mul_acting)
@@ -438,7 +441,7 @@ def jordan_verdict(field: Field, mul, params=(), stop_early: bool = False, spars
 
 
 # ---------------------------------------------------------------------------
-# product tables and their pieces: matched-pair and bimodule axioms
+# a pair's product table and its pieces: the matched-pair axioms
 
 
 def _pair_product(mul_a, mul_v, right, left, zero) -> tuple:
@@ -480,21 +483,6 @@ def _pair_sparse(sparse_a, sparse_v, right, left) -> tuple:
     return tuple(map(tuple, sc))
 
 
-def _null_extension(mul, act, module_dim: int, zero) -> tuple:
-    """Structure constants of the null split extension A x M, (a,x)(b,y) =
-    (ab, xb + ya): the _pair_product of A and the abelian M with
-    x <| a = a.x and no left action.  module_dim is explicit, as a module
-    over the 0-dim algebra has no act rows to read it from."""
-    n = len(mul)
-    return _pair_product(
-        mul,
-        [[(zero,) * module_dim] * module_dim] * module_dim,
-        [[act[a][x] for a in range(n)] for x in range(module_dim)],
-        [[(zero,) * n] * n] * module_dim,
-        zero,
-    )
-
-
 # Axioms as pieces of a product's cube law, w = (a, x) and m = (b, y) (the
 # linearized Jordan identity): (w in A, m in A, coordinate in A) ->
 # (axiom, its space, name of m), w None when mixed.  On a pair's product
@@ -512,51 +500,6 @@ _PAIR_PIECES = {
     (None, False, False): ("MP5", "V", "y"),
     (None, True, True): ("MP6", "A", "b"),
 }
-# On the null split extension, x and y both named m: the right-action law
-# and MP3.  The other pieces vanish (M^2 = 0, no left action) or are A's
-# Jordan identity.
-_BIMODULE_PIECES = {
-    (True, False, False): ("bim-square", "M", "m"),
-    (None, True, False): ("bim-linear", "M", "b"),
-}
-
-
-def _piece_verdict(
-    field: Field, table, n: int, params, pieces, axioms, v_names, stop_early=False, sparse=None
-) -> Verdict:
-    """The axioms in `axioms`, each one piece of `pieces`, read off one
-    _cube_coefficients pass on a product table (A's n basis vectors first).
-
-    The residuals live in generic_ring(field, params, a, b, *v_names), with
-    a w index named a_t in A and v_names[0] in V; a parameter that clashes
-    with those names is an error, PASS or FAIL.  With stop_early only the
-    first failing (axiom, coordinate) is reported, and `checked` ends at
-    its axiom.  `sparse` is the table's cached sparse form, if any.
-    """
-    m = len(table) - n
-    groups = [("a", n), ("b", n)] + [(v, m) for v in v_names]
-    _generic_names(params, groups)
-    bad, decode = _cube_coefficients(field, table, table, params, sparse)
-    found: dict = {}  # (place in axioms, coordinate, piece) -> {(i, j, k, l): c}
-    for o, coefficients in bad.items():
-        for key, c in coefficients.items():
-            w = {t < n for t in key[:3]}
-            piece = pieces.get((w.pop() if len(w) == 1 else None, key[3] < n, o < n))
-            if piece and piece[0] in axioms:
-                found.setdefault((axioms.index(piece[0]), o, piece), {})[key] = c
-    if stop_early and found:
-        first = min(found)
-        found, axioms = {first: found[first]}, axioms[: first[0] + 1]
-    if not found:
-        return _verdict([], axioms)
-    ring, _ = generic_ring(field, params, groups)
-    # product index t -> position of a_t, b_t (t < n) or v_(t-n); else None
-    pos = {v: [ring._index.get(f"{v}{t - n * (v in v_names)}") for t in range(n + m)] for v in ("a", "b", *v_names)}
-    failures = []
-    for (_, o, (axiom, space, name)), cs in sorted(found.items()):
-        residual = _residual(ring, cs, pos["a"][:n] + pos[v_names[0]][n:], pos[name], decode, params)
-        failures.append(AxiomFailure(axiom, space, o if o < n else o - n, residual))
-    return _verdict(failures, axioms)
 
 
 def matched_pair_verdict(
@@ -566,26 +509,40 @@ def matched_pair_verdict(
     `table` (_pair_product, with dim A = n): A x V is Jordan exactly when
     (A, V, <|, |>) is a matched pair.
 
-    Each axiom is one piece of the product's coefficients (_PAIR_PIECES);
-    on a FAIL its residuals are read off them, in the pair ring of a, b in
-    A and x, y in V.  `sparse` is the table's cached sparse form
-    (MatchedPair.product_sparse), if the caller keeps one.
+    Each axiom is one piece of the product's coefficients (_PAIR_PIECES),
+    read off one _cube_coefficients pass.  On a FAIL its residuals are read
+    off them, in generic_ring(field, params, a, b, x, y) with a w index
+    named a_t in A and x_t in V; a parameter that clashes with those names
+    is an error, PASS or FAIL.  With stop_early only the first failing
+    (axiom, coordinate) is reported, and `checked` ends at its axiom.
+    `sparse` is the table's cached sparse form (MatchedPair.product_sparse),
+    if the caller keeps one.
     """
-    return _piece_verdict(field, table, n, params, _PAIR_PIECES, PAIR_AXIOMS, ("x", "y"), stop_early, sparse)
-
-
-def bimodule_verdict(field: Field, mul, act, params=()) -> Verdict:
-    """Both bimodule compatibilities for act[i][m] = e_i . m_m:
-      square law   a (a^2 m) = a^2 (a m)
-      linearized   (a^2 b) m - a^2 (b m) = 2 [ (ab)(am) - a (b (am)) ]
-    read off the cube law of the null split extension A x M, which is
-    Jordan exactly when A is and M is a Jordan bimodule (_BIMODULE_PIECES).
-    The symmetry compatibility is structural (a single action tensor is
-    stored); A's own identity is bimodule_check's to decide.
-    """
-    n = len(mul)
-    table = _null_extension(mul, act, len(act[0]) if n else 0, field.zero)
-    return _piece_verdict(field, table, n, params, _BIMODULE_PIECES, ("bim-square", "bim-linear"), ("m",))
+    m = len(table) - n
+    groups = [("a", n), ("b", n), ("x", m), ("y", m)]
+    _generic_names(params, groups)
+    bad, decode = _cube_coefficients(field, table, table, params, sparse)
+    axioms = PAIR_AXIOMS
+    found: dict = {}  # (place in axioms, coordinate, piece) -> {(i, j, k, l): c}
+    for o, coefficients in bad.items():
+        for key, c in coefficients.items():
+            w = {t < n for t in key[:3]}
+            piece = _PAIR_PIECES.get((w.pop() if len(w) == 1 else None, key[3] < n, o < n))
+            if piece:
+                found.setdefault((axioms.index(piece[0]), o, piece), {})[key] = c
+    if stop_early and found:
+        first = min(found)
+        found, axioms = {first: found[first]}, axioms[: first[0] + 1]
+    if not found:
+        return _verdict([], axioms)
+    ring, _ = generic_ring(field, params, groups)
+    # product index t -> position of a_t, b_t (t < n) or x_(t-n), y_(t-n); else None
+    pos = {v: [ring._index.get(f"{v}{t - n * (v in 'xy')}") for t in range(n + m)] for v in "abxy"}
+    failures = []
+    for (_, o, (axiom, space, name)), cs in sorted(found.items()):
+        residual = _residual(ring, cs, pos["a"][:n] + pos["x"][n:], pos[name], decode, params)
+        failures.append(AxiomFailure(axiom, space, o if o < n else o - n, residual))
+    return _verdict(failures, axioms)
 
 
 def _rename(verdict: Verdict, mapping) -> Verdict:

@@ -1,5 +1,6 @@
 """Matched pairs of Jordan algebras and everything built from them:
-bicrossed products, semidirect products, canonical pairs extracted from a
+bicrossed products, semidirect products (a Jordan bimodule's null split
+extension among them), the dual module, canonical pairs extracted from a
 factorization, split monomorphisms, and the abelian-pair classification.
 """
 
@@ -296,24 +297,25 @@ def bicross(mp: MatchedPair) -> BicrossedProduct:
     product._jordan = Verdict(True, (), ("jordan",))
     a_emb = v_emb = None
     if not mp.A.params:
+        # the unit vectors of A and of V split the product by construction
         units = linalg.identity(product.field, product.dim)
         a_emb = Subspace._of(product, units[: mp.A.dim])
         v_emb = Subspace._of(product, units[mp.A.dim :])
-        Factorization(product, a_emb, v_emb)  # raises unless they split the product
     mp._bicross = BicrossedProduct(product, mp, a_emb, v_emb)
     return mp._bicross
 
 
 def _semidirect(mp: MatchedPair, names) -> Algebra:
-    """The product of a pair whose other action is zero, once verify()
-    passes.  Its first failing group is reported: a factor's Jordan
-    identity, the law of the nonzero action, or the three MP axioms that
-    survive (the keys of `names`, reported under its values: L1-L3 or
-    R1-R3).  With one action zero the other action law and the other three
-    MP pieces of the product's cube law vanish identically."""
+    """The verified product of a pair whose other action is zero, once
+    verify() passes: bicross's, which carries the seeded Jordan verdict.
+    Its first failing group is reported: a factor's Jordan identity, the
+    law of the nonzero action, or the three MP axioms that survive (the
+    keys of `names`, reported under its values: L1-L3 or R1-R3).  With one
+    action zero the other action law and the other three MP pieces of the
+    product's cube law vanish identically."""
     verdict = mp.verify()
     if verdict.ok:
-        return bicross_table(mp)
+        return bicross(mp).product
     first = verdict.failed_axioms()[0]
     if first in ("jordan-A", "jordan-V"):
         alg = mp.A if first == "jordan-A" else mp.V
@@ -334,6 +336,25 @@ def semidirect_left(A: Algebra, V: Algebra, la: LeftAction) -> Algebra:
 def semidirect_right(A: Algebra, V: Algebra, ra: RightAction) -> Algebra:
     """A x| V: multiplication (ab, x<|b + y<|a + xy); needs R1-R3."""
     return _semidirect(MatchedPair(A, V, ra, LeftAction.zero(V, A)), identities._RIGHT_FROM_MP)
+
+
+def dual_action(A: Algebra) -> RightAction:
+    """A's dual module as a right action on the abelian V = <a*>:
+    (phi <| a)(b) = phi(ab), so e_j* <| e_i = sum over k of (e_i e_k)_j e_k*.
+
+    A Jordan bimodule is the pair (A, V, <|, 0): its two laws are the
+    pair's right-action and MP3 pieces, and its null split extension is
+    semidirect_right(A, V, <|).  A must be Jordan; the pair is still
+    verified once, and a failure raises."""
+    if not A.is_jordan:
+        raise VerificationError("dual action requires a Jordan algebra")
+    n, z = A.dim, A.ring.zero
+    V = Algebra._of(A.field, [f"{lab}*" for lab in A.basis], [[[z] * n] * n] * n, params=A.params)
+    ra = RightAction._of(V, A, [[[A.sc[i][k][j] for k in range(n)] for i in range(n)] for j in range(n)])
+    verdict = MatchedPair(A, V, ra, LeftAction.zero(V, A)).verify()
+    if not verdict.ok:
+        raise VerificationError("dual action violates the bimodule laws:\n" + verdict.describe())
+    return ra
 
 
 class Factorization:

@@ -7,7 +7,6 @@ import pytest
 
 from jalg import (
     Algebra,
-    Bimodule,
     DeformationMap,
     DimensionError,
     Field,
@@ -21,18 +20,18 @@ from jalg import (
     RightAction,
     Subspace,
     VerificationError,
-    bimodule_check,
     complement_check,
     dual_action,
     induced_subalgebra,
     jordanize,
-    null_split_extension,
+    semidirect_right,
     subalgebra_check,
     subalgebra_witness,
 )
 from jalg import identities
 from jalg.catalog import ALGEBRA_NAMES, catalog
 from jalg.identities import _bilinear, _linear, _sparse
+from conftest import module_action, module_pair, regular_module
 from slow_oracles import express
 
 F5 = Field(5)
@@ -168,35 +167,46 @@ def test_jordanize_rejects_nonassociative():
 
 def test_dual_action_values():
     A = Algebra.from_products(QQ, ("a",), {("a", "a"): {"a": 1}})
-    M = dual_action(A)
-    assert M.labels == ("a*",)
-    # a acting on a* gives a* back: act[i][m] are module coordinates
-    assert M.act[0][0] == (Fraction(1),)
-    assert bimodule_check(A, M).ok
+    ra = dual_action(A)
+    assert type(ra) is RightAction and ra.A is A
+    assert ra.V.basis == ("a*",) and ra.V.is_abelian
+    # a* <| a = a*: tensor[x][a] holds coordinates on the dual basis
+    assert ra.tensor[0][0] == (Fraction(1),)
+    assert module_pair(ra).verify().ok
+
+
+def test_dual_action_refuses_a_non_jordan_algebra():
+    # x^2 = y, xy = x fails the Jordan identity
+    A = Algebra.from_products(QQ, ("x", "y"), {("x", "x"): {"y": 1}, ("x", "y"): {"x": 1}})
+    assert not A.is_jordan
+    with pytest.raises(VerificationError, match=r"^dual action requires a Jordan algebra$"):
+        dual_action(A)
 
 
 def test_regular_bimodule():
     A2 = Algebra.from_products(
         QQ, ("a", "b"), {("a", "a"): {"a": 1}, ("b", "b"): {"b": 1}}
     )
-    M = Bimodule.regular(A2)
-    assert bimodule_check(A2, M).ok
+    assert module_pair(regular_module(A2)).verify().ok
 
 
 def test_bimodule_failure_detected():
     A = Algebra.from_products(QQ, ("a",), {("a", "a"): {"a": 1}})
-    # doubling the regular action breaks the compatibility law
-    M = Bimodule(A, 1, [[[2]]], labels=("m",))
-    assert not bimodule_check(A, M).ok
-    ok = Bimodule(A, 1, [[[1]]], labels=("m",))
-    assert bimodule_check(A, ok).ok
+    # doubling the regular action breaks the linearized law, MP3, alone
+    doubled = module_action(A, [[[2]]], ("m",))
+    assert module_pair(doubled).verify().failed_axioms() == ("MP3",)
+    with pytest.raises(VerificationError, match=r"^semidirect axioms fail:\nfail\n  R2\[V:0\] "):
+        semidirect_right(A, doubled.V, doubled)
+    ok = module_action(A, [[[1]]], ("m",))
+    assert module_pair(ok).verify().ok
 
 
 def test_null_split_extension():
     A = Algebra.from_products(
         QQ, ("a", "b"), {("a", "a"): {"a": 1}, ("b", "b"): {"b": 1}}
     )
-    E = null_split_extension(A, dual_action(A))
+    ra = dual_action(A)
+    E = semidirect_right(A, ra.V, ra)
     assert E.basis == ("a", "b", "a*", "b*")
     assert E.is_jordan
     # the module part squares to zero
@@ -209,49 +219,54 @@ def test_null_split_extension():
 
 
 def test_bimodule_rejects_wrong_labels():
+    """A module's labels are its factor's basis: Algebra refuses duplicates,
+    the action refuses a factor of the wrong size, and labels that clash
+    with A's are primed in the product instead of refused."""
     A = Algebra.from_products(QQ, ("a",), {("a", "a"): {"a": 1}})
-    act = [[[1, 0], [0, 1]]]
-    with pytest.raises(DimensionError, match=r"^expected 2 module labels, got 1$"):
-        Bimodule(A, 2, act, labels=("m",))
-    with pytest.raises(JalgError, match=r"^duplicate module labels \('m', 'm'\)$") as err:
-        Bimodule(A, 2, act, labels=("m", "m"))
+    with pytest.raises(JalgError, match=r"^duplicate basis labels \('m', 'm'\)$") as err:
+        Algebra.abelian(QQ, ("m", "m"))
     assert type(err.value) is JalgError
-    assert Bimodule(A, 2, act).labels == ("m0", "m1")
+    with pytest.raises(DimensionError, match=r"^action tensor must have one row per V basis vector$"):
+        RightAction(Algebra.abelian(QQ, ("m",)), A, [[[1]], [[1]]])
+    ra = module_action(A, [[[1]]], ("a",))
+    assert semidirect_right(A, ra.V, ra).basis == ("a", "a'")
 
 
 def test_null_split_extension_over_the_zero_algebra():
-    """M's size comes from the module, not from the (absent) action rows."""
+    """V's size comes from V, not from the (absent) action rows."""
     A = Algebra(QQ, (), [])
-    E = null_split_extension(A, Bimodule.zero(A, 2))
+    V = Algebra.abelian(QQ, ("m0", "m1"))
+    E = semidirect_right(A, V, RightAction.zero(V, A))
     assert E.basis == ("m0", "m1")
     assert E.is_abelian and E.is_jordan
 
 
 @pytest.mark.parametrize("field", [QQ, F5, F7], ids=str)
 def test_null_split_extension_jordan_verdict_is_seeded_soundly(field):
-    """The seeded PASS of null_split_extension equals a fresh cube-law pass
-    on its table, for the regular and dual bimodules of every catalog
-    algebra."""
+    """The PASS that semidirect_right seeds (through bicross) equals a fresh
+    cube-law pass on its table, for the regular and dual modules of every
+    catalog algebra."""
     for name in ALGEBRA_NAMES:
         A = catalog(name, field=field)
-        for M in (Bimodule.regular(A), dual_action(A)):
-            E = null_split_extension(A, M)
+        for ra in (regular_module(A), dual_action(A)):
+            E = semidirect_right(A, ra.V, ra)
+            assert E._jordan is not None
             assert E.jordan_check() == identities.jordan_verdict(E.field, E.sc, E.params), name
 
 
 def test_regular_bimodule_extends_with_primed_labels(j5):
-    """Bimodule.regular primes A's labels, so A acting on itself has a
-    null split extension, with a seeded Jordan verdict that a fresh pass
-    on its table confirms."""
-    M = Bimodule.regular(j5)
-    assert M.labels == tuple(f"{lab}'" for lab in j5.basis)
-    E = null_split_extension(j5, M)
-    assert E.basis == j5.basis + M.labels
+    """The product of the regular module primes A's labels, so A acting on
+    itself has a null split extension, with a seeded Jordan verdict that a
+    fresh pass on its table confirms."""
+    ra = regular_module(j5)
+    E = semidirect_right(j5, ra.V, ra)
+    assert E.basis == j5.basis + tuple(f"{lab}'" for lab in j5.basis)
     assert E.jordan_check() == identities.jordan_verdict(E.field, E.sc, E.params)
     assert E.jordan_check().ok
     # a primed label already in use is primed again
     A = Algebra.from_products(QQ, ("a", "a'"), {("a", "a"): {"a": 1}})
-    assert Bimodule.regular(A).labels == ("a''", "a'''")
+    ra = regular_module(A)
+    assert semidirect_right(A, ra.V, ra).basis[2:] == ("a''", "a'''")
 
 
 def test_linear_map_from_images_rejects_unknown_target_label(j5):

@@ -150,9 +150,9 @@ def test_coordinates_without_coercion(name):
 
 def test_bicross_of_a_parsed_pair_coerces_nothing_again(monkeypatch):
     """Parsing coerces J5-pair's constants; bicross() then builds no
-    Algebra through __init__, still decides its embeddings with one
-    Factorization, and the table it skips coercion for is still checked
-    for symmetry."""
+    Algebra through __init__ and no Factorization (its unit-vector
+    embeddings split the product by construction), and the table it skips
+    coercion for is still checked for symmetry."""
     mp = parse_pair(_read("J5-pair.jpair"))
     inits, facts = [], []
     init, fact_init = Algebra.__init__, Factorization.__init__
@@ -170,7 +170,7 @@ def test_bicross_of_a_parsed_pair_coerces_nothing_again(monkeypatch):
     product = bicross(mp).product
     assert product.dim == 4
     assert inits == []
-    assert len(facts) == 1
+    assert facts == []
     # (a, b) = a but (b, a) = 0
     f = mp.A.field
     one, zero = f.one, f.zero
@@ -196,9 +196,9 @@ def _count_products(monkeypatch) -> list:
 def test_factorization_and_canonical_pair_multiply_once(monkeypatch):
     """One closure pass per factor: on J17-pair's product, Factorization
     and canonical_pair on fresh subspaces make the 15 distinct products
-    once each (24 when canonical_pair redid the closure pass).  bicross
-    decided its own embeddings' closure, which they keep, so on them only
-    the 6 action products x a are made."""
+    once each (24 when canonical_pair redid the closure pass).  The
+    subspaces keep their closure, so a second canonical_pair on them makes
+    only the 6 action products x a."""
     mp = catalog("J17-pair")
     bp = bicross(mp)
     E = bp.product
@@ -207,7 +207,7 @@ def test_factorization_and_canonical_pair_multiply_once(monkeypatch):
     assert canonical_pair(Factorization(E, a_sub, v_sub)) == mp
     assert len(calls) == len(set(calls)) == 15
     calls.clear()
-    assert canonical_pair(Factorization(E, bp.a_embedding, bp.v_embedding)) == mp
+    assert canonical_pair(Factorization(E, a_sub, v_sub)) == mp
     assert len(calls) == len(set(calls)) == mp.A.dim * mp.V.dim == 6
 
 
@@ -216,8 +216,9 @@ def test_complement_recover_decides_each_closure_once(monkeypatch):
     Factorization(E, A, bbar), which share A's closure pass: on
     defmap-pair, fresh subspaces and a graph complement cost 13 products,
     each made once (16 when A's closure was decided twice).  On bicross's
-    embeddings and graph_complement's subspace, all decided already, only
-    the 4 action products are made."""
+    embeddings and graph_complement's subspace, once their closures are
+    decided (graph_complement decides A's and its own, subalgebra_check
+    here V's), only the 4 action products are made."""
     mp = catalog("defmap-pair")
     bp = bicross(mp)
     E = bp.product
@@ -227,6 +228,7 @@ def test_complement_recover_decides_each_closure_once(monkeypatch):
     calls = _count_products(monkeypatch)
     assert complement_recover(E, *fresh).cols == r.cols
     assert len(calls) == len(set(calls)) == 13
+    assert subalgebra_check(E, bp.v_embedding)
     calls.clear()
     assert complement_recover(E, bp.a_embedding, bp.v_embedding, graph.subspace).cols == r.cols
     assert len(calls) == len(set(calls)) == mp.A.dim * mp.V.dim == 4
@@ -487,6 +489,35 @@ def test_coerce_vector_refuses_with_the_text_of_coerce(f, bad, text):
         with pytest.raises(JalgError) as vector:
             f.coerce_vector(cell)
         assert str(vector.value) == text
+
+
+def test_enumerated_maps_are_coerced_per_column(monkeypatch):
+    """DeformationMap coerces each column with coerce_vector: enumerating
+    defmap-pair's 20 maps over F5 makes no Field.coerce call from the
+    deformation layer (80 before, one per entry).  The calls left are the
+    constants of the generic map's polynomial ring, made once per
+    enumeration.  The constructor still refuses what coerce refuses, with
+    coerce's text."""
+    mp = catalog("defmap-pair", field=Field(5))
+    callers = []
+    inner = Field.coerce
+
+    def counted(self, value):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return inner(self, value)
+
+    monkeypatch.setattr(Field, "coerce", counted)
+    assert len(enumerate_deformations(mp)) == 20
+    assert set(callers) <= {"jalg.poly"}
+    monkeypatch.undo()
+    for pair, bad, text in (
+        (mp, Fraction(1, 5), "cannot coerce 1/5 into F5: its denominator is divisible by 5"),
+        (mp, 0.5, "cannot coerce 0.5 into F5"),
+        (catalog("defmap-pair"), 0.5, "cannot coerce 0.5 into Q"),
+    ):
+        with pytest.raises(JalgError) as err:
+            DeformationMap(pair, [[1, 0], [bad, 0]])
+        assert str(err.value) == text
 
 
 @pytest.mark.parametrize("name", ["Q", "F7", "Q[t]"])

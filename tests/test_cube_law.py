@@ -1,11 +1,12 @@
 """The cube-law kernel against generic-element expansion (tests/slow_oracles.py).
 
-jordan_verdict, action_law_verdict and bimodule_verdict decide the cube
-law, or its pieces on the null split extension, coefficient by
-coefficient.  The oracles expand the same identities as polynomials in
-generic coordinates.  Both must give
+jordan_verdict and action_law_verdict decide the cube law coefficient by
+coefficient, and a Jordan bimodule's two laws are the right-action and
+MP3 pieces of its pair's (MatchedPair.verify).  The oracles expand the
+same identities as polynomials in generic coordinates.  Both must give
 equal Verdicts, equal describe() text and equal witnesses, PASS or FAIL,
-over Q, F_p and with a parameter.  The kernel's coefficients, read off
+over Q, F_p and with a parameter; the module laws, under the oracle's
+names, equal failures and residuals.  The kernel's coefficients, read off
 cached commutators [S_r, S_t], must also equal those of the U_pq kernel
 it replaced (oracle.cube_coefficients), one by one.
 """
@@ -17,7 +18,6 @@ import pytest
 
 from jalg import (
     Algebra,
-    Bimodule,
     Field,
     JalgError,
     LeftAction,
@@ -27,9 +27,12 @@ from jalg import (
     QQ,
     RightAction,
     catalog,
+    dual_action,
     identities,
+    semidirect_right,
 )
 from jalg.catalog import ALGEBRA_NAMES, PAIR_NAMES
+from conftest import module_action, module_pair, regular_module
 import slow_oracles as oracle
 
 FIELDS = {"Q": QQ, "F5": Field(5), "F7": Field(7), "F11": Field(11)}
@@ -207,13 +210,42 @@ def _one_law_failures(c):
     return [square_only, ([[[c]]], [[[2 * c]]])]
 
 
+# A bimodule's two laws as pieces of its pair's cube law, under the names
+# the expanded oracle gives them.
+_BIMODULE_LAWS = {"right-action": "bim-square", "MP3": "bim-linear"}
+
+
+def _named_terms(poly, rename=lambda name: name):
+    """A residual's terms as {((variable, exponent), ...): coefficient}."""
+    names = [rename(name) for name in poly.ring.names]
+    return {tuple((v, e) for v, e in zip(names, exp) if e): c for exp, c in poly.terms.items()}
+
+
+def _x_as_m(name):
+    return "m" + name[1:] if name[0] == "x" and name[1:].isdigit() else name
+
+
+def _bimodule_failures(verdict):
+    """The failures of the module laws in a pair's verdict, as the oracle
+    reports them: (law, coordinate of M, residual terms with x_t named m_t).
+    A's own Jordan identity is left out: the oracle does not decide it."""
+    return [
+        (_BIMODULE_LAWS[f.axiom], f.index, _named_terms(f.residual, _x_as_m))
+        for f in verdict.failures
+        if f.axiom in _BIMODULE_LAWS
+    ]
+
+
 def _same_bimodule_verdicts(f, cases, params=()):
-    """bimodule_verdict against the oracle; returns the failed-law sets."""
+    """MatchedPair.verify on each module's pair (A, V, act, 0) against the
+    expanded oracle; returns the failed-law sets, in the oracle's names."""
     failed = set()
     for sc, act in cases:
-        fast = identities.bimodule_verdict(f, sc, act, params)
-        _same(fast, oracle.bimodule_verdict(f, sc, act, params))
-        failed.add(fast.failed_axioms())
+        A = Algebra(f, tuple(f"e{i}" for i in range(len(sc))), sc, params=params)
+        fast = _bimodule_failures(module_pair(module_action(A, act)).verify())
+        slow = oracle.bimodule_verdict(f, sc, act, params)
+        assert fast == [(g.axiom, g.index, _named_terms(g.residual)) for g in slow.failures]
+        failed.add(tuple(dict.fromkeys(law for law, _, _ in fast)))
     return failed
 
 
@@ -226,16 +258,16 @@ def test_bimodule_matches_expansion(name):
         A = Algebra(f, tuple(f"e{i}" for i in range(n)), _jordan_table(rng, f, n))
         m = rng.randint(1, 3)
         random_act = [[[f.coerce(_scalar(rng, f)) for _ in range(m)] for _ in range(m)] for _ in range(n)]
-        cases += [(A.sc, M.act) for M in (Bimodule.regular(A), Bimodule(A, m, random_act))]
+        cases += [(A.sc, A.sc), (A.sc, random_act)]
     failed = _same_bimodule_verdicts(f, cases)
     assert failed == {(), ("bim-square",), ("bim-linear",), ("bim-square", "bim-linear")}
 
 
 @pytest.mark.parametrize("name", ("Q", "F5"))
 def test_parametric_bimodules_match_expansion(name):
-    """Entries in Q[alpha] and F5[alpha] on tables that are not Jordan:
-    bimodule_verdict reads only the two bimodule pieces, whatever A's own
-    identity does."""
+    """Entries in Q[alpha] and F5[alpha] on tables that are not Jordan, with
+    V a zero table in the same parameter: the module laws are read off
+    their own pieces, whatever A's own identity does."""
     f = FIELDS[name]
     ring = PolyRing(f, ("alpha",))
     alpha = ring.var("alpha")
@@ -252,17 +284,75 @@ def test_parametric_bimodules_match_expansion(name):
 
 
 def test_bimodule_verdict_expands_nothing(monkeypatch):
-    """Both bimodule laws come from the cube-law kernel: the bilinear
+    """Both module laws come from the cube-law kernel: the bilinear
     contraction, which a generic-element expansion runs on, is never called."""
 
     def forbidden(*args):
-        raise AssertionError("bimodule_verdict expanded a law through _bilinear")
+        raise AssertionError("the pair's verdict expanded a law through _bilinear")
 
     monkeypatch.setattr(identities, "_bilinear", forbidden)
-    verdicts = [identities.bimodule_verdict(QQ, sc, act) for sc, act in _one_law_failures(QQ.one)]
-    assert [v.failed_axioms() for v in verdicts] == [("bim-square",), ("bim-linear",)]
+    verdicts = [
+        module_pair(module_action(Algebra(QQ, [f"e{i}" for i in range(len(sc))], sc), act)).verify()
+        for sc, act in _one_law_failures(QQ.one)
+    ]
+    assert [v.failed_axioms() for v in verdicts] == [("right-action",), ("MP3",)]
     A = catalog("J5", field=Field(7))
-    assert identities.bimodule_verdict(A.field, A.sc, A.sc).ok
+    assert module_pair(regular_module(A)).verify().ok
+
+
+def _module_grid():
+    """(A, action) over Q, F5 and F7: for each catalog algebra its regular
+    and dual modules and four seeded random modules, 162 in all."""
+    for name in ("Q", "F5", "F7"):
+        f = FIELDS[name]
+        rng = random.Random("module-grid-" + name)
+        for alg in ALGEBRA_NAMES:
+            A = catalog(alg, field=f)
+            out = [regular_module(A), dual_action(A)]
+            for _ in range(4):
+                m = rng.randint(1, 3)
+                act = [
+                    [[f.zero if rng.random() < 0.6 else f.coerce(_scalar(rng, f)) for _ in range(m)] for _ in range(m)]
+                    for _ in range(A.dim)
+                ]
+                out.append(module_action(A, act))
+            for ra in out:
+                yield A, ra
+
+
+def _null_split_table(A, ra):
+    """(a, x)(b, y) = (ab, xb + ya) on A x V, written out entry by entry."""
+    f, n, m = A.field, A.dim, ra.V.dim
+    sc = [[[f.zero] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                sc[i][j][k] = A.sc[i][j][k]
+        for x in range(m):
+            for y in range(m):
+                sc[i][n + x][n + y] = sc[n + x][i][n + y] = ra.tensor[x][i][y]
+    return sc
+
+
+def test_module_grid_matches_expansion_and_the_written_out_extension():
+    """On 162 modules the pair's module-law failures equal the expanded
+    oracle's, and every module that passes has semidirect_right's table
+    equal to the null split extension written out entry by entry."""
+    outcomes = []
+    for A, ra in _module_grid():
+        act = [[ra.tensor[x][a] for x in range(ra.V.dim)] for a in range(A.dim)]
+        verdict = module_pair(ra).verify()
+        slow = oracle.bimodule_verdict(A.field, A.sc, act)
+        assert _bimodule_failures(verdict) == [(g.axiom, g.index, _named_terms(g.residual)) for g in slow.failures]
+        assert verdict.ok == slow.ok
+        if verdict.ok:
+            E = semidirect_right(A, ra.V, ra)
+            assert [[list(cell) for cell in row] for row in E.sc] == _null_split_table(A, ra)
+        outcomes.append(verdict.failed_axioms())
+    assert len(outcomes) == 162
+    # the 54 regular and dual modules pass, and so do some random ones
+    assert outcomes.count(()) > 54
+    assert {("MP3",), ("right-action", "MP3")} <= set(outcomes)
 
 
 @pytest.mark.parametrize("name", ("Q", "F5"))

@@ -225,13 +225,16 @@ def test_bicross_reproduces_j5(j5):
 
 
 def test_bicross_embeddings_are_subalgebras():
+    """bicross takes its unit-vector embeddings as a split of the product
+    without deciding it; here they are decided, for every catalog pair over
+    Q, F5 and F7: both are subalgebras, and complementary."""
     from jalg import complement_check, subalgebra_check
 
-    mp = catalog("J17-pair")
-    bp = bicross(mp)
-    assert subalgebra_check(bp.product, bp.a_embedding)
-    assert subalgebra_check(bp.product, bp.v_embedding)
-    assert complement_check(bp.product, bp.a_embedding, bp.v_embedding)
+    for name, field in itertools.product(PAIR_NAMES, (None, F5, Field(7))):
+        bp = bicross(catalog(name, field=field))
+        assert subalgebra_check(bp.product, bp.a_embedding), (name, field)
+        assert subalgebra_check(bp.product, bp.v_embedding), (name, field)
+        assert complement_check(bp.product, bp.a_embedding, bp.v_embedding), (name, field)
 
 
 def test_bicross_table_unverified_matches_bicross():
