@@ -126,7 +126,7 @@ class Algebra:
                         f"({self.basis[i]}, {self.basis[j]})"
                     )
         self._jordan: identities.Verdict | None = None
-        self._element_buckets: dict | None = None  # morphism._element_buckets
+        self._element_index = None  # morphism._element_index
 
     # -- construction helpers ------------------------------------------------
 

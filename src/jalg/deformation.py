@@ -164,7 +164,9 @@ def _graph_products(mp: MatchedPair, r: DeformationMap):
     is closed, i.e. iff r(v_part) = a_part everywhere."""
     R = r.ring
     nA, nV = mp.A.dim, mp.V.dim
-    sc = _sparse(mp.product_sc(), R) if isinstance(R, PolyRing) else mp.product_sparse()
+    sc = mp.product_sparse()
+    if isinstance(R, PolyRing):  # lift the field values as they are
+        sc = [[[(k, R._const_of(c)) for k, c in cell] for cell in row] for row in sc]
     graph = _graph(R, r)
     for i in range(nV):
         for j in range(i, nV):

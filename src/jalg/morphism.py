@@ -155,8 +155,11 @@ class IsoVerdict:
 
 
 def _mult_operator(A: Algebra, x) -> list:
-    """The columns of L_x, the operator y -> x y; column j is x e_j."""
-    return [A.mul_coords(x, e) for e in linalg.identity(A.field, A.dim)]
+    """The columns of L_x, the operator y -> x y: one _linear contraction
+    of x with the stacked L_{e_i} that A's element index keeps."""
+    n = A.dim
+    flat = _linear(A.field, _element_index(A).ops, x, n * n)
+    return [flat[j * n : (j + 1) * n] for j in range(n)]
 
 
 def _compose(f, a, b) -> list:
@@ -174,9 +177,9 @@ def _trace(f, M):
 def _trace_form_ranks(A: Algebra):
     """(rank of (x,y) -> tr L_{xy},  rank of (x,y) -> tr(L_x L_y))."""
     f = A.field
-    ops = [_mult_operator(A, e) for e in linalg.identity(f, A.dim)]
     t1 = [[_trace(f, _mult_operator(A, xy)) for xy in row] for row in A.sc]
-    t2 = [[_trace(f, _compose(f, Li, Lj)) for Lj in ops] for Li in ops]
+    # the columns of L_{e_i} are the cells e_i e_j of row i
+    t2 = [[_trace(f, _compose(f, Li, Lj)) for Lj in A.sc] for Li in A.sc]
     return linalg.rank(f, t1), linalg.rank(f, t2)
 
 
@@ -215,8 +218,9 @@ def classify_dim2(A: Algebra) -> Dim2Signature:
     """Invariant tuple for 2-dimensional algebras.
 
     Over a finite field the idempotent and square-zero element counts are
-    exact (every element is scanned); over Q they are omitted, since a
-    bounded search would not be an isomorphism invariant.
+    exact (read off the element index, which covers every element); over
+    Q they are omitted, since a bounded search would not be an isomorphism
+    invariant.
     """
     if A.dim != 2:
         raise DimensionError("classifier is for dimension 2")
@@ -225,9 +229,7 @@ def classify_dim2(A: Algebra) -> Dim2Signature:
     span, r1, r2 = invariant_signature(A)
     idem = sqz = None
     if A.field.characteristic:
-        buckets = _element_buckets(A).items()
-        idem = sum(len(xs) for key, xs in buckets if key[3])
-        sqz = sum(len(xs) for key, xs in buckets if key[2]) - 1  # not the zero vector
+        idem, sqz = _element_index(A).counts()
     return Dim2Signature(span, r1, r2, idem, sqz)
 
 
@@ -244,12 +246,18 @@ def _operator_invariants(A: Algebra, x) -> tuple:
     read from."""
     f = A.field
     op = _mult_operator(A, x)
-    traces = []
+    traces = [_trace(f, op)]
     power = op
-    for _ in range(A.dim):
-        traces.append(_trace(f, power))
+    for _ in range(1, A.dim):
         power = _compose(f, op, power)
-    return tuple(traces), linalg.rank(f, op), A.mul_coords(x, x)
+        traces.append(_trace(f, power))
+    return tuple(traces), linalg.rank(f, op), _linear(f, op, x, A.dim)
+
+
+def _key(f, x, invariants) -> tuple:
+    """The element key of x from its _operator_invariants."""
+    traces, rank, sq = invariants
+    return traces, rank, all(f.is_zero(c) for c in sq), sq == list(x)
 
 
 def _element_key(A: Algebra, x) -> tuple:
@@ -257,41 +265,119 @@ def _element_key(A: Algebra, x) -> tuple:
 
     An isomorphism phi has L_{phi(x)} = phi L_x phi^-1, so phi(x) has the
     key of x."""
-    traces, rank, sq = _operator_invariants(A, x)
-    return traces, rank, all(A.field.is_zero(c) for c in sq), sq == list(x)
+    return _key(A.field, x, _operator_invariants(A, x))
 
 
-def _element_buckets(B: Algebra) -> dict:
-    """B's p^n elements grouped by _element_key, in lexicographic order
-    within each group; computed once per Algebra instance.
+def _element_index(A: Algebra) -> "_ElementIndex":
+    """A's element index, built on first use and kept on that Algebra
+    instance (never shared between equal tables)."""
+    if A._element_index is None:
+        A._element_index = _ElementIndex(A)
+    return A._element_index
 
-    The product is bilinear, so L_{cx} = c L_x: for c != 0 the element cx
-    has traces c^k tr L_x^k, the rank of L_x, and (cx)^2 = c^2 x^2.  L_x is
-    built only for the zero vector and for the elements whose first nonzero
-    coordinate is 1, one per line through the origin; every other element
-    is c times such an x, which comes before it in lexicographic order."""
-    if B._element_buckets is None:
-        p = B.field.characteristic
-        n = B.dim
-        inverse = [0] + [pow(c, p - 2, p) for c in range(1, p)]
-        powers = [[pow(c, k, p) for k in range(1, n + 1)] for c in range(p)]
-        lines: dict[tuple, tuple] = {}  # leading-1 element -> its invariants
-        buckets: dict[tuple, list] = {}
-        for x in itertools.product(range(p), repeat=n):
-            c = next((v for v in x if v), 1)
-            if c == 1:
-                lines[x] = _operator_invariants(B, x)
-            traces, rank, sq = lines[tuple(v * inverse[c] % p for v in x)]
-            c2 = c * c % p
-            key = (
-                tuple(t * ck % p for t, ck in zip(traces, powers[c])),
-                rank,
-                not any(sq),
-                [c2 * v % p for v in sq] == list(x),
-            )
-            buckets.setdefault(key, []).append(x)
-        B._element_buckets = buckets
-    return B._element_buckets
+
+class _ElementIndex:
+    """What the isomorphism search reads of one algebra's elements.
+
+    `ops` stacks the operators L_{e_i}, flattened column by column, so
+    that L_x = sum x_i L_{e_i} is one _linear contraction.  Over F_p the
+    index keeps _operator_invariants once per element it was asked about:
+    the source's basis vectors, and the lines through the origin (the zero
+    vector and every element whose first nonzero coordinate is 1).  The
+    product is bilinear, so L_{cx} = c L_x: for c != 0 the element cx has
+    traces c^k tr L_x^k, the rank of L_x, and (cx)^2 = c^2 x^2.  The
+    elements of one key are read off the lines once and kept per key."""
+
+    __slots__ = ("algebra", "ops", "_invariants", "_lines", "_basis_keys", "_columns")
+
+    def __init__(self, A: Algebra):
+        self.algebra = A
+        self.ops = [[c for cell in row for c in cell] for row in A.sc]
+        self._invariants: dict[tuple, tuple] = {}
+        self._lines: list | None = None
+        self._basis_keys: list | None = None
+        self._columns: dict[tuple, list] = {}
+
+    def invariants(self, x: tuple) -> tuple:
+        """_operator_invariants of x, built once per element."""
+        got = self._invariants.get(x)
+        if got is None:
+            got = self._invariants[x] = _operator_invariants(self.algebra, x)
+        return got
+
+    def basis_keys(self) -> list:
+        """The element keys of e_1, ..., e_n."""
+        if self._basis_keys is None:
+            f = self.algebra.field
+            units = map(tuple, linalg.identity(f, self.algebra.dim))
+            self._basis_keys = [_key(f, e, self.invariants(e)) for e in units]
+        return self._basis_keys
+
+    def lines(self) -> list:
+        """(x, invariants of x) for the zero vector and for each element
+        whose first nonzero coordinate is 1, one per line through the
+        origin."""
+        if self._lines is None:
+            p, n = self.algebra.field.characteristic, self.algebra.dim
+            xs = [(0,) * n]
+            for lead in range(n):
+                head = (0,) * lead + (1,)
+                xs += [head + rest for rest in itertools.product(range(p), repeat=n - lead - 1)]
+            self._lines = [(x, self.invariants(x)) for x in xs]
+        return self._lines
+
+    def column(self, key: tuple) -> list:
+        """The elements whose key is `key`, in lexicographic order.
+
+        A line x matches only with its rank and its x^2 == 0; its scalar c
+        is fixed by the first trace when tr L_x != 0, and otherwise each
+        c = 1..p-1 is tried.  The zero vector is its own line (c = 1)."""
+        got = self._columns.get(key)
+        if got is not None:
+            return got
+        p = self.algebra.field.characteristic
+        traces, rank, square_zero, idempotent = key
+        found = []
+        for x, (tr, rk, sq) in self.lines():
+            if rk != rank or any(sq) == square_zero:
+                continue
+            if not any(x):
+                scalars = (1,)
+            elif tr[0]:
+                scalars = (traces[0] * pow(tr[0], p - 2, p) % p,)
+            else:
+                scalars = () if traces[0] else range(1, p)
+            for c in scalars:
+                if not c or ([c * v % p for v in sq] == list(x)) != idempotent:
+                    continue
+                ck = 1
+                for t, want in zip(tr, traces):
+                    ck = ck * c % p
+                    if t * ck % p != want:
+                        break
+                else:
+                    found.append(tuple(c * v % p for v in x))
+        found.sort()
+        self._columns[key] = found
+        return found
+
+    def counts(self) -> tuple[int, int]:
+        """(idempotent elements, nonzero square-zero elements).  On the
+        line of x != 0, cx is idempotent iff c x^2 = x, so only c = 1 /
+        (x^2)_l can be, l the first nonzero coordinate of x; every cx is
+        square-zero iff x^2 = 0."""
+        p = self.algebra.field.characteristic
+        idempotents, square_zero = 0, 0
+        for x, (_, _, sq) in self.lines():
+            if not any(x):
+                idempotents += 1
+            elif not any(sq):
+                square_zero += p - 1
+            else:
+                s = sq[x.index(1)]
+                if s and [v * pow(s, p - 2, p) % p for v in sq] == list(x):
+                    idempotents += 1
+        return idempotents, square_zero
 
 
 def _column_tuples(columns, n: int):
@@ -333,8 +419,8 @@ def _exhaustive_fp(A: Algebra, B: Algebra, budget: int | None) -> IsoVerdict:
     unknown = IsoVerdict(
         "unknown", note=f"budget exhausted after {budget} of {total} candidates"
     )
-    buckets = _element_buckets(B)
-    columns = [buckets.get(_element_key(A, e), []) for e in linalg.identity(f, n)]
+    target = _element_index(B)
+    columns = [target.column(key) for key in _element_index(A).basis_keys()]
     for images in _column_tuples(columns, n):
         if budget is not None:
             index = 0

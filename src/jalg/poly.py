@@ -61,10 +61,12 @@ class PolyRing:
     # -- constructors --------------------------------------------------------
 
     def const(self, value) -> "Poly":
-        c = self.field.coerce(value)
-        if self.field.is_zero(c):
-            return Poly(self, {})
-        return Poly(self, {self._zero_exp: c})
+        return self._const_of(self.field.coerce(value))
+
+    def _const_of(self, c) -> "Poly":
+        """The constant polynomial of a field value as it is (one the
+        library holds already): const without its coercion."""
+        return Poly(self, {self._zero_exp: c} if c else {})
 
     def var(self, name: str) -> "Poly":
         try:
@@ -80,7 +82,7 @@ class PolyRing:
 
     @property
     def one(self) -> "Poly":
-        return self.const(1)
+        return self._const_of(self.field.one)
 
     def coerce(self, value) -> "Poly":
         if isinstance(value, Poly):

@@ -7,7 +7,9 @@ S_r U_pq - U_pq S_r per basis triple instead of cached commutators,
 MP1-MP6 expanded as polynomials (_mp_expansions, the one copy in the
 repository) where the library reads them off the product's cube law, a
 sigma loop over GL(V) for the factorization index, an unfiltered scan of all
-p^(n*n) matrices for `iso_search` over F_p, its invariants (the trace
+p^(n*n) matrices for `iso_search` over F_p, the same search on buckets
+that key every element of the target (the library reads a key's elements
+off one operator per line through the origin), its invariants (the trace
 form ranks and the element keys) from dense matrix products, the six
 block conditions C1-C6 of a morphism quadruple written out one by one,
 the projection of a factorization from one `express` (a `solve`) per
@@ -42,7 +44,7 @@ from jalg.identities import (
     generic_ring,
 )
 from jalg.matched_pair import _abelian_pair_conditions
-from jalg.morphism import IsoVerdict, QuadrupleVerdict
+from jalg.morphism import IsoVerdict, QuadrupleVerdict, _column_tuples
 from jalg.poly import PolyRing
 
 
@@ -659,6 +661,45 @@ def _element_key(A, x):
     sq = _bilinear(f, A.sc, x, x, A.dim)
     zero = all(f.is_zero(c) for c in sq)
     return tuple(traces), rank(f, op), zero, sq == list(x)
+
+
+def element_buckets(B):
+    """B's p^n elements grouped by the dense _element_key, every element
+    keyed on its own, in lexicographic order within each group."""
+    buckets = {}
+    for x in itertools.product(range(B.field.characteristic), repeat=B.dim):
+        buckets.setdefault(_element_key(B, x), []).append(x)
+    return buckets
+
+
+def bucketed_iso_scan(A, B, budget=None, buckets=None):
+    """iso_search over F_p on full element buckets: the matrices whose
+    i-th column lies in the bucket of e_i's dense key, in row-major
+    lexicographic order, with the budget counted in the full p^(n*n)
+    order.  `buckets` may pass B's element_buckets in, built once."""
+    f = A.field
+    p = f.characteristic
+    n = A.dim
+    total = p ** (n * n)
+    unknown = IsoVerdict("unknown", note=f"budget exhausted after {budget} of {total} candidates")
+    buckets = element_buckets(B) if buckets is None else buckets
+    columns = [buckets.get(_element_key(A, e), []) for e in linalg.identity(f, n)]
+    for images in _column_tuples(columns, n):
+        if budget is not None:
+            index = 0
+            for k in range(n):
+                for col in images:
+                    index = index * p + col[k]
+            if index >= budget:
+                return unknown
+        if not _hom_ok(A, B, images):
+            continue
+        if rank(f, images) != n:
+            continue
+        return IsoVerdict("isomorphic", witness=LinearMap(f, n, n, images))
+    if budget is not None and budget < total:
+        return unknown
+    return IsoVerdict("non-isomorphic", certificate="exhausted GL over the field")
 
 
 def blockwise_quadruple_check(qd):

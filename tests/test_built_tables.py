@@ -42,12 +42,14 @@ from jalg import (
     r_deform,
     subalgebra_check,
     subalgebra_witness,
+    write_pair,
 )
 from jalg.algebra import _closure
 from jalg.catalog import ALGEBRA_NAMES, PAIR_NAMES, _read
-from jalg.deformation import _graph
+from jalg.deformation import _deformation_conditions, _graph
 from jalg.identities import _sparse
 from jalg.poly import PolyRing
+import slow_oracles as slow
 from test_pair_oracle import _parametric_pairs, _random_unmatched
 
 FIELDS = {"Q": QQ, "F5": Field(5), "F7": Field(7)}
@@ -518,6 +520,39 @@ def test_enumerated_maps_are_coerced_per_column(monkeypatch):
         with pytest.raises(JalgError) as err:
             DeformationMap(pair, [[1, 0], [bad, 0]])
         assert str(err.value) == text
+
+
+@pytest.mark.parametrize("name", ["Q", "F5", "F7"])
+def test_deformation_conditions_lift_field_values_without_coercion(monkeypatch, name):
+    """The generic map's conditions read the pair's product form and lift
+    its field values into the polynomial ring as they are: on every catalog
+    pair, and on seeded random pairs, no Field.coerce call (re-coercing
+    the dense product through _sparse, and the ring's 1 through const, made
+    8 per enumerate_deformations on defmap-pair over F5).  The conditions
+    equal the deformation identity written out term by term on the same
+    generic map."""
+    f = FIELDS[name]
+    pairs = [parse_pair(write_pair(_pair(n, f))) for n in PAIR_NAMES]
+    rng = random.Random(f"conditions-{name}")
+    pairs += [_random_unmatched(rng, f, na, nv) for na, nv in ((2, 2), (3, 2), (2, 3)) for _ in range(2)]
+    for mp in pairs:
+        mp.product_sparse()
+    coerced = []
+    inner = Field.coerce
+
+    def counted(self, value):
+        coerced.append(value)
+        return inner(self, value)
+
+    monkeypatch.setattr(Field, "coerce", counted)
+    results = [_deformation_conditions(mp) for mp in pairs]
+    assert coerced == []
+    monkeypatch.undo()
+    for mp, (params, conditions) in zip(pairs, results):
+        ring = PolyRing(f, params)
+        nA, nV = mp.A.dim, mp.V.dim
+        generic = DeformationMap(mp, [[ring.var(f"r{j}_{k}") for k in range(nA)] for j in range(nV)], params)
+        assert conditions == [c for _, _, res in slow.deformation_residuals(mp, generic) for c in res]
 
 
 @pytest.mark.parametrize("name", ["Q", "F7", "Q[t]"])

@@ -1,5 +1,6 @@
 """Structure maps of two-sided products and isomorphism search."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -21,12 +22,15 @@ from jalg import (
     bicross,
     catalog,
     classify_dim2,
+    factorization_index,
     hom_check,
     invariant_signature,
     iso_search,
     map_to_quadruple,
+    parse_pair,
     quadruple_check,
     quadruple_to_map,
+    write_pair,
 )
 from jalg import morphism
 from jalg.catalog import PAIR_NAMES
@@ -397,18 +401,31 @@ def test_iso_fp_above_the_search_answers_by_invariants(p, capsys):
 
 
 def test_element_buckets_are_computed_once_per_algebra():
-    """The target's p^n elements are bucketed on its first search and the
-    buckets are kept on that Algebra instance, not shared between tables."""
+    """An algebra's element index (its line invariants, its basis keys and
+    the candidate columns read from them) is built on the first search
+    that reads it and kept on that Algebra instance: a second search reads
+    the same index and the same columns, and an equal table gets an index
+    of its own."""
     B = Algebra.from_products(F5, ("u", "v"), {("u", "u"): {"u": 1}})
-    assert B._element_buckets is None
-    first = iso_search(catalog("V1", field=F5), B)
-    buckets = B._element_buckets
-    assert sum(len(xs) for xs in buckets.values()) == 25
-    again = iso_search(catalog("V1", field=F5), B)
-    assert B._element_buckets is buckets
-    assert again == first
+    V1 = catalog("V1", field=F5)
+    A = Algebra(F5, V1.basis, V1.sc)
+    assert B._element_index is None and A._element_index is None
+    first = iso_search(A, B)
+    index = B._element_index
+    assert index is not None and A._element_index is not None
+    lines = index.lines()
+    assert 1 + 4 * (len(lines) - 1) == 25  # the zero vector, and p - 1 elements per line
+    columns = dict(index._columns)
+    assert columns
+    again = iso_search(A, B)
+    assert B._element_index is index and again == first
+    assert index.lines() is lines
+    assert index._columns.keys() == columns.keys()
+    assert all(index._columns[key] is col for key, col in columns.items())
     same_table = Algebra(F5, B.basis, B.sc)
-    assert same_table._element_buckets is None
+    assert same_table == B and same_table._element_index is None
+    assert iso_search(A, same_table) == first
+    assert same_table._element_index is not index
 
 
 @pytest.mark.parametrize(
@@ -440,6 +457,34 @@ def test_element_buckets_build_one_operator_per_line(monkeypatch, p, products, l
     calls.clear()
     assert iso_search(Algebra(f, B.basis, B.sc), B) == first
     assert calls and not any(A is B for A in calls)
+
+
+def test_factorization_index_builds_each_operator_once(monkeypatch):
+    """factorization_index on defmap-pair over F7 (read from its file form,
+    so no object is shared with the catalog) searches every deformed table
+    V_r as a source, which reads its basis keys, and the class
+    representatives also as targets, which read their lines.  Each table
+    builds L_x at most once per element: a representative once per line
+    (its basis vectors are lines), every other table once per basis
+    vector."""
+    mp = parse_pair(write_pair(catalog("defmap-pair", field=F7)))
+    calls = []
+    build = morphism._operator_invariants
+
+    def counted(A, x):
+        calls.append((id(A), tuple(x)))
+        return build(A, x)
+
+    monkeypatch.setattr(morphism, "_operator_invariants", counted)
+    report = factorization_index(mp)
+    assert sorted(map(len, report.classes)) == [1, 1, 2, 24]
+    assert len(calls) == len(set(calls))
+    n = mp.V.dim
+    lines = (7**n - 1) // 6 + 1
+    built = collections.Counter(table for table, _ in calls)
+    reps = {id(report.deformed[i]) for i in report.representatives}
+    assert set(built) == {id(T) for T in report.deformed}
+    assert all(built[table] == (lines if table in reps else n) for table in built)
 
 
 def test_iso_has_no_mode_option(capsys):

@@ -2,30 +2,40 @@
 
 factorization_index places each map with iso_search against the class
 representatives, and iso_search over F_p scans only the matrices whose
-columns share the element keys of the basis.  Both must give exactly what
+columns share the element keys of the basis, reading each key's elements
+off one operator per line through the origin.  Both must give exactly what
 the brute-force procedures give: the same classes and witnesses, the same
-verdicts, witnesses, certificates and budget notes.
+verdicts, witnesses, certificates and budget notes, against an unfiltered
+scan at dimension 2 and against buckets that key every element at
+dimensions 1-3.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from jalg import Algebra, Field, LinearMap, catalog, factorization_index, iso_search, write_algebra
 from jalg.cli import main
-from slow_oracles import scan_index, sigma_loop_classes, unfiltered_iso_scan
+from slow_oracles import (
+    bucketed_iso_scan,
+    element_buckets,
+    scan_index,
+    sigma_loop_classes,
+    unfiltered_iso_scan,
+)
 
 PLANAR = ("V1", "V2", "V3", "V-abelian-2")
 
 
-def _random_table(rng, f, zero_probability):
+def _random_table(rng, f, zero_probability, n=2):
     p = f.characteristic
-    sc = [[None, None], [None, None]]
-    for i, j in ((0, 0), (0, 1), (1, 1)):
-        cell = [0 if rng.random() < zero_probability else rng.randrange(p) for _ in range(2)]
+    sc = [[None] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        cell = [0 if rng.random() < zero_probability else rng.randrange(p) for _ in range(n)]
         sc[i][j] = sc[j][i] = cell
-    return Algebra(f, ("u", "v"), sc)
+    return Algebra(f, ("u", "v", "w")[:n], sc)
 
 
 def _rebased(rng, A):
@@ -133,3 +143,76 @@ def test_cli_budget_note_matches_unfiltered_scan(tmp_path, capsys):
     )
     assert main(["iso", *paths, "--budget", str(rank)]) == 0
     assert capsys.readouterr().out.startswith("verdict: isomorphic\nwitness rows: ")
+
+
+# Jordan tables of dimensions 1 and 3 (dimension 2 is the planar catalog)
+SMALL_JORDAN = [
+    {("u", "u"): {"u": 1}},
+    {},
+    {("u", "u"): {"u": 1}, ("v", "v"): {"v": 1}, ("w", "w"): {"w": 1}},
+    {("u", "u"): {"u": 1}, ("u", "v"): {"v": 1}, ("w", "w"): {"w": 1}},
+    {("u", "u"): {"u": 1}, ("v", "v"): {"v": 1}, ("u", "w"): {"w": Fraction(1, 2)},
+     ("v", "w"): {"w": Fraction(1, 2)}},
+]
+
+
+def _small_tables(p):
+    """Seeded tables over F_p of dimensions 1-3, each followed by a rebasing
+    of itself: the Jordan tables above, the planar catalog algebras, and a
+    sparse and a dense random table per dimension (mostly not Jordan)."""
+    rng = random.Random(f"small-{p}")
+    f = Field(p)
+    bases = []
+    for products in SMALL_JORDAN:
+        basis = sorted({lab for pair in products for lab in pair}) or ["u"]
+        bases.append(Algebra.from_products(f, basis, products))
+    bases += [catalog(name, field=f) for name in PLANAR]
+    bases += [_random_table(rng, f, zp, n) for n in (1, 2, 3) for zp in (0.7, 0.0)]
+    return [(B, _rebased(rng, B)) for B in bases]
+
+
+def _same_as_buckets(A, B, buckets, budget=None):
+    fast = iso_search(A, B, budget)
+    slow = bucketed_iso_scan(A, B, budget, buckets[B])
+    assert fast == slow
+    return slow
+
+
+class _Buckets(dict):
+    """element_buckets per table (Algebras hash by table), each built once
+    in a test."""
+
+    def __missing__(self, B):
+        self[B] = element_buckets(B)
+        return self[B]
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_planar_catalog_verdicts_match_full_buckets(p):
+    f = Field(p)
+    buckets = _Buckets()
+    for x, y in itertools.permutations(PLANAR, 2):
+        A, B = (Algebra(f, C.basis, C.sc) for C in (catalog(x, field=f), catalog(y, field=f)))
+        assert _same_as_buckets(A, B, buckets).kind == "non-isomorphic"
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_rebasings_match_full_buckets_with_budgets_around_the_witness(p):
+    """Seeded rebasings of dims 1-3, Jordan or not, both ways; neighbouring
+    tables against each other; and each found witness again with a budget
+    that stops just before it and one that lets it be found."""
+    tables = _small_tables(p)
+    assert {B.dim for B, _ in tables} == {1, 2, 3}
+    assert any(not B.is_jordan for B, _ in tables)
+    buckets = _Buckets()
+    for B, C in tables:
+        for X, Y in ((B, C), (C, B)):
+            found = _same_as_buckets(X, Y, buckets)
+            assert found.is_isomorphic
+            rank = scan_index(found, p) + 1
+            assert _same_as_buckets(X, Y, buckets, budget=rank) == found
+            below = _same_as_buckets(X, Y, buckets, budget=rank - 1)
+            assert below.note == f"budget exhausted after {rank - 1} of {p ** (X.dim ** 2)} candidates"
+    for (B, _), (C, _) in zip(tables, tables[1:]):
+        if B.dim == C.dim:
+            _same_as_buckets(B, C, buckets)

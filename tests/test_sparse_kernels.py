@@ -40,7 +40,7 @@ from jalg import (
 from jalg.catalog import ALGEBRA_NAMES, _read
 from jalg.fileio import parse_pair
 from jalg.identities import _bilinear, _hom_mismatches, _linear, _nonzero_columns, _sparse
-from jalg.morphism import _element_buckets, _element_key, _trace_form_ranks
+from jalg.morphism import _element_index, _element_key, _trace_form_ranks, classify_dim2
 from jalg.poly import PolyRing
 from slow_oracles import blockwise_quadruple_check
 
@@ -232,11 +232,13 @@ def test_invariants_match_the_dense_oracle(f):
 def test_element_buckets_match_a_scan_of_the_dense_keys(f):
     """Every element keyed by the dense oracle, in lexicographic order: the
     planar catalog algebras and seeded random tables of dims 0-3 (p^n at
-    most 2401), sparse and dense, Jordan or not."""
+    most 2401), sparse and dense, Jordan or not.  For each key of the scan
+    the element index's column is the scan's list; a key that no element
+    has gives []; and classify_dim2's element counts are the scan's."""
     p = f.characteristic
     rng = random.Random(f"buckets-{f}")
     algebras = [catalog(name, field=f) for name in ALGEBRA_NAMES]
-    algebras = [A for A in algebras if A.dim == 2]
+    algebras = [Algebra(f, A.basis, A.sc) for A in algebras if A.dim == 2]
     for n in range(4):
         algebras += [_random_algebra(rng, f, n, zp) for zp in (0.8, 0.2)]
     algebras = [A for A in algebras if p**A.dim <= 2401]
@@ -245,4 +247,22 @@ def test_element_buckets_match_a_scan_of_the_dense_keys(f):
         expected: dict = {}
         for x in itertools.product(range(p), repeat=A.dim):
             expected.setdefault(slow._element_key(A, x), []).append(x)
-        assert list(_element_buckets(A).items()) == list(expected.items())
+        index = _element_index(A)
+        absent = set()
+        for key, xs in expected.items():
+            assert index.column(key) == xs
+            traces, rank, zero, idempotent = key
+            absent |= {
+                (traces, rank + 1, zero, idempotent),
+                (traces, rank, zero, not idempotent),
+                (traces, rank, not zero, idempotent),
+                (tuple((t + 1) % p for t in traces), rank, zero, idempotent),
+            }
+        absent -= expected.keys()
+        assert absent
+        for key in absent:
+            assert index.column(key) == []
+        if A.dim == 2 and A.is_jordan:
+            sig = classify_dim2(A)
+            assert sig.idempotents == sum(len(xs) for key, xs in expected.items() if key[3])
+            assert sig.square_zero == sum(len(xs) for key, xs in expected.items() if key[2]) - 1
