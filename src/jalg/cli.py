@@ -9,6 +9,7 @@ text report for a structured one.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -545,11 +546,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The `jalg` parser with every subcommand of `_COMMANDS`, or with only
     `command`'s.  A subparser reads the same either way (its prog is
     `jalg <command>`); only the top-level usage, help and errors list the
-    subcommands that were added."""
+    subcommands that were added.
+
+    Each parser is built once per process and kept; callers must not change
+    it.  A parser keeps no state between parses, and argparse reads the
+    terminal width when it formats help, not when the parser is built."""
     parser = argparse.ArgumentParser(
         prog="jalg",
         description="Exact computations with Jordan algebra factorizations.",

@@ -7,13 +7,16 @@ functional identity; over F_p it is equivalent because every axiom here
 has per-indeterminate degree <= 3 < p.
 
 Each axiom is the cube law w (w^2 m) = w^2 (w m) or one homogeneous piece
-of it.  _cube_coefficients computes each coefficient directly, one basis
-triple of w at a time, as a weighted sum of cached commutators [S_r, S_t]
-of basis operators, in plain integers, and residual polynomials are
-built from them only on a FAIL; it is still a proof, as every coefficient
-is checked.  The Jordan identity and an action law alone are the law
-itself.  On a pair's product table (_pair_product) one pass decides all
-ten pair axioms, as A x V is Jordan exactly when the pair is matched;
+of it.  _cube_coefficients computes each coefficient as a weighted sum of
+commutators [S_r, S_t] of basis operators, in plain integers.  Each
+nonzero commutator is added only into the basis triples of w that it
+reaches, through the products e_p e_q with a t-coordinate, and residual
+polynomials are built only on a FAIL.  It is still a proof: a triple
+that no nonzero commutator reaches has coefficient 0, and every triple
+reached is checked.
+The Jordan identity and an action law alone are the law itself.  On a
+pair's product table (_pair_product) one pass decides all ten pair
+axioms, as A x V is Jordan exactly when the pair is matched;
 matched_pair_verdict reads each axiom's residuals off its piece.  A Jordan
 bimodule M over A is the pair of A and the abelian M with x <| a = a . x
 and no left action: its two laws are the right-action and MP3 pieces, and
@@ -332,48 +335,72 @@ def _cube_coefficients(field: Field, mul, act, params, sparse=None):
     e_p e_q, and weight 2 when p != q.  That is term for term the generic
     expansion's polynomial, so the law holds iff there is no coefficient,
     over Q and F_p alike.  As [S_r, U_pq] = sum_t mul[p][q][t] [S_r, S_t],
-    each coefficient is a weighted sum of commutators [S_r, S_t]: each one
-    with r < t is built on first use (_commutator) and kept as its nonzero
-    entries, [S_t, S_r] is its negative and [S_r, S_r] = 0 is skipped.
-    Commuting operators (orthogonal idempotents, separate blocks of a
-    direct sum) give empty commutators that cost one lookup.
+    each coefficient is a weighted sum of commutators [S_r, S_t].
+
+    So the loop visits only the triples that a nonzero commutator reaches.
+    For each product e_p e_q (p <= q) and each t in its support, the
+    partners of t are the r with [S_r, S_t] nonzero, found once per t; each
+    commutator is built once, on first use (_commutator, r < t, kept as its
+    nonzero entries; [S_t, S_r] is its negative and [S_r, S_r] = 0 is
+    skipped).  Each partner r reaches the sorted triple of (r, p, q); an
+    empty commutator (orthogonal idempotents, separate blocks of a direct
+    sum) reaches none.  The reached triples are then summed one at a time,
+    in ascending order, as a loop over every triple would sum them, so the
+    output, order included, is that loop's.  One accumulator per reached
+    triple, all alive at once, would save that second look-up but hold
+    about 0.65 MB more on Sym_7 over Q.  Sym_7 (dim 28) reaches 1029 of
+    its 4060 triples, with 147 of its 378 commutators nonzero; the block
+    sum of the four catalog pair products, twice over (dim 36), reaches 60
+    of 8436 triples, with 34 of 630 nonzero.
     """
     n = len(mul)
     m = len(act[0]) if n else 0
     mul_s, act_s, nonzero, decode = _lift(field, params, mul, act, sparse)
     S = [_operator(cols, m) for cols in act_s]
-    # commutators[r][t] = commutators[t][r] = [S_min(r,t), S_max(r,t)], built
-    # on first use; [S_r, S_r] = 0 is empty from the start
+    # commutators[r][t] = commutators[t][r] = [S_min(r,t), S_max(r,t)];
+    # [S_r, S_r] = 0 is empty from the start
     commutators = [[() if r == t else None for t in range(n)] for r in range(n)]
+    partners = [None] * n  # partners[t]: each r with [S_r, S_t] nonzero
+    reached = set()  # each triple (i, j, k), i <= j <= k, reached
+    for p in range(n):
+        row = mul_s[p]
+        for q in range(p, n):
+            for t, _ in row[q]:
+                rs = partners[t]
+                if rs is None:
+                    rs = partners[t] = []
+                    col = commutators[t]
+                    for r in range(n):
+                        if col[r] is None:
+                            col[r] = commutators[r][t] = _commutator(S, *((r, t) if r < t else (t, r)), nonzero)
+                        if col[r]:
+                            rs.append(r)
+                for r in rs:
+                    reached.add((r, p, q) if r <= p else (p, r, q) if r <= q else (p, q, r))
     bad: dict[int, dict] = {}  # coordinate -> {(i, j, k, l): accumulated value}
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                if i == k:
-                    parts = ((i, i, i, 1),)
-                elif i == j:
-                    parts = ((i, i, k, 2), (k, i, i, 1))
-                elif j == k:
-                    parts = ((i, j, j, 1), (j, i, j, 2))
-                else:
-                    parts = ((i, j, k, 2), (j, i, k, 2), (k, i, j, 2))
-                acc: dict = {}
-                for r, p, q, w in parts:
-                    row = commutators[r]
-                    for t, c in mul_s[p][q]:
-                        entries = row[t]
-                        if entries is None:
-                            entries = _commutator(S, *((r, t) if r < t else (t, r)), nonzero)
-                            row[t] = commutators[t][r] = entries
-                        if entries:
-                            wc = w * c if r < t else -w * c
-                            for x, v in entries:
-                                acc[x] = acc.get(x, 0) + wc * v
-                if any(map(nonzero, acc.values())):
-                    for key, c in acc.items():
-                        if nonzero(c):
-                            l, o = divmod(key, m)
-                            bad.setdefault(o, {})[i, j, k, l] = c
+    for i, j, k in sorted(reached):
+        if i == k:
+            parts = ((i, i, i, 1),)
+        elif i == j:
+            parts = ((i, i, k, 2), (k, i, i, 1))
+        elif j == k:
+            parts = ((i, j, j, 1), (j, i, j, 2))
+        else:
+            parts = ((i, j, k, 2), (j, i, k, 2), (k, i, j, 2))
+        acc: dict = {}
+        for r, p, q, w in parts:
+            row = commutators[r]
+            for t, c in mul_s[p][q]:
+                entries = row[t]
+                if entries:
+                    wc = w * c if r < t else -w * c
+                    for x, v in entries:
+                        acc[x] = acc.get(x, 0) + wc * v
+        if any(map(nonzero, acc.values())):
+            for x, c in acc.items():
+                if nonzero(c):
+                    l, o = divmod(x, m)
+                    bad.setdefault(o, {})[i, j, k, l] = c
     return bad, decode
 
 

@@ -619,6 +619,7 @@ def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
 
 
 def test_main_builds_only_the_chosen_subparser(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
     added = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -630,8 +631,8 @@ def test_main_builds_only_the_chosen_subparser(capsys, monkeypatch):
     argv = ["iso", "catalog:V1", "catalog:V2", "--field", "F13", "--json"]
     assert main(argv) == 1
     assert added == ["iso"]
-    assert main(argv) == 1  # nothing is kept from the first call
-    assert added == ["iso", "iso"]
+    assert main(argv) == 1  # the first call's parser is reused
+    assert added == ["iso"]
     added.clear()
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -642,12 +643,14 @@ def test_main_builds_only_the_chosen_subparser(capsys, monkeypatch):
 
 
 def test_main_calls_build_parser_through_the_module(capsys, monkeypatch):
-    calls = []
+    cli.build_parser.cache_clear()
+    calls, parsers = [], []
     build_parser = cli.build_parser
 
     def spy(command=None):
         calls.append(command)
-        return build_parser(command)
+        parsers.append(build_parser(command))
+        return parsers[-1]
 
     monkeypatch.setattr(cli, "build_parser", spy)
     assert main(["catalog"]) == 0
@@ -655,4 +658,21 @@ def test_main_calls_build_parser_through_the_module(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["catalog", "J5", "J7"])  # leftovers: the full parser words the error
     assert calls == ["catalog", "catalog", None]
+    assert parsers[1] is parsers[0]  # the second call builds nothing
     assert "unrecognized arguments: J7" in capsys.readouterr().err
+
+
+def test_kept_parser_formats_help_at_the_current_width(capsys, monkeypatch):
+    """`jalg iso --help` from the kept parser equals a fresh parser's
+    output under each COLUMNS value: the width is read when help is
+    formatted, not when the parser is built."""
+    cli.build_parser.cache_clear()
+    outputs = []
+    for columns in ("40", "160"):
+        monkeypatch.setenv("COLUMNS", columns)
+        kept = _outcome(capsys, lambda: main(["iso", "--help"]))
+        fresh = _outcome(capsys, lambda: cli.build_parser.__wrapped__("iso").parse_args(["iso", "--help"]))
+        assert kept == fresh and kept[0] == ("exit", 0)
+        outputs.append(kept[1])
+    assert cli.build_parser.cache_info().misses == 1
+    assert outputs[0] != outputs[1]

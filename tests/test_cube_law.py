@@ -11,6 +11,7 @@ cached commutators [S_r, S_t], must also equal those of the U_pq kernel
 it replaced (oracle.cube_coefficients), one by one.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from jalg import (
     catalog,
     dual_action,
     identities,
+    matched_pair,
     semidirect_right,
 )
 from jalg.catalog import ALGEBRA_NAMES, PAIR_NAMES
@@ -451,16 +453,46 @@ def _same_coefficients(f, mul, act, params=()):
     return fast
 
 
+def _census_table(f, n):
+    """matched_pair._abelian_pair_conditions' table at base dimension n:
+    the pair product of the abelian base and the abelian line, with one
+    indeterminate per action entry.  Returns (table, parameter names)."""
+    params = tuple(f"l{i}" for i in range(n)) + tuple(f"d{i}{j}" for i in range(n) for j in range(n))
+    ring = PolyRing(f, params)
+    z = f.zero
+    table = identities._pair_product(
+        [[(z,) * n] * n] * n,
+        [[(z,)]],
+        [[(ring.var(f"l{j}"),) for j in range(n)]],
+        [[tuple(ring.var(f"d{i}{j}") for i in range(n)) for j in range(n)]],
+        z,
+    )
+    return table, params
+
+
 def _kernel_cases(f, rng):
-    """(mul, act) over one field: the catalog's tables and actions, Sym_3 to
-    Sym_5 with dense rebasings and perturbed copies, block direct sums,
-    seeded non-Jordan tables and actions with dim M != dim A."""
+    """(mul, act, params) over one field: the catalog's tables and actions,
+    the block sum of the catalog pairs' products, intact and perturbed, the
+    two one-sided products of J7-pair (one action zero), Sym_3 to Sym_5
+    with dense rebasings and perturbed copies, block direct sums, seeded
+    non-Jordan tables, actions with dim M != dim A, and the abelian-pair
+    census's table at base dimension 3."""
     cases = [(A.sc, A.sc) for A in (catalog(name, field=f) for name in ALGEBRA_NAMES)]
+    products = []
     for name in PAIR_NAMES:
         mp = catalog(name, field=f)
-        cases.append((mp.product_sc(), mp.product_sc()))
+        products.append(mp.product_sc())
+        cases.append((products[-1], products[-1]))
         right = [[mp.right.tensor[x][a] for x in range(mp.V.dim)] for a in range(mp.A.dim)]
         cases += [(mp.A.sc, right), (mp.V.sc, mp.left.tensor)]
+    pair_sum = _direct_sum(f, products)
+    cases += [(pair_sum, pair_sum), (_perturbed(rng, f, pair_sum),) * 2]
+    mp = catalog("J7-pair", field=f)
+    for one_sided in (
+        MatchedPair(mp.A, mp.V, mp.right, LeftAction.zero(mp.V, mp.A)),
+        MatchedPair(mp.A, mp.V, RightAction.zero(mp.V, mp.A), mp.left),
+    ):
+        cases.append((one_sided.product_sc(), one_sided.product_sc()))
     for n in (3, 4, 5):
         sym = _sym_table(f, n)
         dense = _rebase(f, sym, _basis_change(rng, f, len(sym), dense=True))
@@ -476,15 +508,16 @@ def _kernel_cases(f, rng):
         for m in {1, n + 1, max(1, n - 2)}:
             act = [[[f.coerce(_scalar(rng, f)) for _ in range(m)] for _ in range(m)] for _ in range(n)]
             cases.append((base, act))
-    return cases
+    census, params = _census_table(f, 3)
+    return [(mul, act, ()) for mul, act in cases] + [(census, census, params)]
 
 
 @pytest.mark.parametrize("name", ("Q", "F5", "F7"))
 def test_commutator_kernel_matches_the_upq_kernel(name):
     f = FIELDS[name]
     failing = passing = 0
-    for mul, act in _kernel_cases(f, random.Random("kernel-" + name)):
-        if _same_coefficients(f, mul, act):
+    for mul, act, params in _kernel_cases(f, random.Random("kernel-" + name)):
+        if _same_coefficients(f, mul, act, params):
             failing += 1
         else:
             passing += 1
@@ -513,17 +546,41 @@ def test_parametric_commutator_kernel_matches_the_upq_kernel(name):
             failing += bool(_same_coefficients(f, table, act, ("alpha",)))
     assert failing > 5
     # matched_pair._abelian_pair_conditions at base dimension 2
-    params = ("l0", "l1", "d00", "d01", "d10", "d11")
-    census = PolyRing(f, params)
-    z = f.zero
-    table = identities._pair_product(
-        [[(z,) * 2] * 2] * 2,
-        [[(z,)]],
-        [[(census.var(f"l{j}"),) for j in range(2)]],
-        [[tuple(census.var(f"d{i}{j}") for i in range(2)) for j in range(2)]],
-        z,
-    )
+    table, params = _census_table(f, 2)
     assert _same_coefficients(f, table, table, params)
+
+
+# sha256 of the census conditions, one str() a line, in the order
+# _abelian_pair_conditions lists them: (field, base dimension) -> (count,
+# first 16 hex digits)
+_CENSUS_ORDER = {
+    ("F5", 1): (6, "e70b12b415d7c610"),
+    ("F5", 2): (43, "e8adbadc53fbf063"),
+    ("F5", 3): (139, "7b1fc7cfe60bb206"),
+    ("F7", 1): (6, "69ef366f07d4b784"),
+    ("F7", 2): (43, "1efd032f766349ff"),
+    ("F7", 3): (139, "8fe41607dbc5b6c1"),
+}
+
+
+@pytest.mark.parametrize("name", ("F5", "F7"))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_census_conditions_are_the_oracle_coefficients_in_a_fixed_order(name, n):
+    """The census's conditions are the distinct decoded coefficients of its
+    table's cube law, as the U_pq kernel gives them, and they keep their
+    order, which the depth-first search tests them in.  The U_pq kernel
+    lists the coordinates and the triples in the same order, but a
+    triple's l in another (it adds S_r U_pq before U_pq S_r), so the order
+    is pinned by its digest."""
+    f = FIELDS[name]
+    table, params = _census_table(f, n)
+    bad, decode = oracle.cube_coefficients(f, table, table, params)
+    expected = list(dict.fromkeys(decode(c) for cs in bad.values() for c in cs.values()))
+    got_params, conditions = matched_pair._abelian_pair_conditions(f, n)
+    assert got_params == params
+    assert len(conditions) == len(expected) and set(conditions) == set(expected)
+    digest = hashlib.sha256("\n".join(map(str, conditions)).encode()).hexdigest()[:16]
+    assert (len(conditions), digest) == _CENSUS_ORDER[name, n]
 
 
 def test_each_commutator_is_built_once(monkeypatch):
