@@ -193,9 +193,7 @@ class Algebra:
 
     def jordan_check(self) -> identities.Verdict:
         if self._jordan is None:
-            self._jordan = identities.jordan_verdict(
-                self.field, self.sc, self.params, sparse=self.sparse_sc()
-            )
+            self._jordan = identities.jordan_verdict(self.field, self.sparse_sc(), self.params)
         return self._jordan
 
     @property
@@ -252,13 +250,18 @@ class Algebra:
         label = self.name or "Algebra"
         return f"{label}(dim={self.dim}, field={self.field})"
 
-    def format_table(self) -> str:
-        lines = []
-        for i in range(self.dim):
+    def products(self):
+        """(i, j, text) for each nonzero product e_i e_j, i <= j, in order,
+        with text its format_combination: the cells are read off
+        sparse_sc(), so a zero cell costs one truth test."""
+        for i, row in enumerate(self._sparse_sc):
             for j in range(i, self.dim):
-                if any(not self.ring.is_zero(c) for c in self.sc[i][j]):
-                    prod = format_combination(self.ring, self.sc[i][j], self.basis)
-                    lines.append(f"{self.basis[i]} {self.basis[j]} = {prod}")
+                if row[j]:
+                    yield i, j, format_combination(self.ring, self.sc[i][j], self.basis)
+
+    def format_table(self) -> str:
+        b = self.basis
+        lines = [f"{b[i]} {b[j]} = {text}" for i, j, text in self.products()]
         return "\n".join(lines) if lines else "(abelian: all products zero)"
 
 
@@ -489,6 +492,9 @@ class Subspace:
     @classmethod
     def span_of_labels(cls, ambient: Algebra, labels) -> "Subspace":
         units = dict(zip(ambient.basis, linalg.identity(ambient.field, ambient.dim)))
+        for lab in labels:
+            if lab not in units:
+                raise JalgError(f"unknown basis label {lab!r}")
         return cls(ambient, [units[lab] for lab in labels])
 
     @property

@@ -15,7 +15,7 @@ import sys
 
 from . import fileio
 from .catalog import PAIR_NAMES, catalog as load_catalog, names as catalog_names
-from .algebra import Algebra, Subspace, format_combination
+from .algebra import Algebra, Subspace
 from .deformation import (
     DeformationMap,
     deformation_check,
@@ -78,14 +78,7 @@ def _matrix(f: Field, rows) -> list:
 
 
 def _table_dict(A: Algebra) -> dict:
-    out = {}
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            cell = A.sc[i][j]
-            if any(not A.ring.is_zero(c) for c in cell):
-                key = f"{A.basis[i]} {A.basis[j]}"
-                out[key] = format_combination(A.ring, cell, A.basis)
-    return out
+    return {f"{A.basis[i]} {A.basis[j]}": text for i, j, text in A.products()}
 
 
 # ---------------------------------------------------------------------------
@@ -547,22 +540,18 @@ _COMMANDS = {
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `jalg` parser with every subcommand of `_COMMANDS`, or with only
-    `command`'s.  A subparser reads the same either way (its prog is
-    `jalg <command>`); only the top-level usage, help and errors list the
-    subcommands that were added.
+def build_parser() -> argparse.ArgumentParser:
+    """The `jalg` parser with every subcommand of `_COMMANDS`.
 
-    Each parser is built once per process and kept; callers must not change
-    it.  A parser keeps no state between parses, and argparse reads the
-    terminal width when it formats help, not when the parser is built."""
+    It is built once per process and kept; callers must not change it.  A
+    parser keeps no state between parses, and argparse reads the terminal
+    width when it formats help, not when the parser is built."""
     parser = argparse.ArgumentParser(
         prog="jalg",
         description="Exact computations with Jordan algebra factorizations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS if command is None else (command,):
-        handler, help_text, arguments = _COMMANDS[name]
+    for name, (handler, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flags, kwargs in arguments:
             p.add_argument(*flags, **kwargs)
@@ -571,15 +560,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args, extra = None, None
-    if argv and argv[0] in _COMMANDS:
-        args, extra = build_parser(argv[0]).parse_known_args(argv)
-    if args is None or extra:
-        # no command, an unknown one, or leftovers: the full parser words
-        # the usage error with every subcommand, as `jalg --help` does
-        args = build_parser().parse_args(argv)
-    return _run(args)
+    return _run(build_parser().parse_args(argv))
 
 
 def _run(args) -> int:

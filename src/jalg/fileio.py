@@ -187,19 +187,14 @@ def parse_algebra(text: str, name=None) -> Algebra:
 def write_algebra(A: Algebra) -> str:
     if A.params:
         raise ParseError("parametric algebras have no file form")
-    f = A.field
-    char = f.characteristic
+    char = A.field.characteristic
     lines = [
         f"field {'Q' if not char else f'F{char}'}",
         f"dim {A.dim}",
         "basis " + " ".join(A.basis) if A.dim else "basis",
     ]
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            cell = A.sc[i][j]
-            if any(not f.is_zero(c) for c in cell):
-                combo = format_combination(f, cell, A.basis)
-                lines.append(f"mult {A.basis[i]} {A.basis[j]} = {combo}")
+    b = A.basis
+    lines += [f"mult {b[i]} {b[j]} = {text}" for i, j, text in A.products()]
     return "\n".join(lines) + "\n"
 
 
@@ -224,8 +219,7 @@ def parse_pair(text: str, base_dir: str | None = None) -> MatchedPair:
                 if base_dir is not None:
                     path = os.path.join(base_dir, path)
                 try:
-                    with open(path, encoding="utf-8") as handle:
-                        included = handle.read()
+                    included = _read(path, lineno)
                 except OSError as exc:
                     raise ParseError(f"cannot read {path}: {exc}", line=lineno) from None
                 algebras.append(parse_algebra(included, name=words[1]))
@@ -333,14 +327,20 @@ def write_pair(mp: MatchedPair) -> str:
     return "\n".join(chunks + lines) + "\n"
 
 
+def _read(path: str, lineno: int | None = None) -> str:
+    """The text of a UTF-8 file; one that is not UTF-8 is a ParseError
+    (at `lineno`, the line that names the file, if given)."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: {exc}", line=lineno) from None
+
+
 def load_algebra(path: str) -> Algebra:
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
     name = os.path.splitext(os.path.basename(path))[0]
-    return parse_algebra(text, name=name)
+    return parse_algebra(_read(path), name=name)
 
 
 def load_pair(path: str) -> MatchedPair:
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    return parse_pair(text, base_dir=os.path.dirname(path) or ".")
+    return parse_pair(_read(path), base_dir=os.path.dirname(path) or ".")

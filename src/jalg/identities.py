@@ -15,13 +15,13 @@ polynomials are built only on a FAIL.  It is still a proof: a triple
 that no nonzero commutator reaches has coefficient 0, and every triple
 reached is checked.
 The Jordan identity and an action law alone are the law itself.  On a
-pair's product table (_pair_product) one pass decides all ten pair
-axioms, as A x V is Jordan exactly when the pair is matched;
-matched_pair_verdict reads each axiom's residuals off its piece.  A Jordan
-bimodule M over A is the pair of A and the abelian M with x <| a = a . x
-and no left action: its two laws are the right-action and MP3 pieces, and
-its null split extension is that pair's product.  That is the
-one route here to each axiom: the laws expanded in generic elements
+pair's product table (_pair_sparse, assembled from the factors' sparse
+forms and the actions) one pass decides all ten pair axioms, as A x V
+is Jordan exactly when the pair is matched; matched_pair_verdict reads
+each axiom's residuals off its piece.  A Jordan bimodule M over A is the
+pair of A and the abelian M with x <| a = a . x and no left action: its
+two laws are the right-action and MP3 pieces, and its null split
+extension is that pair's product.  That is the one route here to each axiom: the laws expanded in generic elements
 (MP1-MP6 among them) are the tests' independent oracles, in
 tests/slow_oracles.py.  With indeterminate table entries the
 coefficients are polynomial conditions on them (the abelian-pair census).
@@ -41,8 +41,10 @@ parameters for one-parameter families):
 * acting algebra  act[i][m]   = coordinate vector of e_i acting on m_m
                                (action_law_verdict's acting-first form)
 
-The contractions read a tensor in its sparse form (_sparse):
-t[i][j] = ((k, c), ...) over the nonzero entries of cell (i, j).
+The contractions and the cube-law verdicts read a tensor in its sparse
+form (_sparse): t[i][j] = ((k, c), ...) over the nonzero entries of cell
+(i, j), each a ring value.  _dense is its inverse, for the one reader of a
+dense pair product (matched_pair.bicross_table).
 """
 
 from __future__ import annotations
@@ -165,6 +167,23 @@ def _sparse(table, ring) -> tuple:
     return tuple(tuple(cell_form(cell) for cell in row) for row in table)
 
 
+def _dense(sparse, dim: int, zero) -> tuple:
+    """The table of vectors of length `dim` whose sparse form is `sparse`,
+    zero elsewhere: the inverse of _sparse.  All empty cells share one
+    all-zero tuple."""
+    empty = (zero,) * dim
+
+    def cell_form(cell):
+        if not cell:
+            return empty
+        out = list(empty)
+        for k, c in cell:
+            out[k] = c
+        return tuple(out)
+
+    return tuple(tuple(map(cell_form, row)) for row in sparse)
+
+
 def _bilinear(ring, table, u, v, out_dim: int) -> list:
     """sum over i, j of u_i v_j table[i][j]: the one bilinear contraction,
     over the table's sparse form (_sparse).
@@ -257,11 +276,10 @@ def _vscale(ring, c, u):
 # the cube law, coefficient by coefficient
 
 
-def _lift(field: Field, params, mul, act, sparse=None):
-    """mul and act in the cube-law loops' arithmetic, in their sparse form
-    (_sparse).  A caller that keeps mul's sparse form (Algebra.sparse_sc,
-    MatchedPair.product_sparse) passes it as `sparse` when act is mul, and
-    it is read as it is.
+def _lift(field: Field, params, mul, act):
+    """mul and act, tables in their sparse form (_sparse), in the cube-law
+    loops' arithmetic.  Every entry is a value of PolyRing(field, params),
+    or of the field when there are no params.
 
     Returns (mul, act, nonzero, decode).  Over F_p entries stay ints and are
     reduced only by nonzero and decode.  Over Q both tensors are scaled by
@@ -270,31 +288,22 @@ def _lift(field: Field, params, mul, act, sparse=None):
     true one.  With parameters the entries are Poly in them.
     """
     if params:
-        ring = PolyRing(field, params)
-        nonzero, decode = (lambda v: v.terms), (lambda v: v)
-    elif field.characteristic:
-        p = field.characteristic
-        ring, nonzero = field, p.__rmod__  # v -> v % p
-        decode = nonzero
-    else:  # Q: decode is set once the scale is known
-        ring, nonzero = field, bool
+        return mul, act, (lambda v: v.terms), (lambda v: v)
+    if field.characteristic:
+        reduce = field.characteristic.__rmod__  # v -> v % p
+        return mul, act, reduce, reduce
+    tables = [mul] if act is mul else [mul, act]
+    scale = math.lcm(*(c.denominator for t in tables for row in t for cell in row for _, c in cell))
+    tables = [
+        [[[(o, c.numerator * (scale // c.denominator)) for o, c in cell] for cell in row] for row in t]
+        for t in tables
+    ]
+    cube = scale**3
 
-    if sparse is not None:
-        sparse = [sparse]
-    else:
-        sparse = [_sparse(t, ring) for t in ([mul] if act is mul else [mul, act])]
-    if not params and not field.characteristic:
-        scale = math.lcm(*(c.denominator for t in sparse for row in t for cell in row for _, c in cell))
-        sparse = [
-            [[[(o, c.numerator * (scale // c.denominator)) for o, c in cell] for cell in row] for row in t]
-            for t in sparse
-        ]
-        cube = scale**3
+    def decode(v):
+        return Fraction(v, cube)
 
-        def decode(v):
-            return Fraction(v, cube)
-
-    return sparse[0], sparse[-1], nonzero, decode
+    return tables[0], tables[-1], bool, decode
 
 
 def _operator(cols, m: int):
@@ -318,13 +327,13 @@ def _commutator(S, r: int, t: int, nonzero) -> tuple:
     return tuple((key, c) for key, c in acc.items() if nonzero(c))
 
 
-def _cube_coefficients(field: Field, mul, act, params, sparse=None):
+def _cube_coefficients(field: Field, mul, act, params):
     """The nonzero coefficients of the cube law w (w^2 m) = w^2 (w m).
 
     mul is the (symmetric) table of the acting algebra and act[r][l] the
-    coordinates of e_r acting on m_l; the Jordan identity is act = mul.
-    `sparse` is mul's sparse form when act is mul and the caller keeps it
-    (_lift).  Returns ({o: {(i, j, k, l): c}}, decode), with c the
+    coordinates of e_r acting on m_l, both in sparse form with entries as
+    _lift takes them; the Jordan identity is act = mul.  Returns
+    ({o: {(i, j, k, l): c}}, decode), with c the
     coefficient of w_i w_j w_k m_l in coordinate o (i <= j <= k) in the
     loops' arithmetic (see _lift) and decode(c) its value: a field element,
     or a Poly in the parameters.
@@ -355,7 +364,7 @@ def _cube_coefficients(field: Field, mul, act, params, sparse=None):
     """
     n = len(mul)
     m = len(act[0]) if n else 0
-    mul_s, act_s, nonzero, decode = _lift(field, params, mul, act, sparse)
+    mul_s, act_s, nonzero, decode = _lift(field, params, mul, act)
     S = [_operator(cols, m) for cols in act_s]
     # commutators[r][t] = commutators[t][r] = [S_min(r,t), S_max(r,t)];
     # [S_r, S_r] = 0 is empty from the start
@@ -435,22 +444,22 @@ def action_law_verdict(
     axiom: str = "action-law",
     space: str = "M",
     stop_early: bool = False,
-    sparse=None,
 ) -> Verdict:
     """w (w^2 m) = w^2 (w m) for a generic acting element w and module element m.
 
     act[w][m] is the coordinate vector of basis vector w acting on module
-    basis vector m.  This single law covers the right-action axiom (A acting
+    basis vector m.  Both tables are in sparse form (_sparse), every entry
+    a value of PolyRing(field, params), or of the field when there are no
+    params.  This single law covers the right-action axiom (A acting
     on V; a bimodule's square law), the left-action axiom (V acting on A)
     and the Jordan identity (A on itself).  Only on a FAIL are the
     residuals built from _cube_coefficients; with stop_early only the first
-    failing coordinate is reported.  `sparse` is mul_acting's
-    cached sparse form when act is mul_acting (_lift).
+    failing coordinate is reported.
     """
     dim_w = len(mul_acting)
     dim_m = len(act[0]) if dim_w else 0
     names = _generic_names(params, [(acting_prefix, dim_w), (module_prefix, dim_m)])
-    bad, decode = _cube_coefficients(field, mul_acting, act, params, sparse)
+    bad, decode = _cube_coefficients(field, mul_acting, act, params)
     failures = []
     if bad:
         ring = PolyRing(field, names)
@@ -461,41 +470,26 @@ def action_law_verdict(
     return _verdict(failures, [axiom])
 
 
-def jordan_verdict(field: Field, mul, params=(), stop_early: bool = False, sparse=None) -> Verdict:
+def jordan_verdict(field: Field, mul, params=(), stop_early: bool = False) -> Verdict:
     """(a^2 b) a = a^2 (b a) with generic a, b: the action law of A on
-    itself.  `sparse` is mul's cached sparse form, if the caller keeps one."""
-    return action_law_verdict(field, mul, mul, params, "a", "b", "jordan", "A", stop_early, sparse)
+    itself, on mul in sparse form (as action_law_verdict)."""
+    return action_law_verdict(field, mul, mul, params, "a", "b", "jordan", "A", stop_early)
 
 
 # ---------------------------------------------------------------------------
 # a pair's product table and its pieces: the matched-pair axioms
 
 
-def _pair_product(mul_a, mul_v, right, left, zero) -> tuple:
-    """Structure constants of the candidate product on A x V: the A basis,
-    then the V basis, and cell (a, x) = (x |> a, x <| a), so that
-    (a,x)(b,y) = (ab + x|>b + y|>a, x<|b + y<|a + xy)."""
-    n, m = len(mul_a), len(mul_v)
-    sc = [[None] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            sc[i][j] = tuple(mul_a[i][j]) + (zero,) * m
-    for x in range(m):
-        for y in range(m):
-            sc[n + x][n + y] = (zero,) * n + tuple(mul_v[x][y])
-    for i in range(n):
-        for x in range(m):
-            sc[i][n + x] = sc[n + x][i] = tuple(left[x][i]) + tuple(right[x][i])
-    return tuple(map(tuple, sc))
-
-
 def _pair_sparse(sparse_a, sparse_v, right, left) -> tuple:
-    """_sparse of _pair_product's table, assembled from the factors' sparse
-    forms and the actions' nonzero entries instead of read off the dense
-    product: A x A cells are A's, V x V cells are V's with k shifted by
-    n = dim A, and cell (a, x) = (x, a) holds the nonzeros of x |> a, then
-    those of x <| a shifted by n.  The actions hold ring values, which are
-    nonzero exactly when true."""
+    """The sparse form (_sparse) of the candidate product on A x V: the A
+    basis, then the V basis, and cell (a, x) = (x |> a, x <| a), so that
+    (a,x)(b,y) = (ab + x|>b + y|>a, x<|b + y<|a + xy).
+
+    It is assembled from the factors' sparse forms and the actions'
+    nonzero entries: A x A cells are A's, V x V cells are V's with k
+    shifted by n = dim A, and cell (a, x) = (x, a) holds the nonzeros of
+    x |> a, then those of x <| a shifted by n.  The actions hold ring
+    values, which are nonzero exactly when true."""
     n, m = len(sparse_a), len(sparse_v)
     sc = [list(row) + [None] * m for row in sparse_a]
     for row in sparse_v:
@@ -529,12 +523,12 @@ _PAIR_PIECES = {
 }
 
 
-def matched_pair_verdict(
-    field: Field, table, n: int, params=(), stop_early: bool = False, sparse=None
-) -> Verdict:
+def matched_pair_verdict(field: Field, table, n: int, params=(), stop_early: bool = False) -> Verdict:
     """The ten PAIR_AXIOMS, decided by the cube law of the pair's product
-    `table` (_pair_product, with dim A = n): A x V is Jordan exactly when
-    (A, V, <|, |>) is a matched pair.
+    `table` (_pair_sparse, with dim A = n): A x V is Jordan exactly when
+    (A, V, <|, |>) is a matched pair.  The table is in sparse form, every
+    entry a value of PolyRing(field, params), or of the field when there
+    are no params.
 
     Each axiom is one piece of the product's coefficients (_PAIR_PIECES),
     read off one _cube_coefficients pass.  On a FAIL its residuals are read
@@ -542,13 +536,11 @@ def matched_pair_verdict(
     named a_t in A and x_t in V; a parameter that clashes with those names
     is an error, PASS or FAIL.  With stop_early only the first failing
     (axiom, coordinate) is reported, and `checked` ends at its axiom.
-    `sparse` is the table's cached sparse form (MatchedPair.product_sparse),
-    if the caller keeps one.
     """
     m = len(table) - n
     groups = [("a", n), ("b", n), ("x", m), ("y", m)]
     _generic_names(params, groups)
-    bad, decode = _cube_coefficients(field, table, table, params, sparse)
+    bad, decode = _cube_coefficients(field, table, table, params)
     axioms = PAIR_AXIOMS
     found: dict = {}  # (place in axioms, coordinate, piece) -> {(i, j, k, l): c}
     for o, coefficients in bad.items():

@@ -113,8 +113,8 @@ class _Action:
             act, prefixes = self.tensor, ("x", "a")
         return identities.action_law_verdict(
             acting.field,
-            acting.sc,
-            act,
+            acting.sparse_sc(),
+            _sparse(act, self.A.ring),
             acting.params,
             acting_prefix=prefixes[0],
             module_prefix=prefixes[1],
@@ -170,7 +170,6 @@ class MatchedPair:
         self.left = left
         self.name = name
         self._verdict: Verdict | None = None
-        self._product_sc: tuple | None = None
         self._product_sparse: tuple | None = None
         self._bicross: BicrossedProduct | None = None  # set by bicross
 
@@ -198,35 +197,22 @@ class MatchedPair:
     def verify(self, stop_early: bool = False) -> Verdict:
         """Everything: both factors Jordan, both action laws, MP1-MP6
         (identities.PAIR_AXIOMS), read off one cube-law pass on
-        product_sc().  With stop_early only the first failing axiom
+        product_sparse().  With stop_early only the first failing axiom
         coordinate is reported."""
         if self._verdict is not None and not stop_early:
             return self._verdict
         verdict = identities.matched_pair_verdict(
-            self.A.field,
-            self.product_sc(),
-            self.A.dim,
-            self.A.params,
-            stop_early,
-            self.product_sparse(),
+            self.A.field, self.product_sparse(), self.A.dim, self.A.params, stop_early
         )
         if verdict.ok or not stop_early:
             self._verdict = verdict
         return verdict
 
-    def product_sc(self) -> tuple:
-        """Raw structure constants of the candidate product on A x V
-        (identities._pair_product), built once per pair."""
-        if self._product_sc is None:
-            self._product_sc = identities._pair_product(
-                self.A.sc, self.V.sc, self.right.tensor, self.left.tensor, self.A.ring.zero
-            )
-        return self._product_sc
-
     def product_sparse(self) -> tuple:
-        """product_sc() in the sparse form the contractions read
-        (identities._sparse), built once per pair from the factors' kept
-        forms and the actions' nonzero entries (identities._pair_sparse)."""
+        """The candidate product on A x V in the sparse form the
+        contractions read (identities._sparse), built once per pair from
+        the factors' kept forms and the actions' nonzero entries
+        (identities._pair_sparse)."""
         if self._product_sparse is None:
             self._product_sparse = identities._pair_sparse(
                 self.A.sparse_sc(), self.V.sparse_sc(), self.right.tensor, self.left.tensor
@@ -256,16 +242,17 @@ class MatchedPair:
 
 def bicross_table(mp: MatchedPair) -> Algebra:
     """The candidate product algebra on A x V, built without verification
-    from `mp.product_sc()`, whose sparse form it shares with the pair.  Used
-    both by the verified constructor and by equivalence scans that need the
-    table for pairs that may fail the axioms.
+    from `mp.product_sparse()`, which it keeps as its sparse form and
+    densifies once (identities._dense).  Used both by the verified
+    constructor and by equivalence scans that need the table for pairs that
+    may fail the axioms.
     """
     A, V = mp.A, mp.V
     name = f"{A.name}|x|{V.name}" if A.name and V.name else None
     labels = list(A.basis) + _primed(A.basis, V.basis)
-    return Algebra._of(
-        A.field, labels, mp.product_sc(), params=A.params, name=name, sparse=mp.product_sparse()
-    )
+    sparse = mp.product_sparse()
+    sc = identities._dense(sparse, len(labels), A.ring.zero)
+    return Algebra._of(A.field, labels, sc, params=A.params, name=name, sparse=sparse)
 
 
 @dataclass
@@ -496,24 +483,22 @@ class AbelianPairCensus:
 def _abelian_pair_conditions(field: Field, n: int):
     """The product's cube-law coefficients as polynomials in the action entries.
 
-    The (n+1)-dim pair product (identities._pair_product) of the abelian
-    base (e_0 .. e_{n-1}) and the abelian complement t, with indeterminate
-    t <| e_j = lambda_j t and t |> e_j = D e_j: the only nonzero cells are
-    (e_j, t) = (D e_j, lambda_j t).  The product is Jordan, and so
-    the pair matched, exactly at the common zeros of the distinct
-    coefficients of its cube law.
+    The (n+1)-dim pair product (identities._pair_sparse) of the abelian
+    base (e_0 .. e_{n-1}) and the abelian complement t, whose sparse forms
+    are empty, with indeterminate t <| e_j = lambda_j t and t |> e_j = D e_j:
+    the only nonzero cells are (e_j, t) = (D e_j, lambda_j t).  The product
+    is Jordan, and so the pair matched, exactly at the common zeros of the
+    distinct coefficients of its cube law.
     """
     lam_names = tuple(f"l{i}" for i in range(n))
     d_names = tuple(f"d{i}{j}" for i in range(n) for j in range(n))
     params = lam_names + d_names
     ring = PolyRing(field, params)
-    z = field.zero
-    table = identities._pair_product(
-        [[(z,) * n] * n] * n,
-        [[(z,)]],
+    table = identities._pair_sparse(
+        [[()] * n] * n,
+        [[()]],
         [[(ring.var(f"l{j}"),) for j in range(n)]],
         [[tuple(ring.var(f"d{i}{j}") for i in range(n)) for j in range(n)]],
-        z,
     )
     bad, decode = identities._cube_coefficients(field, table, table, params)
     conditions = (decode(c) for coeffs in bad.values() for c in coeffs.values())

@@ -18,9 +18,11 @@ unit vector, Gauss-Jordan elimination (`rref`, `rank`, `nullspace`,
 operators, the F_p enumerations as a `Poly.eval` of every condition at
 each of the p^k candidates, and the deformation identity, the deformed
 table and the equivalence of two maps written out term by term instead
-of read off the product table.  Underneath them all are the contractions as dense loops
-through the ring protocol, where the library contracts sparse tables in
-plain operators.  The tests compare the library with them, so no fast
+of read off the product table, and that product table itself, built
+dense cell by cell (`pair_product`) where the library assembles its
+sparse form from the factors'.  Underneath them all are the contractions
+as dense loops through the ring protocol, where the library contracts
+sparse tables in plain operators.  The tests compare the library with them, so no fast
 path is its own judge.
 """
 
@@ -37,6 +39,7 @@ from jalg.identities import (
     AxiomFailure,
     _lift,
     _operator,
+    _sparse,
     _vadd,
     _verdict,
     _vscale,
@@ -207,10 +210,14 @@ def cube_coefficients(field, mul, act, params):
     """identities._cube_coefficients without the commutator cache: the
     operator U_pq = sum_t mul[p][q][t] S_t of every product e_p e_q, then
     the two products S_r U_pq and U_pq S_r made afresh for each arrangement
-    (r; p, q) of each basis triple.  Same lift, same output."""
+    (r; p, q) of each basis triple.  It takes dense tables and sparsifies
+    them for the same lift; same output."""
     n = len(mul)
     m = len(act[0]) if n else 0
-    mul_s, act_s, nonzero, decode = _lift(field, params, mul, act)
+    ring = PolyRing(field, params) if params else field
+    mul_s = _sparse(mul, ring)
+    act_s = mul_s if act is mul else _sparse(act, ring)
+    mul_s, act_s, nonzero, decode = _lift(field, params, mul_s, act_s)
     S = [_operator(cols, m) for cols in act_s]
     U = {}
     for p in range(n):
@@ -415,6 +422,32 @@ def matched_pair_verdict(
 ):
     """MP1-MP6, each expanded as polynomials, with no cube-law shortcut."""
     return _mp_expansions(field, mul_a, mul_v, right, left, params, axioms, stop_early)
+
+
+def _pair_product(mul_a, mul_v, right, left, zero) -> tuple:
+    """Structure constants of the candidate product on A x V, dense and
+    cell by cell: the A basis, then the V basis, and cell (a, x) =
+    (x |> a, x <| a), so that (a,x)(b,y) = (ab + x|>b + y|>a, x<|b + y<|a + xy).
+    The library assembles the sparse form of this table from the factors'
+    kept forms (identities._pair_sparse)."""
+    n, m = len(mul_a), len(mul_v)
+    sc = [[None] * (n + m) for _ in range(n + m)]
+    for i in range(n):
+        for j in range(n):
+            sc[i][j] = tuple(mul_a[i][j]) + (zero,) * m
+    for x in range(m):
+        for y in range(m):
+            sc[n + x][n + y] = (zero,) * n + tuple(mul_v[x][y])
+    for i in range(n):
+        for x in range(m):
+            sc[i][n + x] = sc[n + x][i] = tuple(left[x][i]) + tuple(right[x][i])
+    return tuple(map(tuple, sc))
+
+
+def pair_product(mp):
+    """The dense product table of a pair (_pair_product on its factors'
+    tables and its actions)."""
+    return _pair_product(mp.A.sc, mp.V.sc, mp.right.tensor, mp.left.tensor, mp.A.ring.zero)
 
 
 def verify(mp, stop_early=False):

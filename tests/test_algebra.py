@@ -117,6 +117,14 @@ def test_from_products_rejects_unknown_labels():
         Algebra.from_products(QQ, ("a",), {("a", "a"): {"z": 1}})
 
 
+def test_span_of_labels_rejects_unknown_labels(j5):
+    """An unknown label is the error basis_element gives, not a KeyError."""
+    for call in (lambda: Subspace.span_of_labels(j5, ["a", "zz"]), lambda: j5.basis_element("zz")):
+        with pytest.raises(JalgError) as exc:
+            call()
+        assert str(exc.value) == "unknown basis label 'zz'"
+
+
 def test_abelian():
     A = Algebra.abelian(QQ, ["x", "y"])
     assert A.is_abelian
@@ -251,7 +259,7 @@ def test_null_split_extension_jordan_verdict_is_seeded_soundly(field):
         for ra in (regular_module(A), dual_action(A)):
             E = semidirect_right(A, ra.V, ra)
             assert E._jordan is not None
-            assert E.jordan_check() == identities.jordan_verdict(E.field, E.sc, E.params), name
+            assert E.jordan_check() == identities.jordan_verdict(E.field, _sparse(E.sc, E.ring), E.params), name
 
 
 def test_regular_bimodule_extends_with_primed_labels(j5):
@@ -261,7 +269,7 @@ def test_regular_bimodule_extends_with_primed_labels(j5):
     ra = regular_module(j5)
     E = semidirect_right(j5, ra.V, ra)
     assert E.basis == j5.basis + tuple(f"{lab}'" for lab in j5.basis)
-    assert E.jordan_check() == identities.jordan_verdict(E.field, E.sc, E.params)
+    assert E.jordan_check() == identities.jordan_verdict(E.field, _sparse(E.sc, E.ring), E.params)
     assert E.jordan_check().ok
     # a primed label already in use is primed again
     A = Algebra.from_products(QQ, ("a", "a'"), {("a", "a"): {"a": 1}})

@@ -47,7 +47,7 @@ from jalg import (
 from jalg.algebra import _closure
 from jalg.catalog import ALGEBRA_NAMES, PAIR_NAMES, _read
 from jalg.deformation import _deformation_conditions, _graph
-from jalg.identities import _sparse
+from jalg.identities import _dense, _sparse
 from jalg.poly import PolyRing
 import slow_oracles as slow
 from test_pair_oracle import _parametric_pairs, _random_unmatched
@@ -62,7 +62,7 @@ def _pair(name, f):
 def _checked_product(mp):
     """bicross_table's data through the coercing constructor."""
     built = bicross_table(mp)
-    return Algebra(mp.A.field, built.basis, mp.product_sc(), params=mp.A.params, name=built.name)
+    return Algebra(mp.A.field, built.basis, slow.pair_product(mp), params=mp.A.params, name=built.name)
 
 
 def _same_algebra(fast, slow):
@@ -104,7 +104,7 @@ def test_built_tables_match_the_coercing_constructor(name):
         nA = mp.A.dim
         for r in _maps(mp, f, rng):
             graph = _graph(r.ring, r)
-            ring_E = Algebra(f, E.basis, mp.product_sc(), params=r.params) if r.params else checked_E
+            ring_E = Algebra(f, E.basis, slow.pair_product(mp), params=r.params) if r.params else checked_E
             table = [[ring_E.mul_coords(gi, gj)[nA:] for gj in graph] for gi in graph]
             _same_algebra(r_deform(mp, r), Algebra(f, mp.V.basis, table, params=r.params))
             if not r.params:
@@ -411,22 +411,53 @@ def _polynomial_pair(rng, f):
     return MatchedPair(A, V, RightAction(V, A, right), LeftAction(V, A, left))
 
 
+def _one_sided(mp):
+    """The pair's two one-sided pairs: its right action alone, then its
+    left action alone."""
+    return (
+        MatchedPair(mp.A, mp.V, mp.right, LeftAction.zero(mp.V, mp.A)),
+        MatchedPair(mp.A, mp.V, RightAction.zero(mp.V, mp.A), mp.left),
+    )
+
+
 @pytest.mark.parametrize("name", FIELDS)
 def test_product_sparse_is_the_product_tables_sparse_form(name):
     """product_sparse(), assembled from the factors' kept forms and the
-    action cells, equals _sparse of the dense product_sc(), entry by entry
-    and type by type: on every catalog pair, on the seeded random pairs of
+    action cells, equals _sparse of the dense product built cell by cell
+    (slow.pair_product), entry by entry and type by type: on every catalog
+    pair and both of its one-sided pairs, on the seeded random pairs of
     tests/test_pair_oracle.py, on its pairs over F[alpha] and on a pair
-    over F[t] with all four blocks nonzero.  bicross_table shares it."""
+    over F[t] with all four blocks nonzero.  bicross_table shares it, and
+    its dense table, densified from it, is the oracle's."""
     f = FIELDS[name]
     rng = random.Random("pairs-" + name)
-    pairs = [_pair(pair_name, f) for pair_name in PAIR_NAMES]
+    catalog_pairs = [_pair(pair_name, f) for pair_name in PAIR_NAMES]
+    pairs = catalog_pairs + [one for mp in catalog_pairs for one in _one_sided(mp)]
     pairs += [_random_unmatched(rng, f, na, nv) for na, nv in ((2, 2), (3, 2)) for _ in range(15)]
     pairs += [*_parametric_pairs(f), _polynomial_pair(random.Random("poly-" + name), f)]
     assert any(mp.A.params for mp in pairs) and any(not mp.verify().ok for mp in pairs)
     for mp in pairs:
-        assert _typed(mp.product_sparse()) == _typed(_sparse(mp.product_sc(), mp.A.ring))
-        assert bicross_table(mp).sparse_sc() is mp.product_sparse()
+        dense = slow.pair_product(mp)
+        assert _typed(mp.product_sparse()) == _typed(_sparse(dense, mp.A.ring))
+        built = bicross_table(mp)
+        assert built.sparse_sc() is mp.product_sparse()
+        assert built.sc == dense
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_dense_inverts_sparse_on_the_catalog_tables(name):
+    """_dense(_sparse(t)) == t on every catalog algebra's table, each
+    catalog pair's factors and its dense product, and the empty cells of
+    one table are one all-zero tuple."""
+    f = FIELDS[name]
+    tables = [(A.sc, A.ring) for A in (_pair(n, f) for n in ALGEBRA_NAMES)]
+    for mp in (_pair(n, f) for n in PAIR_NAMES):
+        tables += [(mp.A.sc, mp.A.ring), (mp.V.sc, mp.V.ring), (slow.pair_product(mp), mp.A.ring)]
+    for table, ring in tables:
+        dense = _dense(_sparse(table, ring), len(table), ring.zero)
+        assert dense == table
+        empty = {id(cell) for row in dense for cell in row if not any(cell)}
+        assert len(empty) <= 1
 
 
 @pytest.mark.parametrize("name", [*FIELDS, "Q[t]"])

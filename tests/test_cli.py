@@ -1,6 +1,5 @@
 """Command-line interface: output contracts and exit codes."""
 
-import argparse
 import json
 import time
 
@@ -485,6 +484,37 @@ def test_unknown_label_exit_two(capsys, tmp_path):
     assert err == "error: line 4: unknown label or bad scalar 'w'\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factorize", "catalog:J5", "--first", "zz", "--second", "u,v"],
+        ["canonical-pair", "catalog:J5", "--first", "a", "--second", "zz"],
+    ],
+)
+def test_unknown_subspace_label_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: unknown basis label 'zz'\n")
+
+
+def test_non_utf8_files_exit_two(capsys, tmp_path):
+    """A byte that is not UTF-8 in a .jalg, in a .jpair, and in the target
+    of a .jpair's @include on its second line."""
+    bad = tmp_path / "bad.jalg"
+    bad.write_bytes(b"field Q\ndim 1\nbasis u\xff\n")
+    pair = tmp_path / "bad.jpair"
+    pair.write_bytes(b"algebra A\xfe\n")
+    include = tmp_path / "include.jpair"
+    include.write_text("# the first factor is not UTF-8\nalgebra A @include bad.jalg\n")
+    for argv, prefix in (
+        (["check", str(bad)], f"error: cannot read {bad}: "),
+        (["mp-check", str(pair)], f"error: cannot read {pair}: "),
+        (["mp-check", str(include)], f"error: line 2: cannot read {bad}: "),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(prefix) and "can't decode byte" in err and err.count("\n") == 1
+
+
 def test_map_repeated_label_exit_two(capsys):
     code, _, err = run(
         capsys, "deform-check", "catalog:defmap-pair", "--map", "u: a; u: b"
@@ -618,50 +648,6 @@ def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
         assert fast[0][1] in (0, 1) and fast[1]
 
 
-def test_main_builds_only_the_chosen_subparser(capsys, monkeypatch):
-    cli.build_parser.cache_clear()
-    added = []
-    add_parser = argparse._SubParsersAction.add_parser
-
-    def counting(self, name, **kwargs):
-        added.append(name)
-        return add_parser(self, name, **kwargs)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    argv = ["iso", "catalog:V1", "catalog:V2", "--field", "F13", "--json"]
-    assert main(argv) == 1
-    assert added == ["iso"]
-    assert main(argv) == 1  # the first call's parser is reused
-    assert added == ["iso"]
-    added.clear()
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
-    assert added == COMMANDS and len(added) == 13
-    out = capsys.readouterr().out
-    assert all(name in out for name in COMMANDS)
-
-
-def test_main_calls_build_parser_through_the_module(capsys, monkeypatch):
-    cli.build_parser.cache_clear()
-    calls, parsers = [], []
-    build_parser = cli.build_parser
-
-    def spy(command=None):
-        calls.append(command)
-        parsers.append(build_parser(command))
-        return parsers[-1]
-
-    monkeypatch.setattr(cli, "build_parser", spy)
-    assert main(["catalog"]) == 0
-    assert calls == ["catalog"]
-    with pytest.raises(SystemExit):
-        main(["catalog", "J5", "J7"])  # leftovers: the full parser words the error
-    assert calls == ["catalog", "catalog", None]
-    assert parsers[1] is parsers[0]  # the second call builds nothing
-    assert "unrecognized arguments: J7" in capsys.readouterr().err
-
-
 def test_kept_parser_formats_help_at_the_current_width(capsys, monkeypatch):
     """`jalg iso --help` from the kept parser equals a fresh parser's
     output under each COLUMNS value: the width is read when help is
@@ -671,7 +657,7 @@ def test_kept_parser_formats_help_at_the_current_width(capsys, monkeypatch):
     for columns in ("40", "160"):
         monkeypatch.setenv("COLUMNS", columns)
         kept = _outcome(capsys, lambda: main(["iso", "--help"]))
-        fresh = _outcome(capsys, lambda: cli.build_parser.__wrapped__("iso").parse_args(["iso", "--help"]))
+        fresh = _outcome(capsys, lambda: cli.build_parser.__wrapped__().parse_args(["iso", "--help"]))
         assert kept == fresh and kept[0] == ("exit", 0)
         outputs.append(kept[1])
     assert cli.build_parser.cache_info().misses == 1

@@ -34,6 +34,7 @@ from jalg import (
     semidirect_right,
 )
 from jalg.catalog import ALGEBRA_NAMES, PAIR_NAMES
+from jalg.identities import _sparse
 from conftest import module_action, module_pair, regular_module
 import slow_oracles as oracle
 
@@ -145,13 +146,13 @@ def test_jordan_matches_expansion(name):
     f = FIELDS[name]
     outcomes = set()
     for label, sc in _cases(name):
-        fast = identities.jordan_verdict(f, sc)
+        fast = identities.jordan_verdict(f, _sparse(sc, f))
         _same(fast, oracle.jordan_verdict(f, sc))
         if label.endswith("jordan"):
             assert fast.ok, label
         outcomes.add(fast.ok)
         if not fast.ok:
-            early = identities.jordan_verdict(f, sc, stop_early=True)
+            early = identities.jordan_verdict(f, _sparse(sc, f), stop_early=True)
             _same(early, oracle.jordan_verdict(f, sc, stop_early=True))
             assert early.failures == fast.failures[:1]
     assert outcomes == {True, False}
@@ -279,7 +280,7 @@ def test_parametric_bimodules_match_expansion(name):
         for m in (1, 2, 3):
             sc = _symmetric([[[alpha * e + _scalar(rng, f) for e in cell] for cell in row] for row in _random_table(rng, f, n, 0.3)])
             act = [[[alpha * _scalar(rng, f) + _scalar(rng, f) for _ in range(m)] for _ in range(m)] for _ in range(n)]
-            assert not identities.jordan_verdict(f, sc, ("alpha",)).ok
+            assert not identities.jordan_verdict(f, _sparse(sc, ring), ("alpha",)).ok
             cases.append((sc, act))
     failed = _same_bimodule_verdicts(f, cases, ("alpha",))
     assert {("bim-square",), ("bim-linear",), ("bim-square", "bim-linear")} <= failed
@@ -382,12 +383,12 @@ def test_parametric_tables_match_expansion(name):
         )
     outcomes = set()
     for sc in tables:
-        fast = identities.jordan_verdict(f, sc, ("alpha",))
+        fast = identities.jordan_verdict(f, _sparse(sc, ring), ("alpha",))
         _same(fast, oracle.jordan_verdict(f, sc, ("alpha",)))
         outcomes.add(fast.ok)
         act = [[[c * alpha for c in cell] for cell in row] for row in _random_table(rng, f, len(sc), 0.5)]
         _same(
-            identities.action_law_verdict(f, sc, act, ("alpha",)),
+            identities.action_law_verdict(f, _sparse(sc, ring), _sparse(act, ring), ("alpha",)),
             oracle.action_law_verdict(f, sc, act, ("alpha",)),
         )
     assert outcomes == {True, False}
@@ -408,7 +409,7 @@ def test_witness_is_the_first_printed_term():
 
 def test_parameter_clash_is_still_an_error():
     with pytest.raises(JalgError):
-        identities.jordan_verdict(QQ, [[[QQ.one]]], ("a0",))
+        identities.jordan_verdict(QQ, _sparse([[[QQ.one]]], PolyRing(QQ, ("a0",))), ("a0",))
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +448,12 @@ def _decoded(result):
 
 
 def _same_coefficients(f, mul, act, params=()):
-    """The kernel's decoded coefficients equal the oracle's; returns them."""
-    fast = _decoded(identities._cube_coefficients(f, mul, act, params))
+    """The kernel's decoded coefficients, on the sparse forms of mul and
+    act, equal the oracle's on the dense tables; returns them."""
+    ring = PolyRing(f, params) if params else f
+    mul_s = _sparse(mul, ring)
+    act_s = mul_s if act is mul else _sparse(act, ring)
+    fast = _decoded(identities._cube_coefficients(f, mul_s, act_s, params))
     assert fast == _decoded(oracle.cube_coefficients(f, mul, act, params))
     return fast
 
@@ -460,7 +465,7 @@ def _census_table(f, n):
     params = tuple(f"l{i}" for i in range(n)) + tuple(f"d{i}{j}" for i in range(n) for j in range(n))
     ring = PolyRing(f, params)
     z = f.zero
-    table = identities._pair_product(
+    table = oracle._pair_product(
         [[(z,) * n] * n] * n,
         [[(z,)]],
         [[(ring.var(f"l{j}"),) for j in range(n)]],
@@ -481,7 +486,7 @@ def _kernel_cases(f, rng):
     products = []
     for name in PAIR_NAMES:
         mp = catalog(name, field=f)
-        products.append(mp.product_sc())
+        products.append(oracle.pair_product(mp))
         cases.append((products[-1], products[-1]))
         right = [[mp.right.tensor[x][a] for x in range(mp.V.dim)] for a in range(mp.A.dim)]
         cases += [(mp.A.sc, right), (mp.V.sc, mp.left.tensor)]
@@ -492,7 +497,7 @@ def _kernel_cases(f, rng):
         MatchedPair(mp.A, mp.V, mp.right, LeftAction.zero(mp.V, mp.A)),
         MatchedPair(mp.A, mp.V, RightAction.zero(mp.V, mp.A), mp.left),
     ):
-        cases.append((one_sided.product_sc(), one_sided.product_sc()))
+        cases.append((oracle.pair_product(one_sided),) * 2)
     for n in (3, 4, 5):
         sym = _sym_table(f, n)
         dense = _rebase(f, sym, _basis_change(rng, f, len(sym), dense=True))
@@ -548,6 +553,30 @@ def test_parametric_commutator_kernel_matches_the_upq_kernel(name):
     # matched_pair._abelian_pair_conditions at base dimension 2
     table, params = _census_table(f, 2)
     assert _same_coefficients(f, table, table, params)
+
+
+@pytest.mark.parametrize("name", ("F5", "F7"))
+def test_census_table_is_the_dense_products_sparse_form(monkeypatch, name):
+    """The table _abelian_pair_conditions hands the kernel, assembled by
+    _pair_sparse from empty factor forms and the indeterminate action
+    cells, is _sparse of the oracle's dense build (_census_table), at base
+    dimensions 1, 2 and 3."""
+    f = FIELDS[name]
+    seen = []
+    inner = identities._cube_coefficients
+
+    def captured(field, mul, act, params):
+        seen.append((mul, act, params))
+        return inner(field, mul, act, params)
+
+    monkeypatch.setattr(identities, "_cube_coefficients", captured)
+    for n in (1, 2, 3):
+        seen.clear()
+        matched_pair._abelian_pair_conditions(f, n)
+        [(mul, act, params)] = seen
+        dense, oracle_params = _census_table(f, n)
+        assert act is mul and params == oracle_params
+        assert mul == _sparse(dense, PolyRing(f, params))
 
 
 # sha256 of the census conditions, one str() a line, in the order

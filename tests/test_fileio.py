@@ -277,6 +277,25 @@ def test_parse_pair_include_missing_file(tmp_path):
     assert "missing.jalg" in str(exc.value)
 
 
+def test_non_utf8_files_are_parse_errors(tmp_path):
+    """A byte that is not UTF-8 in a .jalg, a .jpair or an @include target
+    is a one-line ParseError; the @include keeps its line number."""
+    bad = tmp_path / "bad.jalg"
+    bad.write_bytes(b"field Q\ndim 1\nbasis u\xff\n")
+    pair = tmp_path / "bad.jpair"
+    pair.write_bytes(b"algebra A\xfe\n")
+    for load, path, line in ((load_algebra, bad, None), (load_pair, pair, None)):
+        with pytest.raises(ParseError) as exc:
+            load(str(path))
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"cannot read {path}: ")
+    with pytest.raises(ParseError) as exc:
+        parse_pair("\nalgebra A @include bad.jalg\n", base_dir=str(tmp_path))
+    assert exc.value.line == 2
+    assert str(exc.value).startswith(f"line 2: cannot read {bad}: ")
+    assert "\n" not in str(exc.value)
+
+
 def test_pair_roundtrip_all_catalog_pairs():
     for name in catalog_names():
         entry = catalog(name)

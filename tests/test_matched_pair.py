@@ -167,7 +167,7 @@ def test_verify_is_one_cube_law_pass(monkeypatch, non_jordan_v_jpair):
             calls.clear()
             fresh.verify(stop_early=stop_early)
             assert len(calls) == 1
-            assert calls[0][1] is fresh.product_sc()
+            assert calls[0][1] is fresh.product_sparse()
 
 
 def test_jordan_v_failure_report(non_jordan_v_jpair, capsys):

@@ -28,7 +28,7 @@ from jalg import (
     map_to_quadruple,
     quadruple_check,
 )
-from slow_oracles import blockwise_quadruple_check
+from slow_oracles import blockwise_quadruple_check, pair_product
 
 F5, F7 = Field(5), Field(7)
 CATALOG_PAIRS = ("J5-pair", "J7-pair", "J17-pair", "defmap-pair")
@@ -191,12 +191,12 @@ def test_product_tables_are_per_pair():
     first = _random_pair(rng, F5, 2, 1, 0.3)
     second = _random_pair(rng, F5, 2, 1, 0.3)
     twin = MatchedPair(first.A, first.V, first.right, first.left)
-    assert first.product_sc() is first.product_sc()
-    assert first.product_sc() is not second.product_sc()
-    assert twin.product_sc() is not first.product_sc()
+    assert first.product_sparse() is first.product_sparse()
+    assert first.product_sparse() is not second.product_sparse()
+    assert twin.product_sparse() is not first.product_sparse()
     for mp in (first, second, twin):
-        assert mp.product_sc() == bicross_table(mp).sc
-    assert first.product_sc() != second.product_sc()
+        assert pair_product(mp) == bicross_table(mp).sc
+    assert first.product_sparse() != second.product_sparse()
     for src, tgt in ((first, second), (second, first), (first, twin)):
         for _ in range(20):
             _agrees(_random_quadruple(rng, src, tgt, 0.5))
