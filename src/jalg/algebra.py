@@ -59,6 +59,33 @@ def format_combination(ring, coords, labels) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def _label_index(basis, label) -> int:
+    """The index of a basis label: the one check of every label a caller
+    names."""
+    try:
+        return basis.index(label)
+    except ValueError:
+        raise JalgError(f"unknown basis label {label!r}") from None
+
+
+def _label_coords(ring, basis, combo) -> tuple:
+    """A combination {label: coefficient} as coordinates over basis, each
+    coefficient coerced into ring once; absent labels are 0."""
+    vec = [ring.zero] * len(basis)
+    for lab, c in combo.items():
+        vec[_label_index(basis, lab)] = ring.coerce(c)
+    return tuple(vec)
+
+
+def _vector(ring, coords, dim) -> tuple:
+    """A coordinate vector a caller gives: its length checked against dim,
+    its entries coerced into ring."""
+    coords = tuple(coords)
+    if len(coords) != dim:
+        raise DimensionError(f"expected {dim} coordinates, got {len(coords)}")
+    return ring.coerce_vector(coords)
+
+
 def _primed(taken, labels) -> list:
     """labels, each primed until it clashes with nothing in taken and
     with no label before it."""
@@ -134,21 +161,13 @@ class Algebra:
     def from_products(cls, field: Field, basis, products, params=(), name=None):
         """products: {(label, label): {label: coefficient}}; missing pairs are 0."""
         basis = tuple(basis)
-        index = {lab: i for i, lab in enumerate(basis)}
         n = len(basis)
         ring = PolyRing(field, tuple(params)) if params else field
-        sc = [[[ring.zero] * n for _ in range(n)] for _ in range(n)]
+        sc = [[(ring.zero,) * n] * n for _ in range(n)]
         for (x, y), combo in products.items():
-            for lab in (x, y, *combo):
-                if lab not in index:
-                    raise JalgError(f"unknown basis label {lab!r}")
-            i, j = index[x], index[y]
-            vec = [ring.zero] * n
-            for lab, c in combo.items():
-                vec[index[lab]] = ring.coerce(c)
-            sc[i][j] = vec
-            sc[j][i] = vec
-        return cls(field, basis, sc, params=params, name=name)
+            i, j = _label_index(basis, x), _label_index(basis, y)
+            sc[i][j] = sc[j][i] = _label_coords(ring, basis, combo)
+        return cls._of(field, basis, sc, params=params, name=name)
 
     @classmethod
     def abelian(cls, field: Field, basis, name=None):
@@ -157,17 +176,12 @@ class Algebra:
     # -- elements --------------------------------------------------------------
 
     def element(self, coords) -> "Element":
-        coords = tuple(self.ring.coerce(c) for c in coords)
-        if len(coords) != self.dim:
-            raise DimensionError(f"expected {self.dim} coordinates, got {len(coords)}")
-        return Element(self, coords)
+        return Element(self, _vector(self.ring, coords, self.dim))
 
     def basis_element(self, i) -> "Element":
         """Basis vector by index or label."""
         if isinstance(i, str):
-            if i not in self.basis:
-                raise JalgError(f"unknown basis label {i!r}")
-            i = self.basis.index(i)
+            i = _label_index(self.basis, i)
         if not 0 <= i < self.dim:
             raise DimensionError(f"basis index {i} out of range for dim {self.dim}")
         return self.element(linalg.identity(self.ring, self.dim)[i])
@@ -345,20 +359,10 @@ class LinearMap:
     def from_images(cls, source: Algebra, target: Algebra, images: dict) -> "LinearMap":
         """images: {source label: {target label: coeff}}; missing labels map to 0."""
         _same_field(source.field, target.field)
-        unknown = set(images) - set(source.basis)
-        if unknown:
-            raise JalgError(f"unknown labels {sorted(unknown)}")
-        tindex = {lab: i for i, lab in enumerate(target.basis)}
-        cols = []
-        for lab in source.basis:
-            combo = images.get(lab, {})
-            bad = set(combo) - set(tindex)
-            if bad:
-                raise JalgError(f"unknown labels {sorted(bad)}")
-            vec = [target.field.zero] * target.dim
-            for tlab, c in combo.items():
-                vec[tindex[tlab]] = target.field.coerce(c)
-            cols.append(vec)
+        cols = [(target.field.zero,) * target.dim] * source.dim
+        for lab, combo in images.items():
+            j = _label_index(source.basis, lab)
+            cols[j] = _label_coords(target.field, target.basis, combo)
         return cls._of(source.field, source.dim, target.dim, cols)
 
     def _nonzero_cols(self) -> list:
@@ -370,8 +374,7 @@ class LinearMap:
         return self._nonzero
 
     def apply(self, coords):
-        if len(coords) != self.source_dim:
-            raise DimensionError(f"expected {self.source_dim} coordinates")
+        coords = _vector(self.field, coords, self.source_dim)
         return _linear(self.field, self.cols, coords, self.target_dim)
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
@@ -379,7 +382,7 @@ class LinearMap:
         _same_field(self.field, inner.field)
         if inner.target_dim != self.source_dim:
             raise DimensionError("composition dimension mismatch")
-        cols = [self.apply(col) for col in inner.cols]
+        cols = [_linear(self.field, self.cols, col, self.target_dim) for col in inner.cols]
         return LinearMap._of(self.field, inner.source_dim, self.target_dim, cols)
 
     def add(self, other: "LinearMap") -> "LinearMap":
@@ -491,11 +494,8 @@ class Subspace:
 
     @classmethod
     def span_of_labels(cls, ambient: Algebra, labels) -> "Subspace":
-        units = dict(zip(ambient.basis, linalg.identity(ambient.field, ambient.dim)))
-        for lab in labels:
-            if lab not in units:
-                raise JalgError(f"unknown basis label {lab!r}")
-        return cls(ambient, [units[lab] for lab in labels])
+        units = linalg.identity(ambient.field, ambient.dim)
+        return cls(ambient, [units[_label_index(ambient.basis, lab)] for lab in labels])
 
     @property
     def dim(self) -> int:
@@ -506,9 +506,7 @@ class Subspace:
 
     def coordinates(self, coords):
         """Coefficients of coords on the rows, or None if outside the span."""
-        if len(coords) != self.ambient.dim:
-            raise DimensionError("vector length does not match ambient dimension")
-        return self._coordinates(list(map(self.ambient.field.coerce, coords)))
+        return self._coordinates(_vector(self.ambient.field, coords, self.ambient.dim))
 
     def _coordinates(self, coords):
         """coordinates() of a vector of ambient.dim field values.

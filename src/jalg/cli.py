@@ -309,7 +309,12 @@ def _cmd_classify2(args) -> int:
 
 
 def _parse_map_flag(mp: MatchedPair, spec: str, params: tuple[str, ...]) -> DeformationMap:
-    """--map 'u: a + b; v: alpha b' with optional parameter names."""
+    """--map 'u: a + b; v: alpha b' with optional parameter names, none of
+    them a label of the first factor (a combination reads such a name as
+    the label)."""
+    for name in params:
+        if name in mp.A.basis:
+            raise ParseError(f"parameter {name!r} is also a basis label of the first factor")
     images = {}
     for chunk in spec.split(";"):
         chunk = chunk.strip()
@@ -324,11 +329,11 @@ def _parse_map_flag(mp: MatchedPair, spec: str, params: tuple[str, ...]) -> Defo
         if lab in images:
             raise ParseError(f"map entry for {lab!r} given twice")
         try:
-            coords = fileio._parse_combination(mp.A.field, combo, mp.A.basis, params=params)
+            images[lab] = fileio._parse_combination(mp.A.field, combo, mp.A.basis, params=params)
         except ParseError as exc:
             raise ParseError(f"map entry {chunk!r}: {exc}") from None
-        images[lab] = dict(zip(mp.A.basis, coords))
-    return DeformationMap.from_images(mp, images, params=params)
+    zero = [0] * mp.A.dim
+    return DeformationMap(mp, [images.get(lab, zero) for lab in mp.V.basis], params)
 
 
 def _cmd_deform_check(args) -> int:

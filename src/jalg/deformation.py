@@ -20,6 +20,9 @@ from .algebra import (
     Algebra,
     LinearMap,
     Subspace,
+    _label_coords,
+    _label_index,
+    _vector,
     format_combination,
     hom_check,
 )
@@ -61,30 +64,21 @@ class DeformationMap:
 
     @classmethod
     def zero(cls, mp: MatchedPair) -> "DeformationMap":
-        z = mp.A.field.zero
-        return cls(mp, [[z] * mp.A.dim for _ in range(mp.V.dim)])
+        return cls.from_images(mp, {})
 
     @classmethod
     def from_images(cls, mp: MatchedPair, images, params=()) -> "DeformationMap":
         """images: {V label: {A label: coefficient}}; missing labels map to 0."""
         ring = PolyRing(mp.A.field, tuple(params)) if params else mp.A.field
-        unknown = set(images) - set(mp.V.basis)
-        if unknown:
-            raise JalgError(f"unknown labels {sorted(unknown)}")
-        cols = []
-        for lab in mp.V.basis:
-            combo = images.get(lab, {})
-            bad = set(combo) - set(mp.A.basis)
-            if bad:
-                raise JalgError(f"unknown labels {sorted(bad)}")
-            cols.append(
-                [ring.coerce(combo.get(t, 0)) for t in mp.A.basis]
-            )
+        cols = [(ring.zero,) * mp.A.dim] * mp.V.dim
+        for lab, combo in images.items():
+            j = _label_index(mp.V.basis, lab)
+            cols[j] = _label_coords(ring, mp.A.basis, combo)
         return cls(mp, cols, params)
 
     def apply(self, x_coords):
         R = self.ring
-        return _linear(R, self.cols, [R.coerce(c) for c in x_coords], self.mp.A.dim)
+        return _linear(R, self.cols, _vector(R, x_coords, self.mp.V.dim), self.mp.A.dim)
 
     @property
     def is_zero(self) -> bool:

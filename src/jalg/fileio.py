@@ -177,7 +177,7 @@ def _parse_algebra_lines(lines, name=None) -> Algebra:
     ]
     for (i, j), coords in mults.items():
         table[i][j] = table[j][i] = tuple(coords)
-    return Algebra(field, basis, table, name=name)
+    return Algebra._of(field, basis, table, name=name)
 
 
 def parse_algebra(text: str, name=None) -> Algebra:
@@ -286,8 +286,8 @@ def parse_pair(text: str, base_dir: str | None = None) -> MatchedPair:
             right_tensor[v_index[x]][a_index[a]] = _parse_combination(
                 f, rhs, V.basis, lineno
             )
-    right = RightAction(V, A, right_tensor)
-    left = LeftAction(V, A, left_tensor)
+    right = RightAction._of(V, A, right_tensor)
+    left = LeftAction._of(V, A, left_tensor)
     return MatchedPair(A, V, right, left)
 
 
@@ -312,18 +312,12 @@ def write_pair(mp: MatchedPair) -> str:
         "",
     ]
     lines = []
-    for x in range(mp.V.dim):
-        for a in range(mp.A.dim):
-            cell = mp.left.tensor[x][a]
-            if any(not f.is_zero(c) for c in cell):
-                combo = format_combination(f, cell, mp.A.basis)
-                lines.append(f"left {mp.V.basis[x]} . {mp.A.basis[a]} = {combo}")
-    for x in range(mp.V.dim):
-        for a in range(mp.A.dim):
-            cell = mp.right.tensor[x][a]
-            if any(not f.is_zero(c) for c in cell):
-                combo = format_combination(f, cell, mp.V.basis)
-                lines.append(f"right {mp.V.basis[x]} . {mp.A.basis[a]} = {combo}")
+    for side, action, basis in (("left", mp.left, mp.A.basis), ("right", mp.right, mp.V.basis)):
+        for x, row in enumerate(action.tensor):
+            for a, cell in enumerate(row):
+                if any(not f.is_zero(c) for c in cell):
+                    combo = format_combination(f, cell, basis)
+                    lines.append(f"{side} {mp.V.basis[x]} . {mp.A.basis[a]} = {combo}")
     return "\n".join(chunks + lines) + "\n"
 
 

@@ -21,10 +21,11 @@ is Jordan exactly when the pair is matched; matched_pair_verdict reads
 each axiom's residuals off its piece.  A Jordan bimodule M over A is the
 pair of A and the abelian M with x <| a = a . x and no left action: its
 two laws are the right-action and MP3 pieces, and its null split
-extension is that pair's product.  That is the one route here to each axiom: the laws expanded in generic elements
-(MP1-MP6 among them) are the tests' independent oracles, in
-tests/slow_oracles.py.  With indeterminate table entries the
-coefficients are polynomial conditions on them (the abelian-pair census).
+extension is that pair's product.  That is the one route here to each
+axiom: the laws expanded in generic elements (MP1-MP6 among them) are the
+tests' independent oracles, in tests/slow_oracles.py.  With indeterminate
+table entries the coefficients are polynomial conditions on them (the
+abelian-pair census).
 
 With declared parameters the parameters stay indeterminates too.  A PASS
 then holds at every specialization; a FAIL means the identity fails as a

@@ -16,8 +16,11 @@ from .algebra import (
     Subspace,
     _closure,
     _induced_labels,
+    _label_coords,
+    _label_index,
     _primed,
     _same_field,
+    _vector,
     hom_check,
 )
 from .errors import DimensionError, JalgError, VerificationError
@@ -76,29 +79,18 @@ class _Action:
 
     @classmethod
     def zero(cls, V: Algebra, A: Algebra):
-        z = A.ring.zero
-        out_dim = cls._roles(V, A)[1].dim
-        return cls(V, A, [[[z] * out_dim for _ in range(A.dim)] for _ in range(V.dim)])
+        return cls.from_images(V, A, {})
 
     @classmethod
     def from_images(cls, V: Algebra, A: Algebra, images: dict):
         """images: {(x label, a label): {label of the value factor: coeff}}."""
         out = cls._roles(V, A)[1]
-        vidx = {lab: i for i, lab in enumerate(V.basis)}
-        aidx = {lab: i for i, lab in enumerate(A.basis)}
-        oidx = {lab: i for i, lab in enumerate(out.basis)}
-        z = A.ring.zero
-        tensor = [[[z] * out.dim for _ in range(A.dim)] for _ in range(V.dim)]
+        ring = A.ring
+        tensor = [[(ring.zero,) * out.dim] * A.dim for _ in range(V.dim)]
         for (x, a), combo in images.items():
-            if x not in vidx or a not in aidx:
-                raise JalgError(f"unknown basis label in action pair ({x!r}, {a!r})")
-            vec = [z] * out.dim
-            for lab, c in combo.items():
-                if lab not in oidx:
-                    raise JalgError(f"unknown basis label {lab!r}")
-                vec[oidx[lab]] = c
-            tensor[vidx[x]][aidx[a]] = vec
-        return cls(V, A, tensor)
+            i, j = _label_index(V.basis, x), _label_index(A.basis, a)
+            tensor[i][j] = _label_coords(ring, out.basis, combo)
+        return cls._of(V, A, tensor)
 
     def check(self) -> Verdict:
         acting = self._acting
@@ -123,7 +115,9 @@ class _Action:
 
     def apply(self, x_coords, a_coords):
         ring = self.A.ring
-        return _bilinear(ring, _sparse(self.tensor, ring), x_coords, a_coords, self._values.dim)
+        x = _vector(ring, x_coords, self.V.dim)
+        a = _vector(ring, a_coords, self.A.dim)
+        return _bilinear(ring, _sparse(self.tensor, ring), x, a, self._values.dim)
 
     def is_zero(self) -> bool:
         ring = self.A.ring
@@ -383,9 +377,7 @@ class Factorization:
 
     def split(self, v):
         """(coordinates of v on A_sub.rows, coordinates of v on B_sub.rows)."""
-        if len(v) != self.E.dim:
-            raise DimensionError("vector length does not match ambient dimension")
-        return self._split(list(map(self.E.field.coerce, v)))
+        return self._split(_vector(self.E.field, v, self.E.dim))
 
     def _split(self, v):
         """split() of a vector of E.dim field values."""

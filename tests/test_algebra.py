@@ -278,13 +278,13 @@ def test_regular_bimodule_extends_with_primed_labels(j5):
 
 
 def test_linear_map_from_images_rejects_unknown_target_label(j5):
-    with pytest.raises(JalgError, match=r"^unknown labels \['z'\]$") as err:
+    with pytest.raises(JalgError, match=r"^unknown basis label 'z'$") as err:
         LinearMap.from_images(j5, j5, {"a": {"z": 1}})
     assert type(err.value) is JalgError
 
 
 def test_linear_map_from_images_rejects_unknown_source_label(j5):
-    with pytest.raises(JalgError, match=r"^unknown labels \['z'\]$"):
+    with pytest.raises(JalgError, match=r"^unknown basis label 'z'$"):
         LinearMap.from_images(j5, j5, {"z": {"a": 1}})
     assert LinearMap.from_images(j5, j5, {}) == LinearMap.zero(j5.field, j5.dim, j5.dim)
 

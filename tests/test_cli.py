@@ -523,6 +523,19 @@ def test_map_repeated_label_exit_two(capsys):
     assert "'u'" in err
 
 
+@pytest.mark.parametrize("spec", ["u: a", "u: a a", "v: 0"])
+@pytest.mark.parametrize("params", ["a", "alpha,b"])
+def test_map_params_that_are_labels_exit_two(capsys, spec, params):
+    """A parameter named like a label of the first factor is refused before
+    the map is read: the combination grammar would read it as the label."""
+    code, out, err = run(
+        capsys, "deform-check", "catalog:defmap-pair", "--map", spec, "--params", params
+    )
+    name = params.split(",")[-1]
+    want = f"error: parameter {name!r} is also a basis label of the first factor\n"
+    assert (code, out, err) == (2, "", want)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

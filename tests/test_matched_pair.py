@@ -442,7 +442,7 @@ def test_factorization_requires_closed_complements(j5):
         Subspace.span_of_labels(j5, ["u", "v"]),
     )
     assert fact.E is j5
-    with pytest.raises(JalgError, match="vector length"):
+    with pytest.raises(JalgError, match=r"^expected 4 coordinates, got 3$"):
         fact.split([1, 0, 0])
 
 
