@@ -78,12 +78,18 @@ def _label_coords(ring, basis, combo) -> tuple:
 
 
 def _vector(ring, coords, dim) -> tuple:
-    """A coordinate vector a caller gives: its length checked against dim,
-    its entries coerced into ring."""
+    """A coordinate vector a caller gives: its length checked against dim
+    (_sized), its entries coerced into ring."""
+    return ring.coerce_vector(_sized(coords, dim))
+
+
+def _sized(coords, dim) -> tuple:
+    """coords as a tuple, its length checked against dim: the one length
+    check of a coordinate vector."""
     coords = tuple(coords)
     if len(coords) != dim:
         raise DimensionError(f"expected {dim} coordinates, got {len(coords)}")
-    return ring.coerce_vector(coords)
+    return coords
 
 
 def _primed(taken, labels) -> list:
@@ -467,13 +473,12 @@ class Subspace:
     def __init__(self, ambient: Algebra, vectors):
         if ambient.params:
             raise JalgError("subspaces require scalar structure constants")
-        coerce = ambient.field.coerce
-        self._set(ambient, [list(map(coerce, v)) for v in vectors])
+        self._set(ambient, [ambient.field.coerce_vector(v) for v in vectors])
 
     @classmethod
     def _of(cls, ambient: Algebra, rows) -> "Subspace":
         """A subspace of a scalar algebra spanned by rows that already hold
-        field values: the constructor's length check without its
+        field values: the constructor's length check (_sized) without its
         coercion."""
         self = cls.__new__(cls)
         self._set(ambient, rows)
@@ -481,9 +486,7 @@ class Subspace:
 
     def _set(self, ambient: Algebra, rows):
         self.ambient = ambient
-        for r in rows:
-            if len(r) != ambient.dim:
-                raise DimensionError("vector length does not match ambient dimension")
+        rows = [_sized(r, ambient.dim) for r in rows]
         reduced, pivots = linalg.rref(ambient.field, rows)
         self.rows = tuple(tuple(r) for r in reduced)
         self._pivots = tuple(pivots)

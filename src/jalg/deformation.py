@@ -5,10 +5,10 @@ multiplication of V into a new Jordan algebra V_r whose graph inside the
 bicrossed product is again a complement of A.  Enumerating the maps and
 grouping them by equivalence computes the factorization index.
 
-Each map keeps its verdict, the table of V_r read off the same graph
-products (r(x), x)(r(y), y), and V_r, so one pass per map serves the
-enumeration, `r_deform` and `equiv_check`; `Factorization` decides the
-graph and bbar splits.
+Each map keeps its verdict and V_r, an Algebra built on the table read
+off the same graph products (r(x), x)(r(y), y), which keeps its sparse
+form: one pass per map serves the enumeration, `r_deform` and
+`equiv_check`.  `Factorization` decides the graph and bbar splits.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from .algebra import (
     Subspace,
     _label_coords,
     _label_index,
+    _same_field,
     _vector,
     format_combination,
     hom_check,
 )
 from .errors import BudgetError, DimensionError, JalgError, VerificationError
 from .fields import Field
-from .identities import _bilinear, _hom_mismatches, _linear, _nonzero_columns, _sparse, _vsub
+from .identities import _bilinear, _hom_mismatches, _linear, _vsub
 from .matched_pair import (
     BicrossedProduct,
     Factorization,
@@ -45,7 +46,7 @@ class DeformationMap:
     """Linear map from the complement factor V into A, with optional
     polynomial parameters for whole families at once."""
 
-    __slots__ = ("mp", "params", "ring", "cols", "_checked", "_deformed")
+    __slots__ = ("mp", "params", "ring", "cols", "_checked")
 
     def __init__(self, mp: MatchedPair, cols, params=()):
         if mp.A.params:
@@ -60,7 +61,7 @@ class DeformationMap:
                 f"need {mp.V.dim} columns of length {mp.A.dim}"
             )
         self.cols = cols
-        self._checked = self._deformed = None  # set by _checked_table, r_deform
+        self._checked = None  # set by _checked_table
 
     @classmethod
     def zero(cls, mp: MatchedPair) -> "DeformationMap":
@@ -178,18 +179,10 @@ def _residuals(r: DeformationMap, products):
         yield i, j, _vsub(R, _linear(R, r.cols, v_part, r.mp.A.dim), a_part)
 
 
-def _deformed_table(nV: int, products):
-    """The symmetric table of V_r, x . y = xy + x <| r(y) + y <| r(x), from
-    _graph_products."""
-    table = [[None] * nV for _ in range(nV)]
-    for i, j, _, v_part in products:
-        table[i][j] = table[j][i] = tuple(v_part)
-    return table
-
-
 def _checked_table(mp: MatchedPair, r: DeformationMap):
-    """(verdict of deformation_check, table of V_r), read off one
-    _graph_products pass and kept on the map."""
+    """(verdict of deformation_check, V_r), read off one _graph_products
+    pass and kept on the map.  V_r is the Algebra on V's basis with the
+    symmetric table x . y = xy + x <| r(y) + y <| r(x), unchecked."""
     if r.mp is not mp and r.mp != mp:
         raise JalgError("deformation map belongs to a different matched pair")
     if r._checked is None:
@@ -201,7 +194,11 @@ def _checked_table(mp: MatchedPair, r: DeformationMap):
             for i, j, res in _residuals(r, products)
             if not all(R.is_zero(c) for c in res)
         )
-        r._checked = DeformationVerdict(not failures, failures), _deformed_table(mp.V.dim, products)
+        table = [[None] * mp.V.dim for _ in basis]
+        for i, j, _, v_part in products:
+            table[i][j] = table[j][i] = v_part
+        deformed = Algebra._of(mp.A.field, basis, table, params=r.params)
+        r._checked = DeformationVerdict(not failures, failures), deformed
     return r._checked
 
 
@@ -220,17 +217,14 @@ def r_deform(mp: MatchedPair, r: DeformationMap) -> Algebra:
     """The deformed algebra V_r with x . y = xy + x <| r(y) + y <| r(x),
     for a matched pair; built and checked once per map."""
     _require_matched(mp)
-    verdict, table = _checked_table(mp, r)
+    verdict, deformed = _checked_table(mp, r)
     if not verdict.ok:
         raise VerificationError(
             "map does not satisfy the deformation identity:\n" + verdict.describe()
         )
-    if r._deformed is None:
-        out = Algebra._of(mp.A.field, mp.V.basis, table, params=r.params)
-        if not out.jordan_check().ok:
-            raise VerificationError("deformed table is not Jordan; this should not happen")
-        r._deformed = out
-    return r._deformed
+    if not deformed.jordan_check().ok:
+        raise VerificationError("deformed table is not Jordan; this should not happen")
+    return deformed
 
 
 @dataclass(frozen=True)
@@ -264,19 +258,20 @@ def equiv_check(
         sigma(x . y) = sigma(x) . sigma(y),  x . y = xy + x <| r(y) + y <| r(x)
 
     on the left and the same with s on the right: the one homomorphism
-    residual between the two deformed tables, over the maps' ring.
+    residual between the two deformed algebras' kept sparse forms, over the
+    maps' ring, read with sigma's kept nonzero columns (its field values
+    act on a ring of polynomials as its constants).
     """
     V = mp.V
+    _same_field(V.field, sigma.field)  # sigma's values are read as they are
     if sigma.source_dim != V.dim or sigma.target_dim != V.dim:
         raise DimensionError("sigma must be an endomorphism of V")
     if not sigma.is_invertible():
         raise JalgError("sigma must be invertible")
     if r.params != s.params:
         raise JalgError("maps must share the same parameter list")
-    R = r.ring
-    cols = _nonzero_columns([R.coerce(c) for c in col] for col in sigma.cols)
-    table_r, table_s = (_sparse(_checked_table(mp, t)[1], R) for t in (r, s))
-    return next(_hom_mismatches(R, table_r, table_s, cols), None) is None
+    table_r, table_s = (_checked_table(mp, t)[1].sparse_sc() for t in (r, s))
+    return next(_hom_mismatches(r.ring, table_r, table_s, sigma._nonzero_cols()), None) is None
 
 
 def _deformation_conditions(mp: MatchedPair):

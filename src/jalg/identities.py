@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 from .errors import JalgError
 from .fields import Field
@@ -486,22 +485,19 @@ def _pair_sparse(sparse_a, sparse_v, right, left) -> tuple:
     basis, then the V basis, and cell (a, x) = (x |> a, x <| a), so that
     (a,x)(b,y) = (ab + x|>b + y|>a, x<|b + y<|a + xy).
 
-    It is assembled from the factors' sparse forms and the actions'
-    nonzero entries: A x A cells are A's, V x V cells are V's with k
-    shifted by n = dim A, and cell (a, x) = (x, a) holds the nonzeros of
-    x |> a, then those of x <| a shifted by n.  The actions hold ring
-    values, which are nonzero exactly when true."""
+    It is joined from the four sparse forms the objects keep: the
+    factors' and the actions' (x-major, as _Action keeps them).  A x A
+    cells are A's, V x V cells are V's with k shifted by n = dim A, and
+    cell (a, x) = (x, a) holds the cell of x |> a, then that of x <| a
+    with k shifted by n."""
     n, m = len(sparse_a), len(sparse_v)
     sc = [list(row) + [None] * m for row in sparse_a]
     for row in sparse_v:
         sc.append([None] * n + [tuple([(n + k, c) for k, c in cell]) for cell in row])
     for x in range(m):
-        lrow, rrow, vrow = left[x], right[x], sc[n + x]
-        for a in range(n):
-            lc, rc = lrow[a], rrow[a]
-            sc[a][n + x] = vrow[a] = tuple(compress(enumerate(lc), lc)) + tuple(
-                compress(enumerate(rc, n), rc)
-            )
+        vrow = sc[n + x]
+        for a, (lc, rc) in enumerate(zip(left[x], right[x])):
+            sc[a][n + x] = vrow[a] = lc + tuple([(n + k, c) for k, c in rc]) if rc else lc
     return tuple(map(tuple, sc))
 
 

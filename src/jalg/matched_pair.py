@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from itertools import compress
 
 from . import identities, linalg
 from .algebra import (
@@ -25,7 +26,7 @@ from .algebra import (
 )
 from .errors import DimensionError, JalgError, VerificationError
 from .fields import Field
-from .identities import Verdict, _bilinear, _linear, _sparse
+from .identities import Verdict, _bilinear, _linear
 from .poly import PolyRing, solve_fp
 
 
@@ -34,7 +35,9 @@ class _Action:
 
     The body shared by RightAction and LeftAction; each subclass declares
     its side, and the side fixes which algebra acts and which factor holds
-    the values.
+    the values.  The tensor is kept in both of its forms, as Algebra keeps
+    its table: dense (`tensor`) and sparse (`sparse_tensor`, x-major, the
+    form identities._sparse gives), read in the constructor's one pass.
     """
 
     _side = ""
@@ -65,7 +68,7 @@ class _Action:
         out_dim = self._values.dim
         if len(tensor) != V.dim:
             raise DimensionError("action tensor must have one row per V basis vector")
-        rows = []
+        rows, sparse = [], []
         for row in tensor:
             if len(row) != A.dim:
                 raise DimensionError("action row length must equal dim A")
@@ -75,7 +78,10 @@ class _Action:
                     raise DimensionError("action value has the wrong dimension")
                 cells.append(cell_values(cell))
             rows.append(tuple(cells))
+            # a ring value is nonzero exactly when it is true
+            sparse.append(tuple([tuple(compress(enumerate(cell), cell)) for cell in cells]))
         self.tensor = tuple(rows)
+        self.sparse_tensor = tuple(sparse)
 
     @classmethod
     def zero(cls, V: Algebra, A: Algebra):
@@ -96,17 +102,14 @@ class _Action:
         acting = self._acting
         if self._side == "right":
             # A acts on the space of V: transpose to acting-first indexing
-            act = [
-                [self.tensor[x][a] for x in range(self.V.dim)]
-                for a in range(self.A.dim)
-            ]
+            act = [tuple(row[a] for row in self.sparse_tensor) for a in range(self.A.dim)]
             prefixes = ("a", "x")
         else:
-            act, prefixes = self.tensor, ("x", "a")
+            act, prefixes = self.sparse_tensor, ("x", "a")
         return identities.action_law_verdict(
             acting.field,
             acting.sparse_sc(),
-            _sparse(act, self.A.ring),
+            act,
             acting.params,
             acting_prefix=prefixes[0],
             module_prefix=prefixes[1],
@@ -117,13 +120,10 @@ class _Action:
         ring = self.A.ring
         x = _vector(ring, x_coords, self.V.dim)
         a = _vector(ring, a_coords, self.A.dim)
-        return _bilinear(ring, _sparse(self.tensor, ring), x, a, self._values.dim)
+        return _bilinear(ring, self.sparse_tensor, x, a, self._values.dim)
 
     def is_zero(self) -> bool:
-        ring = self.A.ring
-        return all(
-            ring.is_zero(c) for row in self.tensor for cell in row for c in cell
-        )
+        return not any(map(any, self.sparse_tensor))
 
     def __eq__(self, other):
         # a right and a left action with equal tensors are different actions
@@ -204,13 +204,11 @@ class MatchedPair:
 
     def product_sparse(self) -> tuple:
         """The candidate product on A x V in the sparse form the
-        contractions read (identities._sparse), built once per pair from
-        the factors' kept forms and the actions' nonzero entries
-        (identities._pair_sparse)."""
+        contractions read (identities._sparse), joined once per pair from
+        the factors' and the actions' kept forms (identities._pair_sparse)."""
         if self._product_sparse is None:
-            self._product_sparse = identities._pair_sparse(
-                self.A.sparse_sc(), self.V.sparse_sc(), self.right.tensor, self.left.tensor
-            )
+            right, left = self.right.sparse_tensor, self.left.sparse_tensor
+            self._product_sparse = identities._pair_sparse(self.A.sparse_sc(), self.V.sparse_sc(), right, left)
         return self._product_sparse
 
     @property
@@ -477,8 +475,9 @@ def _abelian_pair_conditions(field: Field, n: int):
 
     The (n+1)-dim pair product (identities._pair_sparse) of the abelian
     base (e_0 .. e_{n-1}) and the abelian complement t, whose sparse forms
-    are empty, with indeterminate t <| e_j = lambda_j t and t |> e_j = D e_j:
-    the only nonzero cells are (e_j, t) = (D e_j, lambda_j t).  The product
+    are empty, with indeterminate t <| e_j = lambda_j t and t |> e_j = D e_j,
+    written as sparse action cells: the only nonzero cells of the product
+    are (e_j, t) = (D e_j, lambda_j t).  The product
     is Jordan, and so the pair matched, exactly at the common zeros of the
     distinct coefficients of its cube law.
     """
@@ -489,8 +488,8 @@ def _abelian_pair_conditions(field: Field, n: int):
     table = identities._pair_sparse(
         [[()] * n] * n,
         [[()]],
-        [[(ring.var(f"l{j}"),) for j in range(n)]],
-        [[tuple(ring.var(f"d{i}{j}") for i in range(n)) for j in range(n)]],
+        [[((0, ring.var(f"l{j}")),) for j in range(n)]],
+        [[tuple((i, ring.var(f"d{i}{j}")) for i in range(n)) for j in range(n)]],
     )
     bad, decode = identities._cube_coefficients(field, table, table, params)
     conditions = (decode(c) for coeffs in bad.values() for c in coeffs.values())

@@ -406,21 +406,16 @@ def _column_tuples(columns, n: int):
     return rows_from(0, ((),) * n)
 
 
-def _exhaustive_fp(A: Algebra, B: Algebra, budget: int | None) -> IsoVerdict:
-    """Scan GL(n, F_p) in row-major lexicographic order for an isomorphism.
-
-    Only matrices whose i-th column shares e_i's element key are tried;
-    the skipped ones cannot be isomorphisms.  The budget counts candidates
-    in the full p^(n*n) order, as if every matrix had been tried."""
-    f = A.field
+def _first_iso(A: Algebra, B: Algebra, columns, budget: int | None = None) -> LinearMap | None:
+    """The first isomorphism A -> B in row-major lexicographic order whose
+    i-th column is drawn from columns[i], or None: the one witness walk
+    over F_p and over Q.  An isomorphism maps e_i to an element of B with
+    the element key of e_i, so columns that hold B's elements of those
+    keys, each in lexicographic order, skip only matrices that cannot be
+    isomorphisms.  With a budget (over F_p) the walk stops at the first
+    matrix whose index in the full p^(n*n) order is not below it."""
+    f, n = A.field, A.dim
     p = f.characteristic
-    n = A.dim
-    total = p ** (n * n)
-    unknown = IsoVerdict(
-        "unknown", note=f"budget exhausted after {budget} of {total} candidates"
-    )
-    target = _element_index(B)
-    columns = [target.column(key) for key in _element_index(A).basis_keys()]
     for images in _column_tuples(columns, n):
         if budget is not None:
             index = 0
@@ -428,14 +423,24 @@ def _exhaustive_fp(A: Algebra, B: Algebra, budget: int | None) -> IsoVerdict:
                 for col in images:
                     index = index * p + col[k]
             if index >= budget:
-                return unknown
-        if not _hom_ok(A, B, images):
-            continue
-        if linalg.rank(f, images) != n:
-            continue
-        return IsoVerdict("isomorphic", witness=LinearMap._of(f, n, n, images))
+                return None
+        if _hom_ok(A, B, images) and linalg.rank(f, images) == n:
+            return LinearMap._of(f, n, n, images)
+    return None
+
+
+def _exhaustive_fp(A: Algebra, B: Algebra, budget: int | None) -> IsoVerdict:
+    """Scan GL(n, F_p) in row-major lexicographic order for an isomorphism,
+    column i drawn from B's elements of e_i's key (_ElementIndex.column).
+    The budget counts candidates in the full p^(n*n) order, as if every
+    matrix had been tried."""
+    total = A.field.characteristic ** (A.dim * A.dim)
+    columns = [_element_index(B).column(key) for key in _element_index(A).basis_keys()]
+    witness = _first_iso(A, B, columns, budget)
+    if witness is not None:
+        return IsoVerdict("isomorphic", witness=witness)
     if budget is not None and budget < total:
-        return unknown
+        return IsoVerdict("unknown", note=f"budget exhausted after {budget} of {total} candidates")
     return IsoVerdict("non-isomorphic", certificate="exhausted GL over the field")
 
 
@@ -448,26 +453,22 @@ def _height_values(budget: int):
     return sorted(vals)
 
 
-def _bounded_q_search(A: Algebra, B: Algebra, budget: int) -> LinearMap | None:
-    """The first isomorphism whose entries have height <= budget, or None.
-    A scan of more than poly.SOLVE_NODE_BUDGET matrices is refused up front."""
-    n = A.dim
-    values = _height_values(budget)
-    total = len(values) ** (n * n)
+def _height_columns(A: Algebra, B: Algebra, height: int) -> list:
+    """For each basis vector e_i of A, the elements of B whose entries have
+    height <= height and whose element key is that of e_i, in
+    lexicographic order: _first_iso's columns over Q.  A box of more than
+    poly.SOLVE_NODE_BUDGET matrices is refused up front."""
+    values = _height_values(height)
+    total = len(values) ** (A.dim * A.dim)
     if total > poly.SOLVE_NODE_BUDGET:
         raise BudgetError(
-            f"the witness search of height {budget} over Q would try {total} matrices, "
+            f"the witness search of height {height} over Q would try {total} matrices, "
             f"more than {poly.SOLVE_NODE_BUDGET}"
         )
-    f = A.field
-    for flat in itertools.product(values, repeat=n * n):
-        images = [list(flat[i::n]) for i in range(n)]
-        if not _hom_ok(A, B, images):
-            continue
-        if linalg.rank(f, images) != n:
-            continue
-        return LinearMap._of(f, n, n, images)
-    return None
+    by_key: dict[tuple, list] = {}
+    for x in itertools.product(values, repeat=B.dim):
+        by_key.setdefault(_element_key(B, x), []).append(x)
+    return [by_key.get(key, []) for key in _element_index(A).basis_keys()]
 
 
 def iso_search(A: Algebra, B: Algebra, budget: int | None = None) -> IsoVerdict:
@@ -476,10 +477,11 @@ def iso_search(A: Algebra, B: Algebra, budget: int | None = None) -> IsoVerdict:
 
     Over F_p at dim <= GL_SEARCH_MAX_DIM it scans every matrix over the
     field, a complete decision procedure.  Otherwise it compares exact
-    invariants and, over Q at dim <= 2, falls back to a bounded-height
-    witness search, answering unknown when neither settles it.  The note
-    of an unknown says whether a witness search ran.  A height whose scan
-    would pass poly.SOLVE_NODE_BUDGET matrices raises BudgetError.
+    invariants and, over Q at dim <= 2, falls back to the same witness
+    walk over the bounded-height box (_height_columns), answering unknown
+    when neither settles it.  The note of an unknown says whether a
+    witness search ran.  A height whose box holds more than
+    poly.SOLVE_NODE_BUDGET matrices raises BudgetError.
     """
     if A.field is not B.field:
         return IsoVerdict("non-isomorphic", certificate="different ground fields")
@@ -507,7 +509,7 @@ def iso_search(A: Algebra, B: Algebra, budget: int | None = None) -> IsoVerdict:
         note = f"invariants agree; no witness search at dimension {A.dim}"
         return IsoVerdict("unknown", note=note + " (the Q witness search covers dim <= 2)")
     height = ISO_Q_HEIGHT if budget is None else budget
-    witness = _bounded_q_search(A, B, height)
+    witness = _first_iso(A, B, _height_columns(A, B, height))
     if witness is not None:
         return IsoVerdict("isomorphic", witness=witness)
     return IsoVerdict("unknown", note=f"invariants agree; no witness of height <= {height} found")

@@ -7,7 +7,8 @@ S_r U_pq - U_pq S_r per basis triple instead of cached commutators,
 MP1-MP6 expanded as polynomials (_mp_expansions, the one copy in the
 repository) where the library reads them off the product's cube law, a
 sigma loop over GL(V) for the factorization index, an unfiltered scan of all
-p^(n*n) matrices for `iso_search` over F_p, the same search on buckets
+p^(n*n) matrices for `iso_search` over F_p and of every matrix of bounded
+height for its witness search over Q, the F_p search on buckets
 that key every element of the target (the library reads a key's elements
 off one operator per line through the origin), its invariants (the trace
 form ranks and the element keys) from dense matrix products, the six
@@ -47,7 +48,7 @@ from jalg.identities import (
     generic_ring,
 )
 from jalg.matched_pair import _abelian_pair_conditions
-from jalg.morphism import IsoVerdict, QuadrupleVerdict, _column_tuples
+from jalg.morphism import IsoVerdict, QuadrupleVerdict, _column_tuples, _height_values
 from jalg.poly import PolyRing
 
 
@@ -645,6 +646,22 @@ def unfiltered_iso_scan(A, B, budget=None):
             continue
         return IsoVerdict("isomorphic", witness=LinearMap(f, n, n, images))
     return IsoVerdict("non-isomorphic", certificate="exhausted GL over the field")
+
+
+def bounded_q_search(A, B, height):
+    """The witness search of iso_search over Q by trying every matrix whose
+    entries have height <= height, in row-major lexicographic order: the
+    first isomorphism A -> B, or None."""
+    f = A.field
+    n = A.dim
+    for flat in itertools.product(_height_values(height), repeat=n * n):
+        images = [list(flat[i::n]) for i in range(n)]
+        if not _hom_ok(A, B, images):
+            continue
+        if rank(f, images) != n:
+            continue
+        return LinearMap(f, n, n, images)
+    return None
 
 
 def scan_index(verdict, p):

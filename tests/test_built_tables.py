@@ -23,6 +23,7 @@ from jalg import (
     Factorization,
     Field,
     LeftAction,
+    LinearMap,
     QQ,
     JalgError,
     RightAction,
@@ -35,9 +36,11 @@ from jalg import (
     complement_check,
     complement_recover,
     deformation_families,
+    dual_action,
     enumerate_deformations,
     graph_complement,
     induced_subalgebra,
+    pair_from_nilpotent,
     parse_pair,
     r_deform,
     subalgebra_check,
@@ -364,13 +367,16 @@ def test_pi_a_is_built_on_first_use(monkeypatch):
 
 @pytest.mark.parametrize("name,p", [("J7-pair", 7), ("defmap-pair", 5)])
 def test_deformation_map_keeps_only_the_deformed_table(name, p):
-    """After the check a map holds its verdict and V_r's table, which is
-    the table r_deform builds V_r on."""
+    """After the check a map holds its verdict and V_r, an Algebra on V's
+    basis whose table is x . y = xy + x <| r(y) + y <| r(x) (the oracle's
+    V_r), and r_deform returns that same object."""
     mp = catalog(name, field=Field(p))
     for r in enumerate_deformations(mp)[:20]:
-        verdict, table = r._checked
+        verdict, deformed = r._checked
         assert verdict.ok
-        assert tuple(map(tuple, table)) == r_deform(mp, r).sc
+        assert isinstance(deformed, Algebra) and deformed.basis == mp.V.basis
+        assert deformed.sc == slow.deformed_table(mp, r)
+        assert r_deform(mp, r) is deformed
 
 
 def _typed(form):
@@ -477,6 +483,58 @@ def test_constructors_keep_the_tables_sparse_form(name):
         algebras += [A, Algebra._of(f, labels, A.sc, params=params)]
     for A in algebras:
         assert _typed(A.sparse_sc()) == _typed(_sparse(A.sc, A.ring))
+
+
+def _built_actions(name):
+    """Actions built every way the library builds one, over FIELDS[name]
+    or, for "Q[t]", over Q with the parameter t."""
+    f = FIELDS.get(name, QQ)
+    params = ("t",) if name == "Q[t]" else ()
+    ring = PolyRing(f, params) if params else f
+    rng = random.Random("actions-" + name)
+    actions = []
+    for nv, na in ((1, 1), (2, 3), (3, 2)):
+        V = Algebra.from_products(f, [f"x{k}" for k in range(nv)], {}, params=params)
+        A = Algebra.from_products(f, [f"a{k}" for k in range(na)], {}, params=params)
+        for cls in (RightAction, LeftAction):
+            out = cls._roles(V, A)[1]
+            raw = [[[_raw_entry(rng, ring) for _ in out.basis] for _ in A.basis] for _ in V.basis]
+            built = cls(V, A, raw)
+            images = {
+                (x, a): dict(zip(out.basis, raw[i][j]))
+                for i, x in enumerate(V.basis)
+                for j, a in enumerate(A.basis)
+            }
+            actions += [built, cls._of(V, A, built.tensor), cls.from_images(V, A, images), cls.zero(V, A)]
+    if params:
+        t = ring.var("t")
+        A = Algebra.from_products(f, ["a"], {("a", "a"): {"a": t}}, params=params)
+        return actions + [dual_action(A)]
+    pairs = [_pair(pair_name, f) for pair_name in PAIR_NAMES]  # to_field over F_p
+    pairs += [parse_pair(write_pair(mp)) for mp in pairs]
+    pairs += list(_parametric_pairs(f))
+    for mp in pairs[: len(PAIR_NAMES)]:
+        bp = bicross(mp)
+        pairs.append(canonical_pair(Factorization(bp.product, bp.a_embedding, bp.v_embedding)))
+    nilpotent = LinearMap(f, 2, 2, [[0, 1], [0, 0]])
+    pairs.append(pair_from_nilpotent(Algebra.abelian(f, ["e0", "e1"]), nilpotent))
+    actions += [action for mp in pairs for action in (mp.right, mp.left)]
+    return actions + [dual_action(_pair(alg, f)) for alg in ("J5", "J7", "J17")]
+
+
+@pytest.mark.parametrize("name", [*FIELDS, "Q[t]"])
+def test_every_action_keeps_its_tensors_sparse_form(name):
+    """Every way an action is built keeps sparse_tensor equal to _sparse of
+    its dense tensor, entry by entry and type by type: the coercing
+    constructor on raw entries, _of on its ring values, from_images and
+    zero; and over a field the actions of MatchedPair.to_field (the
+    catalog pairs over F_p), parse_pair, canonical_pair,
+    pair_from_nilpotent, dual_action and the pairs over F[alpha] of
+    tests/test_pair_oracle.py, over Q[t] those of dual_action."""
+    actions = _built_actions(name)
+    assert any(not action.is_zero() for action in actions)
+    for action in actions:
+        assert _typed(action.sparse_tensor) == _typed(_sparse(action.tensor, action.A.ring))
 
 
 @pytest.mark.parametrize("name", [*FIELDS, "Q[t]"])

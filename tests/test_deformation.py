@@ -11,6 +11,7 @@ from jalg import (
     BudgetError,
     DeformationMap,
     Field,
+    FieldMismatchError,
     JalgError,
     LeftAction,
     LinearMap,
@@ -40,6 +41,7 @@ from jalg import (
 from jalg import deformation as deformation_module
 from jalg import poly
 from jalg.cli import main
+import slow_oracles as slow
 
 F5 = Field(5)
 
@@ -238,12 +240,47 @@ def test_equiv_check_matches_hom_property():
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+def test_equiv_check_on_the_parametric_families_agrees_with_the_oracle(field):
+    """equiv_check on the maps of deformation_families, which live in
+    F[alpha], reads both V_r's kept sparse forms and sigma's field values;
+    on every ordered pair of families and each sigma of a fixed set it
+    agrees with the term-by-term oracle (slow_oracles.equiv_holds), and
+    both answers occur."""
+    families = list(deformation_families(field).values())
+    mp = families[0].mp
+    sigmas = [
+        LinearMap(field, 2, 2, cols)
+        for cols in (
+            [[1, 0], [0, 1]], [[1, 0], [1, 1]], [[0, 1], [1, 0]], [[2, 0], [0, 3]],
+            [[1, -1], [1, 1]], [[1, 1], [0, 2]], [[1, 0], [0, -1]],
+        )
+    ]
+    seen = set()
+    for r in families:
+        for s in families:
+            for sigma in sigmas:
+                got = equiv_check(mp, r, s, sigma)
+                assert got == slow.equiv_holds(mp, r, s, sigma)
+                seen.add(got)
+    assert seen == {True, False}
+
+
 def test_equiv_check_requires_invertible():
     mp = catalog("defmap-pair", field=F5)
     maps = enumerate_deformations(mp)
     sigma = LinearMap(F5, 2, 2, [[1, 0], [0, 0]])
     with pytest.raises(JalgError):
         equiv_check(mp, maps[0], maps[0], sigma)
+
+
+def test_equiv_check_refuses_a_sigma_over_another_field():
+    """sigma's values are read as they are, so a sigma over Q is refused on
+    a pair over F5, as hom_check refuses it."""
+    mp = catalog("defmap-pair", field=F5)
+    r = enumerate_deformations(mp)[0]
+    with pytest.raises(FieldMismatchError, match="^F5 vs Q$"):
+        equiv_check(mp, r, r, LinearMap.identity(QQ, 2))
 
 
 # -- enumeration and classification ----------------------------------------------

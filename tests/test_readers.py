@@ -236,6 +236,19 @@ def test_vector_readers_coerce_and_check_the_length(reader, dim, call):
             call(bad)
 
 
+def test_subspace_rows_and_coordinates_refuse_a_wrong_length_with_one_text(j5):
+    """A short row, given to the coercing constructor or to _of, and a short
+    vector given to coordinates() are refused with _vector's text."""
+    span = Subspace.span_of_labels(j5, ["a", "b"])
+    for refuse in (
+        lambda: Subspace(j5, [[1, 0, 0]]),
+        lambda: Subspace._of(j5, [(j5.field.one,) * 3]),
+        lambda: span.coordinates([1, 0, 0]),
+    ):
+        with pytest.raises(DimensionError, match=r"^expected 4 coordinates, got 3$"):
+            refuse()
+
+
 def test_vector_readers_compute_in_the_field():
     """1/2 is 3 in F5: a map and an action read it so, not as a Fraction."""
     assert LinearMap(F5, 2, 2, [[1, 0], [0, 1]]).apply([Fraction(1, 2), 7]) == [3, 2]

@@ -7,7 +7,9 @@ off one operator per line through the origin.  Both must give exactly what
 the brute-force procedures give: the same classes and witnesses, the same
 verdicts, witnesses, certificates and budget notes, against an unfiltered
 scan at dimension 2 and against buckets that key every element at
-dimensions 1-3.
+dimensions 1-3.  Over Q the same walk reads the height box's elements of
+each basis key, and must give the first witness of a scan of every matrix
+of that height.
 """
 
 import itertools
@@ -16,9 +18,10 @@ from fractions import Fraction
 
 import pytest
 
-from jalg import Algebra, Field, LinearMap, catalog, factorization_index, iso_search, write_algebra
+from jalg import QQ, Algebra, Field, LinearMap, catalog, factorization_index, iso_search, write_algebra
 from jalg.cli import main
 from slow_oracles import (
+    bounded_q_search,
     bucketed_iso_scan,
     element_buckets,
     scan_index,
@@ -216,3 +219,47 @@ def test_rebasings_match_full_buckets_with_budgets_around_the_witness(p):
     for (B, _), (C, _) in zip(tables, tables[1:]):
         if B.dim == C.dim:
             _same_as_buckets(B, C, buckets)
+
+
+def _integer_rebased(rng, A):
+    """A over Q in a random basis P of small integers."""
+    n = A.dim
+    while True:
+        P = LinearMap(QQ, n, n, [[rng.randint(-1, 2) for _ in range(n)] for _ in range(n)])
+        if P.is_invertible():
+            break
+    back = P.inverse()
+    sc = [
+        [back.apply(A.mul_coords(list(P.cols[i]), list(P.cols[j]))) for j in range(n)]
+        for i in range(n)
+    ]
+    return Algebra(QQ, A.basis, sc)
+
+
+def test_q_witness_walk_matches_the_bounded_height_scan():
+    """Over Q, iso_search gives the verdict and the first witness of the
+    scan of every matrix of the height (slow_oracles.bounded_q_search): on
+    every ordered pair of V1, V2, V3, A2 and V-abelian-2 at heights 1 and
+    2, and between each of V1-V3 and a seeded integer rebasing of it, both
+    ways, at height 3.  A pair it does not find isomorphic has no witness
+    in the scan either, and is told apart by its invariants or reported
+    unknown at that height."""
+    planar = [catalog(name) for name in ("V1", "V2", "V3", "A2", "V-abelian-2")]
+    cases = [(A, B, height) for A in planar for B in planar for height in (1, 2)]
+    rng = random.Random("q-rebasings")
+    for A in planar[:3]:
+        rebased = _integer_rebased(rng, A)
+        cases += [(A, rebased, 3), (rebased, A, 3)]
+    found = 0
+    for A, B, height in cases:
+        verdict = iso_search(A, B, budget=height)
+        witness = bounded_q_search(A, B, height)
+        if verdict.is_isomorphic:
+            assert verdict.witness == witness
+            found += 1
+        else:
+            assert witness is None
+            assert verdict.kind == "non-isomorphic" or verdict.note == (
+                f"invariants agree; no witness of height <= {height} found"
+            )
+    assert found >= len(planar) * 2 + 6

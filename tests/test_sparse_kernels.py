@@ -33,6 +33,8 @@ from jalg import (
     VerificationError,
     bicross,
     catalog,
+    equiv_check,
+    factorization_index,
     hom_check,
     map_to_quadruple,
     quadruple_check,
@@ -166,27 +168,39 @@ def test_sparse_forms_and_bicross_are_built_once():
 
 
 def test_verify_then_bicross_builds_one_sparse_form(monkeypatch):
-    """Each table's sparse form is built once, in the pass that reads it:
-    the constructor keeps the factors' forms, and the pair assembles its
-    product's from them and the action cells.  On a freshly parsed J5-pair
-    verify(), bicross() and its subalgebra checks call _sparse on no table,
-    neither the dense product nor a factor's, and bicross's product shares
-    the pair's form.  jordan_check and mul_coords on a fresh algebra call
-    it on no table either."""
+    """Each table's sparse form is built once, by the object that reads it:
+    an algebra and an action keep theirs from the constructor's pass, a
+    pair joins its product's from those, and a deformation map keeps V_r
+    as an Algebra.  On a freshly parsed J5-pair, verify(), bicross(), both
+    actions' check() and apply(), and over F5 factorization_index (which
+    runs r_deform and equiv_check on every map) and equiv_check call
+    _sparse on no table, and bicross's product shares the pair's form.
+    jordan_check and mul_coords on a fresh algebra call it on no table
+    either."""
     built = []
 
     def counted(table, ring):
         built.append(table)
         return _sparse(table, ring)
 
-    for name in ("identities", "algebra", "matched_pair"):
-        monkeypatch.setattr(importlib.import_module(f"jalg.{name}"), "_sparse", counted)
+    for name in ("identities", "algebra", "matched_pair", "deformation", "morphism"):
+        module = importlib.import_module(f"jalg.{name}")
+        if hasattr(module, "_sparse"):
+            monkeypatch.setattr(module, "_sparse", counted)
     mp = parse_pair(_read("J5-pair.jpair"))
     assert mp.verify().ok
     product = bicross(mp).product
+    for action in (mp.right, mp.left):
+        assert action.check().ok
+        action.apply([1] * mp.V.dim, [1] * mp.A.dim)
     A = Algebra(mp.A.field, mp.A.basis, mp.A.sc)
     assert A.jordan_check().ok
     A.mul_coords(A.sc[0][0], A.sc[1][1])
+    mp5 = mp.to_field(F5)
+    report = factorization_index(mp5)
+    r, s = report.maps[0], report.maps[-1]
+    # the identity is an isomorphism V_r -> V_s exactly when the tables agree
+    assert equiv_check(mp5, r, s, LinearMap.identity(F5, mp5.V.dim)) == (report.deformed[0] == report.deformed[-1])
     assert built == []
     assert product.sparse_sc() is mp.product_sparse()
     assert mp.product_sparse() == _sparse(slow.pair_product(mp), mp.A.ring)
