@@ -113,16 +113,18 @@ class Algebra:
 
     @classmethod
     def _of(cls, field: Field, basis, sc, params=(), name: str | None = None,
-            sparse=None) -> "Algebra":
+            sparse=None, cube=None) -> "Algebra":
         """An algebra on a table whose entries are ring values already (one
         the library built): the constructor's label, shape and symmetry
         checks without its coercion.  `sparse` is the table's sparse form
-        when the library holds it already (MatchedPair.product_sparse)."""
+        and `cube` its cube-law coefficients (identities._cube_coefficients),
+        when the library holds them already (MatchedPair.product_sparse and
+        the pair's verify())."""
         self = cls.__new__(cls)
-        self._set(field, basis, sc, params, name, sparse)
+        self._set(field, basis, sc, params, name, sparse, cube)
         return self
 
-    def _set(self, field: Field, basis, sc, params, name, sparse=None):
+    def _set(self, field: Field, basis, sc, params, name, sparse=None, cube=None):
         """Check the labels and the shape, and keep the table in both of
         its forms: dense (`sc`) and sparse (`sparse_sc`), whose cells are
         the nonzero ring values read in the same pass.  A ring value is
@@ -159,6 +161,7 @@ class Algebra:
                         f"({self.basis[i]}, {self.basis[j]})"
                     )
         self._jordan: identities.Verdict | None = None
+        self._cube = cube  # read by jordan_check
         self._element_index = None  # morphism._element_index
 
     # -- construction helpers ------------------------------------------------
@@ -213,7 +216,9 @@ class Algebra:
 
     def jordan_check(self) -> identities.Verdict:
         if self._jordan is None:
-            self._jordan = identities.jordan_verdict(self.field, self.sparse_sc(), self.params)
+            self._jordan = identities.jordan_verdict(
+                self.field, self.sparse_sc(), self.params, cube=self._cube
+            )
         return self._jordan
 
     @property

@@ -34,6 +34,7 @@ from .matched_pair import (
     semidirect_right,
 )
 from .morphism import classify_dim2, iso_search
+from .poly import PolyRing
 
 
 def _load(spec: str, field: Field | None):
@@ -332,8 +333,9 @@ def _parse_map_flag(mp: MatchedPair, spec: str, params: tuple[str, ...]) -> Defo
             images[lab] = fileio._parse_combination(mp.A.field, combo, mp.A.basis, params=params)
         except ParseError as exc:
             raise ParseError(f"map entry {chunk!r}: {exc}") from None
-    zero = [0] * mp.A.dim
-    return DeformationMap(mp, [images.get(lab, zero) for lab in mp.V.basis], params)
+    ring = PolyRing(mp.A.field, params) if params else mp.A.field
+    zero = (ring.zero,) * mp.A.dim
+    return DeformationMap._of(mp, [images.get(lab, zero) for lab in mp.V.basis], params)
 
 
 def _cmd_deform_check(args) -> int:

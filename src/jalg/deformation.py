@@ -5,10 +5,11 @@ multiplication of V into a new Jordan algebra V_r whose graph inside the
 bicrossed product is again a complement of A.  Enumerating the maps and
 grouping them by equivalence computes the factorization index.
 
-Each map keeps its verdict and V_r, an Algebra built on the table read
-off the same graph products (r(x), x)(r(y), y), which keeps its sparse
-form: one pass per map serves the enumeration, `r_deform` and
-`equiv_check`.  `Factorization` decides the graph and bbar splits.
+Each map keeps its verdict and V_r's table, read off the same graph
+products (r(x), x)(r(y), y): one pass per map serves the enumeration,
+`r_deform` and `equiv_check`.  V_r, the Algebra on that table, is built
+on the first `r_deform` or `equiv_check` and kept; a check alone builds
+none.  `Factorization` decides the graph and bbar splits.
 """
 
 from __future__ import annotations
@@ -46,22 +47,42 @@ class DeformationMap:
     """Linear map from the complement factor V into A, with optional
     polynomial parameters for whole families at once."""
 
-    __slots__ = ("mp", "params", "ring", "cols", "_checked")
+    __slots__ = ("mp", "params", "ring", "cols", "_verdict", "_table", "_deformed")
 
     def __init__(self, mp: MatchedPair, cols, params=()):
+        self._set(mp, cols, params, True)
+
+    @classmethod
+    def _of(cls, mp: MatchedPair, cols, params=()) -> "DeformationMap":
+        """A map on columns that hold values of its ring already: the
+        constructor's checks without its coercion."""
+        self = cls.__new__(cls)
+        self._set(mp, cols, params, False)
+        return self
+
+    def _set(self, mp: MatchedPair, cols, params, coerce: bool):
         if mp.A.params:
             raise JalgError("the underlying matched pair must be scalar")
         self.mp = mp
         self.params = tuple(params)
         ring = PolyRing(mp.A.field, self.params) if self.params else mp.A.field
         self.ring = ring
-        cols = tuple(map(ring.coerce_vector, cols))
+        cols = tuple(map(ring.coerce_vector if coerce else tuple, cols))
         if len(cols) != mp.V.dim or any(len(col) != mp.A.dim for col in cols):
             raise DimensionError(
                 f"need {mp.V.dim} columns of length {mp.A.dim}"
             )
         self.cols = cols
-        self._checked = None  # set by _checked_table
+        self._verdict = self._table = None  # set by _checked_table
+        self._deformed = None  # V_r, set by _deformed_algebra
+
+    @property
+    def _checked(self):
+        """(verdict, V_r) once the map is checked, else None; reading it
+        builds V_r (_deformed_algebra)."""
+        if self._verdict is None:
+            return None
+        return self._verdict, _deformed_algebra(self.mp, self)
 
     @classmethod
     def zero(cls, mp: MatchedPair) -> "DeformationMap":
@@ -75,7 +96,7 @@ class DeformationMap:
         for lab, combo in images.items():
             j = _label_index(mp.V.basis, lab)
             cols[j] = _label_coords(ring, mp.A.basis, combo)
-        return cls(mp, cols, params)
+        return cls._of(mp, cols, params)
 
     def apply(self, x_coords):
         R = self.ring
@@ -96,7 +117,7 @@ class DeformationMap:
         f = self.mp.A.field
         vals = {p: f.coerce(assignment[p]) for p in self.params}
         cols = [[c.eval(vals) for c in col] for col in self.cols]
-        return DeformationMap(self.mp, cols)
+        return DeformationMap._of(self.mp, cols)
 
     def check(self) -> "DeformationVerdict":
         return deformation_check(self.mp, self)
@@ -179,13 +200,13 @@ def _residuals(r: DeformationMap, products):
         yield i, j, _vsub(R, _linear(R, r.cols, v_part, r.mp.A.dim), a_part)
 
 
-def _checked_table(mp: MatchedPair, r: DeformationMap):
-    """(verdict of deformation_check, V_r), read off one _graph_products
-    pass and kept on the map.  V_r is the Algebra on V's basis with the
-    symmetric table x . y = xy + x <| r(y) + y <| r(x), unchecked."""
+def _checked_table(mp: MatchedPair, r: DeformationMap) -> DeformationVerdict:
+    """The verdict of deformation_check, read off one _graph_products pass
+    and kept on the map with the V_r table read off the same pass: the
+    symmetric x . y = xy + x <| r(y) + y <| r(x) on V's basis, unchecked."""
     if r.mp is not mp and r.mp != mp:
         raise JalgError("deformation map belongs to a different matched pair")
-    if r._checked is None:
+    if r._verdict is None:
         R = r.ring
         basis = mp.V.basis
         products = list(_graph_products(mp, r))
@@ -197,9 +218,18 @@ def _checked_table(mp: MatchedPair, r: DeformationMap):
         table = [[None] * mp.V.dim for _ in basis]
         for i, j, _, v_part in products:
             table[i][j] = table[j][i] = v_part
-        deformed = Algebra._of(mp.A.field, basis, table, params=r.params)
-        r._checked = DeformationVerdict(not failures, failures), deformed
-    return r._checked
+        r._verdict, r._table = DeformationVerdict(not failures, failures), table
+    return r._verdict
+
+
+def _deformed_algebra(mp: MatchedPair, r: DeformationMap) -> Algebra:
+    """V_r, the Algebra on the table _checked_table keeps, built on first
+    read and kept on the map in its place."""
+    _checked_table(mp, r)
+    if r._deformed is None:
+        r._deformed = Algebra._of(mp.A.field, mp.V.basis, r._table, params=r.params)
+        r._table = None
+    return r._deformed
 
 
 def deformation_check(mp: MatchedPair, r: DeformationMap) -> DeformationVerdict:
@@ -210,18 +240,19 @@ def deformation_check(mp: MatchedPair, r: DeformationMap) -> DeformationVerdict:
     as a polynomial identity in the parameters, which over F_p need not
     fail at any specialization (alpha^p - alpha vanishes on all of F_p).
     """
-    return _checked_table(mp, r)[0]
+    return _checked_table(mp, r)
 
 
 def r_deform(mp: MatchedPair, r: DeformationMap) -> Algebra:
     """The deformed algebra V_r with x . y = xy + x <| r(y) + y <| r(x),
     for a matched pair; built and checked once per map."""
     _require_matched(mp)
-    verdict, deformed = _checked_table(mp, r)
+    verdict = _checked_table(mp, r)
     if not verdict.ok:
         raise VerificationError(
             "map does not satisfy the deformation identity:\n" + verdict.describe()
         )
+    deformed = _deformed_algebra(mp, r)
     if not deformed.jordan_check().ok:
         raise VerificationError("deformed table is not Jordan; this should not happen")
     return deformed
@@ -270,7 +301,7 @@ def equiv_check(
         raise JalgError("sigma must be invertible")
     if r.params != s.params:
         raise JalgError("maps must share the same parameter list")
-    table_r, table_s = (_checked_table(mp, t)[1].sparse_sc() for t in (r, s))
+    table_r, table_s = (_deformed_algebra(mp, t).sparse_sc() for t in (r, s))
     return next(_hom_mismatches(r.ring, table_r, table_s, sigma._nonzero_cols()), None) is None
 
 
@@ -283,7 +314,7 @@ def _deformation_conditions(mp: MatchedPair):
     cols = [
         [ring.var(f"r{j}_{k}") for k in range(nA)] for j in range(nV)
     ]
-    generic = DeformationMap(mp, cols, params)
+    generic = DeformationMap._of(mp, cols, params)
     return params, [c for _, _, res in _residuals(generic, _graph_products(mp, generic)) for c in res]
 
 
@@ -308,7 +339,7 @@ def enumerate_deformations(
     params, conditions = _deformation_conditions(mp)
     found = []
     for flat in solve_fp(f, params, conditions):
-        r = DeformationMap(mp, [flat[j * nA : (j + 1) * nA] for j in range(nV)])
+        r = DeformationMap._of(mp, [flat[j * nA : (j + 1) * nA] for j in range(nV)])
         # the symbolic filter must agree with the direct check
         if not deformation_check(mp, r).ok:
             raise VerificationError(
@@ -421,7 +452,7 @@ def complement_recover(
     f = E.field
     split = Factorization(E, a_sub, bbar_sub).split
     parts = [split(row) for row in b_sub.rows]
-    r = DeformationMap(mp, [[f.neg(c) for c in u] for u, _ in parts])
+    r = DeformationMap._of(mp, [[f.neg(c) for c in u] for u, _ in parts])
     deformed = r_deform(mp, r)
     images = [_linear(f, bbar_sub.rows, w, E.dim) for _, w in parts]
     v_map = LinearMap._of(f, b_sub.dim, E.dim, images)

@@ -444,6 +444,7 @@ def action_law_verdict(
     axiom: str = "action-law",
     space: str = "M",
     stop_early: bool = False,
+    cube=None,
 ) -> Verdict:
     """w (w^2 m) = w^2 (w m) for a generic acting element w and module element m.
 
@@ -452,14 +453,16 @@ def action_law_verdict(
     a value of PolyRing(field, params), or of the field when there are no
     params.  This single law covers the right-action axiom (A acting
     on V; a bimodule's square law), the left-action axiom (V acting on A)
-    and the Jordan identity (A on itself).  Only on a FAIL are the
-    residuals built from _cube_coefficients; with stop_early only the first
+    and the Jordan identity (A on itself).  `cube` is the tables'
+    _cube_coefficients when the caller holds them already (a pair product's,
+    from its pair's verify()); otherwise they are computed here.  Only on a
+    FAIL are the residuals built from them; with stop_early only the first
     failing coordinate is reported.
     """
     dim_w = len(mul_acting)
     dim_m = len(act[0]) if dim_w else 0
     names = _generic_names(params, [(acting_prefix, dim_w), (module_prefix, dim_m)])
-    bad, decode = _cube_coefficients(field, mul_acting, act, params)
+    bad, decode = _cube_coefficients(field, mul_acting, act, params) if cube is None else cube
     failures = []
     if bad:
         ring = PolyRing(field, names)
@@ -470,10 +473,10 @@ def action_law_verdict(
     return _verdict(failures, [axiom])
 
 
-def jordan_verdict(field: Field, mul, params=(), stop_early: bool = False) -> Verdict:
+def jordan_verdict(field: Field, mul, params=(), stop_early: bool = False, cube=None) -> Verdict:
     """(a^2 b) a = a^2 (b a) with generic a, b: the action law of A on
-    itself, on mul in sparse form (as action_law_verdict)."""
-    return action_law_verdict(field, mul, mul, params, "a", "b", "jordan", "A", stop_early)
+    itself, on mul in sparse form (as action_law_verdict, `cube` too)."""
+    return action_law_verdict(field, mul, mul, params, "a", "b", "jordan", "A", stop_early, cube)
 
 
 # ---------------------------------------------------------------------------
@@ -518,40 +521,46 @@ _PAIR_PIECES = {
     (None, False, False): ("MP5", "V", "y"),
     (None, True, True): ("MP6", "A", "b"),
 }
+# the first key of _PAIR_PIECES from how many of w's three indices are in A
+_W_IN_A = (False, None, None, True)
+_AXIOM_PLACE = {axiom: place for place, axiom in enumerate(PAIR_AXIOMS)}
 
 
-def matched_pair_verdict(field: Field, table, n: int, params=(), stop_early: bool = False) -> Verdict:
+def matched_pair_verdict(field: Field, table, n: int, cube, params=(), stop_early: bool = False) -> Verdict:
     """The ten PAIR_AXIOMS, decided by the cube law of the pair's product
     `table` (_pair_sparse, with dim A = n): A x V is Jordan exactly when
     (A, V, <|, |>) is a matched pair.  The table is in sparse form, every
     entry a value of PolyRing(field, params), or of the field when there
-    are no params.
+    are no params, and `cube` is its _cube_coefficients, which the pair
+    keeps (MatchedPair.verify).
 
-    Each axiom is one piece of the product's coefficients (_PAIR_PIECES),
-    read off one _cube_coefficients pass.  On a FAIL its residuals are read
-    off them, in generic_ring(field, params, a, b, x, y) with a w index
-    named a_t in A and x_t in V; a parameter that clashes with those names
-    is an error, PASS or FAIL.  With stop_early only the first failing
-    (axiom, coordinate) is reported, and `checked` ends at its axiom.
+    Each axiom is one piece of the product's coefficients (_PAIR_PIECES):
+    a coefficient's piece is read off how many of its w indices lie in A,
+    whether its m index does and whether its coordinate does.  On a FAIL
+    the residuals are built in PolyRing(field, names), with the parameters
+    and the generic coordinates a, b (in A) and x, y (in V) as names, and
+    a w index named a_t in A and x_t in V; a parameter that clashes with
+    those names is an error, PASS or FAIL.  With stop_early only the first
+    failing (axiom, coordinate) is reported, and `checked` ends at its
+    axiom.
     """
     m = len(table) - n
-    groups = [("a", n), ("b", n), ("x", m), ("y", m)]
-    _generic_names(params, groups)
-    bad, decode = _cube_coefficients(field, table, table, params)
+    names = _generic_names(params, [("a", n), ("b", n), ("x", m), ("y", m)])
+    bad, decode = cube
     axioms = PAIR_AXIOMS
     found: dict = {}  # (place in axioms, coordinate, piece) -> {(i, j, k, l): c}
-    for o, coefficients in bad.items():
-        for key, c in coefficients.items():
-            w = {t < n for t in key[:3]}
-            piece = _PAIR_PIECES.get((w.pop() if len(w) == 1 else None, key[3] < n, o < n))
+    for o, at_o in bad.items():
+        for key, c in at_o.items():
+            i, j, k, l = key
+            piece = _PAIR_PIECES.get((_W_IN_A[(i < n) + (j < n) + (k < n)], l < n, o < n))
             if piece:
-                found.setdefault((axioms.index(piece[0]), o, piece), {})[key] = c
+                found.setdefault((_AXIOM_PLACE[piece[0]], o, piece), {})[key] = c
     if stop_early and found:
         first = min(found)
         found, axioms = {first: found[first]}, axioms[: first[0] + 1]
     if not found:
         return _verdict([], axioms)
-    ring, _ = generic_ring(field, params, groups)
+    ring = PolyRing(field, names)
     # product index t -> position of a_t, b_t (t < n) or x_(t-n), y_(t-n); else None
     pos = {v: [ring._index.get(f"{v}{t - n * (v in 'xy')}") for t in range(n + m)] for v in "abxy"}
     failures = []

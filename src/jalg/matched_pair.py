@@ -151,8 +151,8 @@ class LeftAction(_Action):
 
 
 class MatchedPair:
-    """(A, V, <|, |>) with a cached verification state, product table and
-    bicrossed product."""
+    """(A, V, <|, |>) with a cached verification state, product table, its
+    cube-law coefficients and bicrossed product."""
 
     def __init__(self, A: Algebra, V: Algebra, right: RightAction, left: LeftAction,
                  name: str | None = None):
@@ -165,6 +165,7 @@ class MatchedPair:
         self.name = name
         self._verdict: Verdict | None = None
         self._product_sparse: tuple | None = None
+        self._cube: tuple | None = None  # set by verify
         self._bicross: BicrossedProduct | None = None  # set by bicross
 
     @classmethod
@@ -192,12 +193,18 @@ class MatchedPair:
         """Everything: both factors Jordan, both action laws, MP1-MP6
         (identities.PAIR_AXIOMS), read off one cube-law pass on
         product_sparse().  With stop_early only the first failing axiom
-        coordinate is reported."""
+        coordinate is reported.
+
+        The first call keeps that pass's coefficients
+        (identities._cube_coefficients), PASS or FAIL, with or without
+        stop_early: every later verdict on the pair reads them, and so
+        does the Jordan check of bicross_table's product."""
         if self._verdict is not None and not stop_early:
             return self._verdict
-        verdict = identities.matched_pair_verdict(
-            self.A.field, self.product_sparse(), self.A.dim, self.A.params, stop_early
-        )
+        table, field, params = self.product_sparse(), self.A.field, self.A.params
+        if self._cube is None:
+            self._cube = identities._cube_coefficients(field, table, table, params)
+        verdict = identities.matched_pair_verdict(field, table, self.A.dim, self._cube, params, stop_early)
         if verdict.ok or not stop_early:
             self._verdict = verdict
         return verdict
@@ -238,13 +245,17 @@ def bicross_table(mp: MatchedPair) -> Algebra:
     densifies once (identities._dense).  Used both by the verified
     constructor and by equivalence scans that need the table for pairs that
     may fail the axioms.
+
+    Once mp.verify() has run, the product is handed that pass's cube-law
+    coefficients, PASS or FAIL: they are its own table's, so its
+    jordan_check() reads them instead of a second pass.
     """
     A, V = mp.A, mp.V
     name = f"{A.name}|x|{V.name}" if A.name and V.name else None
     labels = list(A.basis) + _primed(A.basis, V.basis)
     sparse = mp.product_sparse()
     sc = identities._dense(sparse, len(labels), A.ring.zero)
-    return Algebra._of(A.field, labels, sc, params=A.params, name=name, sparse=sparse)
+    return Algebra._of(A.field, labels, sc, params=A.params, name=name, sparse=sparse, cube=mp._cube)
 
 
 @dataclass
@@ -267,13 +278,15 @@ def _require_matched(mp: MatchedPair) -> None:
 def bicross(mp: MatchedPair) -> BicrossedProduct:
     """The verified bicrossed product of a matched pair, built and checked
     once per pair: a later call returns the same object.  An unmatched pair
-    raises on every call."""
+    raises on every call.  The product's Jordan verdict is read off the
+    coefficients of verify()'s pass on this very table, which has none."""
     if mp._bicross is not None:
         return mp._bicross
     _require_matched(mp)
     product = bicross_table(mp)
-    # verify() passed by the cube law of this very table (matched_pair_verdict)
-    product._jordan = Verdict(True, (), ("jordan",))
+    product._jordan = identities.jordan_verdict(
+        product.field, product.sparse_sc(), product.params, cube=product._cube
+    )
     a_emb = v_emb = None
     if not mp.A.params:
         # the unit vectors of A and of V split the product by construction
@@ -286,7 +299,7 @@ def bicross(mp: MatchedPair) -> BicrossedProduct:
 
 def _semidirect(mp: MatchedPair, names) -> Algebra:
     """The verified product of a pair whose other action is zero, once
-    verify() passes: bicross's, which carries the seeded Jordan verdict.
+    verify() passes: bicross's, which carries its Jordan verdict.
     Its first failing group is reported: a factor's Jordan identity, the
     law of the nonzero action, or the three MP axioms that survive (the
     keys of `names`, reported under its values: L1-L3 or R1-R3).  With one

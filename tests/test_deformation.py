@@ -219,6 +219,88 @@ def test_a_map_deforms_once(defmap_pair):
     assert r_deform(defmap_pair, other).table_key() == B.table_key()
 
 
+def _count_algebras(monkeypatch):
+    """The list that records every Algebra._of call from now on."""
+    built = []
+    inner = Algebra._of.__func__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args[1])
+        return inner(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Algebra, "_of", classmethod(counted))
+    return built
+
+
+@pytest.mark.parametrize("name,p,maps", [("J7-pair", 7, 637), ("defmap-pair", 5, 20)])
+def test_a_check_builds_no_deformed_algebra(monkeypatch, name, p, maps):
+    """enumerate_deformations, deformation_check and DeformationMap.check()
+    read the verdict alone, so V_r is not built; the first r_deform or
+    equiv_check builds it, once per map, and a later one reads it."""
+    mp = catalog(name, field=Field(p))
+    mp.verify()
+    built = _count_algebras(monkeypatch)
+    found = enumerate_deformations(mp)
+    assert len(found) == maps
+    assert all(deformation_check(mp, r).ok and r.check().ok for r in found)
+    assert built == []
+    r, s = found[0], found[-1]
+    identity = LinearMap.identity(mp.A.field, mp.V.dim)
+    equiv_check(mp, r, r, identity)
+    assert built == [mp.V.basis]
+    assert r_deform(mp, r) is r_deform(mp, r)
+    r_deform(mp, s)
+    equiv_check(mp, r, s, identity)
+    assert built == [mp.V.basis] * 2
+
+
+def _count_coercions(monkeypatch):
+    """The list of every value Field.coerce or PolyRing.coerce is given
+    from now on."""
+    seen = []
+    for cls in (Field, poly.PolyRing):
+        inner = cls.coerce
+
+        def counted(self, value, inner=inner):
+            seen.append(value)
+            return inner(self, value)
+
+        monkeypatch.setattr(cls, "coerce", counted)
+    return seen
+
+
+def test_a_map_from_labels_coerces_each_coefficient_once(monkeypatch, defmap_pair):
+    """from_images coerces the coefficients it is given, once each (into
+    Q[alpha], which coerces into Q), and no column again; the entries it
+    fills in are the ring's zeros."""
+    seen = _count_coercions(monkeypatch)
+    r = DeformationMap.from_images(defmap_pair, {"u": {"a": Fraction(1, 2)}}, params=("alpha",))
+    assert seen == [Fraction(1, 2)] * 2
+    ring = r.ring
+    assert r.cols == ((ring.const(Fraction(1, 2)), ring.zero), (ring.zero, ring.zero))
+    seen.clear()
+    assert DeformationMap.from_images(defmap_pair, {"v": {"b": 3}}).cols == ((0, 0), (0, 3))
+    assert seen == [3]
+
+
+@pytest.mark.parametrize("spec,params,parsed", [("u: alpha a", "alpha", []), ("u: 2 a", None, [Fraction(2)] * 2)])
+def test_a_map_from_the_command_line_coerces_each_entry_once(monkeypatch, spec, params, parsed):
+    """--map's combinations are read into the map's ring by the parser
+    alone (a number is parsed in the field, then lifted into the ring):
+    the map coerces nothing again, and the entries no combination names
+    are the ring's zeros."""
+    from jalg.cli import _parse_map_flag
+
+    mp = catalog("defmap-pair")
+    seen = _count_coercions(monkeypatch)
+    names = (params,) if params else ()
+    r = _parse_map_flag(mp, spec, names)
+    assert seen == parsed
+    ring = r.ring
+    assert all(type(c) is type(ring.zero) for col in r.cols for c in col)
+    assert r.cols[1] == (ring.zero, ring.zero)
+
+
 # -- equivalence -----------------------------------------------------------------
 
 

@@ -262,3 +262,88 @@ def test_no_library_path_expands_the_mp_axioms(monkeypatch):
     unmatched = list(_parametric_pairs(QQ))[1]
     assert unmatched.verify().failed_axioms() == ("MP4",)
     assert unmatched.verify(stop_early=True).failed_axioms() == ("MP4",)
+
+
+def _product_verdict(mp):
+    """bicross_table(mp).jordan_check(), read off the coefficients of an
+    earlier verify(), against jordan_check() on a fresh Algebra on the
+    product's table; returns the verdict."""
+    product = bicross_table(mp)
+    fresh = Algebra(product.field, product.basis, product.sc, params=product.params)
+    verdict = product.jordan_check()
+    _same(verdict, fresh.jordan_check())
+    return verdict
+
+
+def test_product_verdict_reads_the_pair_coefficients_on_every_combo():
+    """All 625 combos over F5, after verify() or verify(stop_early=True):
+    the product's verdict, PASS or FAIL, is a fresh pass's."""
+    passed = 0
+    for k, mp in enumerate(_combos()):
+        mp.verify(stop_early=bool(k % 2))
+        passed += _product_verdict(mp).ok
+    assert passed == 89
+
+
+@pytest.mark.parametrize("name", ("Q", "F7"))
+def test_product_verdict_reads_the_pair_coefficients_on_catalog_pairs(name):
+    f = FIELDS[name]
+    for pair_name in PAIR_NAMES:
+        mp = _fresh(catalog(pair_name, field=None if f is QQ else f))
+        assert mp.verify().ok
+        assert _product_verdict(mp).ok
+        assert bicross(mp).product.jordan_check() == _product_verdict(mp)
+
+
+def test_product_verdict_reads_the_pair_coefficients_on_parametric_pairs():
+    oks = []
+    for mp in _parametric_pairs(QQ):
+        mp.verify()
+        oks.append(_product_verdict(mp).ok)
+    assert oks == [True, False]
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_full_verdict_after_stop_early_matches_oracle(name):
+    """On failing pairs (random ones, the 536 failing combos over F5, the
+    failing Q[alpha] pair) verify(stop_early=True), then verify(), which
+    reads the first call's coefficients: each is the oracle's."""
+    f = FIELDS[name]
+    rng = random.Random("after-stop-early-" + name)
+    pairs = [_random_unmatched(rng, f, 2, 2) for _ in range(20)]
+    if f is F5:
+        pairs += [mp for mp in _combos() if not _fresh(mp).verify(stop_early=True).ok]
+    if f is QQ:
+        pairs += list(_parametric_pairs(QQ))
+    failed = 0
+    for mp in pairs:
+        quick = mp.verify(stop_early=True)
+        _same(quick, oracle.verify(mp, stop_early=True))
+        _same(mp.verify(), oracle.verify(mp))
+        failed += not quick.ok
+    assert failed >= 10
+
+
+def test_one_cube_law_pass_per_pair_and_product(monkeypatch):
+    """verify(), in either form, then the product's jordan_check() and
+    bicross() run _cube_coefficients once per pair, PASS or FAIL."""
+    calls = []
+    inner = identities._cube_coefficients
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(identities, "_cube_coefficients", counted)
+    matched = _fresh(catalog("J5-pair"))
+    unmatched = list(_parametric_pairs(QQ))[1]
+    for mp, stop_early in ((matched, False), (unmatched, True), (unmatched, False)):
+        mp = _fresh(mp)
+        calls.clear()
+        mp.verify(stop_early=stop_early)
+        mp.verify()
+        bicross_table(mp).jordan_check()
+        if mp.verify().ok:
+            bicross(mp).product.jordan_check()
+        assert len(calls) == 1
+        assert calls[0][1] is mp.product_sparse()
