@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from . import fileio
+from . import fileio, identities
 from .catalog import PAIR_NAMES, catalog as load_catalog, names as catalog_names
 from .algebra import Algebra, Subspace
 from .deformation import (
@@ -27,11 +27,10 @@ from .fields import Field
 from .matched_pair import (
     Factorization,
     MatchedPair,
+    _semidirect,
     bicross,
     canonical_pair,
     enumerate_abelian_pairs,
-    semidirect_left,
-    semidirect_right,
 )
 from .morphism import classify_dim2, iso_search
 from .poly import PolyRing
@@ -169,11 +168,11 @@ def _cmd_semidirect(args) -> int:
     if args.side == "right":
         if not mp.left.is_zero():
             raise JalgError("pair has a nonzero left action; not a right semidirect")
-        E = semidirect_right(mp.A, mp.V, mp.right)
+        E = _semidirect(mp, identities._RIGHT_FROM_MP)
     else:
         if not mp.right.is_zero():
             raise JalgError("pair has a nonzero right action; not a left semidirect")
-        E = semidirect_left(mp.A, mp.V, mp.left)
+        E = _semidirect(mp, identities._LEFT_FROM_MP)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(fileio.write_algebra(E))

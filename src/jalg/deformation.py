@@ -5,11 +5,15 @@ multiplication of V into a new Jordan algebra V_r whose graph inside the
 bicrossed product is again a complement of A.  Enumerating the maps and
 grouping them by equivalence computes the factorization index.
 
-Each map keeps its verdict and V_r's table, read off the same graph
-products (r(x), x)(r(y), y): one pass per map serves the enumeration,
-`r_deform` and `equiv_check`.  V_r, the Algebra on that table, is built
-on the first `r_deform` or `equiv_check` and kept; a check alone builds
-none.  `Factorization` decides the graph and bbar splits.
+The identity is one fact about E's table in a basis of A followed by a
+complement: r is a deformation map iff its graph {r(x) + x} is closed.
+`_graph_pass` reads it off (table, dim A) alone, one product
+(r(x), x)(r(y), y) per basis pair, which gives each residual and V_r's
+row.  Each map keeps its verdict and V_r's table from that pass: one pass
+per map serves the enumeration, `r_deform` and `equiv_check`.  V_r, the
+Algebra on that table, is built on the first `r_deform` or `equiv_check`
+and kept; a check alone builds none.  `Factorization` decides the graph
+and bbar splits.
 """
 
 from __future__ import annotations
@@ -61,8 +65,7 @@ class DeformationMap:
         return self
 
     def _set(self, mp: MatchedPair, cols, params, coerce: bool):
-        if mp.A.params:
-            raise JalgError("the underlying matched pair must be scalar")
+        _require_scalar(mp)
         self.mp = mp
         self.params = tuple(params)
         ring = PolyRing(mp.A.field, self.params) if self.params else mp.A.field
@@ -73,16 +76,8 @@ class DeformationMap:
                 f"need {mp.V.dim} columns of length {mp.A.dim}"
             )
         self.cols = cols
-        self._verdict = self._table = None  # set by _checked_table
+        self._verdict = self._table = None  # set by deformation_check
         self._deformed = None  # V_r, set by _deformed_algebra
-
-    @property
-    def _checked(self):
-        """(verdict, V_r) once the map is checked, else None; reading it
-        builds V_r (_deformed_algebra)."""
-        if self._verdict is None:
-            return None
-        return self._verdict, _deformed_algebra(self.mp, self)
 
     @classmethod
     def zero(cls, mp: MatchedPair) -> "DeformationMap":
@@ -164,68 +159,37 @@ class DeformationVerdict:
         return "\n".join(lines)
 
 
-def _graph(R, r: DeformationMap):
-    """The graph columns (r(e_j), e_j) in the coordinates of A x V, over R."""
-    units = linalg.identity(R, r.mp.V.dim)
-    return [list(col) + unit for col, unit in zip(r.cols, units)]
+def _require_scalar(mp: MatchedPair) -> None:
+    if mp.A.params:
+        raise JalgError("the underlying matched pair must be scalar")
 
 
-def _graph_products(mp: MatchedPair, r: DeformationMap):
-    """Yield (i, j, a_part, v_part) for every basis pair i <= j of V: the
-    A and V components of (r(x), x)(r(y), y) at x = e_i, y = e_j, read off
-    the pair's product table,
+def _graph_pass(table, n_a: int, ring, cols):
+    """Yield (i, j, residual, v_part) for every basis pair i <= j of V, for
+    the map r : V -> A with columns `cols` over `ring`, where `table` is E's
+    sparse form (field values) in a basis of A, its first n_a vectors,
+    followed by a complement V.  The graph product (r(x), x)(r(y), y) at
+    x = e_i, y = e_j has the A and V parts
         a_part = r(x)r(y) + x |> r(y) + y |> r(x),
-        v_part = xy + x <| r(y) + y <| r(x).
-    The v_parts are the table of V_r; r is a deformation map iff the graph
-    is closed, i.e. iff r(v_part) = a_part everywhere."""
-    R = r.ring
-    nA, nV = mp.A.dim, mp.V.dim
-    sc = mp.product_sparse()
-    if isinstance(R, PolyRing):  # lift the field values as they are
-        sc = [[[(k, R._const_of(c)) for k, c in cell] for cell in row] for row in sc]
-    graph = _graph(R, r)
-    for i in range(nV):
-        for j in range(i, nV):
-            prod = _bilinear(R, sc, graph[i], graph[j], nA + nV)
-            yield i, j, prod[:nA], prod[nA:]
-
-
-def _residuals(r: DeformationMap, products):
-    """Yield (i, j, residual) for each of _graph_products, where the
-    residual is the A-vector
-        r(xy) - r(x)r(y) - x |> r(y) - y |> r(x) + r(x <| r(y) + y <| r(x))
-    at x = e_i, y = e_j.  The deformation identity holds iff all vanish."""
-    R = r.ring
-    for i, j, a_part, v_part in products:
-        yield i, j, _vsub(R, _linear(R, r.cols, v_part, r.mp.A.dim), a_part)
-
-
-def _checked_table(mp: MatchedPair, r: DeformationMap) -> DeformationVerdict:
-    """The verdict of deformation_check, read off one _graph_products pass
-    and kept on the map with the V_r table read off the same pass: the
-    symmetric x . y = xy + x <| r(y) + y <| r(x) on V's basis, unchecked."""
-    if r.mp is not mp and r.mp != mp:
-        raise JalgError("deformation map belongs to a different matched pair")
-    if r._verdict is None:
-        R = r.ring
-        basis = mp.V.basis
-        products = list(_graph_products(mp, r))
-        failures = tuple(
-            (basis[i], basis[j], tuple(R.format(c) for c in res))
-            for i, j, res in _residuals(r, products)
-            if not all(R.is_zero(c) for c in res)
-        )
-        table = [[None] * mp.V.dim for _ in basis]
-        for i, j, _, v_part in products:
-            table[i][j] = table[j][i] = v_part
-        r._verdict, r._table = DeformationVerdict(not failures, failures), table
-    return r._verdict
+        v_part = xy + x <| r(y) + y <| r(x),
+    and residual = r(v_part) - a_part.  The v_parts are the table of V_r;
+    r is a deformation map iff the graph is closed, i.e. iff every residual
+    vanishes."""
+    n = len(table)
+    if isinstance(ring, PolyRing):  # lift the field values as they are
+        table = [[[(k, ring._const_of(c)) for k, c in cell] for cell in row] for row in table]
+    graph = [list(col) + unit for col, unit in zip(cols, linalg.identity(ring, n - n_a))]
+    for i in range(n - n_a):
+        for j in range(i, n - n_a):
+            prod = _bilinear(ring, table, graph[i], graph[j], n)
+            v_part = prod[n_a:]
+            yield i, j, _vsub(ring, _linear(ring, cols, v_part, n_a), prod[:n_a]), v_part
 
 
 def _deformed_algebra(mp: MatchedPair, r: DeformationMap) -> Algebra:
-    """V_r, the Algebra on the table _checked_table keeps, built on first
-    read and kept on the map in its place."""
-    _checked_table(mp, r)
+    """V_r, the Algebra on the table deformation_check keeps, built on
+    first read and kept on the map in its place."""
+    deformation_check(mp, r)
     if r._deformed is None:
         r._deformed = Algebra._of(mp.A.field, mp.V.basis, r._table, params=r.params)
         r._table = None
@@ -239,15 +203,31 @@ def deformation_check(mp: MatchedPair, r: DeformationMap) -> DeformationVerdict:
     a PASS holds at every specialization; a FAIL means the identity fails
     as a polynomial identity in the parameters, which over F_p need not
     fail at any specialization (alpha^p - alpha vanishes on all of F_p).
+
+    The verdict is read off one _graph_pass over the pair's product form
+    and kept on the map with the V_r table read off the same pass: the
+    symmetric x . y = xy + x <| r(y) + y <| r(x) on V's basis, unchecked.
     """
-    return _checked_table(mp, r)
+    if r.mp is not mp and r.mp != mp:
+        raise JalgError("deformation map belongs to a different matched pair")
+    if r._verdict is None:
+        R = r.ring
+        basis = mp.V.basis
+        failures = []
+        table = [[None] * mp.V.dim for _ in basis]
+        for i, j, res, v_part in _graph_pass(mp.product_sparse(), mp.A.dim, R, r.cols):
+            if not all(R.is_zero(c) for c in res):
+                failures.append((basis[i], basis[j], tuple(R.format(c) for c in res)))
+            table[i][j] = table[j][i] = v_part
+        r._verdict, r._table = DeformationVerdict(not failures, tuple(failures)), table
+    return r._verdict
 
 
 def r_deform(mp: MatchedPair, r: DeformationMap) -> Algebra:
     """The deformed algebra V_r with x . y = xy + x <| r(y) + y <| r(x),
     for a matched pair; built and checked once per map."""
     _require_matched(mp)
-    verdict = _checked_table(mp, r)
+    verdict = deformation_check(mp, r)
     if not verdict.ok:
         raise VerificationError(
             "map does not satisfy the deformation identity:\n" + verdict.describe()
@@ -272,7 +252,7 @@ def graph_complement(mp: MatchedPair, r: DeformationMap) -> GraphComplement:
     bp = bicross(mp)
     E = bp.product
     deformed = r_deform(mp, r)
-    cols = _graph(E.field, r)
+    cols = [list(col) + unit for col, unit in zip(r.cols, linalg.identity(E.field, mp.V.dim))]
     sub = Subspace._of(E, cols)
     Factorization(E, bp.a_embedding, sub)  # raises unless sub is a complementary subalgebra
     witness = LinearMap._of(E.field, mp.V.dim, E.dim, cols)
@@ -305,17 +285,16 @@ def equiv_check(
     return next(_hom_mismatches(r.ring, table_r, table_s, sigma._nonzero_cols()), None) is None
 
 
-def _deformation_conditions(mp: MatchedPair):
-    """Residuals of the deformation identity with a fully generic map;
-    the nonzero entries are the polynomial conditions a map must satisfy."""
-    nA, nV = mp.A.dim, mp.V.dim
-    params = tuple(f"r{j}_{k}" for j in range(nV) for k in range(nA))
-    ring = PolyRing(mp.A.field, params)
-    cols = [
-        [ring.var(f"r{j}_{k}") for k in range(nA)] for j in range(nV)
-    ]
-    generic = DeformationMap._of(mp, cols, params)
-    return params, [c for _, _, res in _residuals(generic, _graph_products(mp, generic)) for c in res]
+def _deformation_conditions(table, n_a: int, field: Field):
+    """Residuals of the deformation identity on E's sparse form `table` in
+    a basis of A (its first n_a vectors) followed by a complement, with a
+    fully generic map; the nonzero entries are the polynomial conditions
+    a map must satisfy."""
+    n_v = len(table) - n_a
+    params = tuple(f"r{j}_{k}" for j in range(n_v) for k in range(n_a))
+    ring = PolyRing(field, params)
+    cols = [[ring.var(f"r{j}_{k}") for k in range(n_a)] for j in range(n_v)]
+    return params, [c for _, _, res, _ in _graph_pass(table, n_a, ring, cols) for c in res]
 
 
 def enumerate_deformations(
@@ -336,7 +315,8 @@ def enumerate_deformations(
         raise BudgetError(
             f"{total} candidate maps exceed the requested cap {max_candidates}"
         )
-    params, conditions = _deformation_conditions(mp)
+    _require_scalar(mp)
+    params, conditions = _deformation_conditions(mp.product_sparse(), nA, f)
     found = []
     for flat in solve_fp(f, params, conditions):
         r = DeformationMap._of(mp, [flat[j * nA : (j + 1) * nA] for j in range(nV)])

@@ -89,7 +89,8 @@ def _parse_combination(field: Field, text: str, labels, lineno=None, params=()):
             raise ParseError(f"expected + or - before {tokens[pos]!r}", line=lineno)
         if pos < len(tokens) and tokens[pos] not in index and tokens[pos] not in params:
             try:
-                coeff = ring.mul(coeff, ring.coerce(field.parse(tokens[pos])))
+                value = field.parse(tokens[pos])
+                coeff = ring.mul(coeff, ring._const_of(value) if params else value)
             except JalgError as exc:
                 # a well-formed number keeps the field's reason for refusing it
                 reason = str(exc) if _NUMBER.fullmatch(tokens[pos]) else (

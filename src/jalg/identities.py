@@ -136,18 +136,6 @@ def _generic_names(params, groups) -> tuple[str, ...]:
     return tuple(names)
 
 
-def generic_ring(field: Field, params, groups):
-    """Ring in the parameters plus one indeterminate per generic coordinate.
-
-    groups: sequence of (prefix, dim).  Returns (ring, {prefix: vector}).
-    """
-    ring = PolyRing(field, _generic_names(params, groups))
-    vectors = {
-        prefix: [ring.var(f"{prefix}{i}") for i in range(dim)] for prefix, dim in groups
-    }
-    return ring, vectors
-
-
 def _sparse(table, ring) -> tuple:
     """The one sparse form of a table of vectors, t[i][j] = ((k, c), ...)
     over the nonzero entries c of cell (i, j), in ascending k, coerced into

@@ -38,6 +38,7 @@ from jalg.identities import (
     MP_AXIOMS,
     PAIR_AXIOMS,
     AxiomFailure,
+    _generic_names,
     _lift,
     _operator,
     _sparse,
@@ -45,11 +46,22 @@ from jalg.identities import (
     _verdict,
     _vscale,
     _vsub,
-    generic_ring,
 )
 from jalg.matched_pair import _abelian_pair_conditions
 from jalg.morphism import IsoVerdict, QuadrupleVerdict, _column_tuples, _height_values
 from jalg.poly import PolyRing
+
+
+def generic_ring(field, params, groups):
+    """Ring in the parameters plus one indeterminate per generic coordinate.
+
+    groups: sequence of (prefix, dim).  Returns (ring, {prefix: vector}).
+    """
+    ring = PolyRing(field, _generic_names(params, groups))
+    vectors = {
+        prefix: [ring.var(f"{prefix}{i}") for i in range(dim)] for prefix, dim in groups
+    }
+    return ring, vectors
 
 
 def _collect(failures, axiom, space, residual_vec, stop_early) -> bool:
@@ -855,7 +867,7 @@ def scan_solutions(field, names, conditions):
 def scan_deformations(mp):
     """enumerate_deformations as a scan of all p^(nA*nV) candidate maps."""
     nA, nV = mp.A.dim, mp.V.dim
-    params, conditions = _deformation_conditions(mp)
+    params, conditions = _deformation_conditions(mp.product_sparse(), nA, mp.A.field)
     return tuple(
         DeformationMap(mp, [flat[j * nA : (j + 1) * nA] for j in range(nV)])
         for flat in scan_solutions(mp.A.field, params, conditions)

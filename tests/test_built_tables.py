@@ -49,7 +49,7 @@ from jalg import (
 )
 from jalg.algebra import _closure
 from jalg.catalog import ALGEBRA_NAMES, PAIR_NAMES, _read
-from jalg.deformation import _deformation_conditions, _graph
+from jalg.deformation import _deformation_conditions, _deformed_algebra
 from jalg.identities import _dense, _sparse
 from jalg.poly import PolyRing
 import slow_oracles as slow
@@ -106,7 +106,8 @@ def test_built_tables_match_the_coercing_constructor(name):
         _same_algebra(E.relabel(labels), Algebra(f, labels, E.sc, name=E.name))
         nA = mp.A.dim
         for r in _maps(mp, f, rng):
-            graph = _graph(r.ring, r)
+            R = r.ring
+            graph = [list(col) + [R.one if k == j else R.zero for k in range(mp.V.dim)] for j, col in enumerate(r.cols)]
             ring_E = Algebra(f, E.basis, slow.pair_product(mp), params=r.params) if r.params else checked_E
             table = [[ring_E.mul_coords(gi, gj)[nA:] for gj in graph] for gi in graph]
             _same_algebra(r_deform(mp, r), Algebra(f, mp.V.basis, table, params=r.params))
@@ -372,7 +373,7 @@ def test_deformation_map_keeps_only_the_deformed_table(name, p):
     V_r), and r_deform returns that same object."""
     mp = catalog(name, field=Field(p))
     for r in enumerate_deformations(mp)[:20]:
-        verdict, deformed = r._checked
+        verdict, deformed = r._verdict, _deformed_algebra(mp, r)
         assert verdict.ok
         assert isinstance(deformed, Algebra) and deformed.basis == mp.V.basis
         assert deformed.sc == slow.deformed_table(mp, r)
@@ -634,7 +635,7 @@ def test_deformation_conditions_lift_field_values_without_coercion(monkeypatch, 
         return inner(self, value)
 
     monkeypatch.setattr(Field, "coerce", counted)
-    results = [_deformation_conditions(mp) for mp in pairs]
+    results = [_deformation_conditions(mp.product_sparse(), mp.A.dim, f) for mp in pairs]
     assert coerced == []
     monkeypatch.undo()
     for mp, (params, conditions) in zip(pairs, results):

@@ -114,6 +114,27 @@ def test_semidirect(capsys):
     assert "v v" not in out  # v squares to zero in the semidirect product
 
 
+def test_semidirect_decides_the_loaded_pair(capsys, monkeypatch):
+    """semidirect builds the product of the pair it loaded: a warm catalog
+    pair's kept cube-law pass decides it, and no second one runs."""
+    from jalg import catalog, identities
+
+    for name in ("J5-pair", "defmap-pair"):
+        catalog(name, None)
+    calls = []
+    inner = identities._cube_coefficients
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(identities, "_cube_coefficients", counted)
+    for name in ("J5-pair", "defmap-pair"):
+        code, out, _ = run(capsys, "semidirect", f"catalog:{name}", "--side", "right")
+        assert code == 0 and out.startswith("right semidirect product: dim 4 over Q")
+    assert calls == []
+
+
 _LINE_PAIR = (
     "algebra A\n  field Q\n  dim 1\n  basis a\n  mult a a = a\nend\n\n"
     "algebra V\n  field Q\n  dim 1\n  basis x\nend\n\n"

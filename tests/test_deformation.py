@@ -34,13 +34,17 @@ from jalg import (
     invariant_signature,
     iso_search,
     load_pair,
+    parse_algebra,
     parse_pair,
     r_deform,
     subalgebra_check,
 )
 from jalg import deformation as deformation_module
 from jalg import poly
+from jalg.catalog import _read
 from jalg.cli import main
+from jalg.deformation import _deformation_conditions
+from jalg.identities import _sparse
 import slow_oracles as slow
 
 F5 = Field(5)
@@ -80,6 +84,19 @@ def test_deformation_check_rejects_foreign_pair(defmap_pair):
     r = DeformationMap.zero(defmap_pair)
     with pytest.raises(JalgError):
         deformation_check(other, r)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_a_parametric_pair_is_refused(field):
+    """A map and the enumeration need a scalar pair: the matched Q[alpha]
+    pair x |> a1 = alpha a0 is refused by both, with one text."""
+    from test_pair_oracle import _parametric_pairs
+
+    mp = next(_parametric_pairs(field))
+    assert mp.verify().ok
+    for call in (lambda: DeformationMap(mp, [[0, 0]]), lambda: enumerate_deformations(mp)):
+        with pytest.raises(JalgError, match="^the underlying matched pair must be scalar$"):
+            call()
 
 
 def test_apply_and_describe(defmap_pair):
@@ -283,12 +300,15 @@ def test_a_map_from_labels_coerces_each_coefficient_once(monkeypatch, defmap_pai
     assert seen == [3]
 
 
-@pytest.mark.parametrize("spec,params,parsed", [("u: alpha a", "alpha", []), ("u: 2 a", None, [Fraction(2)] * 2)])
+@pytest.mark.parametrize(
+    "spec,params,parsed",
+    [("u: alpha a", "alpha", []), ("u: 2 a", None, [Fraction(2)]), ("u: 2 alpha a", "alpha", [Fraction(2)])],
+)
 def test_a_map_from_the_command_line_coerces_each_entry_once(monkeypatch, spec, params, parsed):
     """--map's combinations are read into the map's ring by the parser
-    alone (a number is parsed in the field, then lifted into the ring):
-    the map coerces nothing again, and the entries no combination names
-    are the ring's zeros."""
+    alone (a number is coerced once, when the field parses it, and lifted
+    into a polynomial ring as it is): the map coerces nothing again, and
+    the entries no combination names are the ring's zeros."""
     from jalg.cli import _parse_map_flag
 
     mp = catalog("defmap-pair")
@@ -299,6 +319,13 @@ def test_a_map_from_the_command_line_coerces_each_entry_once(monkeypatch, spec, 
     ring = r.ring
     assert all(type(c) is type(ring.zero) for col in r.cols for c in col)
     assert r.cols[1] == (ring.zero, ring.zero)
+
+
+def test_a_file_coerces_each_scalar_once(monkeypatch):
+    """Each of J7's eight 1/2 entries is coerced once, by Field.parse."""
+    seen = _count_coercions(monkeypatch)
+    parse_algebra(_read("J7.jalg"))
+    assert seen == [Fraction(1, 2)] * 8
 
 
 # -- equivalence -----------------------------------------------------------------
@@ -440,20 +467,49 @@ def test_factorization_index_report():
 
 @pytest.mark.parametrize("name,p,maps", [("J7-pair", 7, 637), ("defmap-pair", 5, 20)])
 def test_factorization_index_reads_each_graph_once(monkeypatch, name, p, maps):
-    """One _graph_products pass for the generic map of the conditions and
-    one per enumerated map; the enumeration's check, r_deform and every
+    """One _graph_pass for the generic map of the conditions and one per
+    enumerated map; the enumeration's check, r_deform and every
     equiv_check read that pass off the map."""
     calls = []
-    inner = deformation_module._graph_products
+    inner = deformation_module._graph_pass
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(deformation_module, "_graph_products", counted)
+    monkeypatch.setattr(deformation_module, "_graph_pass", counted)
     report = factorization_index(catalog(name, field=Field(p)))
     assert len(report.maps) == maps
     assert len(calls) == maps + 1
+
+
+@pytest.mark.parametrize("name,maps", [("J5-pair", 9), ("defmap-pair", 20)])
+def test_the_graph_pass_needs_only_the_table_and_dim_a(name, maps):
+    """The deformation conditions read E's table in any basis of A followed
+    by a complement, not only the pair's own: rebased onto A's units and
+    W0 = {x + a_0 : x a unit of V}, which is not a subalgebra, the solutions
+    f : W0 -> A are as many as the pair's deformation maps, and each graph
+    {w + f(w)} is a subalgebra complementary to A."""
+    mp = catalog(name, field=F5)
+    bp = bicross(mp)
+    E, n_a = bp.product, mp.A.dim
+    units = [[F5.one if k == i else F5.zero for k in range(E.dim)] for i in range(E.dim)]
+    w0 = [[F5.add(c, units[0][k]) for k, c in enumerate(unit)] for unit in units[n_a:]]
+    assert not subalgebra_check(E, Subspace(E, w0))
+    basis = units[:n_a] + w0
+
+    def coordinates(v):  # sum x_i a_i + sum y_j v_j = (x_0 - sum y_j) a_0 + ... + sum y_j w_j
+        return [F5.sub(v[0], sum(v[n_a:]))] + list(v[1:])
+
+    table = [[coordinates(E.mul_coords(x, y)) for y in basis] for x in basis]
+    params, conditions = _deformation_conditions(_sparse(table, F5), n_a, F5)
+    solutions = poly.solve_fp(F5, params, conditions)
+    assert len(solutions) == len(enumerate_deformations(mp)) == maps
+    for flat in solutions:
+        # f(w_j) is the j-th block of n_a coordinates, in A's units
+        graph = [[F5.add(c, flat[j * n_a + k]) if k < n_a else c for k, c in enumerate(w)] for j, w in enumerate(w0)]
+        G = Subspace(E, graph)
+        assert subalgebra_check(E, G) and complement_check(E, bp.a_embedding, G)
 
 
 def test_representative_tables_match_weighted_catalog():
