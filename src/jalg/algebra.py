@@ -414,18 +414,14 @@ class LinearMap:
         ]
 
     def is_invertible(self) -> bool:
-        return self.source_dim == self.target_dim and linalg.is_invertible(
-            self.field, self.rows()
-        )
+        # the columns are the rows of the transpose, which has the same rank
+        return self.source_dim == self.target_dim and linalg.is_invertible(self.field, self.cols)
 
     def inverse(self) -> "LinearMap":
-        inv_rows = linalg.invert(self.field, self.rows())
-        if inv_rows is None:
+        # the rows of the transpose's inverse are the inverse's columns
+        cols = linalg.invert(self.field, self.cols)
+        if cols is None:
             raise JalgError("map is singular")
-        cols = [
-            [inv_rows[k][j] for k in range(self.source_dim)]
-            for j in range(self.target_dim)
-        ]
         return LinearMap._of(self.field, self.target_dim, self.source_dim, cols)
 
     def __eq__(self, other):

@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from . import fileio, identities
+from . import fileio
 from .catalog import PAIR_NAMES, catalog as load_catalog, names as catalog_names
 from .algebra import Algebra, Subspace
 from .deformation import (
@@ -138,61 +138,35 @@ def _cmd_mp_check(args) -> int:
     return 0 if verdict.ok else 1
 
 
-def _cmd_bicross(args) -> int:
-    mp = _pair(args.input, args.field)
-    bp = bicross(mp)
-    E = bp.product
+def _product_report(args, E: Algebra, title: str, **extra) -> int:
+    """Write a built product to --out, then report its table: the text
+    under `title`, or the JSON with the `extra` keys."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(fileio.write_algebra(E))
-    lines = [
-        f"bicrossed product: dim {E.dim} over {E.field}",
-        E.format_table(),
-    ]
     _emit(
         args,
         {
-            "command": "bicross",
+            "command": args.command,
             "input": args.input,
             "dim": E.dim,
             "basis": list(E.basis),
             "table": _table_dict(E),
+            **extra,
         },
-        "\n".join(lines),
+        f"{title}: dim {E.dim} over {E.field}\n{E.format_table()}",
     )
     return 0
+
+
+def _cmd_bicross(args) -> int:
+    E = bicross(_pair(args.input, args.field)).product
+    return _product_report(args, E, "bicrossed product")
 
 
 def _cmd_semidirect(args) -> int:
-    mp = _pair(args.input, args.field)
-    if args.side == "right":
-        if not mp.left.is_zero():
-            raise JalgError("pair has a nonzero left action; not a right semidirect")
-        E = _semidirect(mp, identities._RIGHT_FROM_MP)
-    else:
-        if not mp.right.is_zero():
-            raise JalgError("pair has a nonzero right action; not a left semidirect")
-        E = _semidirect(mp, identities._LEFT_FROM_MP)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(fileio.write_algebra(E))
-    lines = [
-        f"{args.side} semidirect product: dim {E.dim} over {E.field}",
-        E.format_table(),
-    ]
-    _emit(
-        args,
-        {
-            "command": "semidirect",
-            "side": args.side,
-            "input": args.input,
-            "dim": E.dim,
-            "basis": list(E.basis),
-            "table": _table_dict(E),
-        },
-        "\n".join(lines),
-    )
-    return 0
+    E = _semidirect(_pair(args.input, args.field), args.side)
+    return _product_report(args, E, f"{args.side} semidirect product", side=args.side)
 
 
 def _split_labels(text: str) -> list[str]:

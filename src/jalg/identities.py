@@ -62,11 +62,6 @@ MP_AXIOMS = ("MP1", "MP2", "MP3", "MP4", "MP5", "MP6")
 # everything MatchedPair.verify decides, in the order it reports them
 PAIR_AXIOMS = ("jordan-A", "jordan-V", "right-action", "left-action") + MP_AXIOMS
 
-# With one action zero the other three MP axioms hold for degree reasons;
-# the surviving three specialize to the semidirect compatibilities.
-_LEFT_FROM_MP = {"MP1": "L1", "MP4": "L2", "MP6": "L3"}
-_RIGHT_FROM_MP = {"MP2": "R1", "MP3": "R2", "MP5": "R3"}
-
 
 @dataclass(frozen=True)
 class AxiomFailure:
@@ -431,7 +426,6 @@ def action_law_verdict(
     module_prefix: str = "m",
     axiom: str = "action-law",
     space: str = "M",
-    stop_early: bool = False,
     cube=None,
 ) -> Verdict:
     """w (w^2 m) = w^2 (w m) for a generic acting element w and module element m.
@@ -444,8 +438,7 @@ def action_law_verdict(
     and the Jordan identity (A on itself).  `cube` is the tables'
     _cube_coefficients when the caller holds them already (a pair product's,
     from its pair's verify()); otherwise they are computed here.  Only on a
-    FAIL are the residuals built from them; with stop_early only the first
-    failing coordinate is reported.
+    FAIL are the residuals built from them.
     """
     dim_w = len(mul_acting)
     dim_m = len(act[0]) if dim_w else 0
@@ -456,15 +449,15 @@ def action_law_verdict(
         ring = PolyRing(field, names)
         wpos = [ring._index[f"{acting_prefix}{i}"] for i in range(dim_w)]
         mpos = [ring._index[f"{module_prefix}{l}"] for l in range(dim_m)]
-        for o in sorted(bad)[:1] if stop_early else sorted(bad):
+        for o in sorted(bad):
             failures.append(AxiomFailure(axiom, space, o, _residual(ring, bad[o], wpos, mpos, decode, params)))
     return _verdict(failures, [axiom])
 
 
-def jordan_verdict(field: Field, mul, params=(), stop_early: bool = False, cube=None) -> Verdict:
+def jordan_verdict(field: Field, mul, params=(), cube=None) -> Verdict:
     """(a^2 b) a = a^2 (b a) with generic a, b: the action law of A on
     itself, on mul in sparse form (as action_law_verdict, `cube` too)."""
-    return action_law_verdict(field, mul, mul, params, "a", "b", "jordan", "A", stop_early, cube)
+    return action_law_verdict(field, mul, mul, params, "a", "b", "jordan", "A", cube)
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +549,3 @@ def matched_pair_verdict(field: Field, table, n: int, cube, params=(), stop_earl
         residual = _residual(ring, cs, pos["a"][:n] + pos["x"][n:], pos[name], decode, params)
         failures.append(AxiomFailure(axiom, space, o if o < n else o - n, residual))
     return _verdict(failures, axioms)
-
-
-def _rename(verdict: Verdict, mapping) -> Verdict:
-    failures = tuple(
-        AxiomFailure(mapping[f.axiom], f.space, f.index, f.residual)
-        for f in verdict.failures
-    )
-    checked = tuple(mapping[name] for name in verdict.checked)
-    return Verdict(verdict.ok, failures, checked)

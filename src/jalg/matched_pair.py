@@ -16,17 +16,17 @@ from .algebra import (
     LinearMap,
     Subspace,
     _closure,
-    _induced_labels,
     _label_coords,
     _label_index,
     _primed,
     _same_field,
     _vector,
     hom_check,
+    induced_subalgebra,
 )
 from .errors import DimensionError, JalgError, VerificationError
 from .fields import Field
-from .identities import Verdict, _bilinear, _linear
+from .identities import AxiomFailure, Verdict, _bilinear, _linear
 from .poly import PolyRing, solve_fp
 
 
@@ -278,15 +278,12 @@ def _require_matched(mp: MatchedPair) -> None:
 def bicross(mp: MatchedPair) -> BicrossedProduct:
     """The verified bicrossed product of a matched pair, built and checked
     once per pair: a later call returns the same object.  An unmatched pair
-    raises on every call.  The product's Jordan verdict is read off the
+    raises on every call.  The product's jordan_check() reads the
     coefficients of verify()'s pass on this very table, which has none."""
     if mp._bicross is not None:
         return mp._bicross
     _require_matched(mp)
     product = bicross_table(mp)
-    product._jordan = identities.jordan_verdict(
-        product.field, product.sparse_sc(), product.params, cube=product._cube
-    )
     a_emb = v_emb = None
     if not mp.A.params:
         # the unit vectors of A and of V split the product by construction
@@ -297,14 +294,26 @@ def bicross(mp: MatchedPair) -> BicrossedProduct:
     return mp._bicross
 
 
-def _semidirect(mp: MatchedPair, names) -> Algebra:
-    """The verified product of a pair whose other action is zero, once
-    verify() passes: bicross's, which carries its Jordan verdict.
-    Its first failing group is reported: a factor's Jordan identity, the
-    law of the nonzero action, or the three MP axioms that survive (the
-    keys of `names`, reported under its values: L1-L3 or R1-R3).  With one
-    action zero the other action law and the other three MP pieces of the
-    product's cube law vanish identically."""
+# With one action zero the other three MP axioms hold for degree reasons;
+# the surviving three specialize to the semidirect compatibilities, named
+# after the side of the nonzero action.
+_SEMIDIRECT_AXIOMS = {
+    "left": {"MP1": "L1", "MP4": "L2", "MP6": "L3"},
+    "right": {"MP2": "R1", "MP3": "R2", "MP5": "R3"},
+}
+
+
+def _semidirect(mp: MatchedPair, side: str) -> Algebra:
+    """The one-sided product on `side` ("left" or "right"): bicross's,
+    once verify() passes.  A nonzero action on the other side is refused
+    (JalgError).  Otherwise the first failing group is reported: a
+    factor's Jordan identity, the law of the action on `side`, or the
+    three MP axioms that survive, named L1-L3 or R1-R3
+    (_SEMIDIRECT_AXIOMS).  With the other action zero its law and the
+    other three MP pieces of the product's cube law vanish identically."""
+    other = "left" if side == "right" else "right"
+    if not getattr(mp, other).is_zero():
+        raise JalgError(f"pair has a nonzero {other} action; not a {side} semidirect")
     verdict = mp.verify()
     if verdict.ok:
         return bicross(mp).product
@@ -312,22 +321,23 @@ def _semidirect(mp: MatchedPair, names) -> Algebra:
     if first in ("jordan-A", "jordan-V"):
         alg = mp.A if first == "jordan-A" else mp.V
         raise VerificationError(f"{alg!r} fails the Jordan identity")
+    names = _SEMIDIRECT_AXIOMS[side]
     if first in names:
-        report = identities._rename(Verdict(False, verdict.failures, tuple(names)), names)
+        failures = tuple(AxiomFailure(names[f.axiom], f.space, f.index, f.residual) for f in verdict.failures)
+        report = Verdict(False, failures, tuple(names.values()))
         raise VerificationError("semidirect axioms fail:\n" + report.describe())
     law = Verdict(False, tuple(f for f in verdict.failures if f.axiom == first), (first,))
-    side = first.removesuffix("-action")
     raise VerificationError(f"{side} action law fails:\n" + law.describe())
 
 
 def semidirect_left(A: Algebra, V: Algebra, la: LeftAction) -> Algebra:
     """A |x V: multiplication (ab + x|>b + y|>a, xy); needs L1-L3."""
-    return _semidirect(MatchedPair(A, V, RightAction.zero(V, A), la), identities._LEFT_FROM_MP)
+    return _semidirect(MatchedPair(A, V, RightAction.zero(V, A), la), "left")
 
 
 def semidirect_right(A: Algebra, V: Algebra, ra: RightAction) -> Algebra:
     """A x| V: multiplication (ab, x<|b + y<|a + xy); needs R1-R3."""
-    return _semidirect(MatchedPair(A, V, ra, LeftAction.zero(V, A)), identities._RIGHT_FROM_MP)
+    return _semidirect(MatchedPair(A, V, ra, LeftAction.zero(V, A)), "right")
 
 
 def dual_action(A: Algebra) -> RightAction:
@@ -352,20 +362,17 @@ def dual_action(A: Algebra) -> RightAction:
 class Factorization:
     """E together with complementary subalgebras A and B.
 
-    One closure pass per factor decides that it is a subalgebra and keeps
-    its products' coordinates on its rows (`A_table`, `B_table`).  One
+    One closure pass per factor decides that it is a subalgebra, and the
+    Subspace keeps its products' coordinates on its rows (_closure).  One
     inverse of the stacked basis (A's rows, then B's rows) decides that A
     and B are complementary and splits every vector along E = A + B:
     `split` gives its coordinates on both factors, and `pi_A` is the
     projection onto A along B."""
 
     def __init__(self, E: Algebra, A_sub: Subspace, B_sub: Subspace):
-        tables = []
         for which, sub in (("first", A_sub), ("second", B_sub)):
-            table, escape = _closure(E, sub)
-            if escape is not None:
+            if _closure(E, sub)[1] is not None:
                 raise VerificationError(f"{which} subspace is not a subalgebra")
-            tables.append(table)
         f = E.field
         stacked = list(A_sub.rows) + list(B_sub.rows)
         inv = linalg.invert(f, stacked) if len(stacked) == E.dim else None
@@ -374,7 +381,6 @@ class Factorization:
         self.E = E
         self.A_sub = A_sub
         self.B_sub = B_sub
-        self.A_table, self.B_table = tables
         # row k of the inverse holds the coordinates of e_k on the stacked basis
         self._inv = inv
 
@@ -405,8 +411,8 @@ def canonical_pair(fact: Factorization) -> MatchedPair:
     """
     E = fact.E
     f = E.field
-    A_alg = Algebra._of(f, _induced_labels(E, fact.A_sub), fact.A_table)
-    B_alg = Algebra._of(f, _induced_labels(E, fact.B_sub), fact.B_table)
+    A_alg = induced_subalgebra(E, fact.A_sub)[0]
+    B_alg = induced_subalgebra(E, fact.B_sub)[0]
     left_rows = []
     right_rows = []
     for x in fact.B_sub.rows:
@@ -425,8 +431,9 @@ def canonical_pair(fact: Factorization) -> MatchedPair:
             "canonical actions fail the matched-pair axioms:\n" + verdict.describe()
         )
     product = bicross_table(mp)
+    # phi's columns are the stacked rows, which fact has inverted
     phi = LinearMap._of(f, product.dim, E.dim, fact.A_sub.rows + fact.B_sub.rows)
-    if not phi.is_invertible() or not hom_check(phi, product, E):
+    if not hom_check(phi, product, E):
         raise VerificationError("(a, x) -> a + x is not an isomorphism onto E")
     return mp
 

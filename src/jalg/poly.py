@@ -217,13 +217,6 @@ class Poly:
         exp = min(self.terms, key=_display_key)
         return exp, self.terms[exp]
 
-    def coefficient(self, assignment: dict[str, int]):
-        """Raw coefficient of the monomial given as {name: exponent}."""
-        exp = [0] * len(self.ring.names)
-        for name, e in assignment.items():
-            exp[self.ring._index[name]] = e
-        return self.terms.get(tuple(exp), self.ring.field.zero)
-
     def eval(self, values: dict[str, object]):
         """Substitute a raw field value for every variable; returns a raw value."""
         f = self.ring.field

@@ -154,7 +154,7 @@ def mat_mul(field, a, b):
     return out
 
 
-def jordan_verdict(field, mul, params=(), stop_early=False):
+def jordan_verdict(field, mul, params=()):
     """(a^2 b) a = a^2 (b a), expanded with generic a, b."""
     dim = len(mul)
     ring, gen = generic_ring(field, params, [("a", dim), ("b", dim)])
@@ -167,7 +167,7 @@ def jordan_verdict(field, mul, params=(), stop_early=False):
     a2 = M(a, a)
     residual = _vsub(ring, M(M(a2, b), a), M(a2, M(b, a)))
     failures = []
-    _collect(failures, "jordan", "A", residual, stop_early)
+    _collect(failures, "jordan", "A", residual, False)
     return _verdict(failures, ["jordan"])
 
 

@@ -151,10 +151,6 @@ def test_jordan_matches_expansion(name):
         if label.endswith("jordan"):
             assert fast.ok, label
         outcomes.add(fast.ok)
-        if not fast.ok:
-            early = identities.jordan_verdict(f, _sparse(sc, f), stop_early=True)
-            _same(early, oracle.jordan_verdict(f, sc, stop_early=True))
-            assert early.failures == fast.failures[:1]
     assert outcomes == {True, False}
 
 
